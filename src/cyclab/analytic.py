@@ -37,6 +37,17 @@ def _check_pow2(G, smallest=8):
         raise ValueError(f"grid size must be a power of two >= {smallest}, got {G}")
 
 
+def _leakage(coeffs):
+    """Share of the l2 energy of `coeffs` at negative frequencies.
+
+    Python's abs, pow and sum, in ascending frequency order: numpy's complex
+    abs, its square and its blocked sum each round differently in the last bit.
+    """
+    energy = [abs(c) ** 2 for c in coeffs.arr.tolist()]
+    total = sum(energy)
+    return sum(energy[: max(-coeffs.lo, 0)]) / total if total > 0.0 else 0.0
+
+
 def conjugate_function(g):
     """Harmonic conjugate of a real grid function via the -i*sign(n) multiplier.
 
@@ -120,14 +131,11 @@ class OuterFunction:
         G = int(data["boundary_grid_size"])
         boundary = eval_on_grid(coeffs, G)
         re, im = data["value_at_zero"]
-        total = sum(abs(c) ** 2 for c in coeffs.coeffs.values())
-        neg = sum(abs(c) ** 2 for n, c in coeffs.coeffs.items() if n < 0)
-        leakage = neg / total if total > 0.0 else 0.0
         return cls(
             boundary=boundary,
             analytic_coeffs=coeffs,
             value_at_zero=float(complex(re, im).real),
-            leakage=leakage,
+            leakage=_leakage(coeffs),
             modulus_spec=data.get("modulus_spec"),
         )
 
@@ -148,9 +156,7 @@ def outer_from_modulus(phi, leakage_tol=None, modulus_spec=None):
     boundary = np.exp(u + 1j * conj)
     G = phi.grid_size
     coeffs = series_from_samples(boundary, G // 2 - 1)
-    total = sum(abs(c) ** 2 for c in coeffs.coeffs.values())
-    neg = sum(abs(c) ** 2 for n, c in coeffs.coeffs.items() if n < 0)
-    leakage = neg / total if total > 0.0 else 0.0
+    leakage = _leakage(coeffs)
     if leakage_tol is not None and leakage > leakage_tol:
         raise ValueError(
             f"negative-frequency leakage {leakage:.3e} exceeds {leakage_tol:.3e}; "
@@ -189,14 +195,13 @@ def h_k(k, max_degree):
     if max_degree < 0:
         raise ValueError("max_degree must be nonnegative")
     ratio = k / (k + 1.0)
-    n = np.arange(1, max_degree + 1)
-    coeffs = {0: ratio}
-    tail_vals = (ratio**n) / (k + 1.0)
-    for idx, c in zip(n, tail_vals):
-        coeffs[int(idx)] = -c
+    coeffs = np.empty(max_degree + 1)
+    coeffs[0] = ratio
+    coeffs[1:] = -((ratio ** np.arange(1, max_degree + 1)) / (k + 1.0))
+    series = FourierSeries.from_dense(coeffs, 0)
     tail = ratio ** (max_degree + 1)
     return MoebiusExpansion(
-        series=FourierSeries(coeffs), tail_l1=float(tail), k=k, max_degree=int(max_degree)
+        series=series, tail_l1=float(tail), k=k, max_degree=int(max_degree)
     )
 
 
@@ -356,8 +361,9 @@ def douglas_seminorm(f_samples, alpha, exclusion):
     _check_pow2(G)
 
     coeffs = series_from_samples(f, G // 2 - 1)
-    support = np.array(sorted(coeffs.support()), dtype=int)
-    amps2 = np.array([abs(coeffs.coeff(int(n))) ** 2 for n in support])
+    nz = np.flatnonzero(coeffs.arr)
+    support = coeffs.lo + nz
+    amps2 = np.array([abs(c) ** 2 for c in coeffs.arr[nz].tolist()])  # as _leakage
     n_abs = np.abs(support)
     n_top = int(n_abs.max()) if support.size else 0
     w = douglas_weights(alpha, n_top)
@@ -420,8 +426,9 @@ def smooth_vanishing_function(E, gamma, G, tail_tol=TAIL_SHARE_TOL):
     pos = d > 0.0
     vals[pos] = np.exp(-(d[pos] ** (-gamma)))
     series = series_from_samples(vals, G // 2 - 1)
-    support = np.array(sorted(series.support()), dtype=int)
-    amps = np.array([abs(series.coeff(int(n))) for n in support])
+    nz = np.flatnonzero(series.arr)
+    support = series.lo + nz
+    amps = np.abs(series.arr[nz])
     if support.size == 0:
         raise ValueError("function vanished identically on this grid")
     l1 = float(np.sum(amps))

@@ -60,13 +60,6 @@ def _support_range(support, degree):
     raise ValueError(f"unknown support {support!r}; expected one of {SUPPORTS}")
 
 
-def _dense(f):
-    """Coefficients of a FourierSeries as (lo, contiguous complex array)."""
-    sup = f.support()
-    lo, hi = sup[0], sup[-1]
-    return lo, f.dense(lo, hi)
-
-
 class _ConvObjective:
     """Residual b - conv(f, x) over a fixed output index range."""
 
@@ -87,10 +80,18 @@ class _ConvObjective:
         self.p = p
 
     def apply(self, x):
+        """conv(f, x) placed on the output range."""
         y = np.zeros(self.n_rows, dtype=complex)
         conv = fftconvolve(self.f_arr, x)
         y[self.conv_off : self.conv_off + len(conv)] = conv
         return y
+
+    def adjoint(self, y):
+        """The adjoint of :meth:`apply`: correlate y with f over the columns."""
+        nf = len(self.f_arr)
+        seg = y[self.conv_off : self.conv_off + nf + self.n_cols - 1]
+        full = fftconvolve(np.conj(self.f_arr[::-1]), seg)
+        return full[nf - 1 : nf - 1 + self.n_cols]
 
     def residual(self, x):
         return self.b - self.apply(x)
@@ -101,23 +102,11 @@ class _ConvObjective:
 
     def solve_weighted(self, sqrt_w, x0=None, atol=1e-10, maxiter=None):
         """min_x || sqrt_w * (b - conv(f, x)) ||_2 via LSMR."""
-        nf = len(self.f_arr)
-        off = self.conv_off
-
-        def matvec(x):
-            y = np.zeros(self.n_rows, dtype=complex)
-            conv = fftconvolve(self.f_arr, x)
-            y[off : off + len(conv)] = conv
-            return sqrt_w * y
-
-        def rmatvec(y):
-            yw = np.conj(sqrt_w) * y
-            seg = yw[off : off + nf + self.n_cols - 1]
-            full = fftconvolve(np.conj(self.f_arr[::-1]), seg)
-            return full[nf - 1 : nf - 1 + self.n_cols]
-
         A = LinearOperator(
-            (self.n_rows, self.n_cols), matvec=matvec, rmatvec=rmatvec, dtype=complex
+            (self.n_rows, self.n_cols),
+            matvec=lambda x: sqrt_w * self.apply(x),
+            rmatvec=lambda y: self.adjoint(np.conj(sqrt_w) * y),
+            dtype=complex,
         )
         if maxiter is None:
             maxiter = min(4 * (self.n_rows + self.n_cols), 3000)
@@ -140,13 +129,11 @@ class _ConvObjective:
         col[: L + 1] = rho[mid : mid + L + 1]
         # rhs over column i: sum_n conj(f_{n - s_i}) b_n, a cross-correlation
         # of f with the stored target; index bookkeeping collapses to
-        # nf - 1 + conv_off + i because b lives on the output range
+        # nf - 1 + conv_off + i because b lives on the output range (all of
+        # b, not adjoint(b), whose shorter FFT rounds differently)
         cross = fftconvolve(np.conj(self.f_arr[::-1]), self.b)
-        rhs = np.zeros(n, dtype=complex)
-        for i in range(n):
-            k = (nf - 1) + self.conv_off + i
-            if 0 <= k < len(cross):
-                rhs[i] = cross[k]
+        k0 = nf - 1 + self.conv_off
+        rhs = cross[k0 : k0 + n]
         try:
             x = scipy.linalg.solve_toeplitz((col, np.conj(col)), rhs)
         except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
@@ -182,16 +169,9 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     if len(f) == 0:
         raise ValueError("f must be nonzero")
     s_lo, s_hi = _support_range(support, degree)
-    f_lo, f_arr = _dense(f)
     t_lo, t_arr = target
-    prob = _ConvObjective(f_lo, f_arr, s_lo, s_hi, t_lo, t_arr, p, bval)
-
-    x0 = None
-    if warm is not None:
-        x0 = np.zeros(prob.n_cols, dtype=complex)
-        for n, c in warm.coeffs.items():
-            if s_lo <= n <= s_hi:
-                x0[n - s_lo] = c
+    prob = _ConvObjective(f.lo, f.arr, s_lo, s_hi, t_lo, t_arr, p, bval)
+    x0 = warm.dense(s_lo, s_hi) if warm is not None else None
 
     x_exact = prob.solve_unweighted_exact() if bval == 0.0 else None
     # large ill-conditioned problems get a bounded LSMR budget; the returned
@@ -245,6 +225,8 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
             else:
                 converged = False
             if iters_left <= 0:
+                # out of budget: converged only if no continuation step is left
+                converged = converged and j == MU_STEPS - 1
                 break
         x = best_x
 
@@ -271,12 +253,11 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
     Internally the variable is R = z*Q on {1..degree+1}; the returned
     polynomial is Q itself.
     """
-    t_lo, t_arr = _dense(f)
     if warm is not None:
         # the internal variable is R = z*Q, so a warm Q moves up by one
-        warm = FourierSeries({n + 1: c for n, c in warm.coeffs.items()})
-    res = _minimize(f, space, None, "positive", degree + 1, (t_lo, t_arr), warm)
-    shifted = FourierSeries({n - 1: c for n, c in res.polynomial.coeffs.items()})
+        warm = FourierSeries.from_dense(warm.arr, warm.lo + 1)
+    res = _minimize(f, space, None, "positive", degree + 1, (f.lo, f.arr), warm)
+    shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
     return InfimumResult(
         value=res.value,
         polynomial=shifted,

@@ -11,6 +11,11 @@ the normalized measure convention: the n-th coefficient of a function f is
 the mean of f(zeta) zeta^(-n) over the circle.  Geometric integrals elsewhere
 in this package use the unnormalized arc-length measure; each routine states
 which convention it follows.
+
+A :class:`FourierSeries` is one dense slab: ``arr[i]`` is the amplitude at
+frequency ``lo + i``, and other modules read coefficients only through
+``lo``, ``arr`` and ``dense``.  Amplitudes at or below ``DROP_REL_TOL`` times
+the peak modulus are stored as 0 and leave the support.
 """
 
 from __future__ import annotations
@@ -70,69 +75,101 @@ class PowerLogSequence:
 class FourierSeries:
     """Finitely supported map from integer frequency to complex amplitude.
 
-    Immutable.  On construction, amplitudes whose modulus does not exceed
-    ``drop_tol`` times the largest stored modulus are removed, so exact
-    zeros never survive and grid-transform noise stays out of the support.
+    Immutable.  Stored as a dense slab ``arr`` from frequency ``lo``, trimmed
+    so that both ends are nonzero (the zero series is empty, at ``lo = 0``);
+    memory grows with the frequency span.  On construction, amplitudes whose
+    modulus does not exceed ``drop_tol`` times the largest become 0 and leave
+    the support, so grid-transform noise stays out.
     """
 
-    __slots__ = ("_coeffs", "_degree")
+    __slots__ = ("_lo", "_arr")
 
     def __init__(self, coeffs=None, drop_tol=DROP_REL_TOL):
-        cleaned = {}
-        items = dict(coeffs) if coeffs else {}
-        if items:
-            peak = max(abs(c) for c in items.values())
-            cutoff = drop_tol * peak
-            for n, c in items.items():
-                c = complex(c)
-                if abs(c) > cutoff:
-                    cleaned[int(n)] = c
-        object.__setattr__(self, "_coeffs", MappingProxyType(cleaned))
-        object.__setattr__(self, "_degree", max((abs(n) for n in cleaned), default=0))
+        items = dict(coeffs) if coeffs else {0: 0.0}
+        ns = np.array([int(n) for n in items], dtype=np.int64)
+        arr = np.zeros(ns.max() - ns.min() + 1, dtype=complex)
+        arr[ns - ns.min()] = [complex(c) for c in items.values()]
+        self._store(int(ns.min()), arr, drop_tol)
+
+    def _store(self, lo, arr, drop_tol):
+        """Set the slab from (lo, arr) after the drop rule and end trimming."""
+        # hypot rounds as Python's abs(complex) does; np.abs may not
+        mod = np.hypot(arr.real, arr.imag)
+        keep = mod > drop_tol * mod.max(initial=0.0)
+        nz = np.flatnonzero(keep)
+        if nz.size:
+            arr = np.where(keep, arr, 0.0)[nz[0] : nz[-1] + 1]
+            lo += int(nz[0])
+        else:
+            lo, arr = 0, np.zeros(0, dtype=complex)
+        arr.setflags(write=False)
+        object.__setattr__(self, "_lo", int(lo))
+        object.__setattr__(self, "_arr", arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("FourierSeries is immutable")
 
     @property
+    def lo(self):
+        """Frequency of ``arr[0]`` (0 for the zero series)."""
+        return self._lo
+
+    @property
+    def arr(self):
+        """Read-only complex slab; index i holds the amplitude at ``lo + i``."""
+        return self._arr
+
+    @property
     def coeffs(self):
-        """Read-only frequency -> amplitude mapping."""
-        return self._coeffs
+        """Read-only frequency -> amplitude mapping, ascending in frequency."""
+        nz = np.flatnonzero(self._arr)
+        ns = (nz + self._lo).tolist()
+        return MappingProxyType(dict(zip(ns, self._arr[nz].tolist())))
 
     @property
     def degree(self):
         """Largest |n| in the support (0 for the zero series)."""
-        return self._degree
+        return max(-self._lo, self._lo + self._arr.size - 1)
 
     def coeff(self, n):
-        return self._coeffs.get(int(n), 0j)
+        i = int(n) - self._lo
+        return complex(self._arr[i]) if 0 <= i < self._arr.size else 0j
 
     def support(self):
-        return sorted(self._coeffs)
+        return (np.flatnonzero(self._arr) + self._lo).tolist()
 
     def __len__(self):
-        return len(self._coeffs)
+        return int(np.count_nonzero(self._arr))
 
     def __eq__(self, other):
         if not isinstance(other, FourierSeries):
             return NotImplemented
-        return dict(self._coeffs) == dict(other._coeffs)
+        return self._lo == other._lo and np.array_equal(self._arr, other._arr)
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        # Python's complex hash, so that -0.0 and +0.0 parts hash alike
+        return hash((self._lo, tuple(self._arr.tolist())))
 
     def __repr__(self):
-        return "FourierSeries(<%d terms, degree %d>)" % (len(self._coeffs), self._degree)
+        return "FourierSeries(<%d terms, degree %d>)" % (len(self), self.degree)
 
     # -- arithmetic ---------------------------------------------------------
+
+    def _plus(self, lo, arr):
+        """self + (the slab arr at lo); where arr is 0, self keeps its exact bits."""
+        out_lo = min(self._lo, lo)
+        size = max(self._lo + self._arr.size, lo + arr.size) - out_lo
+        out = np.zeros(size, dtype=complex)
+        out[self._lo - out_lo : self._lo - out_lo + self._arr.size] = self._arr
+        nz = np.flatnonzero(arr)
+        out[lo - out_lo + nz] += arr[nz]
+        return FourierSeries.from_dense(out, out_lo)
 
     def __add__(self, other):
         other = _as_series(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            out[n] = out.get(n, 0j) + c
-        return FourierSeries(out)
+        return self._plus(other._lo, other._arr)
 
     def __radd__(self, other):
         return self.__add__(other)
@@ -141,10 +178,7 @@ class FourierSeries:
         other = _as_series(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for n, c in other._coeffs.items():
-            out[n] = out.get(n, 0j) - c
-        return FourierSeries(out)
+        return self._plus(other._lo, -other._arr)
 
     def __rsub__(self, other):
         other = _as_series(other)
@@ -153,13 +187,12 @@ class FourierSeries:
         return other.__sub__(self)
 
     def __neg__(self):
-        return FourierSeries({n: -c for n, c in self._coeffs.items()}, drop_tol=0.0)
+        return FourierSeries.from_dense(-self._arr, self._lo, drop_tol=0.0)
 
     def __mul__(self, scalar):
         if isinstance(scalar, FourierSeries):
             return product(self, scalar)
-        scalar = complex(scalar)
-        return FourierSeries({n: scalar * c for n, c in self._coeffs.items()})
+        return FourierSeries.from_dense(complex(scalar) * self._arr, self._lo)
 
     __rmul__ = __mul__
 
@@ -167,21 +200,13 @@ class FourierSeries:
 
     def truncate(self, max_degree):
         """Restrict the support to |n| <= max_degree."""
-        max_degree = int(max_degree)
-        return FourierSeries(
-            {n: c for n, c in self._coeffs.items() if abs(n) <= max_degree},
-            drop_tol=0.0,
-        )
-
-    def restrict(self, frequencies):
-        """Restrict the support to the given iterable of frequencies."""
-        keep = set(int(n) for n in frequencies)
-        return FourierSeries(
-            {n: c for n, c in self._coeffs.items() if n in keep}, drop_tol=0.0
+        inside = np.abs(self._lo + np.arange(self._arr.size)) <= int(max_degree)
+        return FourierSeries.from_dense(
+            np.where(inside, self._arr, 0.0), self._lo, drop_tol=0.0
         )
 
     def dense(self, n_min, n_max):
-        """Materialize the slab [n_min, n_max] as a complex vector.
+        """Materialize the slab [n_min, n_max] as a writable complex vector.
 
         Index i of the result holds the amplitude at frequency n_min + i.
         """
@@ -189,22 +214,23 @@ class FourierSeries:
         if n_max < n_min:
             raise ValueError("empty slab [%d, %d]" % (n_min, n_max))
         out = np.zeros(n_max - n_min + 1, dtype=complex)
-        for n, c in self._coeffs.items():
-            if n_min <= n <= n_max:
-                out[n - n_min] = c
+        lo = max(n_min, self._lo)
+        hi = min(n_max, self._lo + self._arr.size - 1)
+        if lo <= hi:
+            out[lo - n_min : hi - n_min + 1] = self._arr[lo - self._lo : hi - self._lo + 1]
         return out
 
     @classmethod
     def from_dense(cls, values, n_min, drop_tol=DROP_REL_TOL):
         """Inverse of :meth:`dense`: index i maps to frequency n_min + i."""
-        values = np.asarray(values, dtype=complex)
-        return cls({int(n_min) + i: v for i, v in enumerate(values)}, drop_tol=drop_tol)
+        out = cls.__new__(cls)
+        out._store(int(n_min), np.asarray(values, dtype=complex), drop_tol)
+        return out
 
     # -- serialization ------------------------------------------------------
 
     def to_json_obj(self):
-        pairs = [[n, self._coeffs[n].real, self._coeffs[n].imag] for n in sorted(self._coeffs)]
-        return {"coeffs": pairs}
+        return {"coeffs": [[n, c.real, c.imag] for n, c in self.coeffs.items()]}
 
     def to_json(self):
         return json.dumps(self.to_json_obj())
@@ -268,10 +294,8 @@ def series_from_samples(samples, max_degree):
             % (max_degree, 2 * max_degree + 1, G)
         )
     spectrum = np.fft.fft(samples) / G
-    coeffs = {}
-    for n in range(-max_degree, max_degree + 1):
-        coeffs[n] = spectrum[n % G]
-    return FourierSeries(coeffs)
+    window = np.arange(-max_degree, max_degree + 1) % G
+    return FourierSeries.from_dense(spectrum[window], -max_degree)
 
 
 def eval_on_grid(f, G):
@@ -287,8 +311,7 @@ def eval_on_grid(f, G):
             % (G, f.degree, 2 * f.degree + 1)
         )
     spectrum = np.zeros(G, dtype=complex)
-    for n, c in f.coeffs.items():
-        spectrum[n % G] = c
+    spectrum[(f.lo + np.arange(f.arr.size)) % G] = f.arr
     return np.fft.ifft(spectrum) * G
 
 
@@ -300,10 +323,11 @@ def norm_ap_beta(f, space, beta=None):
     sum over the support.
     """
     p, b = _space_params(space, beta)
-    if not f.coeffs:
+    nz = np.flatnonzero(f.arr)
+    if not nz.size:
         return 0.0
-    ns = np.fromiter(f.coeffs.keys(), dtype=float, count=len(f.coeffs))
-    cs = np.fromiter(f.coeffs.values(), dtype=complex, count=len(f.coeffs))
+    ns = (f.lo + nz).astype(float)
+    cs = f.arr[nz]
     terms = np.abs(cs) ** p * (1.0 + np.abs(ns)) ** (p * b)
     return float(np.sum(terms) ** (1.0 / p))
 
@@ -311,22 +335,17 @@ def norm_ap_beta(f, space, beta=None):
 def product(f, g):
     """Coefficient convolution of two finitely supported sequences.
 
-    Exact direct convolution on dense slabs; the degree of the product is at
-    most the sum of the degrees.
+    Exact direct convolution of the two slabs; the degree of the product is
+    at most the sum of the degrees.
     """
-    if not f.coeffs or not g.coeffs:
+    if not len(f) or not len(g):
         return FourierSeries()
-    nf = f.support()
-    ng = g.support()
-    a = f.dense(nf[0], nf[-1])
-    b = g.dense(ng[0], ng[-1])
-    conv = np.convolve(a, b)
-    return FourierSeries.from_dense(conv, nf[0] + ng[0])
+    return FourierSeries.from_dense(np.convolve(f.arr, g.arr), f.lo + g.lo)
 
 
 def dual_pairing(S, T):
     """The pairing sum_n S_hat(n) * T_hat(-n) (exact finite sum)."""
-    if len(S.coeffs) > len(T.coeffs):
+    if len(S) > len(T):
         return complex(sum(c * S.coeff(-n) for n, c in T.coeffs.items()))
     return complex(sum(c * T.coeff(-n) for n, c in S.coeffs.items()))
 
@@ -357,13 +376,3 @@ def powerlog_member(u, space, beta=None, _edge_tol=1e-12):
     if abs(t - 1.0) <= _edge_tol:
         return p * u.b > 1.0
     return t > 1.0
-
-
-def grid_to_json_obj(values):
-    """Serialize a complex grid as a list of [re, im] pairs."""
-    values = np.asarray(values, dtype=complex)
-    return [[float(v.real), float(v.imag)] for v in values]
-
-
-def grid_from_json_obj(data):
-    return np.array([complex(re, im) for re, im in data], dtype=complex)

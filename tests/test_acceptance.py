@@ -74,6 +74,7 @@ from cyclab.geometry import (
     middle_thirds_spec,
 )
 from cyclab.presets import EPS_DECADE, build_set, moebius_gap_series, z_minus_1
+from test_geometry import sandwich_upper_bound
 
 P15 = SpaceIndex(1.5, 0.0)
 P2 = SpaceIndex(2.0, 0.0)
@@ -339,7 +340,7 @@ def test_criterion_07_geometry():
     E8 = cantor_build(middle_thirds_spec(8))
     violations = 0
     for t, N, tube in covering_profile(E8, log_t_grid(1e-3, 1e-1, 20)).samples:
-        if not (t * N <= tube <= 4.0 * t * N):
+        if not (t * N <= tube <= sandwich_upper_bound(t, N)):
             violations += 1
     mt_verdict = carleson_test(E8, 2**15)["verdict"]
     n2 = carleson_test(build_set("non_carleson_n2", depth=20), 2**15)
@@ -349,8 +350,8 @@ def test_criterion_07_geometry():
          "middle-thirds box dimension = %.4f vs log2/log3 = %.4f "
          "(|diff| < 0.05)" % (dim, target)),
         (violations == 0,
-         "%d violations of t*N <= tube <= 4*t*N at 20 sampled scales"
-         % violations),
+         "%d violations of t*N <= tube <= 2*(t + 2*asin(t/2))*N at 20 "
+         "sampled scales" % violations),
         (mt_verdict == "carleson",
          "middle-thirds verdict = %s (want carleson)" % mt_verdict),
         (n2["interval_sum"] < -10.0 and n2["verdict"] == "non_carleson_evidence",

@@ -23,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclab import engine
 from cyclab.analytic import h_k, smooth_vanishing_function
 from cyclab.engine import (
     CertificateProblem,
@@ -39,6 +40,7 @@ from cyclab.engine import (
 )
 from cyclab.fourier import FourierSeries, SpaceIndex, norm_ap_beta
 from cyclab.geometry import cantor_build, middle_thirds_spec
+from cyclab.presets import build_function
 
 Z_MINUS_1 = FourierSeries({0: -1.0, 1: 1.0})
 P15 = SpaceIndex(p=1.5, beta=0.0)
@@ -89,15 +91,9 @@ class TestAdjointPair:
             A = np.stack(cols, axis=1)
             x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
             y = rng.standard_normal(prob.n_rows) + 1j * rng.standard_normal(prob.n_rows)
+            # matvec and rmatvec as the solver builds them
             lhs = np.vdot(y, sqrt_w * prob.apply(x))
-            # rmatvec through the solver path
-            def rmatvec(yv):
-                yw = np.conj(sqrt_w) * yv
-                seg = yw[prob.conv_off : prob.conv_off + nf + prob.n_cols - 1]
-                full = np.convolve(np.conj(f_arr[::-1]), seg)
-                return full[nf - 1 : nf - 1 + prob.n_cols]
-
-            rhs = np.vdot(rmatvec(y), x)
+            rhs = np.vdot(prob.adjoint(np.conj(sqrt_w) * y), x)
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
             direct = np.vdot(y, A @ x)
             assert abs(lhs - direct) < 1e-12 * max(1.0, abs(lhs))
@@ -221,6 +217,38 @@ class TestSolverContract:
             bicyclicity_infimum(Z_MINUS_1, P2, "nonneg", -1)
         with pytest.raises(ValueError):
             bicyclicity_infimum(FourierSeries({}), P2, "nonneg", 2)
+
+
+class TestBudgetExhaustion:
+    def test_budget_spent_before_the_last_mu_step_is_not_converged(self, monkeypatch):
+        # a smooth vanishing function whose degree-4 two-sided search takes
+        # tens of IRLS sweeps; the budgets are read off the full run, because
+        # LSMR iteration counts can differ between platforms
+        f = build_function(
+            "smooth_vanishing",
+            {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048,
+             "truncate": 256},
+        )
+        spent = []
+        real_lsmr = engine.lsmr
+
+        def counting_lsmr(*args, **kwargs):
+            out = real_lsmr(*args, **kwargs)
+            spent.append(max(int(out[2]), 1))  # the engine charges at least 1
+            return out
+
+        monkeypatch.setattr(engine, "lsmr", counting_lsmr)
+        full = bicyclicity_infimum(f, P15, "all_integers", 4)
+        cumulative = np.cumsum(spent).tolist()
+        assert full.converged is True
+        assert cumulative[-1] < engine.LSMR_TOTAL_BUDGET
+        # each budget runs out right after one of the solves of the full run
+        budgets = [c for c in cumulative if c < cumulative[-1]][:20]
+        assert len(budgets) == 20
+        for budget in budgets:
+            monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
+            res = bicyclicity_infimum(f, P15, "all_integers", 4)
+            assert res.converged is False, "budget %d reported converged" % budget
 
 
 class TestSzegoBound:

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, assume
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cyclab.fourier import (
@@ -337,7 +337,7 @@ coeff_values = st.complex_numbers(
 
 
 @st.composite
-def small_series(draw, max_degree=16):
+def coeff_dicts(draw, max_degree=16):
     degree = draw(st.integers(min_value=0, max_value=max_degree))
     ns = draw(
         st.lists(
@@ -350,7 +350,49 @@ def small_series(draw, max_degree=16):
     cs = draw(
         st.lists(coeff_values, min_size=len(ns), max_size=len(ns))
     )
-    return FourierSeries(dict(zip(ns, cs)))
+    return dict(zip(ns, cs))
+
+
+def small_series(max_degree=16):
+    return coeff_dicts(max_degree).map(FourierSeries)
+
+
+def drop_rule_oracle(d, drop_tol=DROP_REL_TOL):
+    """The drop rule on a plain dict: keep amplitudes above drop_tol * peak."""
+    if not d:
+        return {}
+    cutoff = drop_tol * max(abs(c) for c in d.values())
+    return {int(n): complex(c) for n, c in d.items() if abs(complex(c)) > cutoff}
+
+
+def flip_zero_signs(c):
+    """c with the sign of each zero part flipped: equal to c, other bytes."""
+    re = -c.real if c.real == 0.0 else c.real
+    im = -c.imag if c.imag == 0.0 else c.imag
+    return complex(re, im)
+
+
+@given(coeff_dicts())
+@example({0: complex(-0.0, 1.0)})
+@example({0: 1.0, 3: 1e-17, 5: 1.0})
+@settings(max_examples=100, deadline=None)
+def test_representation_matches_dict_oracle(d):
+    f = FourierSeries(d)
+    kept = drop_rule_oracle(d)
+    assert dict(f.coeffs) == kept
+    assert list(f.coeffs) == sorted(kept)
+    assert f.support() == sorted(kept)
+    assert len(f) == len(kept)
+    assert f.degree == max((abs(n) for n in kept), default=0)
+    # equal series hash alike, however they were built
+    twins = [
+        FourierSeries({n: flip_zero_signs(complex(c)) for n, c in d.items()}),
+        FourierSeries(dict(reversed(list(d.items())))),
+        FourierSeries.from_dense(f.arr, f.lo),
+    ]
+    for twin in twins:
+        assert twin == f
+        assert hash(twin) == hash(f)
 
 
 @given(small_series())

@@ -40,6 +40,15 @@ from cyclab.geometry import (
 )
 
 
+def sandwich_upper_bound(t, N):
+    """Upper end of the tube/covering sandwich: tube(E, t) <= 2 (t + rho(t)) N.
+
+    A covering arc of angular length 2t dilates by the chordal radius
+    rho(t) = 2 asin(t/2) > t on each side, so 4tN is not a bound.
+    """
+    return 2.0 * (t + 2.0 * math.asin(t / 2.0)) * N
+
+
 def brute_force_distance(theta, E, samples_per_arc=4001):
     """Chordal distance by dense sampling of every arc."""
     z = np.exp(1j * theta)
@@ -290,7 +299,7 @@ class TestCovering:
             N = covering_number(E, t)
             tube = tube_measure(E, t)
             assert t * N <= tube + 1e-12
-            assert tube <= 4.0 * t * N + 1e-12
+            assert tube <= sandwich_upper_bound(t, N) + 1e-12
 
 
 class TestBoxDimension:
@@ -455,12 +464,9 @@ def test_tube_at_least_measure_plus_dilation(E, t):
 @example(E=ArcUnion([(0.0, 0.125), (0.375, 0.5)]), t=0.25)
 @settings(max_examples=60, deadline=None)
 def test_sandwich_generic(E, t):
-    # a covering arc of angular length 2t dilates by the chordal radius
-    # rho(t) = 2 asin(t/2) > t on each side, so tube <= 2 (t + rho) N; the
-    # pinned example is covered by the single arc [0, 0.5] and meets the
-    # bound with equality (tube = 1.001311 > 4tN = 1)
+    # the pinned example is covered by the single arc [0, 0.5] and meets the
+    # upper bound with equality (tube = 1.001311 > 4tN = 1)
     N = covering_number(E, t)
     tube = tube_measure(E, t)
-    rho = 2.0 * math.asin(t / 2.0)
     assert t * N <= tube + 1e-12
-    assert tube <= 2.0 * (t + rho) * N + 1e-9
+    assert tube <= sandwich_upper_bound(t, N) + 1e-9
