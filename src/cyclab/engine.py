@@ -3,17 +3,24 @@
 The two infimum solvers minimize the weighted coefficient norm of 1 - P*f
 (two-sided polynomials P) and of f - z*Q*f (analytic polynomials Q).  Both
 objectives are exact finite sums, since degrees add under multiplication.
-At p = 2 they are weighted linear least squares, solved matrix-free with
-LSMR on top of FFT convolutions; for 1 < p < 2 the smoothed objective
+At p = 2 they are weighted linear least squares; for 1 < p < 2 the smoothed
+objective
 
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
 is driven to mu -> 0 by a geometric continuation schedule, each step running
-iteratively reweighted least squares on the same fast path.  Solver output
-is always an upper bound witnessed by the returned polynomial; reported
-values are recomputed from that polynomial, never read off the iteration.
+iteratively reweighted least squares.  One rule picks how each weighted
+least-squares problem is solved, from the shape of its n_rows x n_cols
+convolution matrix alone: with at most DENSE_MAX_ENTRIES = 2^20 entries and
+at most DENSE_MAX_WORK = 2^28 units of n_rows * n_cols^2, the work of one
+SVD-based solve, the matrix is built once per problem and every solve is one
+exact dense `scipy.linalg.lstsq`; otherwise the solves run matrix-free LSMR
+on FFT convolutions under a total iteration budget.  Solver output is always
+an upper bound witnessed by the returned polynomial; reported values are
+recomputed from that polynomial, never read off the iteration.
 """
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -46,6 +53,17 @@ INNER_RTOL = 1e-10
 # generous for well-conditioned problems, a hard wall for ill-conditioned
 # ones, where the iteration creeps and the value is an upper bound anyway
 LSMR_TOTAL_BUDGET = 40000
+# the size rule: a problem is solved densely and exactly when its
+# n_rows x n_cols convolution matrix has at most DENSE_MAX_ENTRIES entries and
+# n_rows * n_cols^2, the work of one SVD-based least-squares solve, is at most
+# DENSE_MAX_WORK; any other problem runs LSMR.  The entry bound caps memory
+# (the matrix, its weighted copy and LAPACK's copy of that).  The work bound
+# caps time: at it one dense solve took about 0.16 s on a 2-vCPU x86-64 host,
+# so a typical infimum of ~80 IRLS sweeps costs about what LSMR's budget wall
+# does; there the dense result is exact, while LSMR on an ill-conditioned f
+# stops at its budget short of it
+DENSE_MAX_ENTRIES = 2**20
+DENSE_MAX_WORK = 2**28
 
 
 def _support_range(support, degree):
@@ -78,6 +96,18 @@ class _ConvObjective:
         idx = np.arange(out_lo, out_hi + 1)
         self.base_w = (1.0 + np.abs(idx)) ** (p * beta)
         self.p = p
+        entries = self.n_rows * self.n_cols
+        work = entries * self.n_cols
+        self.dense = entries <= DENSE_MAX_ENTRIES and work <= DENSE_MAX_WORK
+
+    @functools.cached_property
+    def matrix(self):
+        """The convolution matrix, built once: column j is f at row conv_off + j."""
+        cols = np.arange(self.n_cols)
+        rows = self.conv_off + cols + np.arange(len(self.f_arr))[:, None]
+        A = np.zeros((self.n_rows, self.n_cols), dtype=complex)
+        A[rows, cols] = self.f_arr[:, None]
+        return A
 
     def apply(self, x):
         """conv(f, x) placed on the output range."""
@@ -100,18 +130,26 @@ class _ConvObjective:
         r = self.residual(x)
         return float(np.sum(self.base_w * np.abs(r) ** self.p)) ** (1.0 / self.p)
 
-    def solve_weighted(self, sqrt_w, x0=None, atol=1e-10, maxiter=None):
-        """min_x || sqrt_w * (b - conv(f, x)) ||_2 via LSMR."""
+    def solve_weighted(self, sqrt_w, x0, maxiter):
+        """min_x || sqrt_w * (b - conv(f, x)) ||_2, the LSMR iterations spent,
+        and whether the solve converged.
+
+        Dense problems get one exact least-squares solve, which spends no
+        iterations; the others run LSMR from x0 for at most maxiter steps.
+        """
+        if self.dense:
+            x = scipy.linalg.lstsq(sqrt_w[:, None] * self.matrix, sqrt_w * self.b)[0]
+            return x, 0, True
         A = LinearOperator(
             (self.n_rows, self.n_cols),
             matvec=lambda x: sqrt_w * self.apply(x),
             rmatvec=lambda y: self.adjoint(np.conj(sqrt_w) * y),
             dtype=complex,
         )
-        if maxiter is None:
-            maxiter = min(4 * (self.n_rows + self.n_cols), 3000)
-        out = lsmr(A, sqrt_w * self.b, atol=atol, btol=atol, maxiter=maxiter, x0=x0)
-        return out[0], int(out[2])
+        out = lsmr(A, sqrt_w * self.b, atol=1e-7, btol=1e-7, maxiter=maxiter, x0=x0)
+        # every LSMR call is charged at least one iteration; istop 7 means
+        # LSMR stopped at maxiter before meeting its tolerances
+        return out[0], max(int(out[2]), 1), int(out[1]) != 7
 
     def solve_unweighted_exact(self):
         """Exact unweighted least squares through the Toeplitz normal equations.
@@ -174,19 +212,22 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     x0 = warm.dense(s_lo, s_hi) if warm is not None else None
 
     x_exact = prob.solve_unweighted_exact() if bval == 0.0 else None
-    # large ill-conditioned problems get a bounded LSMR budget; the returned
-    # value is an upper bound either way and the exact beta = 0 seed already
-    # carries the heavy lifting
-    big = prob.n_rows + prob.n_cols > 1500
-    atol = 1e-7 if big else 1e-10
-    maxiter = 800 if big else 3000
 
+    # the size rule: within DENSE_MAX_ENTRIES entries and DENSE_MAX_WORK
+    # units of n_rows * n_cols^2 every solve below is one exact dense
+    # least-squares solve and spends none of the LSMR budget, so at most
+    # MU_STEPS * INNER_CAP solves bound the IRLS loop; larger problems get a
+    # bounded LSMR budget, and the returned value is an upper bound either
+    # way, with the exact beta = 0 seed already carrying the heavy lifting
     converged = True
     if p == 2.0:
         if x_exact is not None:
             x = x_exact
         else:
-            x, _ = prob.solve_weighted(np.sqrt(prob.base_w), x0=x0, atol=atol)
+            # one solve outside the budget: a longer cap than a sweep's
+            x, _, converged = prob.solve_weighted(
+                np.sqrt(prob.base_w), x0=x0, maxiter=3000
+            )
     else:
         # seed IRLS with the best available iterate and never return worse
         candidates = [np.zeros(prob.n_cols, dtype=complex)]
@@ -210,10 +251,8 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
                     break
                 w = np.sqrt(prob.base_w) * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 4.0)
                 # the exponent halves twice: once for smoothing, once for sqrt
-                x, spent = prob.solve_weighted(
-                    w, x0=x, atol=atol, maxiter=min(maxiter, iters_left)
-                )
-                iters_left -= max(spent, 1)
+                x, spent, _ = prob.solve_weighted(w, x0=x, maxiter=min(800, iters_left))
+                iters_left -= spent
                 r = prob.residual(x)
                 v = prob.norm_p(x)
                 if v < best_v:
@@ -369,18 +408,23 @@ def certify_cyclic(problem):
     deg_b = deg_s = 0
     trace = []
     for deg in _degree_schedule(problem.degree_budget):
+        # a side already under the target is not searched again: None
+        conv_b = conv_s = None
         if best_b >= eps:
             rb = bicyclicity_infimum(
                 problem.f, problem.space, problem.support, deg, warm=best_p
             )
+            conv_b = rb.converged
             if rb.value < best_b:
                 best_b, best_p, deg_b = rb.value, rb.polynomial, deg
         if best_s >= eps:
             rs = forward_shift_infimum(problem.f, problem.space, deg, warm=best_q)
+            conv_s = rs.converged
             if rs.value < best_s:
                 best_s, best_q, deg_s = rs.value, rs.polynomial, deg
         trace.append(
-            {"degree": deg, "bicyclic_norm": best_b, "shift_norm": best_s}
+            {"degree": deg, "bicyclic_norm": best_b, "shift_norm": best_s,
+             "bicyclic_converged": conv_b, "shift_converged": conv_s}
         )
         if best_b < eps and best_s < eps:
             break

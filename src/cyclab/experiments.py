@@ -199,6 +199,12 @@ def _function_params(params):
         )
         if not ok:
             raise ConfigError("coeffs must be a list of [n, re, im] triples")
+        freqs = [row[0] for row in coeffs]
+        if not all(isinstance(n, int) and not isinstance(n, bool) for n in freqs):
+            raise ConfigError("coeffs frequencies must be integers")
+        # a series is stored densely over its frequency span
+        if freqs and max(freqs) - min(freqs) > 2**20:
+            raise ConfigError("coeffs frequencies must span at most 2**20")
 
 
 # -- serialization helpers ---------------------------------------------------

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from cyclab import engine
 from cyclab.analytic import h_k, smooth_vanishing_function
 from cyclab.engine import (
+    SUPPORTS,
     CertificateProblem,
     CertificateReport,
     InfimumResult,
@@ -63,6 +64,36 @@ def random_series(rng, lo, hi, scale=1.0):
     return FourierSeries.from_dense(vals, lo)
 
 
+def certify_small_function():
+    """The smooth vanishing function of the certify_small benchmark workload."""
+    return build_function(
+        "smooth_vanishing",
+        {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048,
+         "truncate": 256},
+    )
+
+
+def rotated(f, rng):
+    """c_n -> c e^(i n phi) c_n with |c| = 1: every infimum is unchanged."""
+    c = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi))
+    phi = rng.uniform(0.0, 2.0 * math.pi)
+    n = np.arange(f.lo, f.lo + len(f.arr))
+    return FourierSeries.from_dense(c * np.exp(1j * n * phi) * f.arr, f.lo)
+
+
+def counting_lsmr(monkeypatch):
+    """Route engine.lsmr through a wrapper; returns the list of its calls."""
+    calls = []
+    real_lsmr = engine.lsmr
+
+    def wrapper(*args, **kwargs):
+        calls.append(1)
+        return real_lsmr(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "lsmr", wrapper)
+    return calls
+
+
 def residual_norm(f, poly, space, target_one):
     """Recompute the certificate norm from the returned polynomial."""
     prod = poly * f
@@ -97,6 +128,75 @@ class TestAdjointPair:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
             direct = np.vdot(y, A @ x)
             assert abs(lhs - direct) < 1e-12 * max(1.0, abs(lhs))
+
+
+class TestDensePath:
+    @pytest.mark.parametrize("support", SUPPORTS)
+    def test_matrix_matches_apply_and_adjoint(self, support):
+        rng = np.random.default_rng(23)
+        for _ in range(6):
+            f_lo, nf = int(rng.integers(-4, 5)), int(rng.integers(1, 9))
+            s_lo, s_hi = engine._support_range(support, int(rng.integers(1, 7)))
+            f_arr = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
+            t_lo, nt = int(rng.integers(-6, 7)), int(rng.integers(1, 4))
+            t_arr = rng.standard_normal(nt) + 1j * rng.standard_normal(nt)
+            prob = _ConvObjective(f_lo, f_arr, s_lo, s_hi, t_lo, t_arr, 1.5, 0.3)
+            assert prob.dense
+            A = prob.matrix
+            assert A.shape == (prob.n_rows, prob.n_cols)
+            x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
+            y = rng.standard_normal(prob.n_rows) + 1j * rng.standard_normal(prob.n_rows)
+            assert np.max(np.abs(A @ x - prob.apply(x))) < 1e-12
+            assert np.max(np.abs(A.conj().T @ y - prob.adjoint(y))) < 1e-12
+
+    def test_size_rule_at_its_edges(self, monkeypatch):
+        calls = counting_lsmr(monkeypatch)
+        rng = np.random.default_rng(29)
+        space = SpaceIndex(p=2.0, beta=0.25)  # beta > 0: one weighted solve
+        # nonneg support at degree d has d + 1 columns; f on 0..nf-1 puts the
+        # output range on 0..nf+d-1.  Degree 63 with 16321 terms has 16384
+        # rows, 2^20 entries and 2^26 work; degree 511 with 513 terms has
+        # 1024 rows, 2^19 entries and 2^28 work.  One more term crosses over.
+        for degree, nf, entries, work, dense in (
+            (63, 16321, 2**20, 2**26, True),
+            (63, 16322, 2**20 + 64, 2**26 + 2**12, False),
+            (511, 513, 2**19, 2**28, True),
+            (511, 514, 2**19 + 2**9, 2**28 + 2**18, False),
+        ):
+            f = random_series(rng, 0, nf - 1)
+            prob = _ConvObjective(f.lo, f.arr, 0, degree, 0, np.ones(1), 2.0, 0.25)
+            assert prob.n_rows * prob.n_cols == entries
+            assert prob.n_rows * prob.n_cols**2 == work
+            assert prob.dense is dense
+            calls.clear()
+            bicyclicity_infimum(f, space, "nonneg", degree)
+            assert (len(calls) == 0) is dense
+
+    @pytest.mark.parametrize("f_lo, nf, s_lo, s_hi, shape", [
+        # infimum_large: f of 2049 terms at two-sided degree 4096
+        (-1024, 2049, -4096, 4096, (10241, 8193)),
+        # near-square, under 2^20 entries: a 20-term f at one-sided degree 1000
+        (0, 20, 0, 1000, (1020, 1001)),
+    ])
+    def test_shapes_past_the_rule_take_lsmr(self, f_lo, nf, s_lo, s_hi, shape):
+        f_arr = np.ones(nf, dtype=complex)
+        prob = _ConvObjective(f_lo, f_arr, s_lo, s_hi, 0, np.ones(1), 1.5, 0.0)
+        assert (prob.n_rows, prob.n_cols) == shape
+        assert prob.dense is False
+        assert "matrix" not in vars(prob)  # never built
+
+    def test_certify_small_function_converges_rotation_invariantly(self, monkeypatch):
+        # the LSMR path spread 0.6% over these rotations and never converged
+        calls = counting_lsmr(monkeypatch)
+        f = certify_small_function()
+        rng = np.random.default_rng(37)
+        values = []
+        for _ in range(3):
+            res = bicyclicity_infimum(rotated(f, rng), P15, "all_integers", 64)
+            assert res.converged is True
+            values.append(res.value)
+        assert calls == []
+        assert max(values) - min(values) < 1e-8
 
 
 class TestClosedForms:
@@ -224,11 +324,10 @@ class TestBudgetExhaustion:
         # a smooth vanishing function whose degree-4 two-sided search takes
         # tens of IRLS sweeps; the budgets are read off the full run, because
         # LSMR iteration counts can differ between platforms
-        f = build_function(
-            "smooth_vanishing",
-            {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048,
-             "truncate": 256},
-        )
+        f = certify_small_function()
+        # the problem is far under the dense size limit; a limit of 0 keeps
+        # it on the LSMR path, whose budget this test is about
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
         spent = []
         real_lsmr = engine.lsmr
 
@@ -249,6 +348,31 @@ class TestBudgetExhaustion:
             monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
             res = bicyclicity_infimum(f, P15, "all_integers", 4)
             assert res.converged is False, "budget %d reported converged" % budget
+
+    def test_p2_solve_reports_lsmr_stopping_at_its_cap(self, monkeypatch):
+        # beta > 0 at p = 2 is one weighted solve, and its flag is LSMR's own
+        # stopping reason: istop 7 means it stopped at maxiter
+        stops = []
+        real_lsmr = engine.lsmr
+
+        def recording_lsmr(*args, **kwargs):
+            out = real_lsmr(*args, **kwargs)
+            stops.append(int(out[1]))
+            return out
+
+        monkeypatch.setattr(engine, "lsmr", recording_lsmr)
+        f = certify_small_function()
+        space = SpaceIndex(p=2.0, beta=0.25)
+        # degree 256 is past the work bound and stops at its cap
+        assert bicyclicity_infimum(f, space, "all_integers", 256).converged is False
+        assert stops == [7]
+        # degree 192 is dense and exact; on LSMR it meets its tolerance
+        stops.clear()
+        assert bicyclicity_infimum(f, space, "all_integers", 192).converged is True
+        assert stops == []
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        assert bicyclicity_infimum(f, space, "all_integers", 192).converged is True
+        assert len(stops) == 1 and stops[0] != 7
 
 
 class TestSzegoBound:
@@ -330,6 +454,38 @@ class TestCertify:
         re_s = residual_norm(Z_MINUS_1, rep.best_q, P15, target_one=False)
         assert abs(re_b - rep.achieved_bicyclic_norm) < 1e-10
         assert abs(re_s - rep.achieved_shift_norm) < 1e-10
+
+    def test_trace_carries_convergence_flags(self):
+        rep = certify_cyclic(
+            CertificateProblem(f=Z_MINUS_1, space=P15, degree_budget=64)
+        )
+        row = rep.solver_trace[0]
+        assert row["bicyclic_converged"] is True
+        assert row["shift_converged"] is True
+
+    def test_side_not_searched_has_no_flag(self):
+        # the two-sided norm of f = 1 is 0 at degree 64, so degree 128
+        # searches the shift side alone
+        rep = certify_cyclic(
+            CertificateProblem(
+                f=FourierSeries({0: 1.0}), space=P15, degree_budget=128,
+                epsilon_target=0.5,
+            )
+        )
+        assert [row["degree"] for row in rep.solver_trace] == [64, 128]
+        assert rep.solver_trace[1]["bicyclic_converged"] is None
+        assert isinstance(rep.solver_trace[1]["shift_converged"], bool)
+
+    def test_exhausted_budget_shows_in_the_trace(self, monkeypatch):
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 1)
+        rep = certify_cyclic(
+            CertificateProblem(f=Z_MINUS_1, space=P15, degree_budget=64)
+        )
+        row = rep.solver_trace[0]
+        assert row["bicyclic_converged"] is False
+        assert row["shift_converged"] is False
+        assert rep.to_json_obj()["solver_trace"][0] == row
 
     def test_trace_is_monotone(self):
         rep = certify_cyclic(

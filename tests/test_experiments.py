@@ -78,6 +78,10 @@ class TestConfigValidation:
             ("kel_ratio", {"set": "middle_thirds", "delta_prime": 0.5}, "delta_prime"),
             ("classify", {"dim": 1.5}, "dim must"),
             ("classify", {"dim": 0.5, "smoothness": "wobbly"}, "smoothness"),
+            ("norms", {"coeffs": [[0.5, 1.0, 0.0]]}, "integers"),
+            ("norms", {"coeffs": [[True, 1.0, 0.0]]}, "integers"),
+            ("norms", {"coeffs": [[0, 1.0, 0.0], [10**9, 1.0, 0.0]]}, "span"),
+            ("norms", {"coeffs": [[-1, 1.0, 0.0], [2**20, 1.0, 0.0]]}, "span"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -86,6 +90,13 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match=message):
             validate(config)
+
+    def test_coeffs_span_at_the_bound_is_accepted(self):
+        config = ExperimentConfig.from_json_obj(
+            {"experiment": "norms",
+             "parameters": {"coeffs": [[0, 1.0, 0.0], [2**20, 1.0, 0.0]]}}
+        )
+        validate(config)
 
     def test_validation_happens_before_any_write(self, tmp_path):
         out = tmp_path / "never"
@@ -241,6 +252,10 @@ class TestRunOutputs:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["truncation_tail"] > 0.0
         assert report["verdict"] in ("certified", "bicyclic_only", "failed")
+        # the per-level convergence flags reach report.json, not the CSV
+        level = report["solver_trace"][0]
+        assert level["bicyclic_converged"] is True
+        assert level["shift_converged"] is True
         header, rows = read_csv(tmp_path / "certify.csv")
         assert header == ["degree", "bicyclic_norm", "shift_norm"]
 
