@@ -15,16 +15,20 @@ convolution matrix alone: with at most DENSE_MAX_ENTRIES = 2^20 entries and
 at most DENSE_MAX_WORK = 2^28 units of n_rows * n_cols^2, the work of one
 SVD-based solve, the matrix is built once per problem and every solve is one
 exact dense `scipy.linalg.lstsq`; otherwise the solves run matrix-free LSMR
-on FFT convolutions under a total iteration budget.  Solver output is always
-an upper bound witnessed by the returned polynomial; reported values are
-recomputed from that polynomial, never read off the iteration.
+on FFT convolutions under a total iteration budget.  The spectrum of f is
+computed once per problem, at the transform lengths `scipy.signal.fftconvolve`
+would pick, so each convolution is one forward and one inverse transform and
+rounds exactly as `fftconvolve` does.  Solver output is always an upper bound
+witnessed by the returned polynomial; reported values are recomputed from that
+polynomial, never read off the iteration.
 """
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, lsmr
@@ -78,12 +82,44 @@ def _support_range(support, degree):
     raise ValueError(f"unknown support {support!r}; expected one of {SUPPORTS}")
 
 
+class _Convolution:
+    """x -> conv(a, x) for a fixed a and inputs x of one length.
+
+    The result is bit for bit that of `scipy.signal.fftconvolve(a, x)` for
+    complex a or x: the spectrum of a is taken once, at the length
+    `fftconvolve` pads to, and each call is one forward and one inverse
+    transform.  Like `fftconvolve`, a length-1 operand is a plain product.
+    """
+
+    def __init__(self, a, n_x):
+        self.n_out = len(a) + n_x - 1
+        self.a = a
+        self.size = None
+        if len(a) > 1 and n_x > 1:
+            self.size = scipy.fft.next_fast_len(self.n_out, False)
+            self.spectrum = scipy.fft.fft(a, self.size)
+
+    def __call__(self, x):
+        if self.size is None:
+            return self.a * x
+        # fftconvolve's factor order: numpy's complex product, fused
+        # multiply-adds and all, is not commutative bit for bit
+        return scipy.fft.ifft(self.spectrum * scipy.fft.fft(x, self.size))[: self.n_out]
+
+
 class _ConvObjective:
-    """Residual b - conv(f, x) over a fixed output index range."""
+    """Residual b - conv(f, x) over a fixed output index range.
+
+    The convolution with f and its adjoint, the correlation with f, each
+    hold the spectrum of f, computed once per problem.
+    """
 
     def __init__(self, f_lo, f_arr, s_lo, s_hi, target_lo, target_arr, p, beta):
         self.f_arr = f_arr
         self.n_cols = s_hi - s_lo + 1
+        self._conv = _Convolution(f_arr, self.n_cols)
+        # the adjoint correlates with f the rows that apply writes
+        self._corr = _Convolution(np.conj(f_arr[::-1]), self._conv.n_out)
         conv_lo = f_lo + s_lo
         conv_hi = f_lo + len(f_arr) - 1 + s_hi
         out_lo = min(target_lo, conv_lo)
@@ -112,22 +148,20 @@ class _ConvObjective:
     def apply(self, x):
         """conv(f, x) placed on the output range."""
         y = np.zeros(self.n_rows, dtype=complex)
-        conv = fftconvolve(self.f_arr, x)
-        y[self.conv_off : self.conv_off + len(conv)] = conv
+        y[self.conv_off : self.conv_off + self._conv.n_out] = self._conv(x)
         return y
 
     def adjoint(self, y):
         """The adjoint of :meth:`apply`: correlate y with f over the columns."""
         nf = len(self.f_arr)
-        seg = y[self.conv_off : self.conv_off + nf + self.n_cols - 1]
-        full = fftconvolve(np.conj(self.f_arr[::-1]), seg)
-        return full[nf - 1 : nf - 1 + self.n_cols]
+        seg = y[self.conv_off : self.conv_off + self._conv.n_out]
+        return self._corr(seg)[nf - 1 : nf - 1 + self.n_cols]
 
     def residual(self, x):
         return self.b - self.apply(x)
 
-    def norm_p(self, x):
-        r = self.residual(x)
+    def residual_norm(self, r):
+        """The weighted l^p norm of a residual r."""
         return float(np.sum(self.base_w * np.abs(r) ** self.p)) ** (1.0 / self.p)
 
     def solve_weighted(self, sqrt_w, x0, maxiter):
@@ -183,13 +217,21 @@ class _ConvObjective:
 
 @dataclass(frozen=True)
 class InfimumResult:
-    """Solver outcome: the achieved norm and the polynomial witnessing it."""
+    """Solver outcome: the achieved norm and the polynomial witnessing it.
+
+    `sweeps` counts the weighted least-squares solves (the IRLS sweeps, or
+    the one p = 2 weighted solve; the exact beta = 0 seed is not one), and
+    `lsmr_iterations` the LSMR iterations they were charged, 0 on the dense
+    path.
+    """
 
     value: float
     polynomial: FourierSeries
     converged: bool
     degree: int
     support: str
+    lsmr_iterations: int = 0
+    sweeps: int = 0
 
     def __iter__(self):
         yield self.value
@@ -220,14 +262,16 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     # bounded LSMR budget, and the returned value is an upper bound either
     # way, with the exact beta = 0 seed already carrying the heavy lifting
     converged = True
+    lsmr_iterations = sweeps = 0
     if p == 2.0:
         if x_exact is not None:
             x = x_exact
         else:
             # one solve outside the budget: a longer cap than a sweep's
-            x, _, converged = prob.solve_weighted(
+            x, lsmr_iterations, converged = prob.solve_weighted(
                 np.sqrt(prob.base_w), x0=x0, maxiter=3000
             )
+            sweeps = 1
     else:
         # seed IRLS with the best available iterate and never return worse
         candidates = [np.zeros(prob.n_cols, dtype=complex)]
@@ -235,9 +279,11 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
             candidates.append(x0)
         if x_exact is not None:
             candidates.append(x_exact)
-        x = min(candidates, key=prob.norm_p)
-        best_x, best_v = x, prob.norm_p(x)
-        r = prob.residual(x)
+        residuals = [prob.residual(c) for c in candidates]
+        norms = [prob.residual_norm(r) for r in residuals]
+        k = norms.index(min(norms))  # ties go to the earliest candidate
+        x, r = candidates[k], residuals[k]
+        best_x, best_v = x, norms[k]
         mu0 = MU_SCALE * float(np.max(np.abs(r)))
         if mu0 == 0.0:
             mu0 = 1e-12
@@ -253,8 +299,10 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
                 # the exponent halves twice: once for smoothing, once for sqrt
                 x, spent, _ = prob.solve_weighted(w, x0=x, maxiter=min(800, iters_left))
                 iters_left -= spent
+                lsmr_iterations += spent
+                sweeps += 1
                 r = prob.residual(x)
-                v = prob.norm_p(x)
+                v = prob.residual_norm(r)
                 if v < best_v:
                     best_x, best_v = x, v
                 obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
@@ -271,9 +319,10 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
 
     poly = FourierSeries.from_dense(x, s_lo)
     # report the norm achieved by the polynomial actually returned
-    value = prob.norm_p(poly.dense(s_lo, s_hi))
+    value = prob.residual_norm(prob.residual(poly.dense(s_lo, s_hi)))
     return InfimumResult(
-        value=value, polynomial=poly, converged=converged, degree=degree, support=support
+        value=value, polynomial=poly, converged=converged, degree=degree,
+        support=support, lsmr_iterations=lsmr_iterations, sweeps=sweeps,
     )
 
 
@@ -297,13 +346,7 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
         warm = FourierSeries.from_dense(warm.arr, warm.lo + 1)
     res = _minimize(f, space, None, "positive", degree + 1, (f.lo, f.arr), warm)
     shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
-    return InfimumResult(
-        value=res.value,
-        polynomial=shifted,
-        converged=res.converged,
-        degree=degree,
-        support="nonneg",
-    )
+    return replace(res, polynomial=shifted, degree=degree, support="nonneg")
 
 
 def szego_lower_bound(f, G=4096):

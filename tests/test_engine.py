@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from cyclab import engine
 from cyclab.analytic import h_k, smooth_vanishing_function
@@ -128,6 +129,122 @@ class TestAdjointPair:
             assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
             direct = np.vdot(y, A @ x)
             assert abs(lhs - direct) < 1e-12 * max(1.0, abs(lhs))
+
+
+class FftconvolveObjective(_ConvObjective):
+    """The operator with `fftconvolve` on every call: the reference the
+    spectrum-caching operator must reproduce bit for bit."""
+
+    def apply(self, x):
+        y = np.zeros(self.n_rows, dtype=complex)
+        conv = fftconvolve(self.f_arr, x)
+        y[self.conv_off : self.conv_off + len(conv)] = conv
+        return y
+
+    def adjoint(self, y):
+        nf = len(self.f_arr)
+        seg = y[self.conv_off : self.conv_off + nf + self.n_cols - 1]
+        full = fftconvolve(np.conj(self.f_arr[::-1]), seg)
+        return full[nf - 1 : nf - 1 + self.n_cols]
+
+
+def counting_transforms(monkeypatch):
+    """Count the forward and inverse transforms the engine makes."""
+    counts = {"fft": 0, "ifft": 0}
+    for name in counts:
+        real = getattr(engine.scipy.fft, name)
+
+        def wrapper(*args, name=name, real=real, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(engine.scipy.fft, name, wrapper)
+    return counts
+
+
+class TestCachedSpectrum:
+    # f_lo, nf, degree, real f; a complex f also runs with a real x and y
+    CASES = [
+        (-3, 7, 5, False),   # f_lo < 0
+        (2, 1, 6, False),    # a 1-term f
+        (-1, 5, 0, False),   # one column on every support
+        (0, 6, 4, True),     # a real-dtype f_arr
+        (-1024, 2049, 64, False),
+    ]
+
+    @pytest.mark.parametrize("support", SUPPORTS)
+    @pytest.mark.parametrize("f_lo, nf, degree, real_f", CASES)
+    def test_apply_and_adjoint_match_fftconvolve_bit_for_bit(
+        self, support, f_lo, nf, degree, real_f
+    ):
+        rng = np.random.default_rng(nf + degree)
+        # positive support needs degree >= 1; at degree 1 it has one column
+        s_lo, s_hi = engine._support_range(support, max(degree, support == "positive"))
+        f_arr = rng.standard_normal(nf)
+        if not real_f:
+            f_arr = f_arr + 1j * rng.standard_normal(nf)
+        args = (f_lo, f_arr, s_lo, s_hi, -2, np.ones(3), 1.5, 0.3)
+        prob = _ConvObjective(*args)
+        ref = FftconvolveObjective(*args)
+        x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
+        y = rng.standard_normal(prob.n_rows) + 1j * rng.standard_normal(prob.n_rows)
+        # a real f with a real x is left out: fftconvolve then takes a
+        # half-spectrum transform, and the solver's iterates are complex
+        xs = [x] if real_f else [x, x.real]
+        ys = [y] if real_f else [y, y.real]
+        for x in xs:
+            assert np.array_equal(prob.apply(x), ref.apply(x))
+        for y in ys:
+            assert np.array_equal(prob.adjoint(y), ref.adjoint(y))
+
+    def test_whole_solve_matches_the_fftconvolve_operator(self, monkeypatch):
+        # a limit of 0 puts both problems on the LSMR path
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        f = certify_small_function()
+        runs = []
+        for objective in (_ConvObjective, FftconvolveObjective):
+            monkeypatch.setattr(engine, "_ConvObjective", objective)
+            runs.append((
+                bicyclicity_infimum(f, P15, "all_integers", 4),
+                forward_shift_infimum(f, P15, 3),
+            ))
+        for cached, reference in zip(*runs):
+            assert cached.value.hex() == reference.value.hex()
+            assert cached.polynomial.lo == reference.polynomial.lo
+            assert np.array_equal(cached.polynomial.arr, reference.polynomial.arr)
+            assert cached.converged == reference.converged
+            assert cached.lsmr_iterations == reference.lsmr_iterations > 0
+
+    def test_spectrum_is_taken_once_per_problem(self, monkeypatch):
+        counts = counting_transforms(monkeypatch)
+        rng = np.random.default_rng(41)
+        f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        prob = _ConvObjective(-4, f_arr, -6, 6, 0, np.ones(1), 1.5, 0.0)
+        assert counts == {"fft": 2, "ifft": 0}  # f and its reversed conjugate
+        x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
+        for _ in range(3):
+            counts.update(fft=0, ifft=0)
+            y = prob.apply(x)
+            assert counts == {"fft": 1, "ifft": 1}
+            counts.update(fft=0, ifft=0)
+            x = prob.adjoint(y)
+            assert counts == {"fft": 1, "ifft": 1}
+
+    def test_a_whole_solve_takes_the_spectrum_once(self, monkeypatch):
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        counts = counting_transforms(monkeypatch)
+        calls = []
+        for name in ("apply", "adjoint"):
+            real = getattr(_ConvObjective, name)
+
+            def wrapper(self, v, real=real):
+                calls.append(1)
+                return real(self, v)
+
+            monkeypatch.setattr(_ConvObjective, name, wrapper)
+        res = bicyclicity_infimum(certify_small_function(), P15, "all_integers", 4)
+        assert res.sweeps > 1
+        assert counts == {"fft": 2 + len(calls), "ifft": len(calls)}
 
 
 class TestDensePath:
@@ -340,6 +457,7 @@ class TestBudgetExhaustion:
         full = bicyclicity_infimum(f, P15, "all_integers", 4)
         cumulative = np.cumsum(spent).tolist()
         assert full.converged is True
+        assert (full.sweeps, full.lsmr_iterations) == (len(spent), cumulative[-1])
         assert cumulative[-1] < engine.LSMR_TOTAL_BUDGET
         # each budget runs out right after one of the solves of the full run
         budgets = [c for c in cumulative if c < cumulative[-1]][:20]
