@@ -53,33 +53,36 @@ def parse_eps_spec(text):
     return [float(x) for x in text.split(",") if x.strip()]
 
 
-# flag -> (parameter name, converter); "set"/"preset" resolved per experiment
+# parameter -> type; each is set by the flag --<parameter>, with - for _
 _FLAG_PARAMS = [
-    ("gamma", "gamma", float),
-    ("p", "p", float),
-    ("beta", "beta", float),
-    ("grid", "grid", int),
-    ("depth", "depth", int),
-    ("k", "k", int),
-    ("truncate", "truncate", int),
-    ("degree_budget", "degree_budget", int),
-    ("epsilon_target", "epsilon_target", float),
-    ("delta_prime", "delta_prime", float),
-    ("dim", "dim", float),
+    ("gamma", float),
+    ("p", float),
+    ("beta", float),
+    ("grid", int),
+    ("depth", int),
+    ("k", int),
+    ("truncate", int),
+    ("degree_budget", int),
+    ("epsilon_target", float),
+    ("delta_prime", float),
+    ("dim", float),
 ]
-
-_SET_EXPERIMENTS = ("cantor", "carleson", "outer", "decay", "kel_ratio")
 
 
 def _config_from_flags(args):
+    from .experiments import EXPERIMENTS
+
     params = {}
     if args.preset is not None:
-        key = "set" if args.experiment in _SET_EXPERIMENTS else "preset"
+        # --preset names the set where the experiment takes a set but no function
+        known = args.experiment in EXPERIMENTS
+        fields = EXPERIMENTS[args.experiment].fields if known else {}
+        key = "set" if "set" in fields and "preset" not in fields else "preset"
         params[key] = args.preset
-    for flag, name, conv in _FLAG_PARAMS:
-        value = getattr(args, flag)
+    for name, _ in _FLAG_PARAMS:
+        value = getattr(args, name)
         if value is not None:
-            params[name] = conv(value)
+            params[name] = value
     if args.eps is not None:
         params["eps"] = parse_eps_spec(args.eps)
     if args.degrees is not None:
@@ -104,18 +107,9 @@ def _build_parser():
     run_p.add_argument("config", nargs="?", help="path to a JSON config file")
     run_p.add_argument("--experiment", help="experiment name (flag form)")
     run_p.add_argument("--preset", help="set or function preset name")
-    run_p.add_argument("--gamma", type=float)
-    run_p.add_argument("--p", type=float)
-    run_p.add_argument("--beta", type=float)
+    for name, conv in _FLAG_PARAMS:
+        run_p.add_argument("--" + name.replace("_", "-"), dest=name, type=conv)
     run_p.add_argument("--eps", help="schedule: START:STOP:xRATIO or comma list")
-    run_p.add_argument("--grid", type=int)
-    run_p.add_argument("--depth", type=int)
-    run_p.add_argument("--k", type=int)
-    run_p.add_argument("--truncate", type=int)
-    run_p.add_argument("--degree-budget", dest="degree_budget", type=int)
-    run_p.add_argument("--epsilon-target", dest="epsilon_target", type=float)
-    run_p.add_argument("--delta-prime", dest="delta_prime", type=float)
-    run_p.add_argument("--dim", type=float)
     run_p.add_argument("--degrees", help="comma list of degrees")
     run_p.add_argument("--alpha", help="comma list of alpha values")
     run_p.add_argument("--out", help="output directory (default: current)")

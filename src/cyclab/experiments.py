@@ -1,15 +1,23 @@
 """Batch experiment runner: validated configs in, JSON + CSV + manifest out.
 
 A config names one experiment, a parameter record and an output directory.
-Validation is strict (unknown fields are rejected, ranges checked) and runs
-before anything touches the disk, so a bad config produces no outputs.
-Failures inside the numerics are a separate class: whatever was written
-stays on disk and the manifest flags the failure.
+`EXPERIMENTS` is the single list of what each experiment accepts: it maps
+every field to one check and one default, and attaches the few rules that
+span fields.  The function-preset fields and the space fields `p`, `beta`
+are declared once and shared.  `validate` walks that table and raises
+ConfigError on the first problem: an unknown or missing field, a value its
+check refuses (numeric checks refuse booleans), or a broken rule.  It runs
+before anything touches the disk, so a bad config writes nothing, not even
+the output directory.  Otherwise it returns the resolved record, every
+accepted field with the config's value or its default, and the handlers
+read only that record.  Failures inside the numerics are a separate class:
+whatever was written stays on disk and the manifest flags the failure.
 
 Every experiment writes `report.json` (full structured results),
 `<experiment>.csv` (one flat plot-ready table; columns are fixed per
 experiment and documented in each handler) and `manifest.json` (config echo,
-package version, wall clock, tolerance knobs, output list).  All numeric
+package version, wall clock, tolerance knobs, output list).  The manifest
+echoes the parameters as given, not the resolved record.  All numeric
 formatting goes through `repr`, so reruns of one config are byte-identical
 in the CSV and the report.
 """
@@ -18,6 +26,7 @@ import json
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .analytic import (
@@ -35,7 +44,7 @@ from .engine import (
     p_epsilon_decay,
     szego_lower_bound,
 )
-from .fourier import FourierSeries, SpaceIndex, eval_on_grid, norm_ap_beta
+from .fourier import SpaceIndex, eval_on_grid, norm_ap_beta
 from .geometry import (
     box_dimension_estimate,
     carleson_test,
@@ -43,21 +52,13 @@ from .geometry import (
     covering_profile,
     log_t_grid,
 )
-from .presets import EPS_DECADE, SET_PRESETS, build_set, series_from_config
-
-EXPERIMENTS = (
-    "norms",
-    "cantor",
-    "carleson",
-    "outer",
-    "douglas",
-    "szego",
-    "certify",
-    "decay",
-    "kel_ratio",
-    "classify",
+from .presets import (
+    EPS_DECADE,
+    FUNCTION_PRESETS,
+    SET_PRESETS,
+    build_set,
+    series_from_config,
 )
-
 
 class ConfigError(ValueError):
     """The config failed validation; nothing was run or written."""
@@ -128,83 +129,127 @@ class RunManifest:
         return obj
 
 
-# -- validation helpers ------------------------------------------------------
+# -- parameter schema --------------------------------------------------------
+# A field is (check, default).  A check takes the field's key and the given
+# value and raises ConfigError.  A default is a value, _REQUIRED, or a
+# function of the fields declared before it.
+
+_REQUIRED = object()
 
 
-def _check_keys(params, required, optional):
-    unknown = set(params) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError("unknown parameters: %s" % ", ".join(sorted(unknown)))
-    missing = set(required) - set(params)
-    if missing:
-        raise ConfigError("missing parameters: %s" % ", ".join(sorted(missing)))
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _positive(params, key):
-    value = params.get(key)
-    if value is not None and not (isinstance(value, (int, float)) and value > 0):
-        raise ConfigError("%s must be a positive number" % key)
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _space(params):
-    p = params.get("p", 2.0)
-    beta = params.get("beta", 0.0)
-    if not isinstance(p, (int, float)) or not (1.0 < p <= 2.0):
-        raise ConfigError("p must lie in (1, 2]")
-    if not isinstance(beta, (int, float)) or beta < 0.0:
-        raise ConfigError("beta must be >= 0")
-    return SpaceIndex(p=float(p), beta=float(beta))
+def _check(test, message):
+    """Field check: ConfigError(message) unless `test(value)`.
+
+    `message` may name the field as {key} and the value as {value}.
+    """
+
+    def check(key, value):
+        if not test(value):
+            raise ConfigError(message.format(key=key, value=value))
+
+    return check
 
 
-def _eps_schedule(params, default=EPS_DECADE):
-    eps = params.get("eps", list(default))
-    if not isinstance(eps, (list, tuple)) or not eps:
-        raise ConfigError("eps must be a nonempty list")
-    vals = []
-    for e in eps:
-        if not isinstance(e, (int, float)) or e <= 0.0:
-            raise ConfigError("eps entries must be positive numbers")
-        vals.append(float(e))
-    if any(b >= a for a, b in zip(vals, vals[1:])):
-        raise ConfigError("eps schedule must be strictly decreasing")
-    return vals
+def _int_at_least(low):
+    return _check(lambda v: _is_int(v) and v >= low, "{key} must be an integer >= %d" % low)
 
 
-def _grid(params, default=2**14):
-    G = params.get("grid", default)
-    if not isinstance(G, int) or G < 16 or (G & (G - 1)) != 0:
-        raise ConfigError("grid must be a power of two >= 16")
-    return G
+def _list_of(test, message):
+    return _check(lambda v: isinstance(v, list) and all(map(test, v)), message)
 
 
-def _set_name(params):
-    name = params.get("set", "non_carleson_n2")
-    if name not in SET_PRESETS:
-        raise ConfigError(
-            "unknown set preset %r; available: %s" % (name, ", ".join(SET_PRESETS))
-        )
-    depth = params.get("depth")
-    if depth is not None and (not isinstance(depth, int) or depth < 1):
-        raise ConfigError("depth must be a positive integer")
-    return name, depth
+def _one_of(choices, message):
+    return _check(lambda v: isinstance(v, str) and v in choices, message)
 
 
-def _function_params(params):
-    if ("preset" in params) == ("coeffs" in params):
+def _is_smoothness(value):
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        return value[0] == "lip_delta" and _is_number(value[1])
+    return value == "c_infty"
+
+
+def _coeffs(key, rows):
+    if not (isinstance(rows, list)
+            and all(isinstance(row, list) and len(row) == 3 for row in rows)):
+        raise ConfigError("coeffs must be a list of [n, re, im] triples")
+    freqs = [row[0] for row in rows]
+    if not all(map(_is_int, freqs)):
+        raise ConfigError("coeffs frequencies must be integers")
+    if not all(_is_number(x) for row in rows for x in row[1:]):
+        raise ConfigError("coeffs amplitudes must be numbers")
+    # a series is stored densely over its frequency span
+    if freqs and max(freqs) - min(freqs) > 2**20:
+        raise ConfigError("coeffs frequencies must span at most 2**20")
+
+
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "{key} must be a positive number")
+_GRID = _check(lambda v: _is_int(v) and v >= 16 and v & (v - 1) == 0,
+               "grid must be a power of two >= 16")
+_EPS = _check(
+    lambda v: isinstance(v, (list, tuple)) and len(v) > 0
+    and all(_is_number(e) and e > 0 for e in v)
+    and all(b < a for a, b in zip(v, v[1:])),
+    "eps must be a nonempty, strictly decreasing list of positive numbers",
+)
+_FLAG = _check(lambda v: isinstance(v, bool), "{key} must be true or false")
+
+_SPACE_FIELDS = {
+    "p": (_check(lambda v: _is_number(v) and 1.0 < v <= 2.0, "p must lie in (1, 2]"), 2.0),
+    "beta": (_check(lambda v: _is_number(v) and v >= 0.0, "beta must be >= 0"), 0.0),
+}
+_SET_FIELDS = {
+    "set": (_one_of(SET_PRESETS, "unknown set preset {value!r}; available: "
+                    + ", ".join(SET_PRESETS)), "non_carleson_n2"),
+    "depth": (_int_at_least(1), None),  # None: the generator's own depth
+}
+# exp(-d(., E)^-gamma) on the named set, sampled at `grid` points
+_VANISHING_FIELDS = {**_SET_FIELDS, "gamma": (_POSITIVE, 1.0), "grid": (_GRID, 2**14)}
+# f as a named preset with its knobs, or as explicit coefficients
+_FUNCTION_FIELDS = {
+    "preset": (_one_of(FUNCTION_PRESETS, "unknown function preset {value!r}; available: "
+                       + ", ".join(FUNCTION_PRESETS)), None),
+    "coeffs": (_coeffs, None),
+    "k": (_int_at_least(1), 5),
+    "max_degree": (_int_at_least(0), None),
+    "tail_tol": (_POSITIVE, 1e-13),
+    **_VANISHING_FIELDS,
+    "truncate": (_int_at_least(1), None),
+}
+
+
+def _one_function(params):
+    if (params["preset"] is None) == (params["coeffs"] is None):
         raise ConfigError("give exactly one of 'preset' or 'coeffs'")
-    if "coeffs" in params:
-        coeffs = params["coeffs"]
-        ok = isinstance(coeffs, list) and all(
-            isinstance(row, list) and len(row) == 3 for row in coeffs
-        )
-        if not ok:
-            raise ConfigError("coeffs must be a list of [n, re, im] triples")
-        freqs = [row[0] for row in coeffs]
-        if not all(isinstance(n, int) and not isinstance(n, bool) for n in freqs):
-            raise ConfigError("coeffs frequencies must be integers")
-        # a series is stored densely over its frequency span
-        if freqs and max(freqs) - min(freqs) > 2**20:
-            raise ConfigError("coeffs frequencies must span at most 2**20")
+
+
+def _k_values_need_h_k(params):
+    if params["k_values"] is not None and params["preset"] != "h_k":
+        raise ConfigError("k_values needs preset 'h_k'")
+
+
+def _has_cyclic_vectors(params):
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
+    if space.beta * space.q > 1.0:
+        raise ConfigError("beta*q > 1: the space has no cyclic vectors")
+
+
+def _kel_exponent(params):
+    if 2.0 * params["delta_prime"] - params["gamma"] - 1.0 < 0.0:
+        raise ConfigError("need 2*delta_prime - gamma - 1 >= 0")
+
+
+def _t_range(params):
+    if not params["t_min"] < params["t_max"]:
+        raise ConfigError("need t_min < t_max")
+
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -233,22 +278,18 @@ def _write_json(path, obj):
 
 def _run_norms(params):
     """CSV columns: label, p, beta, norm, norm_pow_p."""
-    space = _space(params)
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     rows = []
-    if params.get("preset") == "h_k" and "k_values" in params:
-        ks = params["k_values"]
-        for k in ks:
-            sub = dict(params)
-            sub.pop("k_values")
-            sub["k"] = k
-            f = series_from_config(sub)
+    if params["k_values"] is not None:
+        for k in params["k_values"]:
+            f = series_from_config(dict(params, k=k))
             norm = norm_ap_beta(f, space)
             rows.append(("h_%d" % k, space.p, space.beta, norm, norm**space.p))
     else:
         f = series_from_config(params)
-        label = params.get("preset", "coeffs")
+        label = params["preset"] or "coeffs"
         if label == "h_k":
-            label = "h_%d" % params.get("k", 5)
+            label = "h_%d" % params["k"]
         norm = norm_ap_beta(f, space)
         rows.append((label, space.p, space.beta, norm, norm**space.p))
     report = {
@@ -266,30 +307,14 @@ def _run_norms(params):
     return report, ("label", "p", "beta", "norm", "norm_pow_p"), rows, {}
 
 
-def _validate_norms(params):
-    _check_keys(
-        params,
-        (),
-        ("preset", "coeffs", "k", "k_values", "max_degree", "tail_tol", "set",
-         "gamma", "grid", "depth", "truncate", "p", "beta"),
-    )
-    _function_params(params)
-    _space(params)
-    if "k_values" in params:
-        ks = params["k_values"]
-        if not isinstance(ks, list) or not all(isinstance(k, int) and k >= 1 for k in ks):
-            raise ConfigError("k_values must be a list of positive integers")
-
-
 def _run_cantor(params):
     """CSV columns: t, covering_count, tube_measure."""
-    name, depth = _set_name(params)
+    name, depth = params["set"], params["depth"]
     spec = cantor_spec_by_name(name, depth)
     E = build_set(name, depth)
-    t_min = params.get("t_min", 1e-4)
-    t_max = params.get("t_max", 0.25)
-    t_count = params.get("t_count", 9)
-    profile = covering_profile(E, log_t_grid(t_min, t_max, t_count))
+    profile = covering_profile(
+        E, log_t_grid(params["t_min"], params["t_max"], params["t_count"])
+    )
     rows = [(t, int(N), tube) for t, N, tube in profile.samples]
     report = {
         "set": name,
@@ -307,24 +332,13 @@ def _run_cantor(params):
     return report, ("t", "covering_count", "tube_measure"), rows, {}
 
 
-def _validate_cantor(params):
-    _check_keys(params, (), ("set", "depth", "t_min", "t_max", "t_count"))
-    _set_name(params)
-    for key in ("t_min", "t_max"):
-        _positive(params, key)
-    t_count = params.get("t_count")
-    if t_count is not None and (not isinstance(t_count, int) or t_count < 2):
-        raise ConfigError("t_count must be an integer >= 2")
-
-
 def _run_carleson(params):
     """CSV columns: set, depth, interval_sum, interval_sum_radian, log_integral, verdict."""
-    name, depth = _set_name(params)
+    name, depth = params["set"], params["depth"]
     spec = cantor_spec_by_name(name, depth)
     E = build_set(name, depth)
-    G = _grid(params, default=2**12)
     result = carleson_test(
-        E, G, divergence_threshold=params.get("threshold", -10.0)
+        E, params["grid"], divergence_threshold=params["threshold"]
     )
     rows = [
         (
@@ -341,26 +355,17 @@ def _run_carleson(params):
     report["depth"] = spec.depth
     header = ("set", "depth", "interval_sum", "interval_sum_radian",
               "log_integral", "verdict")
-    return report, header, rows, {"divergence_threshold": params.get("threshold", -10.0)}
-
-
-def _validate_carleson(params):
-    _check_keys(params, (), ("set", "depth", "grid", "threshold"))
-    _set_name(params)
-    _grid(params, default=2**12)
-    threshold = params.get("threshold")
-    if threshold is not None and not isinstance(threshold, (int, float)):
-        raise ConfigError("threshold must be a number")
+    return report, header, rows, {"divergence_threshold": params["threshold"]}
 
 
 def _run_outer(params):
     """CSV columns: eps, m_eps, value_at_zero, leakage."""
-    name, depth = _set_name(params)
-    E = build_set(name, depth)
-    gamma = float(params.get("gamma", 1.0))
-    G = _grid(params)
-    mode = params.get("mode", "p_eps")
-    eps_schedule = _eps_schedule(params)
+    name = params["set"]
+    E = build_set(name, params["depth"])
+    gamma = float(params["gamma"])
+    G = params["grid"]
+    mode = params["mode"]
+    eps_schedule = [float(e) for e in params["eps"]]
     rows = []
     for eps in eps_schedule:
         outer = outer_power_modulus(E, gamma, eps, mode, G)
@@ -378,26 +383,14 @@ def _run_outer(params):
     }
 
 
-def _validate_outer(params):
-    _check_keys(params, (), ("set", "depth", "gamma", "grid", "eps", "mode"))
-    _set_name(params)
-    _positive(params, "gamma")
-    _grid(params)
-    _eps_schedule(params)
-    mode = params.get("mode", "p_eps")
-    if mode not in ("p_eps", "F_eps"):
-        raise ConfigError("mode must be 'p_eps' or 'F_eps'")
-
-
 def _run_douglas(params):
     """CSV columns: alpha, coefficient_value, quadrature_value, band_matched_value."""
     f = series_from_config(params)
-    G = _grid(params, default=2**11)
+    G = params["grid"]
     samples = eval_on_grid(f, G)
-    exclusion = params.get("exclusion", 10.0 / G)
-    alphas = params.get("alpha", [0.2, 0.4])
+    exclusion = params["exclusion"]
     rows = []
-    for alpha in alphas:
+    for alpha in params["alpha"]:
         res = douglas_seminorm(samples, float(alpha), exclusion)
         rows.append((alpha, res.value, res.quadrature_value, res.band_matched_value))
     report = {
@@ -409,32 +402,14 @@ def _run_douglas(params):
     return report, header, rows, {"exclusion": exclusion}
 
 
-def _validate_douglas(params):
-    _check_keys(
-        params,
-        (),
-        ("preset", "coeffs", "k", "max_degree", "tail_tol", "set", "gamma",
-         "grid", "depth", "truncate", "alpha", "exclusion"),
-    )
-    _function_params(params)
-    _grid(params, default=2**11)
-    alphas = params.get("alpha", [0.2, 0.4])
-    if not isinstance(alphas, list) or not all(
-        isinstance(a, (int, float)) and 0.0 < a < 1.0 for a in alphas
-    ):
-        raise ConfigError("alpha must be a list of numbers in (0, 1)")
-    _positive(params, "exclusion")
-
-
 def _run_szego(params):
     """CSV columns: degree, shift_norm, szego_bound."""
     f = series_from_config(params)
-    space = _space(params)
-    degrees = params.get("degrees", [25, 50, 100, 200])
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     bound = szego_lower_bound(f)
     rows = []
     warm = None
-    for degree in degrees:
+    for degree in params["degrees"]:
         res = forward_shift_infimum(f, space, int(degree), warm=warm)
         warm = res.polynomial
         rows.append((int(degree), res.value, bound))
@@ -447,31 +422,12 @@ def _run_szego(params):
     return report, ("degree", "shift_norm", "szego_bound"), rows, {}
 
 
-def _validate_szego(params):
-    _check_keys(
-        params,
-        (),
-        ("preset", "coeffs", "k", "max_degree", "tail_tol", "set", "gamma",
-         "grid", "depth", "truncate", "p", "beta", "degrees"),
-    )
-    _function_params(params)
-    _space(params)
-    degrees = params.get("degrees")
-    if degrees is not None and (
-        not isinstance(degrees, list)
-        or not all(isinstance(d, int) and d >= 0 for d in degrees)
-    ):
-        raise ConfigError("degrees must be a list of nonnegative integers")
-
-
 def _run_certify(params):
     """CSV columns: degree, bicyclic_norm, shift_norm."""
-    space = _space(params)
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     tail = 0.0
-    if params.get("preset") == "smooth_vanishing" and params.get("truncate") is not None:
-        full_params = dict(params)
-        full_params.pop("truncate")
-        full = series_from_config(full_params)
+    if params["preset"] == "smooth_vanishing" and params["truncate"] is not None:
+        full = series_from_config(dict(params, truncate=None))
         f = full.truncate(int(params["truncate"]))
         full_norm = norm_ap_beta(full, space)
         if full_norm > 0.0:
@@ -481,9 +437,9 @@ def _run_certify(params):
     problem = CertificateProblem(
         f=f,
         space=space,
-        support=params.get("support", "all_integers"),
-        degree_budget=params.get("degree_budget", 1024),
-        epsilon_target=params.get("epsilon_target", 0.25),
+        support=params["support"],
+        degree_budget=params["degree_budget"],
+        epsilon_target=params["epsilon_target"],
         truncation_tail=tail,
     )
     report_obj = certify_cyclic(problem)
@@ -499,40 +455,16 @@ def _run_certify(params):
     )
 
 
-def _validate_certify(params):
-    _check_keys(
-        params,
-        (),
-        ("preset", "coeffs", "k", "max_degree", "tail_tol", "set", "gamma",
-         "grid", "depth", "truncate", "p", "beta", "support", "degree_budget",
-         "epsilon_target"),
-    )
-    _function_params(params)
-    space = _space(params)
-    if space.beta * space.q > 1.0:
-        raise ConfigError("beta*q > 1: the space has no cyclic vectors")
-    support = params.get("support", "all_integers")
-    if support not in ("all_integers", "nonneg", "positive"):
-        raise ConfigError("unknown support %r" % support)
-    budget = params.get("degree_budget")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
-        raise ConfigError("degree_budget must be a nonnegative integer")
-    _positive(params, "epsilon_target")
-    if "gamma" in params:
-        _positive(params, "gamma")
-
-
 def _run_decay(params):
     """CSV columns: eps, M_eps, norm, ratio."""
-    name, depth = _set_name(params)
-    E = build_set(name, depth)
-    gamma = float(params.get("gamma", 1.0))
-    G = _grid(params)
-    space = _space(params)
-    eps_schedule = _eps_schedule(params)
+    E = build_set(params["set"], params["depth"])
+    gamma = float(params["gamma"])
+    G = params["grid"]
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
+    eps_schedule = [float(e) for e in params["eps"]]
     f = smooth_vanishing_function(E, gamma, G).series
     report_obj = p_epsilon_decay(
-        f, E, gamma, space, eps_schedule, G=G, truncation=params.get("truncate")
+        f, E, gamma, space, eps_schedule, G=G, truncation=params["truncate"]
     )
     rows = [
         (eps, m, norm, ratio)
@@ -548,30 +480,14 @@ def _run_decay(params):
     )
 
 
-def _validate_decay(params):
-    _check_keys(
-        params,
-        (),
-        ("set", "depth", "gamma", "grid", "eps", "p", "beta", "truncate"),
-    )
-    _set_name(params)
-    _positive(params, "gamma")
-    _grid(params)
-    _space(params)
-    _eps_schedule(params)
-    truncate = params.get("truncate")
-    if truncate is not None and (not isinstance(truncate, int) or truncate < 1):
-        raise ConfigError("truncate must be a positive integer")
-
-
 def _run_kel_ratio(params):
     """CSV columns: eps, m_eps, ratio."""
-    name, depth = _set_name(params)
-    E = build_set(name, depth)
-    gamma = float(params.get("gamma", 1.0))
-    delta_prime = float(params.get("delta_prime", 1.2))
-    G = _grid(params)
-    eps_schedule = _eps_schedule(params, default=(1e-1, 1e-2, 1e-3, 1e-4))
+    name = params["set"]
+    E = build_set(name, params["depth"])
+    gamma = float(params["gamma"])
+    delta_prime = float(params["delta_prime"])
+    G = params["grid"]
+    eps_schedule = [float(e) for e in params["eps"]]
     ratios = lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G)
     rows = [
         (eps, m_epsilon(E, gamma, eps, G), ratio)
@@ -588,32 +504,16 @@ def _run_kel_ratio(params):
     return report, ("eps", "m_eps", "ratio"), rows, {"exclusion": 10.0 / G}
 
 
-def _validate_kel_ratio(params):
-    _check_keys(
-        params, (), ("set", "depth", "gamma", "delta_prime", "grid", "eps")
-    )
-    _set_name(params)
-    _positive(params, "gamma")
-    _grid(params)
-    _eps_schedule(params, default=(1e-1, 1e-2, 1e-3, 1e-4))
-    gamma = params.get("gamma", 1.0)
-    delta_prime = params.get("delta_prime", 1.2)
-    if not isinstance(delta_prime, (int, float)):
-        raise ConfigError("delta_prime must be a number")
-    if 2.0 * delta_prime - gamma - 1.0 < 0.0:
-        raise ConfigError("need 2*delta_prime - gamma - 1 >= 0")
-
-
 def _run_classify(params):
     """CSV columns: dim, p, beta, smoothness, verdict."""
-    space = _space(params)
-    smoothness = params.get("smoothness", "c_infty")
+    space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
+    smoothness = params["smoothness"]
     verdict = classify_regime(
         float(params["dim"]),
         space,
         smoothness,
-        bool(params.get("log_nonintegrable", False)),
-        bool(params.get("log_dist_nonintegrable", False)),
+        params["log_nonintegrable"],
+        params["log_dist_nonintegrable"],
     )
     label = smoothness if isinstance(smoothness, str) else (
         "lip_%s" % _fmt(float(smoothness[1]))
@@ -624,55 +524,107 @@ def _run_classify(params):
         "p": space.p,
         "beta": space.beta,
         "smoothness": smoothness,
-        "log_nonintegrable": bool(params.get("log_nonintegrable", False)),
-        "log_dist_nonintegrable": bool(params.get("log_dist_nonintegrable", False)),
+        "log_nonintegrable": params["log_nonintegrable"],
+        "log_dist_nonintegrable": params["log_dist_nonintegrable"],
         "verdict": verdict,
     }
     return report, ("dim", "p", "beta", "smoothness", "verdict"), rows, {}
 
 
-def _validate_classify(params):
-    _check_keys(
-        params,
-        ("dim",),
-        ("p", "beta", "smoothness", "log_nonintegrable", "log_dist_nonintegrable"),
-    )
-    dim = params["dim"]
-    if not isinstance(dim, (int, float)) or not (0.0 <= dim <= 1.0):
-        raise ConfigError("dim must lie in [0, 1]")
-    _space(params)
-    smoothness = params.get("smoothness", "c_infty")
-    if smoothness != "c_infty":
-        ok = (
-            isinstance(smoothness, (list, tuple))
-            and len(smoothness) == 2
-            and smoothness[0] == "lip_delta"
-            and isinstance(smoothness[1], (int, float))
-        )
-        if not ok:
-            raise ConfigError(
-                "smoothness must be 'c_infty' or ['lip_delta', delta]"
-            )
+class Experiment(NamedTuple):
+    """One experiment: its fields, its cross-field rules and its handler."""
+
+    fields: dict  # name -> (check, default)
+    rules: tuple  # functions of the resolved record that raise ConfigError
+    handler: object  # resolved record -> (report, header, rows, tolerances)
 
 
-_HANDLERS = {
-    "norms": (_validate_norms, _run_norms),
-    "cantor": (_validate_cantor, _run_cantor),
-    "carleson": (_validate_carleson, _run_carleson),
-    "outer": (_validate_outer, _run_outer),
-    "douglas": (_validate_douglas, _run_douglas),
-    "szego": (_validate_szego, _run_szego),
-    "certify": (_validate_certify, _run_certify),
-    "decay": (_validate_decay, _run_decay),
-    "kel_ratio": (_validate_kel_ratio, _run_kel_ratio),
-    "classify": (_validate_classify, _run_classify),
+EXPERIMENTS = {
+    "norms": Experiment(
+        {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
+         "k_values": (_list_of(lambda k: _is_int(k) and k >= 1,
+                               "k_values must be a list of positive integers"), None)},
+        (_one_function, _k_values_need_h_k), _run_norms),
+    "cantor": Experiment(
+        {**_SET_FIELDS, "t_min": (_POSITIVE, 1e-4), "t_max": (_POSITIVE, 0.25),
+         "t_count": (_int_at_least(2), 9)},
+        (_t_range,), _run_cantor),
+    "carleson": Experiment(
+        {**_SET_FIELDS, "grid": (_GRID, 2**12),
+         "threshold": (_check(_is_number, "threshold must be a number"), -10.0)},
+        (), _run_carleson),
+    "outer": Experiment(
+        {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE),
+         "mode": (_one_of(("p_eps", "F_eps"), "mode must be 'p_eps' or 'F_eps'"), "p_eps")},
+        (), _run_outer),
+    "douglas": Experiment(
+        {**_FUNCTION_FIELDS, "grid": (_GRID, 2**11),
+         "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
+                            "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
+         "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
+        (_one_function,), _run_douglas),
+    "szego": Experiment(
+        {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
+         "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,
+                              "degrees must be a list of nonnegative integers"),
+                     (25, 50, 100, 200))},
+        (_one_function,), _run_szego),
+    "certify": Experiment(
+        {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
+         "support": (_one_of(("all_integers", "nonneg", "positive"),
+                             "unknown support {value!r}"), "all_integers"),
+         "degree_budget": (_int_at_least(0), 1024),
+         "epsilon_target": (_POSITIVE, 0.25)},
+        (_one_function, _has_cyclic_vectors), _run_certify),
+    "decay": Experiment(
+        {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
+         "truncate": (_int_at_least(1), None)},
+        (), _run_decay),
+    "kel_ratio": Experiment(
+        {**_VANISHING_FIELDS,
+         "delta_prime": (_check(_is_number, "delta_prime must be a number"), 1.2),
+         "eps": (_EPS, (1e-1, 1e-2, 1e-3, 1e-4))},
+        (_kel_exponent,), _run_kel_ratio),
+    "classify": Experiment(
+        {"dim": (_check(lambda v: _is_number(v) and 0.0 <= v <= 1.0,
+                        "dim must lie in [0, 1]"), _REQUIRED),
+         **_SPACE_FIELDS,
+         "smoothness": (_check(_is_smoothness, "smoothness must be 'c_infty' or "
+                               "['lip_delta', delta]"), "c_infty"),
+         "log_nonintegrable": (_FLAG, False), "log_dist_nonintegrable": (_FLAG, False)},
+        (), _run_classify),
 }
 
 
 def validate(config):
-    """Run all pre-dispatch checks; raises ConfigError on any problem."""
-    validator, _ = _HANDLERS[config.experiment]
-    validator(config.parameters)
+    """Check a config against its experiment's schema; return the record.
+
+    The resolved record maps every field the experiment accepts to the
+    config's value, or to the field's default where the config leaves the
+    field out.  Raises ConfigError on the first problem found.
+    """
+    experiment = EXPERIMENTS[config.experiment]
+    params = config.parameters
+    unknown = set(params) - set(experiment.fields)
+    if unknown:
+        raise ConfigError("unknown parameters: %s" % ", ".join(sorted(unknown)))
+    missing = [
+        key
+        for key, (_, default) in experiment.fields.items()
+        if default is _REQUIRED and key not in params
+    ]
+    if missing:
+        raise ConfigError("missing parameters: %s" % ", ".join(missing))
+    record = {}
+    for key, (check, default) in experiment.fields.items():
+        if key in params:
+            check(key, params[key])
+            record[key] = params[key]
+        else:
+            record[key] = default(record) if callable(default) else default
+    for rule in experiment.rules:
+        rule(record)
+    return record
 
 
 def run(config):
@@ -685,14 +637,13 @@ def run(config):
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_json_obj(config)
-    validate(config)
+    params = validate(config)
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     outputs = []
-    _, handler = _HANDLERS[config.experiment]
     try:
-        report, header, rows, tolerances = handler(config.parameters)
+        report, header, rows, tolerances = EXPERIMENTS[config.experiment].handler(params)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
         manifest = RunManifest(
             config=config.to_json_obj(),

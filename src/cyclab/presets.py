@@ -86,7 +86,7 @@ def build_function(name, params):
 
 def series_from_config(params):
     """Resolve the `preset`/`coeffs` part of an experiment parameter record."""
-    if "coeffs" in params:
+    if params.get("coeffs") is not None:
         return FourierSeries(
             {int(n): complex(re, im) for n, re, im in params["coeffs"]}
         )
@@ -133,7 +133,7 @@ CATALOGUE = [
         "doc": "exp(-d(., E)^-gamma) on a named set: flat zero on E, smooth "
         "off it; the central object of the decay and certificate runs.",
         "parameters": "set (default non_carleson_n2), gamma (default 1), "
-        "grid (default 16384), depth, truncate",
+        "grid (default 16384; 2048 in douglas), depth, truncate",
         "example_config": {
             "experiment": "szego",
             "parameters": {

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
+from cyclab.cli import _FLAG_PARAMS, _build_parser, _config_from_flags
 from cyclab.experiments import (
+    EXPERIMENTS,
     ConfigError,
     ExperimentConfig,
     NumericalFailure,
@@ -82,6 +84,20 @@ class TestConfigValidation:
             ("norms", {"coeffs": [[True, 1.0, 0.0]]}, "integers"),
             ("norms", {"coeffs": [[0, 1.0, 0.0], [10**9, 1.0, 0.0]]}, "span"),
             ("norms", {"coeffs": [[-1, 1.0, 0.0], [2**20, 1.0, 0.0]]}, "span"),
+            ("norms", {"preset": "enigma"}, "unknown function preset"),
+            ("norms", {"preset": "smooth_vanishing", "set": "nowhere"},
+             "unknown set preset"),
+            ("norms", {"preset": "h_k", "k": 0}, "k must"),
+            ("norms", {"preset": "smooth_vanishing", "depth": 0}, "depth must"),
+            ("norms", {"preset": "smooth_vanishing", "gamma": -1}, "gamma must"),
+            ("norms", {"preset": "smooth_vanishing", "truncate": -3}, "truncate must"),
+            ("norms", {"preset": "smooth_vanishing", "grid": 1000}, "power of two"),
+            ("norms", {"preset": "h_k", "k": "5"}, "k must"),
+            ("norms", {"coeffs": [[0, "a", 0]]}, "amplitudes"),
+            ("cantor", {"t_min": 0.5, "t_max": 0.1}, "t_min < t_max"),
+            ("classify", {"dim": True}, "dim must"),
+            ("norms", {"preset": "z_minus_1", "k_values": [1, 2]}, "k_values"),
+            ("classify", {"dim": 0.5, "log_nonintegrable": "false"}, "true or false"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -99,16 +115,55 @@ class TestConfigValidation:
         validate(config)
 
     def test_validation_happens_before_any_write(self, tmp_path):
-        out = tmp_path / "never"
-        with pytest.raises(ConfigError):
-            run(
-                {
-                    "experiment": "decay",
-                    "parameters": {"set": "middle_thirds", "gamma": -1.0},
-                    "output_dir": str(out),
-                }
-            )
-        assert not out.exists()
+        # the last two used to escape run() as TypeError after the mkdir
+        for i, (experiment, params) in enumerate([
+            ("decay", {"set": "middle_thirds", "gamma": -1.0}),
+            ("norms", {"preset": "h_k", "k": "5"}),
+            ("norms", {"coeffs": [[0, "a", 0]]}),
+        ]):
+            out = tmp_path / ("never%d" % i)
+            with pytest.raises(ConfigError):
+                run(
+                    {
+                        "experiment": experiment,
+                        "parameters": params,
+                        "output_dir": str(out),
+                    }
+                )
+            assert not out.exists()
+
+    def test_validate_returns_the_resolved_record(self):
+        params = {"coeffs": [[0, 1.0, 0.0]], "grid": 4096}
+        config = ExperimentConfig.from_json_obj(
+            {"experiment": "douglas", "parameters": params}
+        )
+        record = validate(config)
+        assert set(record) == set(EXPERIMENTS["douglas"].fields)
+        assert record["coeffs"] == params["coeffs"]
+        assert record["preset"] is None
+        assert record["grid"] == 4096
+        assert record["exclusion"] == 10.0 / 4096
+        assert list(record["alpha"]) == [0.2, 0.4]
+        assert config.parameters == {"coeffs": [[0, 1.0, 0.0]], "grid": 4096}
+
+    def test_every_flag_parameter_is_a_schema_field(self):
+        fields = set().union(*(e.fields for e in EXPERIMENTS.values()))
+        flags = ["--%s=1" % name.replace("_", "-") for name, _ in _FLAG_PARAMS]
+        flags += ["--preset=x", "--eps=0.1", "--degrees=1", "--alpha=0.5"]
+        for name, experiment in EXPERIMENTS.items():
+            args = _build_parser().parse_args(["run", "--experiment", name] + flags)
+            params = _config_from_flags(args)["parameters"]
+            assert len(params) == len(flags)
+            assert set(params) <= fields
+            if {"set", "preset"} & set(experiment.fields):
+                assert {"set", "preset"} & set(params) & set(experiment.fields)
+
+    def test_recorded_benchmark_configs_validate(self):
+        bench = json.loads((Path(__file__).parents[1] / "BENCH_5.json").read_text())
+        configs = bench["report_identity"]["configs"]
+        assert len(configs) == 20
+        for config in configs.values():
+            validate(ExperimentConfig.from_json_obj(config))
 
 
 class TestPresets:
@@ -258,6 +313,19 @@ class TestRunOutputs:
         assert level["shift_converged"] is True
         header, rows = read_csv(tmp_path / "certify.csv")
         assert header == ["degree", "bicyclic_norm", "shift_norm"]
+
+    def test_douglas_builds_f_on_its_own_default_grid(self, tmp_path):
+        manifest = run(
+            {
+                "experiment": "douglas",
+                "parameters": {"preset": "smooth_vanishing",
+                               "set": "middle_thirds", "depth": 6},
+                "output_dir": str(tmp_path),
+            }
+        )
+        assert manifest.status == "ok"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["grid"] == 2048
 
     def test_szego_rows_track_bound(self, tmp_path):
         run(
