@@ -328,6 +328,19 @@ def douglas_weights(alpha, n_max):
     return cached[: n_max + 1]
 
 
+def lag_kernel(G, exclusion, exponent):
+    """Lag kernel of a G-point double integral: entry l is chord(l)**exponent,
+    chord(l) = 2 sin(pi l/G), or 0 at lag 0 and where chord(l) < exclusion.
+    """
+    lags = np.arange(G)
+    chord = 2.0 * np.sin(np.pi * lags / G)
+    kept = np.zeros(G, dtype=bool)
+    kept[1:] = chord[1:] >= exclusion
+    kernel = np.zeros(G)
+    kernel[kept] = chord[kept] ** exponent
+    return kernel
+
+
 @dataclass(frozen=True)
 class DouglasResult:
     """Coefficient-side Douglas energy with its banded quadrature cross-check."""
@@ -374,12 +387,7 @@ def douglas_seminorm(f_samples, alpha, exclusion):
     corr = np.fft.ifft(np.abs(spec) ** 2)  # corr[l] = sum_j f_{j+l} conj(f_j)
     energy = float(np.sum(np.abs(f) ** 2))
     lag_sums = 2.0 * energy - 2.0 * np.real(corr)
-    lags = np.arange(G)
-    chord = 2.0 * np.sin(np.pi * lags / G)
-    kept = np.zeros(G, dtype=bool)
-    kept[1:] = chord[1:] >= exclusion
-    kernel = np.zeros(G)
-    kernel[kept] = chord[kept] ** (-1.0 - 2.0 * alpha)
+    kernel = lag_kernel(G, exclusion, -1.0 - 2.0 * alpha)
     cell = (TWO_PI / G) ** 2
     quadrature_value = cell * float(np.sum(kernel * lag_sums))
 

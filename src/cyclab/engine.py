@@ -33,7 +33,7 @@ import scipy.linalg
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .analytic import m_epsilon, outer_power_modulus
+from .analytic import lag_kernel, m_epsilon, outer_power_modulus
 from .fourier import (
     FourierSeries,
     _space_params,
@@ -592,12 +592,7 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G, exclusion=None):
     if expo >= 0.0:
         g[~pos] = 0.0 if expo > 0.0 else 1.0
 
-    lags = np.arange(G)
-    chord = 2.0 * np.sin(np.pi * lags / G)
-    kept = np.zeros(G, dtype=bool)
-    kept[1:] = chord[1:] >= exclusion
-    kernel = np.zeros(G)
-    kernel[kept] = chord[kept] ** -2.0
+    kernel = lag_kernel(G, exclusion, -2.0)
     cell = (TWO_PI / G) ** 2
 
     ratios = []

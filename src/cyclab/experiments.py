@@ -6,7 +6,8 @@ every field to one check and one default, and attaches the few rules that
 span fields.  The function-preset fields and the space fields `p`, `beta`
 are declared once and shared.  `validate` walks that table and raises
 ConfigError on the first problem: an unknown or missing field, a value its
-check refuses (numeric checks refuse booleans), or a broken rule.  It runs
+check refuses (numeric checks refuse booleans), or a broken rule, such as
+a function field that the chosen preset does not read.  It runs
 before anything touches the disk, so a bad config writes nothing, not even
 the output directory.  Otherwise it returns the resolved record, every
 accepted field with the config's value or its default, and the handlers
@@ -225,28 +226,41 @@ _FUNCTION_FIELDS = {
 }
 
 
-def _one_function(params):
-    if (params["preset"] is None) == (params["coeffs"] is None):
-        raise ConfigError("give exactly one of 'preset' or 'coeffs'")
+def _function_source(own=()):
+    """Rule: f from exactly one of `preset` or `coeffs`, and no function field
+    given that neither that preset (`FUNCTION_PRESETS`) nor the experiment
+    (`own`) reads.
+    """
+
+    def rule(params, given):
+        if (params["preset"] is None) == (params["coeffs"] is None):
+            raise ConfigError("give exactly one of 'preset' or 'coeffs'")
+        source = params["preset"] or "coeffs"
+        knobs = set(_FUNCTION_FIELDS) - {"preset", "coeffs", *own}
+        unused = sorted(knobs & given - set(FUNCTION_PRESETS.get(source, ())))
+        if unused:
+            raise ConfigError("%s does not read: %s" % (source, ", ".join(unused)))
+
+    return rule
 
 
-def _k_values_need_h_k(params):
-    if params["k_values"] is not None and params["preset"] != "h_k":
-        raise ConfigError("k_values needs preset 'h_k'")
+def _k_values_need_h_k(params, given):
+    if params["k_values"] is not None and (params["preset"] != "h_k" or "k" in given):
+        raise ConfigError("k_values needs preset 'h_k' and no k")
 
 
-def _has_cyclic_vectors(params):
+def _has_cyclic_vectors(params, _given):
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     if space.beta * space.q > 1.0:
         raise ConfigError("beta*q > 1: the space has no cyclic vectors")
 
 
-def _kel_exponent(params):
+def _kel_exponent(params, _given):
     if 2.0 * params["delta_prime"] - params["gamma"] - 1.0 < 0.0:
         raise ConfigError("need 2*delta_prime - gamma - 1 >= 0")
 
 
-def _t_range(params):
+def _t_range(params, _given):
     if not params["t_min"] < params["t_max"]:
         raise ConfigError("need t_min < t_max")
 
@@ -292,19 +306,8 @@ def _run_norms(params):
             label = "h_%d" % params["k"]
         norm = norm_ap_beta(f, space)
         rows.append((label, space.p, space.beta, norm, norm**space.p))
-    report = {
-        "rows": [
-            {
-                "label": r[0],
-                "p": r[1],
-                "beta": r[2],
-                "norm": r[3],
-                "norm_pow_p": r[4],
-            }
-            for r in rows
-        ]
-    }
-    return report, ("label", "p", "beta", "norm", "norm_pow_p"), rows, {}
+    header = ("label", "p", "beta", "norm", "norm_pow_p")
+    return {"rows": [dict(zip(header, r)) for r in rows]}, header, rows, {}
 
 
 def _run_cantor(params):
@@ -535,7 +538,7 @@ class Experiment(NamedTuple):
     """One experiment: its fields, its cross-field rules and its handler."""
 
     fields: dict  # name -> (check, default)
-    rules: tuple  # functions of the resolved record that raise ConfigError
+    rules: tuple  # (resolved record, given field names) -> None; raise ConfigError
     handler: object  # resolved record -> (report, header, rows, tolerances)
 
 
@@ -544,7 +547,7 @@ EXPERIMENTS = {
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "k_values": (_list_of(lambda k: _is_int(k) and k >= 1,
                                "k_values must be a list of positive integers"), None)},
-        (_one_function, _k_values_need_h_k), _run_norms),
+        (_function_source(), _k_values_need_h_k), _run_norms),
     "cantor": Experiment(
         {**_SET_FIELDS, "t_min": (_POSITIVE, 1e-4), "t_max": (_POSITIVE, 0.25),
          "t_count": (_int_at_least(2), 9)},
@@ -562,20 +565,20 @@ EXPERIMENTS = {
          "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
                             "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
          "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
-        (_one_function,), _run_douglas),
+        (_function_source(own=("grid",)),), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,
                               "degrees must be a list of nonnegative integers"),
                      (25, 50, 100, 200))},
-        (_one_function,), _run_szego),
+        (_function_source(),), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "support": (_one_of(("all_integers", "nonneg", "positive"),
                              "unknown support {value!r}"), "all_integers"),
          "degree_budget": (_int_at_least(0), 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
-        (_one_function, _has_cyclic_vectors), _run_certify),
+        (_function_source(), _has_cyclic_vectors), _run_certify),
     "decay": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
          "truncate": (_int_at_least(1), None)},
@@ -623,7 +626,7 @@ def validate(config):
         else:
             record[key] = default(record) if callable(default) else default
     for rule in experiment.rules:
-        rule(record)
+        rule(record, set(params))
     return record
 
 

@@ -34,42 +34,50 @@ TWO_PI = 2.0 * math.pi
 _GAP_EPS = 1e-14
 
 
+def _merge_arcs(s, e):
+    """Union of the arcs [s, e] (0 <= s <= 2*pi, e >= s) as sorted disjoint (starts, ends).
+
+    Arcs past 2*pi are split at the seam; after a (start, end) sort, a piece
+    starting beyond the running maximum of the ends before it opens an arc.
+    """
+    wraps = e > TWO_PI
+    seg_s = np.concatenate([s, np.zeros(int(wraps.sum()))])
+    seg_e = np.concatenate([np.minimum(e, TWO_PI), e[wraps] - TWO_PI])
+    order = np.lexsort((seg_e, seg_s))
+    seg_s, seg_e = seg_s[order], seg_e[order]
+    reach = np.maximum.accumulate(seg_e)
+    idx = np.flatnonzero(seg_s > np.append(-np.inf, reach[:-1]))
+    return seg_s[idx], np.maximum.reduceat(seg_e, idx)
+
+
 class ArcUnion:
     """Sorted disjoint closed arcs [start, end] with 0 <= start <= end <= 2*pi.
 
-    Overlapping or touching input arcs are merged (except across the 0/2*pi
-    seam, see module docstring).  Degenerate point arcs are allowed.
+    Built from an (n, 2) array or an iterable of (start, end) pairs; any
+    arc with an end before its start or a non-finite endpoint raises
+    ValueError, wherever it sits.  An arc of length >= 2*pi gives the full
+    circle.  Overlapping or touching arcs are merged (except across the
+    0/2*pi seam, see module docstring).  Point arcs are allowed.
     """
 
     __slots__ = ("_starts", "_ends")
 
     def __init__(self, arcs):
-        pairs = []
-        for s, e in arcs:
-            s, e = float(s), float(e)
-            if e < s:
-                raise ValueError("arc end %r precedes start %r" % (e, s))
-            length = e - s
-            if length >= TWO_PI:
-                pairs = [(0.0, TWO_PI)]
-                break
+        arr = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=float)
+        arr = arr.reshape(0, 2) if arr.size == 0 else arr
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ValueError("arcs must be (start, end) pairs, got shape %r" % (arr.shape,))
+        s, e = arr[:, 0], arr[:, 1]
+        bad = ~np.isfinite(arr).all(axis=1) | (e < s)
+        if bad.any():
+            arc = arr[np.argmax(bad)].tolist()
+            raise ValueError("arc %r is reversed or not finite" % (arc,))
+        length = e - s
+        if (length >= TWO_PI).any():
+            starts, ends = np.array([0.0]), np.array([TWO_PI])
+        else:
             s = s % TWO_PI
-            e = s + length
-            if e > TWO_PI:
-                # split a wrapping arc at the seam
-                pairs.append((s, TWO_PI))
-                pairs.append((0.0, e - TWO_PI))
-            else:
-                pairs.append((s, e))
-        pairs.sort()
-        merged = []
-        for s, e in pairs:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        starts = np.array([p[0] for p in merged], dtype=float)
-        ends = np.array([p[1] for p in merged], dtype=float)
+            starts, ends = _merge_arcs(s, s + length)
         starts.setflags(write=False)
         ends.setflags(write=False)
         object.__setattr__(self, "_starts", starts)
@@ -232,7 +240,7 @@ def cantor_build(spec):
         starts = np.concatenate([starts, starts + (length + gap) / 2.0])
         length = (length - gap) / 2.0
     starts = np.sort(starts)
-    return ArcUnion(zip(starts, starts + length))
+    return ArcUnion(np.column_stack([starts, starts + length]))
 
 
 def distance_to_set(theta, E):
@@ -261,10 +269,6 @@ def distance_to_set(theta, E):
     return float(out[0]) if scalar else out
 
 
-def _dilation_radius(t):
-    return 2.0 * math.asin(min(float(t), 2.0) / 2.0)
-
-
 def tube_measure(E, t):
     """Lebesgue measure (radians) of the chordal t-neighborhood of E."""
     t = float(t)
@@ -274,26 +278,13 @@ def tube_measure(E, t):
         return 0.0
     if t >= 2.0:
         return TWO_PI
-    rho = _dilation_radius(t)
+    rho = 2.0 * math.asin(t / 2.0)  # the angular radius of a chord t < 2
     lengths = (E.ends - E.starts) + 2.0 * rho
     if np.any(lengths >= TWO_PI):
         return TWO_PI
     a = (E.starts - rho) % TWO_PI
-    b = a + lengths
-    wraps = b > TWO_PI
-    seg_a = np.concatenate([a[~wraps], a[wraps], np.zeros(int(wraps.sum()))])
-    seg_b = np.concatenate([b[~wraps], np.full(int(wraps.sum()), TWO_PI), b[wraps] - TWO_PI])
-    order = np.argsort(seg_a, kind="stable")
-    seg_a, seg_b = seg_a[order], seg_b[order]
-    reach = np.maximum.accumulate(seg_b)
-    new_group = np.empty(len(seg_a), dtype=bool)
-    new_group[0] = True
-    new_group[1:] = seg_a[1:] > reach[:-1]
-    idx = np.flatnonzero(new_group)
-    group_ends = np.empty(len(idx))
-    group_ends[:-1] = reach[idx[1:] - 1]
-    group_ends[-1] = reach[-1]
-    total = float(np.sum(group_ends - seg_a[idx]))
+    starts, ends = _merge_arcs(a, a + lengths)
+    total = float(np.sum(ends - starts))
     return min(total, TWO_PI)
 
 
@@ -303,6 +294,8 @@ def covering_number(E, t):
     Greedy left-to-right sweep starting at the first arc start, which is
     optimal for covering on the circle once the start is fixed on a point
     of the set; ties between equal-count covers are broken by that start.
+    Arcs already covered are skipped by binary search on the ends, so the
+    cost is O(covers * log n), not O(n).
     """
     if E.n_arcs == 0:
         raise ValueError("covering the empty set is undefined")
@@ -312,29 +305,26 @@ def covering_number(E, t):
     two_t = 2.0 * t
     if two_t >= TWO_PI:
         return 1
-    n = E.n_arcs
-    base = float(E.starts[0])
+    s, e = E.starts, E.ends
+    base = float(s[0])
     limit = base + TWO_PI
-    s = np.concatenate([E.starts, E.starts + TWO_PI])
-    e = np.concatenate([E.ends, E.ends + TWO_PI])
     count = 0
     covered = base  # greedy invariant: every set point below this is covered
-    first = True
-    for i in range(2 * n):
-        if s[i] >= limit:
-            break
-        end_i = min(float(e[i]), limit)
-        if not first and end_i <= covered:
-            continue
-        y = float(s[i]) if first else max(float(s[i]), covered)
+    i = 0
+    while i < len(s) and s[i] < limit:
+        end_i = float(e[i])
+        y = max(float(s[i]), covered)
         while y <= end_i and y < limit:
             count += 1
             covered = y + two_t
-            first = False
             if covered >= end_i:
                 break
             y = covered
-    return max(count, 1)
+        i += 1
+        if i < len(s) and e[i] <= covered:
+            # skip every arc that ends within `covered` (the ends increase strictly)
+            i = int(np.searchsorted(e, covered, side="right"))
+    return count
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ from .fourier import FourierSeries
 from .geometry import cantor_build, cantor_spec_by_name
 
 SET_PRESETS = ("middle_thirds", "non_carleson_n2")
-FUNCTION_PRESETS = ("h_k", "smooth_vanishing", "z_minus_1")
+# each function preset with the config fields it reads
+FUNCTION_PRESETS = {"h_k": ("k", "max_degree", "tail_tol"),
+                    "smooth_vanishing": ("set", "gamma", "grid", "depth", "truncate"),
+                    "z_minus_1": ()}
 
 # the standard geometric schedule: one decade per step
 EPS_DECADE = tuple(10.0**-j for j in range(1, 7))

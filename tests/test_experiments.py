@@ -98,6 +98,18 @@ class TestConfigValidation:
             ("classify", {"dim": True}, "dim must"),
             ("norms", {"preset": "z_minus_1", "k_values": [1, 2]}, "k_values"),
             ("classify", {"dim": 0.5, "log_nonintegrable": "false"}, "true or false"),
+            ("norms", {"preset": "z_minus_1", "k": 3, "gamma": 7.0},
+             "z_minus_1 does not read: gamma, k"),
+            ("norms", {"coeffs": [[0, 1.0, 0.0]], "set": "middle_thirds", "grid": 1024},
+             "coeffs does not read: grid, set"),
+            ("norms", {"preset": "h_k", "depth": 3, "truncate": 8},
+             "h_k does not read: depth, truncate"),
+            ("szego", {"preset": "h_k", "gamma": 2.0}, "h_k does not read: gamma"),
+            ("certify", {"coeffs": [[0, 1.0, 0.0]], "truncate": 4},
+             "coeffs does not read: truncate"),
+            ("douglas", {"preset": "smooth_vanishing", "k": 3, "max_degree": 9,
+                         "tail_tol": 1e-9}, "does not read: k, max_degree, tail_tol"),
+            ("norms", {"preset": "h_k", "k": 3, "k_values": [1, 2]}, "no k"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -106,6 +118,20 @@ class TestConfigValidation:
         )
         with pytest.raises(ConfigError, match=message):
             validate(config)
+
+    @pytest.mark.parametrize(
+        "experiment,params",
+        [
+            ("norms", {"preset": "h_k", "k": 3, "max_degree": 40, "tail_tol": 1e-9}),
+            ("certify", {"preset": "smooth_vanishing", "set": "middle_thirds", "depth": 4,
+                         "gamma": 1.0, "grid": 1024, "truncate": 64}),
+            ("douglas", {"coeffs": [[0, 1.0, 0.0]], "grid": 1024}),
+        ],
+    )
+    def test_fields_the_preset_reads_are_accepted(self, experiment, params):
+        validate(ExperimentConfig.from_json_obj(
+            {"experiment": experiment, "parameters": params}
+        ))
 
     def test_coeffs_span_at_the_bound_is_accepted(self):
         config = ExperimentConfig.from_json_obj(

@@ -38,6 +38,7 @@ from cyclab.geometry import (
     non_carleson_n2_spec,
     tube_measure,
 )
+from cyclab.presets import SET_PRESETS
 
 
 def sandwich_upper_bound(t, N):
@@ -65,6 +66,67 @@ def analytic_interval_sum(spec):
     for n, g in enumerate(spec.gap_lengths, start=1):
         total += 2.0 ** (n - 1) * g * math.log(g / TWO_PI)
     return total
+
+
+def loop_merge_oracle(arcs):
+    """ArcUnion's arc merge as a loop over tuples: (starts, ends) arrays.
+
+    The reference for the array merge; inputs must be finite, non-reversed
+    arcs.
+    """
+    pairs = []
+    for s, e in arcs:
+        s, e = float(s), float(e)
+        length = e - s
+        if length >= TWO_PI:
+            pairs = [(0.0, TWO_PI)]
+            break
+        s = s % TWO_PI
+        e = s + length
+        if e > TWO_PI:
+            pairs.append((s, TWO_PI))
+            pairs.append((0.0, e - TWO_PI))
+        else:
+            pairs.append((s, e))
+    pairs.sort()
+    merged = []
+    for s, e in pairs:
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return (np.array([p[0] for p in merged], dtype=float),
+            np.array([p[1] for p in merged], dtype=float))
+
+
+def greedy_cover_oracle(E, t):
+    """covering_number as a sweep that steps through every arc, covered or not."""
+    two_t = 2.0 * t
+    if two_t >= TWO_PI:
+        return 1
+    n = E.n_arcs
+    base = float(E.starts[0])
+    limit = base + TWO_PI
+    s = np.concatenate([E.starts, E.starts + TWO_PI])
+    e = np.concatenate([E.ends, E.ends + TWO_PI])
+    count = 0
+    covered = base
+    first = True
+    for i in range(2 * n):
+        if s[i] >= limit:
+            break
+        end_i = min(float(e[i]), limit)
+        if not first and end_i <= covered:
+            continue
+        y = float(s[i]) if first else max(float(s[i]), covered)
+        while y <= end_i and y < limit:
+            count += 1
+            covered = y + two_t
+            first = False
+            if covered >= end_i:
+                break
+            y = covered
+    return max(count, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +158,25 @@ class TestArcUnion:
     def test_rejects_reversed_arc(self):
         with pytest.raises(ValueError):
             ArcUnion([(1.0, 0.5)])
+
+    @pytest.mark.parametrize("arcs", [[(0.0, 7.0), (3.0, 1.0)], [(3.0, 1.0), (0.0, 7.0)]])
+    def test_reversed_arc_rejected_beside_a_full_circle_arc(self, arcs):
+        with pytest.raises(ValueError, match=r"arc \[3.0, 1.0\] is reversed"):
+            ArcUnion(arcs)
+
+    @pytest.mark.parametrize("arc", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
+    def test_rejects_non_finite_endpoint(self, arc):
+        with pytest.raises(ValueError, match="not finite"):
+            ArcUnion([(0.0, 1.0), arc])
+        with pytest.raises(ValueError, match="not finite"):
+            ArcUnion([(0.0, 7.0), arc])
+
+    def test_array_input(self):
+        arcs = [(0.0, 1.0), (0.5, 2.0), (6.0, 7.0)]
+        assert ArcUnion(np.array(arcs)) == ArcUnion(arcs)
+        assert ArcUnion(np.empty((0, 2))).n_arcs == 0
+        with pytest.raises(ValueError, match="pairs"):
+            ArcUnion(np.zeros((2, 3)))
 
     def test_json_roundtrip(self):
         E = ArcUnion([(0.25, 0.75), (3.0, 3.0)])
@@ -302,6 +383,15 @@ class TestCovering:
             assert tube <= sandwich_upper_bound(t, N) + 1e-12
 
 
+    @pytest.mark.parametrize("name", SET_PRESETS)
+    def test_default_cantor_grid_matches_greedy_oracle(self, name):
+        # the `cantor` experiment's default scales on the preset at its
+        # default depth (2^20 arcs for non_carleson_n2)
+        E = cantor_build(cantor_spec_by_name(name))
+        for t in log_t_grid(1e-4, 0.25, 9):
+            assert covering_number(E, t) == greedy_cover_oracle(E, t)
+
+
 class TestBoxDimension:
     def test_single_point(self):
         E = ArcUnion.from_points([2.0])
@@ -470,3 +560,55 @@ def test_sandwich_generic(E, t):
     tube = tube_measure(E, t)
     assert t * N <= tube + 1e-12
     assert tube <= sandwich_upper_bound(t, N) + 1e-9
+
+
+# Arc lists for the oracle comparisons.  Starts come from anchors at and
+# beyond the seam, or anywhere in [-10, 16]; an arc may start where an
+# earlier one ends (touching) or inside it (nested); lengths include points
+# and the full circle.
+_ANCHORS = (-TWO_PI, -1.0, 0.0, 0.5, 3.0, TWO_PI - 0.5, TWO_PI, TWO_PI + 0.5, 9.0)
+
+
+@st.composite
+def raw_arcs(draw, min_size=0):
+    arcs = []
+    for _ in range(draw(st.integers(min_value=min_size, max_value=8))):
+        if arcs and draw(st.booleans()):
+            s0, e0 = draw(st.sampled_from(arcs))
+            s = draw(st.sampled_from((e0, s0 + 0.25 * (e0 - s0))))
+        else:
+            s = draw(st.sampled_from(_ANCHORS) | st.floats(min_value=-10.0, max_value=16.0))
+        length = draw(st.sampled_from((0.0, 0.5, TWO_PI))
+                      | st.floats(min_value=0.0, max_value=7.0))
+        arcs.append((s, s + length))
+    return arcs
+
+
+@given(raw_arcs())
+@example(arcs=[(6.0, 7.0), (0.5, 0.7), (0.7, 1.0), (0.75, 0.8), (2.0, 2.0)])
+@example(arcs=[(-1.0, -0.5), (9.0, 9.0), (1.0, 1.0 + TWO_PI)])
+@settings(max_examples=200, deadline=None)
+def test_arc_union_matches_loop_oracle(arcs):
+    starts, ends = loop_merge_oracle(arcs)
+    E = ArcUnion(arcs)
+    assert np.array_equal(E.starts, starts)
+    assert np.array_equal(E.ends, ends)
+    assert ArcUnion(np.array(arcs, dtype=float).reshape(-1, 2)) == E
+
+
+@given(raw_arcs(min_size=1), st.floats(min_value=1e-4, max_value=4.0))
+@example(arcs=[(0.0, 0.1), (0.3, 0.4), (3.0, 3.0)], t=0.05)
+@settings(max_examples=200, deadline=None)
+def test_covering_matches_greedy_oracle(arcs, t):
+    E = ArcUnion(arcs)
+    scales = [t]
+    _, gaps = E.gaps()
+    longest = float(np.max(E.ends - E.starts))
+    if len(gaps) and gaps.min() > 0.0:
+        scales.append(0.4 * float(gaps.min()))  # below the smallest gap
+        if longest > gaps.min():
+            scales.append(math.sqrt(float(gaps.min()) * longest))  # in between
+    if longest > 0.0:
+        scales.append(1.5 * longest)  # above the largest arc
+    for x in scales:
+        assert covering_number(E, x) == greedy_cover_oracle(E, x)
