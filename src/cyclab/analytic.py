@@ -7,19 +7,24 @@ spectrally with the -i*sign(n) multiplier, so log-moduli should be resolved
 by the grid (band-limited or close to it) for the negative-frequency leakage
 to stay small.
 
+The per-eps kernels `m_epsilon` and `outer_power_modulus` take the sampled
+distance d = distance_to_set(circle_grid(G), E), G = len(d), not the set E,
+so a sweep over eps computes d once.
+
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
 the geometric integrals (`m_epsilon`, `douglas_seminorm`) follow the
 unnormalized arc length |dzeta|.
 """
 
+import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .fourier import FourierSeries, circle_grid, eval_on_grid, series_from_samples
-from .geometry import ArcUnion, distance_to_set
+from .geometry import distance_to_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -30,6 +35,9 @@ LOG_FLOOR = 1e-12
 # relative l1 mass allowed in the top half of the frequency band before a
 # sampled function counts as under-resolved
 TAIL_SHARE_TOL = 1e-3
+
+# m_epsilon's relative tolerance between the grid and every other node
+M_EPSILON_SELF_CHECK_TOL = 3e-3
 
 
 def _check_pow2(G, smallest=8):
@@ -117,15 +125,11 @@ class OuterFunction:
         }
 
     def to_json(self):
-        import json
-
         return json.dumps(self.to_json_obj())
 
     @classmethod
     def from_json(cls, data):
         if isinstance(data, str):
-            import json
-
             data = json.loads(data)
         coeffs = FourierSeries.from_json(data["analytic_coeffs"])
         G = int(data["boundary_grid_size"])
@@ -205,64 +209,59 @@ def h_k(k, max_degree):
     )
 
 
-def m_epsilon(E, gamma, eps, quadrature_size, self_check_tol=3e-3):
+def half_log_integrand(d, gamma, eps):
+    """The integrand (1/2) log 1/(d^gamma + eps) of m_epsilon and of p_eps."""
+    return 0.5 * np.log(1.0 / (d**gamma + eps))
+
+
+def m_epsilon(d, gamma, eps):
     """Half the arc-length integral of log 1/(d(zeta,E)^gamma + eps).
 
-    Plain midpoint quadrature on a uniform grid, with the integrand built
-    from the exact chordal distance.  The same nodes subsampled by two give
-    an internal convergence check: disagreement beyond
-    self_check_tol * max(1, |M|) raises, flagging a grid too coarse for the
-    distance profile at this eps.
+    `d` is the exact chordal distance to E sampled on a uniform grid, whose
+    size must be even and at least 16.  Plain midpoint quadrature on that
+    grid; the same nodes subsampled by two give an internal convergence
+    check: disagreement beyond M_EPSILON_SELF_CHECK_TOL * max(1, |M|) raises,
+    flagging a grid too coarse for the distance profile at this eps.
     """
     if gamma <= 0.0 or eps <= 0.0:
         raise ValueError("gamma and eps must be positive")
-    G = int(quadrature_size)
-    if G < 16 or G % 2 != 0:
-        raise ValueError("quadrature_size must be an even integer >= 16")
-    theta = TWO_PI * np.arange(G) / G
-    d = distance_to_set(theta, E)
-    integrand = 0.5 * np.log(1.0 / (d**gamma + eps))
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 1 or d.shape[0] < 16 or d.shape[0] % 2 != 0:
+        raise ValueError("d must be a 1-D grid of even length >= 16")
+    integrand = half_log_integrand(d, gamma, eps)
     M = float(np.mean(integrand) * TWO_PI)
     M_half = float(np.mean(integrand[::2]) * TWO_PI)
-    if abs(M - M_half) > self_check_tol * max(1.0, abs(M)):
+    if abs(M - M_half) > M_EPSILON_SELF_CHECK_TOL * max(1.0, abs(M)):
         raise ValueError(
-            f"quadrature under-resolved: size {G} and {G // 2} disagree by "
+            f"quadrature under-resolved: size {len(d)} and {len(d) // 2} disagree by "
             f"{abs(M - M_half):.3e} (value {M:.6f})"
         )
     return M
 
 
-def outer_power_modulus(E, gamma, eps, mode, G, leakage_tol=None):
+def outer_power_modulus(d, gamma, eps, mode):
     """Outer function with modulus (d^gamma + eps)^(+-1/2), normalized for p_eps.
 
-    mode "F_eps" uses sqrt(d(zeta,E)^gamma + eps) directly.  mode "p_eps"
-    uses the reciprocal square root scaled by exp(-m), where m is the grid
-    mean of (1/2) log 1/(d^gamma + eps); that makes the mean log modulus
-    vanish, so the center value is 1 and the pointwise product of the two
-    moduli is the constant exp(-m).
+    `d` is the distance to E on a uniform power-of-two grid.  mode "F_eps"
+    uses sqrt(d^gamma + eps) directly.  mode "p_eps" uses the reciprocal
+    square root scaled by exp(-m), where m is the grid mean of
+    (1/2) log 1/(d^gamma + eps); that makes the mean log modulus vanish, so
+    the center value is 1 and the pointwise product of the two moduli is the
+    constant exp(-m).
     """
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
     if gamma <= 0.0 or eps <= 0.0:
         raise ValueError("gamma and eps must be positive")
-    _check_pow2(G)
-    d = distance_to_set(circle_grid(G), E)
+    d = np.asarray(d, dtype=float)
     base = d**gamma + eps
     if mode == "F_eps":
         vals = np.sqrt(base)
     else:
-        m = float(np.mean(0.5 * np.log(1.0 / base)))
+        m = float(np.mean(half_log_integrand(d, gamma, eps)))
         vals = np.exp(-m) / np.sqrt(base)
-    spec = {
-        "kind": mode,
-        "gamma": float(gamma),
-        "eps": float(eps),
-        "set_arcs": int(E.n_arcs),
-        "set_measure": float(E.total_measure),
-    }
-    return outer_from_modulus(
-        BoundaryModulus(vals), leakage_tol=leakage_tol, modulus_spec=spec
-    )
+    spec = {"kind": mode, "gamma": float(gamma), "eps": float(eps)}
+    return outer_from_modulus(BoundaryModulus(vals), modulus_spec=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +416,13 @@ class VanishingProfile:
     tail_share: float
 
 
-def smooth_vanishing_function(E, gamma, G, tail_tol=TAIL_SHARE_TOL):
+def smooth_vanishing_function(E, gamma, G):
     """The function exp(-d(zeta,E)^(-gamma)), zero exactly on E.
 
     Returns the grid values together with the recovered coefficients and the
     suprema of |f_hat(n)| (1+|n|)^m for m = 0..4 as smoothness evidence,
     taken over the aliasing-trusted band |n| <= G/4.  A fat coefficient tail
-    (more than `tail_tol` of the l1 mass in the top half of the band) means
+    (more than TAIL_SHARE_TOL of the l1 mass in the top half of the band) means
     the grid missed genuine oscillation; that raises.
     """
     if gamma <= 0.0:
@@ -442,10 +441,9 @@ def smooth_vanishing_function(E, gamma, G, tail_tol=TAIL_SHARE_TOL):
     l1 = float(np.sum(amps))
     top = np.abs(support) >= G // 4
     tail_share = float(np.sum(amps[top])) / l1
-    if tail_share > tail_tol:
-        raise ValueError(
-            f"under-resolved: top-band l1 share {tail_share:.3e} exceeds {tail_tol:.3e}"
-        )
+    if tail_share > TAIL_SHARE_TOL:
+        raise ValueError(f"under-resolved: top-band l1 share {tail_share:.3e} "
+                         f"exceeds {TAIL_SHARE_TOL:.3e}")
     trusted = np.abs(support) <= G // 4
     weights = (1.0 + np.abs(support[trusted])).astype(float)
     decay = np.array([float(np.max(amps[trusted] * weights**m)) for m in range(5)])

@@ -33,7 +33,7 @@ import scipy.linalg
 from scipy.signal import fftconvolve
 from scipy.sparse.linalg import LinearOperator, lsmr
 
-from .analytic import lag_kernel, m_epsilon, outer_power_modulus
+from .analytic import half_log_integrand, lag_kernel, m_epsilon, outer_power_modulus
 from .fourier import (
     FourierSeries,
     _space_params,
@@ -47,6 +47,9 @@ from .geometry import distance_to_set
 TWO_PI = 2.0 * math.pi
 
 SUPPORTS = ("all_integers", "nonneg", "positive")
+
+VANISH_GATE_REL = 1e-6  # p_epsilon_decay: largest max |f| on E, relative to max |f|
+KEL_EXCLUSION_CELLS = 10.0  # lemma_kel_ratio drops pairs with chord < this / G
 
 # continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps
 MU_STEPS = 8
@@ -537,19 +540,18 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     on = d == 0.0
     # band-limiting f leaves ~1e-8 relative dust on the set; the gate only
     # needs to catch inputs that genuinely fail to vanish there
-    scale = float(np.max(np.abs(f_grid)))
-    if on.any() and float(np.max(np.abs(f_grid[on]))) > 1e-6 * max(scale, 1e-30):
+    gate = VANISH_GATE_REL * max(float(np.max(np.abs(f_grid))), 1e-30)
+    if on.any() and float(np.max(np.abs(f_grid[on]))) > gate:
         raise ValueError("f does not vanish on E at the grid resolution")
 
     rows = []
     ratios = []
     for eps in eps_schedule:
-        outer = outer_power_modulus(E, gamma, eps, "p_eps", G)
+        outer = outer_power_modulus(d, gamma, eps, "p_eps")
         prod = outer.boundary * f_grid
         series = series_from_samples(prod, truncation)
         norm = norm_ap_beta(series, space)
-        base = d**gamma + eps
-        m = float(np.mean(0.5 * np.log(1.0 / base)))
+        m = float(np.mean(half_log_integrand(d, gamma, eps)))
         rows.append((eps, m, norm))
         ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
     norms = [r[2] for r in rows]
@@ -565,14 +567,14 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     )
 
 
-def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G, exclusion=None):
+def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
     """Ratios of the weighted double smoothness integral of F_eps to M_eps.
 
     The left side is the arc-length double integral of
     d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
-    with a chordal diagonal exclusion, evaluated by lag reduction (three
-    FFT-sized correlations per eps).  M_eps is the unnormalized half
-    log-integral, required positive.  Grid nodes lying exactly on E are
+    with a chordal diagonal exclusion KEL_EXCLUSION_CELLS / G, evaluated by lag
+    reduction (three FFT-sized correlations per eps).  M_eps is the
+    unnormalized half log-integral, required positive.  Grid nodes lying exactly on E are
     dropped from the weighted sum when the weight exponent is negative.
     """
     if 2.0 * delta_prime - gamma - 1.0 < 0.0:
@@ -582,8 +584,6 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G, exclusion=None):
     G = int(G)
     if G < 16 or (G & (G - 1)) != 0:
         raise ValueError("G must be a power of two >= 16")
-    if exclusion is None:
-        exclusion = 10.0 / G
     expo = 2.0 * (delta_prime - gamma)
     d = distance_to_set(circle_grid(G), E)
     g = np.zeros(G)
@@ -592,15 +592,15 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G, exclusion=None):
     if expo >= 0.0:
         g[~pos] = 0.0 if expo > 0.0 else 1.0
 
-    kernel = lag_kernel(G, exclusion, -2.0)
+    kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
     cell = (TWO_PI / G) ** 2
 
     ratios = []
     for eps in eps_schedule:
-        M = m_epsilon(E, gamma, eps, G)
+        M = m_epsilon(d, gamma, eps)
         if M <= 0.0:
             raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
-        F = outer_power_modulus(E, gamma, eps, "F_eps", G).boundary
+        F = outer_power_modulus(d, gamma, eps, "F_eps").boundary
         absF2 = np.abs(F) ** 2
         t1 = float(np.sum(g * absF2))
         spec_g = np.fft.fft(g)

@@ -31,12 +31,15 @@ from typing import NamedTuple
 
 from . import __version__
 from .analytic import (
+    M_EPSILON_SELF_CHECK_TOL,
     douglas_seminorm,
     m_epsilon,
     outer_power_modulus,
     smooth_vanishing_function,
 )
 from .engine import (
+    KEL_EXCLUSION_CELLS,
+    VANISH_GATE_REL,
     CertificateProblem,
     certify_cyclic,
     classify_regime,
@@ -45,12 +48,12 @@ from .engine import (
     p_epsilon_decay,
     szego_lower_bound,
 )
-from .fourier import SpaceIndex, eval_on_grid, norm_ap_beta
+from .fourier import SpaceIndex, circle_grid, eval_on_grid, norm_ap_beta
 from .geometry import (
-    box_dimension_estimate,
     carleson_test,
     cantor_spec_by_name,
     covering_profile,
+    distance_to_set,
     log_t_grid,
 )
 from .presets import (
@@ -327,9 +330,7 @@ def _run_cantor(params):
         "profile": [list(r) for r in rows],
     }
     try:
-        report["box_dimension"] = box_dimension_estimate(
-            E, [t for t, _, _ in rows]
-        )
+        report["box_dimension"] = profile.box_dimension()
     except ValueError:
         report["box_dimension"] = None
     return report, ("t", "covering_count", "tube_measure"), rows, {}
@@ -369,10 +370,11 @@ def _run_outer(params):
     G = params["grid"]
     mode = params["mode"]
     eps_schedule = [float(e) for e in params["eps"]]
+    d = distance_to_set(circle_grid(G), E)
     rows = []
     for eps in eps_schedule:
-        outer = outer_power_modulus(E, gamma, eps, mode, G)
-        m_value = m_epsilon(E, gamma, eps, G)
+        outer = outer_power_modulus(d, gamma, eps, mode)
+        m_value = m_epsilon(d, gamma, eps)
         rows.append((eps, m_value, outer.value_at_zero, outer.leakage))
     report = {
         "set": name,
@@ -381,9 +383,8 @@ def _run_outer(params):
         "mode": mode,
         "rows": [list(r) for r in rows],
     }
-    return report, ("eps", "m_eps", "value_at_zero", "leakage"), rows, {
-        "m_epsilon_self_check": 3e-3,
-    }
+    tolerances = {"m_epsilon_self_check": M_EPSILON_SELF_CHECK_TOL}
+    return report, ("eps", "m_eps", "value_at_zero", "leakage"), rows, tolerances
 
 
 def _run_douglas(params):
@@ -479,7 +480,7 @@ def _run_decay(params):
         report_obj.to_json_obj(),
         ("eps", "M_eps", "norm", "ratio"),
         rows,
-        {"vanish_gate_rel": 1e-6},
+        {"vanish_gate_rel": VANISH_GATE_REL},
     )
 
 
@@ -492,8 +493,9 @@ def _run_kel_ratio(params):
     G = params["grid"]
     eps_schedule = [float(e) for e in params["eps"]]
     ratios = lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G)
+    d = distance_to_set(circle_grid(G), E)
     rows = [
-        (eps, m_epsilon(E, gamma, eps, G), ratio)
+        (eps, m_epsilon(d, gamma, eps), ratio)
         for eps, ratio in zip(eps_schedule, ratios)
     ]
     report = {
@@ -504,7 +506,7 @@ def _run_kel_ratio(params):
         "ratios": list(ratios),
         "max_over_min": max(ratios) / min(ratios),
     }
-    return report, ("eps", "m_eps", "ratio"), rows, {"exclusion": 10.0 / G}
+    return report, ("eps", "m_eps", "ratio"), rows, {"exclusion": KEL_EXCLUSION_CELLS / G}
 
 
 def _run_classify(params):

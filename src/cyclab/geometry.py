@@ -339,6 +339,11 @@ class CoveringProfile:
         tube = np.array([row[2] for row in self.samples])
         return t, N, tube
 
+    def box_dimension(self):
+        """`box_dimension_estimate` over the sampled scales, from the stored counts."""
+        t, N, _ = self.as_arrays()
+        return _box_slope(t, N)
+
 
 def covering_profile(E, t_values):
     rows = []
@@ -361,11 +366,16 @@ def box_dimension_estimate(E, t_range):
     depth actually resolves; shorter or single-point ranges are rejected.
     """
     t = np.asarray(sorted(float(x) for x in t_range))
+    return _box_slope(t, (covering_number(E, x) for x in t))
+
+
+def _box_slope(t, counts):
+    """Least-squares slope of log counts against log(1/t), t increasing; `counts`
+    is read only after the scale check, so it may be a generator."""
     if len(t) < 4 or t[-1] / t[0] < 100.0:
         raise ValueError("t_range is degenerate: need >= 4 scales over >= 2 decades")
-    N = np.array([covering_number(E, x) for x in t], dtype=float)
-    slope = np.polyfit(np.log(1.0 / t), np.log(N), 1)[0]
-    return float(slope)
+    N = np.array(list(counts), dtype=float)
+    return float(np.polyfit(np.log(1.0 / t), np.log(N), 1)[0])
 
 
 def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):

@@ -54,13 +54,6 @@ def z_minus_1():
     return FourierSeries({0: -1.0, 1: 1.0})
 
 
-def vanishing_profile(set_name, gamma, grid, depth=None):
-    """Grid profile of exp(-d(., E)^-gamma) on a named set, with the set."""
-    E = build_set(set_name, depth)
-    profile = smooth_vanishing_function(E, float(gamma), int(grid))
-    return profile, E
-
-
 def build_function(name, params):
     """FourierSeries for a named function preset; `params` supplies knobs."""
     if name == "h_k":
@@ -70,13 +63,10 @@ def build_function(name, params):
     if name == "z_minus_1":
         return z_minus_1()
     if name == "smooth_vanishing":
-        profile, _ = vanishing_profile(
-            params.get("set", "non_carleson_n2"),
-            params.get("gamma", 1.0),
-            params.get("grid", 2**14),
-            params.get("depth"),
-        )
-        series = profile.series
+        E = build_set(params.get("set", "non_carleson_n2"), params.get("depth"))
+        series = smooth_vanishing_function(
+            E, float(params.get("gamma", 1.0)), int(params.get("grid", 2**14))
+        ).series
         truncate = params.get("truncate")
         if truncate is not None:
             series = series.truncate(int(truncate))

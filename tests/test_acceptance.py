@@ -70,6 +70,7 @@ from cyclab.geometry import (
     cantor_build,
     carleson_test,
     covering_profile,
+    distance_to_set,
     log_t_grid,
     middle_thirds_spec,
 )
@@ -257,9 +258,9 @@ def test_criterion_04_outer_construction():
         )
     worst_unit = 0.0
     for name in ("middle_thirds", "non_carleson_n2"):
-        E = build_set(name)
+        d = distance_to_set(circle_grid(2**12), build_set(name))
         for eps in (1e-1, 1e-2):
-            o = outer_power_modulus(E, 1.0, eps, "p_eps", 2**12)
+            o = outer_power_modulus(d, 1.0, eps, "p_eps")
             worst_unit = max(worst_unit, abs(o.value_at_zero - 1.0))
     elapsed = time.time() - start
     _criterion(4, "outer functions from boundary moduli", [
@@ -378,9 +379,10 @@ def test_criterion_08_decay_experiment():
     bound = math.exp(m_first - m_last) * math.sqrt((1.0 + m_last) / (1.0 + m_first))
     # l2 <= l^1.5 <= l1 bounds any exact evaluation of the factor from below
     f_grid = eval_on_grid(f, G)
+    d = distance_to_set(circle_grid(G), E)
     ends = [
         series_from_samples(
-            outer_power_modulus(E, 1.0, eps, "p_eps", G).boundary * f_grid,
+            outer_power_modulus(d, 1.0, eps, "p_eps").boundary * f_grid,
             rep.truncation,
         )
         for eps in (EPS_DECADE[0], EPS_DECADE[-1])

@@ -283,88 +283,101 @@ class TestMoebiusFactor:
             h_k(3, -1)
 
 
+def grid_distance(E, G):
+    """The distance profile that m_epsilon and outer_power_modulus take."""
+    return distance_to_set(circle_grid(G), E)
+
+
 class TestMEpsilon:
     def test_full_circle_exact(self):
         E = ArcUnion.full_circle()
         for eps in (1e-1, 1e-3):
-            got = m_epsilon(E, 1.0, eps, 2**10)
+            got = m_epsilon(grid_distance(E, 2**10), 1.0, eps)
             assert got == pytest.approx(math.pi * math.log(1.0 / eps), rel=1e-12)
 
     def test_eps_one_nonpositive(self):
         for E in (ArcUnion.from_points([0.0]), cantor_build(middle_thirds_spec(4))):
-            assert m_epsilon(E, 1.0, 1.0, 2**12) <= 0.0
+            assert m_epsilon(grid_distance(E, 2**12), 1.0, 1.0) <= 0.0
 
     def test_point_set_against_refined_oracle(self):
-        E = ArcUnion.from_points([0.0])
+        d = grid_distance(ArcUnion.from_points([0.0]), 2**15)
         for (gamma, eps), want in M_EPS_POINT.items():
-            got = m_epsilon(E, gamma, eps, 2**15)
+            got = m_epsilon(d, gamma, eps)
             assert abs(got - want) <= 1e-3 * max(1.0, abs(want))
 
     def test_monotone_in_eps(self):
-        E = cantor_build(middle_thirds_spec(4))
-        vals = [m_epsilon(E, 1.0, eps, 2**13) for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
+        d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**13)
+        vals = [m_epsilon(d, 1.0, eps) for eps in (1e-4, 1e-3, 1e-2, 1e-1, 1.0)]
         assert all(a >= b for a, b in zip(vals, vals[1:]))
 
     def test_under_resolved_raises(self):
         # one log spike of width ~1e-9 on a 32-point grid cannot converge
-        E = ArcUnion.from_points([0.0])
+        d = grid_distance(ArcUnion.from_points([0.0]), 32)
         with pytest.raises(ValueError):
-            m_epsilon(E, 1.0, 1e-9, 32)
+            m_epsilon(d, 1.0, 1e-9)
 
     def test_rejects_bad_inputs(self):
         E = ArcUnion.from_points([0.0])
+        d = grid_distance(E, 64)
         with pytest.raises(ValueError):
-            m_epsilon(E, 0.0, 0.1, 64)
+            m_epsilon(d, 0.0, 0.1)
         with pytest.raises(ValueError):
-            m_epsilon(E, 1.0, -0.1, 64)
-        with pytest.raises(ValueError):
-            m_epsilon(E, 1.0, 0.1, 63)
+            m_epsilon(d, 1.0, -0.1)
+        # odd length, length below 16, and a 2-D array
+        for bad in (grid_distance(E, 63), grid_distance(E, 14), d.reshape(2, 32)):
+            with pytest.raises(ValueError):
+                m_epsilon(bad, 1.0, 0.1)
 
 
 class TestOuterPowerModulus:
     def test_center_normalization(self):
-        E = cantor_build(middle_thirds_spec(4))
+        d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**12)
         for eps in (0.5, 0.1, 1e-3):
-            f = outer_power_modulus(E, 1.0, eps, "p_eps", 2**12)
+            f = outer_power_modulus(d, 1.0, eps, "p_eps")
             assert f.value_at_zero == pytest.approx(1.0, abs=1e-9)
 
     def test_moduli_multiply_to_constant(self):
         E = cantor_build(middle_thirds_spec(4))
         G = 2**12
         gamma, eps = 1.0, 0.1
-        pe = outer_power_modulus(E, gamma, eps, "p_eps", G)
-        Fe = outer_power_modulus(E, gamma, eps, "F_eps", G)
+        d = grid_distance(E, G)
+        pe = outer_power_modulus(d, gamma, eps, "p_eps")
+        Fe = outer_power_modulus(d, gamma, eps, "F_eps")
         prod = np.abs(pe.boundary) * np.abs(Fe.boundary)
-        d = distance_to_set(circle_grid(G), E)
         m = np.mean(0.5 * np.log(1.0 / (d**gamma + eps)))
         assert np.ptp(prod) / np.mean(prod) < 1e-12
         assert np.mean(prod) == pytest.approx(np.exp(-m), rel=1e-12)
 
     def test_f_eps_max_modulus(self):
-        E = cantor_build(middle_thirds_spec(4))
+        d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**12)
         gamma, eps = 0.7, 0.2
-        f = outer_power_modulus(E, gamma, eps, "F_eps", 2**12)
+        f = outer_power_modulus(d, gamma, eps, "F_eps")
         assert np.max(np.abs(f.boundary)) <= math.sqrt(2.0**gamma + eps) + 1e-12
 
     def test_boundary_matches_requested_modulus(self):
         E = cantor_build(middle_thirds_spec(4))
         G = 2**12
-        f = outer_power_modulus(E, 1.0, 0.25, "F_eps", G)
-        d = distance_to_set(circle_grid(G), E)
+        d = grid_distance(E, G)
+        f = outer_power_modulus(d, 1.0, 0.25, "F_eps")
         want = np.sqrt(d + 0.25)
         assert np.max(np.abs(np.abs(f.boundary) - want) / want) < 1e-13
 
     def test_spec_recorded(self):
-        E = cantor_build(middle_thirds_spec(2))
-        f = outer_power_modulus(E, 1.0, 0.5, "p_eps", 2**10)
+        d = grid_distance(cantor_build(middle_thirds_spec(2)), 2**10)
+        f = outer_power_modulus(d, 1.0, 0.5, "p_eps")
         assert f.modulus_spec["kind"] == "p_eps"
         assert f.modulus_spec["gamma"] == 1.0
         assert f.modulus_spec["eps"] == 0.5
 
     def test_rejects_bad_mode(self):
         E = cantor_build(middle_thirds_spec(2))
+        d = grid_distance(E, 2**10)
         with pytest.raises(ValueError):
-            outer_power_modulus(E, 1.0, 0.5, "q_eps", 2**10)
+            outer_power_modulus(d, 1.0, 0.5, "q_eps")
+        # a length that is not a power of two, and a 2-D array
+        for bad in (grid_distance(E, 96), d.reshape(32, 32)):
+            with pytest.raises(ValueError):
+                outer_power_modulus(bad, 1.0, 0.5, "p_eps")
 
 
 class TestDouglasWeights:

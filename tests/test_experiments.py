@@ -8,10 +8,12 @@ than numerics, which the module-level suites already pin.
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
+from cyclab import geometry
 from cyclab.cli import _FLAG_PARAMS, _build_parser, _config_from_flags
 from cyclab.experiments import (
     EXPERIMENTS,
@@ -405,6 +407,51 @@ class TestRunOutputs:
             # the grid limit; the bound here only guards against gross
             # one-sidedness failures
             assert float(row[3]) < 1e-4
+
+
+def count_calls(monkeypatch, module, name):
+    """Wrap `module.name` under every cyclab module that binds it; return the call list."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        in_package = mod_name == "cyclab" or mod_name.startswith("cyclab.")
+        if in_package and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+class TestSharedWork:
+    """An eps sweep samples the distance to E once, and `cantor` counts each scale once."""
+
+    # default eps schedules: 6 for outer and decay, 4 for kel_ratio
+    @pytest.mark.parametrize("experiment, extra, most", [
+        ("outer", {}, 1),
+        ("decay", {"p": 1.5}, 2),  # smooth_vanishing_function and p_epsilon_decay
+        ("kel_ratio", {}, 2),  # lemma_kel_ratio and the m_eps column
+    ])
+    def test_one_distance_profile_per_sweep(self, tmp_path, monkeypatch,
+                                            experiment, extra, most):
+        calls = count_calls(monkeypatch, geometry, "distance_to_set")
+        params = {"set": "middle_thirds", "depth": 8, "grid": 2**14, **extra}
+        manifest = run({"experiment": experiment, "parameters": params,
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+        assert len(calls) <= most
+
+    def test_cantor_counts_each_scale_once(self, tmp_path, monkeypatch):
+        calls = count_calls(monkeypatch, geometry, "covering_number")
+        manifest = run({"experiment": "cantor",
+                        "parameters": {"set": "middle_thirds", "depth": 8},
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["box_dimension"] is not None
+        assert len(calls) == len(report["profile"]) == 9
 
 
 class TestNumericalFailure:
