@@ -14,13 +14,20 @@ least-squares problem is solved, from the shape of its n_rows x n_cols
 convolution matrix alone: with at most DENSE_MAX_ENTRIES = 2^20 entries and
 at most DENSE_MAX_WORK = 2^28 units of n_rows * n_cols^2, the work of one
 SVD-based solve, the matrix is built once per problem and every solve is one
-exact dense `scipy.linalg.lstsq`; otherwise the solves run matrix-free LSMR
-on FFT convolutions under a total iteration budget.  The spectrum of f is
-computed once per problem, at the transform lengths `scipy.signal.fftconvolve`
-would pick, so each convolution is one forward and one inverse transform and
-rounds exactly as `fftconvolve` does.  Solver output is always an upper bound
-witnessed by the returned polynomial; reported values are recomputed from that
-polynomial, never read off the iteration.
+exact dense `scipy.linalg.lstsq`.  Otherwise each solve runs conjugate
+gradients on the weighted normal equations A^H W A x = A^H W b,
+preconditioned by the inverse of the unweighted normal matrix T = A^H A.  T
+is Toeplitz, the autocorrelation of f, and the IRLS weights are bounded, so
+T is spectrally equivalent to A^H W A and each solve takes few iterations.
+T^-1 is applied by the Gohberg-Semencul formula from one Levinson solve per
+problem; where that solve breaks down, CG runs unpreconditioned.  All solves
+of one infimum share one total iteration budget, and a CG breakdown ends the
+search unconverged.  The spectrum of f is computed once per problem, at the
+transform lengths `scipy.signal.fftconvolve` would pick, so each convolution
+is one forward and one inverse transform and rounds exactly as `fftconvolve`
+does.  Solver output is always an upper bound witnessed by the returned
+polynomial; reported values are recomputed from that polynomial, never read
+off the iteration.
 """
 
 import functools
@@ -31,7 +38,8 @@ import numpy as np
 import scipy.fft
 import scipy.linalg
 from scipy.signal import fftconvolve
-from scipy.sparse.linalg import LinearOperator, lsmr
+# no solve calls lsmr; the name stays bound because perfbench/tracing.py wraps it
+from scipy.sparse.linalg import lsmr  # noqa: F401
 
 from .analytic import half_log_integrand, lag_kernel, m_epsilon, outer_power_modulus
 from .fourier import (
@@ -56,19 +64,23 @@ MU_STEPS = 8
 MU_SCALE = 0.1
 INNER_CAP = 200
 INNER_RTOL = 1e-10
-# total LSMR iterations one infimum call may spend across all IRLS sweeps;
-# generous for well-conditioned problems, a hard wall for ill-conditioned
-# ones, where the iteration creeps and the value is an upper bound anyway
+# total CG iterations one infimum call may spend across all its weighted
+# solves; each solve may spend what is left.  Generous for well-conditioned
+# problems, a hard wall for ill-conditioned ones, where the value is an upper
+# bound anyway
 LSMR_TOTAL_BUDGET = 40000
+# a CG solve stops once its preconditioned residual norm has fallen by this
+# factor from where the solve started
+PCG_RTOL = 1e-3
 # the size rule: a problem is solved densely and exactly when its
 # n_rows x n_cols convolution matrix has at most DENSE_MAX_ENTRIES entries and
 # n_rows * n_cols^2, the work of one SVD-based least-squares solve, is at most
-# DENSE_MAX_WORK; any other problem runs LSMR.  The entry bound caps memory
+# DENSE_MAX_WORK; any other problem runs CG.  The entry bound caps memory
 # (the matrix, its weighted copy and LAPACK's copy of that).  The work bound
 # caps time: at it one dense solve took about 0.16 s on a 2-vCPU x86-64 host,
-# so a typical infimum of ~80 IRLS sweeps costs about what LSMR's budget wall
-# does; there the dense result is exact, while LSMR on an ill-conditioned f
-# stops at its budget short of it
+# so a typical infimum of ~80 IRLS sweeps cost about what the budget wall of
+# the unpreconditioned LSMR solves that CG replaced did.  It was not measured
+# again against preconditioned CG
 DENSE_MAX_ENTRIES = 2**20
 DENSE_MAX_WORK = 2**28
 
@@ -108,6 +120,47 @@ class _Convolution:
         # fftconvolve's factor order: numpy's complex product, fused
         # multiply-adds and all, is not commutative bit for bit
         return scipy.fft.ifft(self.spectrum * scipy.fft.fft(x, self.size))[: self.n_out]
+
+
+class _ToeplitzInverse:
+    """y -> T^-1 y for a Hermitian positive definite Toeplitz matrix T.
+
+    With x = T^-1 e_0 from one Levinson solve, the Gohberg-Semencul formula
+
+        T^-1 = (1/x_0) [L(x) L(x)^H - L(v) L(v)^H],    v = Z J conj(x),
+
+    holds, where L(u) is the lower triangular Toeplitz matrix with first
+    column u, J reverses and Z shifts down by one.  The spectra of x and v
+    are taken once, at a length of at least 2n that keeps the circular
+    products exact; each apply is then six transforms.  Raises LinAlgError
+    or ValueError when the Levinson solve breaks down: it raises, returns a
+    non-finite result, or gives x_0 <= 0.
+    """
+
+    def __init__(self, col):
+        n = len(col)
+        e0 = np.zeros(n, dtype=complex)
+        e0[0] = 1.0
+        x = scipy.linalg.solve_toeplitz((col, np.conj(col)), e0)
+        if not np.all(np.isfinite(x)) or not x[0].real > 0.0:
+            raise ValueError("Levinson solve broke down")
+        x = x / math.sqrt(x[0].real)  # folds the 1/x_0 into both factors
+        v = np.zeros(n, dtype=complex)
+        v[1:] = np.conj(x[:0:-1])
+        self.n = n
+        self.size = scipy.fft.next_fast_len(2 * n, False)
+        self.x_spec = scipy.fft.fft(x, self.size)
+        self.v_spec = scipy.fft.fft(v, self.size)
+
+    def __call__(self, y):
+        n = self.n
+        y_spec = scipy.fft.fft(y, self.size)
+        # the adjoints L(u)^H y are correlations, cut to the first n entries
+        a = scipy.fft.ifft(np.conj(self.x_spec) * y_spec)[:n]
+        b = scipy.fft.ifft(np.conj(self.v_spec) * y_spec)[:n]
+        a_spec = scipy.fft.fft(a, self.size)
+        b_spec = scipy.fft.fft(b, self.size)
+        return scipy.fft.ifft(self.x_spec * a_spec - self.v_spec * b_spec)[:n]
 
 
 class _ConvObjective:
@@ -167,26 +220,76 @@ class _ConvObjective:
         """The weighted l^p norm of a residual r."""
         return float(np.sum(self.base_w * np.abs(r) ** self.p)) ** (1.0 / self.p)
 
+    @functools.cached_property
+    def normal_column(self):
+        """The first column of the Toeplitz normal matrix A^H A, computed once:
+        the autocorrelation of f at lags 0 .. n_cols - 1."""
+        nf = len(self.f_arr)
+        rho = fftconvolve(np.conj(self.f_arr[::-1]), self.f_arr)
+        mid = nf - 1
+        col = np.zeros(self.n_cols, dtype=complex)
+        L = min(self.n_cols - 1, nf - 1)
+        col[: L + 1] = rho[mid : mid + L + 1]
+        return col
+
+    @functools.cached_property
+    def preconditioner(self):
+        """y -> (A^H A)^-1 y by a :class:`_ToeplitzInverse`, built once; the
+        identity where its Levinson solve breaks down, so CG runs
+        unpreconditioned."""
+        try:
+            return _ToeplitzInverse(self.normal_column)
+        except (np.linalg.LinAlgError, ValueError):
+            return lambda y: y
+
     def solve_weighted(self, sqrt_w, x0, maxiter):
-        """min_x || sqrt_w * (b - conv(f, x)) ||_2, the LSMR iterations spent,
-        and whether the solve converged.
+        """min_x || sqrt_w * (b - conv(f, x)) ||_2, the iterations spent, and
+        whether the solve held.
 
         Dense problems get one exact least-squares solve, which spends no
-        iterations; the others run LSMR from x0 for at most maxiter steps.
+        iterations and always holds; the others run :meth:`_pcg` from x0.
         """
         if self.dense:
             x = scipy.linalg.lstsq(sqrt_w[:, None] * self.matrix, sqrt_w * self.b)[0]
             return x, 0, True
-        A = LinearOperator(
-            (self.n_rows, self.n_cols),
-            matvec=lambda x: sqrt_w * self.apply(x),
-            rmatvec=lambda y: self.adjoint(np.conj(sqrt_w) * y),
-            dtype=complex,
-        )
-        out = lsmr(A, sqrt_w * self.b, atol=1e-7, btol=1e-7, maxiter=maxiter, x0=x0)
-        # every LSMR call is charged at least one iteration; istop 7 means
-        # LSMR stopped at maxiter before meeting its tolerances
-        return out[0], max(int(out[2]), 1), int(out[1]) != 7
+        return self._pcg(sqrt_w**2, x0, maxiter)
+
+    def _pcg(self, w, x, maxiter):
+        """Preconditioned CG on A^H W A x = A^H W b, W = diag(w), from x.
+
+        Runs at most maxiter iterations, is charged at least one, and stops
+        once the preconditioned residual norm sqrt(r^H M r) has fallen by
+        PCG_RTOL from its start.  Both A^H W A and M are positive definite,
+        so a curvature d^H A^H W A d or residual product r^H M r that is not
+        positive (zero only at an exact solution) is a breakdown: the solve
+        stops there, returns its current iterate and reports that it did not
+        hold.
+        """
+        precond = self.preconditioner
+        r = self.adjoint(w * self.residual(x))
+        z = precond(r)
+        rz = float(np.real(np.vdot(r, z)))
+        if not rz > 0.0:
+            return x, 1, not np.any(r)
+        stop = PCG_RTOL**2 * rz
+        d = z
+        spent = 0
+        while spent < maxiter and rz > stop:
+            q = self.adjoint(w * self.apply(d))
+            spent += 1
+            dq = float(np.real(np.vdot(d, q)))
+            if not dq > 0.0:
+                return x, spent, False
+            alpha = rz / dq
+            x = x + alpha * d
+            r = r - alpha * q
+            z = precond(r)
+            rz_next = float(np.real(np.vdot(r, z)))
+            if not rz_next >= 0.0:
+                return x, spent, False
+            d = z + (rz_next / rz) * d
+            rz = rz_next
+        return x, max(spent, 1), True
 
     def solve_unweighted_exact(self):
         """Exact unweighted least squares through the Toeplitz normal equations.
@@ -196,12 +299,8 @@ class _ConvObjective:
         None when the recursion hits a degenerate principal minor.
         """
         nf = len(self.f_arr)
-        rho = fftconvolve(np.conj(self.f_arr[::-1]), self.f_arr)
-        mid = nf - 1
         n = self.n_cols
-        col = np.zeros(n, dtype=complex)
-        L = min(n - 1, nf - 1)
-        col[: L + 1] = rho[mid : mid + L + 1]
+        col = self.normal_column
         # rhs over column i: sum_n conj(f_{n - s_i}) b_n, a cross-correlation
         # of f with the stored target; index bookkeeping collapses to
         # nf - 1 + conv_off + i because b lives on the output range (all of
@@ -223,8 +322,8 @@ class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
     `sweeps` counts the weighted least-squares solves (the IRLS sweeps, or
-    the one p = 2 weighted solve; the exact beta = 0 seed is not one), and
-    `lsmr_iterations` the LSMR iterations they were charged, 0 on the dense
+    the p = 2 sweeps with fixed weights; the exact beta = 0 seed is not one),
+    and `iterations` the CG iterations they were charged, 0 on the dense
     path.
     """
 
@@ -233,7 +332,7 @@ class InfimumResult:
     converged: bool
     degree: int
     support: str
-    lsmr_iterations: int = 0
+    iterations: int = 0
     sweeps: int = 0
 
     def __iter__(self):
@@ -260,21 +359,16 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
 
     # the size rule: within DENSE_MAX_ENTRIES entries and DENSE_MAX_WORK
     # units of n_rows * n_cols^2 every solve below is one exact dense
-    # least-squares solve and spends none of the LSMR budget, so at most
-    # MU_STEPS * INNER_CAP solves bound the IRLS loop; larger problems get a
-    # bounded LSMR budget, and the returned value is an upper bound either
-    # way, with the exact beta = 0 seed already carrying the heavy lifting
+    # least-squares solve and spends none of the iteration budget, so at
+    # most MU_STEPS * INNER_CAP solves bound the IRLS loop; larger problems
+    # share LSMR_TOTAL_BUDGET inner iterations, and the returned value is an
+    # upper bound either way, with the exact beta = 0 seed already carrying
+    # the heavy lifting.  A solve that breaks down ends the search, not
+    # converged, at the best iterate so far
     converged = True
-    lsmr_iterations = sweeps = 0
-    if p == 2.0:
-        if x_exact is not None:
-            x = x_exact
-        else:
-            # one solve outside the budget: a longer cap than a sweep's
-            x, lsmr_iterations, converged = prob.solve_weighted(
-                np.sqrt(prob.base_w), x0=x0, maxiter=3000
-            )
-            sweeps = 1
+    iterations = sweeps = 0
+    if p == 2.0 and x_exact is not None:
+        x = x_exact
     else:
         # seed IRLS with the best available iterate and never return worse
         candidates = [np.zeros(prob.n_cols, dtype=complex)]
@@ -290,8 +384,12 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
         mu0 = MU_SCALE * float(np.max(np.abs(r)))
         if mu0 == 0.0:
             mu0 = 1e-12
+        # at p = 2 the weights depend on neither mu nor r: one step, whose
+        # sweeps refine the inexact solves, and one sweep on the dense path
+        mu_steps = 1 if p == 2.0 else MU_STEPS
         iters_left = LSMR_TOTAL_BUDGET
-        for j in range(MU_STEPS):
+        held = True
+        for j in range(mu_steps):
             mu = mu0 * 2.0**-j
             prev = None
             for _ in range(INNER_CAP):
@@ -300,23 +398,28 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
                     break
                 w = np.sqrt(prob.base_w) * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 4.0)
                 # the exponent halves twice: once for smoothing, once for sqrt
-                x, spent, _ = prob.solve_weighted(w, x0=x, maxiter=min(800, iters_left))
+                x, spent, held = prob.solve_weighted(w, x, iters_left)
                 iters_left -= spent
-                lsmr_iterations += spent
+                iterations += spent
                 sweeps += 1
                 r = prob.residual(x)
                 v = prob.residual_norm(r)
                 if v < best_v:
                     best_x, best_v = x, v
+                if not held or (p == 2.0 and prob.dense):
+                    break
                 obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
                 if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
                     break
                 prev = obj
             else:
                 converged = False
+            if not held:
+                converged = False
+                break
             if iters_left <= 0:
                 # out of budget: converged only if no continuation step is left
-                converged = converged and j == MU_STEPS - 1
+                converged = converged and j == mu_steps - 1
                 break
         x = best_x
 
@@ -325,7 +428,7 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     value = prob.residual_norm(prob.residual(poly.dense(s_lo, s_hi)))
     return InfimumResult(
         value=value, polynomial=poly, converged=converged, degree=degree,
-        support=support, lsmr_iterations=lsmr_iterations, sweeps=sweeps,
+        support=support, iterations=iterations, sweeps=sweeps,
     )
 
 

@@ -20,6 +20,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.signal import fftconvolve
@@ -82,17 +83,35 @@ def rotated(f, rng):
     return FourierSeries.from_dense(c * np.exp(1j * n * phi) * f.arr, f.lo)
 
 
-def counting_lsmr(monkeypatch):
-    """Route engine.lsmr through a wrapper; returns the list of its calls."""
+def counting_cg_solves(monkeypatch):
+    """Route _ConvObjective._pcg through a wrapper; returns the list of its
+    calls, each recorded as "toeplitz" or "plain" by the preconditioner it ran
+    with."""
     calls = []
-    real_lsmr = engine.lsmr
+    real = _ConvObjective._pcg
 
-    def wrapper(*args, **kwargs):
-        calls.append(1)
-        return real_lsmr(*args, **kwargs)
+    def wrapper(self, *args, **kwargs):
+        toeplitz = isinstance(self.preconditioner, engine._ToeplitzInverse)
+        calls.append("toeplitz" if toeplitz else "plain")
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "lsmr", wrapper)
+    monkeypatch.setattr(_ConvObjective, "_pcg", wrapper)
     return calls
+
+
+def recording_solves(monkeypatch):
+    """Route _ConvObjective.solve_weighted through a wrapper; returns the
+    list of iterations each weighted solve was charged."""
+    spent = []
+    real = _ConvObjective.solve_weighted
+
+    def wrapper(self, *args, **kwargs):
+        out = real(self, *args, **kwargs)
+        spent.append(out[1])
+        return out
+
+    monkeypatch.setattr(_ConvObjective, "solve_weighted", wrapper)
+    return spent
 
 
 def residual_norm(f, poly, space, target_one):
@@ -198,7 +217,7 @@ class TestCachedSpectrum:
             assert np.array_equal(prob.adjoint(y), ref.adjoint(y))
 
     def test_whole_solve_matches_the_fftconvolve_operator(self, monkeypatch):
-        # a limit of 0 puts both problems on the LSMR path
+        # a limit of 0 puts both problems on the PCG path
         monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
         f = certify_small_function()
         runs = []
@@ -213,7 +232,7 @@ class TestCachedSpectrum:
             assert cached.polynomial.lo == reference.polynomial.lo
             assert np.array_equal(cached.polynomial.arr, reference.polynomial.arr)
             assert cached.converged == reference.converged
-            assert cached.lsmr_iterations == reference.lsmr_iterations > 0
+            assert cached.iterations == reference.iterations > 0
 
     def test_spectrum_is_taken_once_per_problem(self, monkeypatch):
         counts = counting_transforms(monkeypatch)
@@ -231,6 +250,9 @@ class TestCachedSpectrum:
             assert counts == {"fft": 1, "ifft": 1}
 
     def test_a_whole_solve_takes_the_spectrum_once(self, monkeypatch):
+        # f's two spectra and the preconditioner's two spectra are each taken
+        # once per problem; after that every convolution is one forward and
+        # one inverse transform, and every preconditioner apply three of each
         monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
         counts = counting_transforms(monkeypatch)
         calls = []
@@ -242,9 +264,27 @@ class TestCachedSpectrum:
                 return real(self, v)
 
             monkeypatch.setattr(_ConvObjective, name, wrapper)
+        built, applied = [], []
+        real_init = engine._ToeplitzInverse.__init__
+        real_call = engine._ToeplitzInverse.__call__
+
+        def init(self, col):
+            built.append(1)
+            real_init(self, col)
+
+        def call(self, y):
+            applied.append(1)
+            return real_call(self, y)
+
+        monkeypatch.setattr(engine._ToeplitzInverse, "__init__", init)
+        monkeypatch.setattr(engine._ToeplitzInverse, "__call__", call)
         res = bicyclicity_infimum(certify_small_function(), P15, "all_integers", 4)
         assert res.sweeps > 1
-        assert counts == {"fft": 2 + len(calls), "ifft": len(calls)}
+        assert len(built) == 1 and len(applied) > res.sweeps
+        assert counts == {
+            "fft": 2 + 2 + len(calls) + 3 * len(applied),
+            "ifft": len(calls) + 3 * len(applied),
+        }
 
 
 class TestDensePath:
@@ -267,9 +307,10 @@ class TestDensePath:
             assert np.max(np.abs(A.conj().T @ y - prob.adjoint(y))) < 1e-12
 
     def test_size_rule_at_its_edges(self, monkeypatch):
-        calls = counting_lsmr(monkeypatch)
+        calls = counting_cg_solves(monkeypatch)
         rng = np.random.default_rng(29)
-        space = SpaceIndex(p=2.0, beta=0.25)  # beta > 0: one weighted solve
+        # beta > 0: no exact seed; one dense solve, or PCG sweeps past the rule
+        space = SpaceIndex(p=2.0, beta=0.25)
         # nonneg support at degree d has d + 1 columns; f on 0..nf-1 puts the
         # output range on 0..nf+d-1.  Degree 63 with 16321 terms has 16384
         # rows, 2^20 entries and 2^26 work; degree 511 with 513 terms has
@@ -295,7 +336,7 @@ class TestDensePath:
         # near-square, under 2^20 entries: a 20-term f at one-sided degree 1000
         (0, 20, 0, 1000, (1020, 1001)),
     ])
-    def test_shapes_past_the_rule_take_lsmr(self, f_lo, nf, s_lo, s_hi, shape):
+    def test_shapes_past_the_rule_are_iterative(self, f_lo, nf, s_lo, s_hi, shape):
         f_arr = np.ones(nf, dtype=complex)
         prob = _ConvObjective(f_lo, f_arr, s_lo, s_hi, 0, np.ones(1), 1.5, 0.0)
         assert (prob.n_rows, prob.n_cols) == shape
@@ -304,7 +345,7 @@ class TestDensePath:
 
     def test_certify_small_function_converges_rotation_invariantly(self, monkeypatch):
         # the LSMR path spread 0.6% over these rotations and never converged
-        calls = counting_lsmr(monkeypatch)
+        calls = counting_cg_solves(monkeypatch)
         f = certify_small_function()
         rng = np.random.default_rng(37)
         values = []
@@ -314,6 +355,88 @@ class TestDensePath:
             values.append(res.value)
         assert calls == []
         assert max(values) - min(values) < 1e-8
+
+
+class TestToeplitzInverse:
+    def test_matches_solve_toeplitz(self):
+        # a Hermitian Toeplitz matrix with a dominant, decaying first column
+        # is positive definite and well conditioned
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 7, 64, 301):
+            col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5 ** np.arange(n)
+            col[0] = 4.0
+            inverse = engine._ToeplitzInverse(col)
+            for _ in range(3):
+                y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+                ref = scipy.linalg.solve_toeplitz((col, np.conj(col)), y)
+                assert np.linalg.norm(inverse(y) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_breakdown_raises(self):
+        # a negative definite T has (T^-1)_00 < 0
+        with pytest.raises((np.linalg.LinAlgError, ValueError)):
+            engine._ToeplitzInverse(np.array([-1.0, 0.5], dtype=complex))
+
+
+class TestPreconditionedPath:
+    @pytest.mark.parametrize("space", [P15, SpaceIndex(p=2.0, beta=0.25)])
+    def test_matches_the_dense_path(self, monkeypatch, space):
+        f = certify_small_function()
+        dense = (
+            bicyclicity_infimum(f, space, "all_integers", 16),
+            forward_shift_infimum(f, space, 16),
+        )
+        calls = counting_cg_solves(monkeypatch)
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        iterative = (
+            bicyclicity_infimum(f, space, "all_integers", 16),
+            forward_shift_infimum(f, space, 16),
+        )
+        assert set(calls) == {"toeplitz"}
+        for d, it in zip(dense, iterative):
+            assert d.converged is True and it.converged is True
+            assert (d.iterations, it.iterations > 0) == (0, True)
+            assert abs(it.value - d.value) <= 1e-9 * d.value
+
+    def test_levinson_breakdown_falls_back_to_plain_cg(self, monkeypatch):
+        f = certify_small_function()
+        dense = bicyclicity_infimum(f, P15, "all_integers", 4).value
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular principal minor")
+
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        monkeypatch.setattr(engine.scipy.linalg, "solve_toeplitz", broken)
+        calls = counting_cg_solves(monkeypatch)
+        res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert calls and set(calls) == {"plain"}
+        assert res.converged is True and res.iterations >= len(calls)
+        recomputed = residual_norm(f, res.polynomial, P15, target_one=True)
+        assert abs(res.value - recomputed) < 1e-10 * recomputed
+        assert abs(res.value - dense) < 1e-6 * dense
+
+    @pytest.mark.parametrize("good_applies", [0, 1])
+    def test_cg_breakdown_is_not_converged(self, monkeypatch, good_applies):
+        # a preconditioner that turns indefinite, at once or after its first
+        # apply, makes r^H M r negative: the search stops, not converged, and
+        # still reports the norm of the polynomial it returns
+        real = engine._ToeplitzInverse.__call__
+        applies = []
+
+        def indefinite(self, y):
+            applies.append(1)
+            return real(self, y) if len(applies) <= good_applies else -y
+
+        monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
+        monkeypatch.setattr(engine._ToeplitzInverse, "__call__", indefinite)
+        f = certify_small_function()
+        res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert res.converged is False
+        assert (res.sweeps, res.iterations) == (1, 1)
+        recomputed = residual_norm(f, res.polynomial, P15, target_one=True)
+        assert abs(res.value - recomputed) < 1e-10 * recomputed
+        applies.clear()
+        rep = certify_cyclic(CertificateProblem(f=f, space=P15, degree_budget=4))
+        assert rep.solver_trace[0]["bicyclic_converged"] is False
 
 
 class TestClosedForms:
@@ -440,24 +563,17 @@ class TestBudgetExhaustion:
     def test_budget_spent_before_the_last_mu_step_is_not_converged(self, monkeypatch):
         # a smooth vanishing function whose degree-4 two-sided search takes
         # tens of IRLS sweeps; the budgets are read off the full run, because
-        # LSMR iteration counts can differ between platforms
+        # iteration counts can differ between platforms
         f = certify_small_function()
         # the problem is far under the dense size limit; a limit of 0 keeps
-        # it on the LSMR path, whose budget this test is about
+        # it on the PCG path, whose budget this test is about
         monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
-        spent = []
-        real_lsmr = engine.lsmr
-
-        def counting_lsmr(*args, **kwargs):
-            out = real_lsmr(*args, **kwargs)
-            spent.append(max(int(out[2]), 1))  # the engine charges at least 1
-            return out
-
-        monkeypatch.setattr(engine, "lsmr", counting_lsmr)
+        spent = recording_solves(monkeypatch)
         full = bicyclicity_infimum(f, P15, "all_integers", 4)
         cumulative = np.cumsum(spent).tolist()
         assert full.converged is True
-        assert (full.sweeps, full.lsmr_iterations) == (len(spent), cumulative[-1])
+        assert min(spent) >= 1  # every iterative solve is charged
+        assert (full.sweeps, full.iterations) == (len(spent), cumulative[-1])
         assert cumulative[-1] < engine.LSMR_TOTAL_BUDGET
         # each budget runs out right after one of the solves of the full run
         budgets = [c for c in cumulative if c < cumulative[-1]][:20]
@@ -466,31 +582,29 @@ class TestBudgetExhaustion:
             monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
             res = bicyclicity_infimum(f, P15, "all_integers", 4)
             assert res.converged is False, "budget %d reported converged" % budget
+            assert res.iterations == budget
 
-    def test_p2_solve_reports_lsmr_stopping_at_its_cap(self, monkeypatch):
-        # beta > 0 at p = 2 is one weighted solve, and its flag is LSMR's own
-        # stopping reason: istop 7 means it stopped at maxiter
-        stops = []
-        real_lsmr = engine.lsmr
-
-        def recording_lsmr(*args, **kwargs):
-            out = real_lsmr(*args, **kwargs)
-            stops.append(int(out[1]))
-            return out
-
-        monkeypatch.setattr(engine, "lsmr", recording_lsmr)
+    def test_p2_solve_reports_running_out_of_budget(self, monkeypatch):
+        # beta > 0 at p = 2 sweeps with fixed weights until INNER_RTOL; a
+        # budget that runs out before that is reported as not converged
         f = certify_small_function()
         space = SpaceIndex(p=2.0, beta=0.25)
-        # degree 256 is past the work bound and stops at its cap
-        assert bicyclicity_infimum(f, space, "all_integers", 256).converged is False
-        assert stops == [7]
-        # degree 192 is dense and exact; on LSMR it meets its tolerance
-        stops.clear()
-        assert bicyclicity_infimum(f, space, "all_integers", 192).converged is True
-        assert stops == []
+        spent = recording_solves(monkeypatch)
+        # degree 256 is past the work bound and runs PCG sweeps
+        full = bicyclicity_infimum(f, space, "all_integers", 256)
+        assert full.converged is True and full.sweeps > 1
+        assert full.iterations == sum(spent)
+        for budget in np.cumsum(spent).tolist()[:-1]:
+            monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
+            res = bicyclicity_infimum(f, space, "all_integers", 256)
+            assert res.converged is False, "budget %d reported converged" % budget
+        monkeypatch.undo()
+        # degree 192 is dense and exact: one sweep, no iterations
+        res = bicyclicity_infimum(f, space, "all_integers", 192)
+        assert (res.converged, res.sweeps, res.iterations) == (True, 1, 0)
         monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
-        assert bicyclicity_infimum(f, space, "all_integers", 192).converged is True
-        assert len(stops) == 1 and stops[0] != 7
+        res = bicyclicity_infimum(f, space, "all_integers", 192)
+        assert res.converged is True and res.iterations > 0
 
 
 class TestSzegoBound:
@@ -597,9 +711,12 @@ class TestCertify:
     def test_exhausted_budget_shows_in_the_trace(self, monkeypatch):
         monkeypatch.setattr(engine, "DENSE_MAX_ENTRIES", 0)
         monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 1)
+        calls = counting_cg_solves(monkeypatch)
         rep = certify_cyclic(
             CertificateProblem(f=Z_MINUS_1, space=P15, degree_budget=64)
         )
+        # one solve per side spends the budget
+        assert calls == ["toeplitz", "toeplitz"]
         row = rep.solver_trace[0]
         assert row["bicyclic_converged"] is False
         assert row["shift_converged"] is False
