@@ -9,25 +9,21 @@ objective
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
 is driven to mu -> 0 by a geometric continuation schedule, each step running
-iteratively reweighted least squares.  One rule picks how each weighted
-least-squares problem is solved, from the shape of its n_rows x n_cols
-convolution matrix alone: with at most DENSE_MAX_ENTRIES = 2^20 entries and
-at most DENSE_MAX_WORK = 2^28 units of n_rows * n_cols^2, the work of one
-SVD-based solve, the matrix is built once per problem and every solve is one
-exact dense `scipy.linalg.lstsq`.  Otherwise each solve runs conjugate
-gradients on the weighted normal equations A^H W A x = A^H W b,
-preconditioned by the inverse of the unweighted normal matrix T = A^H A.  T
-is Toeplitz, the autocorrelation of f, and the IRLS weights are bounded, so
-T is spectrally equivalent to A^H W A and each solve takes few iterations.
-T^-1 is applied by the Gohberg-Semencul formula from one Levinson solve per
-problem; where that solve breaks down, CG runs unpreconditioned.  All solves
-of one infimum share one total iteration budget, and a CG breakdown ends the
-search unconverged.  The spectrum of f is computed once per problem, at the
-transform lengths `scipy.signal.fftconvolve` would pick, so each convolution
-is one forward and one inverse transform and rounds exactly as `fftconvolve`
-does.  Solver output is always an upper bound witnessed by the returned
-polynomial; reported values are recomputed from that polynomial, never read
-off the iteration.
+iteratively reweighted least squares.  Every weighted least-squares solve
+runs conjugate gradients on the weighted normal equations A^H W A x =
+A^H W b, preconditioned by the inverse of the unweighted normal matrix
+T = A^H A.  T is Toeplitz, the autocorrelation of f, and the IRLS weights are
+bounded, so T is spectrally equivalent to A^H W A and each solve takes few
+iterations.  T^-1 is applied by the Gohberg-Semencul formula from one
+Levinson solve per problem; where that solve breaks down, CG runs
+unpreconditioned.  All solves of one infimum share one total iteration
+budget, and a CG breakdown ends the search unconverged.  The spectrum of f
+is computed once per problem, at the transform lengths
+`scipy.signal.fftconvolve` would pick, so each convolution is one forward
+and one inverse transform and rounds exactly as `fftconvolve` does.  Solver
+output is always an upper bound witnessed by the returned polynomial;
+reported values are recomputed from that polynomial, never read off the
+iteration.
 """
 
 import functools
@@ -72,17 +68,6 @@ LSMR_TOTAL_BUDGET = 40000
 # a CG solve stops once its preconditioned residual norm has fallen by this
 # factor from where the solve started
 PCG_RTOL = 1e-3
-# the size rule: a problem is solved densely and exactly when its
-# n_rows x n_cols convolution matrix has at most DENSE_MAX_ENTRIES entries and
-# n_rows * n_cols^2, the work of one SVD-based least-squares solve, is at most
-# DENSE_MAX_WORK; any other problem runs CG.  The entry bound caps memory
-# (the matrix, its weighted copy and LAPACK's copy of that).  The work bound
-# caps time: at it one dense solve took about 0.16 s on a 2-vCPU x86-64 host,
-# so a typical infimum of ~80 IRLS sweeps cost about what the budget wall of
-# the unpreconditioned LSMR solves that CG replaced did.  It was not measured
-# again against preconditioned CG
-DENSE_MAX_ENTRIES = 2**20
-DENSE_MAX_WORK = 2**28
 
 
 def _support_range(support, degree):
@@ -188,18 +173,6 @@ class _ConvObjective:
         idx = np.arange(out_lo, out_hi + 1)
         self.base_w = (1.0 + np.abs(idx)) ** (p * beta)
         self.p = p
-        entries = self.n_rows * self.n_cols
-        work = entries * self.n_cols
-        self.dense = entries <= DENSE_MAX_ENTRIES and work <= DENSE_MAX_WORK
-
-    @functools.cached_property
-    def matrix(self):
-        """The convolution matrix, built once: column j is f at row conv_off + j."""
-        cols = np.arange(self.n_cols)
-        rows = self.conv_off + cols + np.arange(len(self.f_arr))[:, None]
-        A = np.zeros((self.n_rows, self.n_cols), dtype=complex)
-        A[rows, cols] = self.f_arr[:, None]
-        return A
 
     def apply(self, x):
         """conv(f, x) placed on the output range."""
@@ -242,22 +215,12 @@ class _ConvObjective:
         except (np.linalg.LinAlgError, ValueError):
             return lambda y: y
 
-    def solve_weighted(self, sqrt_w, x0, maxiter):
-        """min_x || sqrt_w * (b - conv(f, x)) ||_2, the iterations spent, and
-        whether the solve held.
+    def solve_weighted(self, sqrt_w, x, maxiter):
+        """min_x || sqrt_w * (b - conv(f, x)) ||_2 from x, the iterations
+        spent, and whether the solve held.
 
-        Dense problems get one exact least-squares solve, which spends no
-        iterations and always holds; the others run :meth:`_pcg` from x0.
-        """
-        if self.dense:
-            x = scipy.linalg.lstsq(sqrt_w[:, None] * self.matrix, sqrt_w * self.b)[0]
-            return x, 0, True
-        return self._pcg(sqrt_w**2, x0, maxiter)
-
-    def _pcg(self, w, x, maxiter):
-        """Preconditioned CG on A^H W A x = A^H W b, W = diag(w), from x.
-
-        Runs at most maxiter iterations, is charged at least one, and stops
+        Runs preconditioned CG on A^H W A x = A^H W b, W = diag(sqrt_w^2),
+        for at most maxiter iterations, is charged at least one, and stops
         once the preconditioned residual norm sqrt(r^H M r) has fallen by
         PCG_RTOL from its start.  Both A^H W A and M are positive definite,
         so a curvature d^H A^H W A d or residual product r^H M r that is not
@@ -265,6 +228,7 @@ class _ConvObjective:
         stops there, returns its current iterate and reports that it did not
         hold.
         """
+        w = sqrt_w**2
         precond = self.preconditioner
         r = self.adjoint(w * self.residual(x))
         z = precond(r)
@@ -323,8 +287,7 @@ class InfimumResult:
 
     `sweeps` counts the weighted least-squares solves (the IRLS sweeps, or
     the p = 2 sweeps with fixed weights; the exact beta = 0 seed is not one),
-    and `iterations` the CG iterations they were charged, 0 on the dense
-    path.
+    and `iterations` the CG iterations they were charged.
     """
 
     value: float
@@ -357,14 +320,12 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
 
     x_exact = prob.solve_unweighted_exact() if bval == 0.0 else None
 
-    # the size rule: within DENSE_MAX_ENTRIES entries and DENSE_MAX_WORK
-    # units of n_rows * n_cols^2 every solve below is one exact dense
-    # least-squares solve and spends none of the iteration budget, so at
-    # most MU_STEPS * INNER_CAP solves bound the IRLS loop; larger problems
-    # share LSMR_TOTAL_BUDGET inner iterations, and the returned value is an
-    # upper bound either way, with the exact beta = 0 seed already carrying
-    # the heavy lifting.  A solve that breaks down ends the search, not
-    # converged, at the best iterate so far
+    # every solve below is preconditioned CG, and all of them share
+    # LSMR_TOTAL_BUDGET iterations over at most MU_STEPS * INNER_CAP sweeps;
+    # the returned value is an upper bound whether or not the search
+    # converges, with the exact beta = 0 seed already carrying the heavy
+    # lifting.  A solve that breaks down ends the search, not converged, at
+    # the best iterate so far
     converged = True
     iterations = sweeps = 0
     if p == 2.0 and x_exact is not None:
@@ -385,7 +346,7 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
         if mu0 == 0.0:
             mu0 = 1e-12
         # at p = 2 the weights depend on neither mu nor r: one step, whose
-        # sweeps refine the inexact solves, and one sweep on the dense path
+        # sweeps refine the inexact solves
         mu_steps = 1 if p == 2.0 else MU_STEPS
         iters_left = LSMR_TOTAL_BUDGET
         held = True
@@ -406,7 +367,7 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
                 v = prob.residual_norm(r)
                 if v < best_v:
                     best_x, best_v = x, v
-                if not held or (p == 2.0 and prob.dense):
+                if not held:
                     break
                 obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
                 if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
@@ -671,7 +632,8 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
 
 
 def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
-    """Ratios of the weighted double smoothness integral of F_eps to M_eps.
+    """Ratios of the weighted double smoothness integral of F_eps to M_eps,
+    and the M_eps values, as two lists over the eps schedule.
 
     The left side is the arc-length double integral of
     d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
@@ -699,6 +661,7 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
     cell = (TWO_PI / G) ** 2
 
     ratios = []
+    m_values = []
     for eps in eps_schedule:
         M = m_epsilon(d, gamma, eps)
         if M <= 0.0:
@@ -713,7 +676,8 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
         lag_sums = t1 + t2 - 2.0 * t3
         lhs = cell * float(np.sum(kernel * lag_sums))
         ratios.append(lhs / M)
-    return ratios
+        m_values.append(M)
+    return ratios, m_values
 
 
 def classify_regime(dim_estimate, space, smoothness, log_nonintegrable,

@@ -492,12 +492,8 @@ def _run_kel_ratio(params):
     delta_prime = float(params["delta_prime"])
     G = params["grid"]
     eps_schedule = [float(e) for e in params["eps"]]
-    ratios = lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G)
-    d = distance_to_set(circle_grid(G), E)
-    rows = [
-        (eps, m_epsilon(d, gamma, eps), ratio)
-        for eps, ratio in zip(eps_schedule, ratios)
-    ]
+    ratios, m_values = lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G)
+    rows = list(zip(eps_schedule, m_values, ratios))
     report = {
         "set": name,
         "gamma": gamma,

@@ -415,9 +415,9 @@ def test_criterion_09_kernel_ratio_sweep():
     start = time.time()
     E = build_set("non_carleson_n2")
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
-    base = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**14)
+    base, _ = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**14)
     spread = max(base) / min(base)
-    fine = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**15)
+    fine, _ = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**15)
     drift = max(abs(a - b) / a for a, b in zip(base, fine))
     elapsed = time.time() - start
     _criterion(9, "weighted smoothness integral over M_eps stays bounded", [

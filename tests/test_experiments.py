@@ -432,7 +432,7 @@ class TestSharedWork:
     @pytest.mark.parametrize("experiment, extra, most", [
         ("outer", {}, 1),
         ("decay", {"p": 1.5}, 2),  # smooth_vanishing_function and p_epsilon_decay
-        ("kel_ratio", {}, 2),  # lemma_kel_ratio and the m_eps column
+        ("kel_ratio", {}, 1),
     ])
     def test_one_distance_profile_per_sweep(self, tmp_path, monkeypatch,
                                             experiment, extra, most):
