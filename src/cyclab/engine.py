@@ -9,21 +9,25 @@ objective
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
 is driven to mu -> 0 by a geometric continuation schedule, each step running
-iteratively reweighted least squares.  Every weighted least-squares solve
-runs conjugate gradients on the weighted normal equations A^H W A x =
-A^H W b, preconditioned by the inverse of the unweighted normal matrix
-T = A^H A.  T is Toeplitz, the autocorrelation of f, and the IRLS weights are
-bounded, so T is spectrally equivalent to A^H W A and each solve takes few
-iterations.  T^-1 is applied by the Gohberg-Semencul formula from one
-Levinson solve per problem; where that solve breaks down, CG runs
-unpreconditioned.  All solves of one infimum share one total iteration
-budget, and a CG breakdown ends the search unconverged.  The spectrum of f
-is computed once per problem, at the transform lengths
-`scipy.signal.fftconvolve` would pick, so each convolution is one forward
-and one inverse transform and rounds exactly as `fftconvolve` does.  Solver
-output is always an upper bound witnessed by the returned polynomial;
-reported values are recomputed from that polynomial, never read off the
-iteration.
+iteratively reweighted least squares.  Every search, whatever p and beta,
+starts with one solve from zero with the base weights w_n, towards the l2
+minimizer; the best of its result, zero and any warm start seeds the
+continuation, which at p = 2 is one step of sweeps with fixed weights.
+Every weighted least-squares solve runs conjugate gradients on the weighted
+normal equations A^H W A x = A^H W b, preconditioned by the inverse of the
+unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation of
+f, and the IRLS weights are bounded, so T is spectrally equivalent to
+A^H W A and each solve takes few iterations; at beta = 0 the seed solve's
+preconditioner is exact, so it takes about one.  T^-1 is applied by the
+Gohberg-Semencul formula from one Levinson solve per problem, the only
+direct solve; where it breaks down, CG runs unpreconditioned.  All solves
+of one infimum share one total iteration budget, and a CG breakdown ends
+the search unconverged.  The spectrum of f is computed once per problem,
+at the transform lengths `scipy.signal.fftconvolve` would pick, so each
+convolution is one forward and one inverse transform and rounds exactly as
+`fftconvolve` does.  Solver output is always an upper bound witnessed by
+the returned polynomial; reported values are recomputed from that
+polynomial, never read off the iteration.
 """
 
 import functools
@@ -215,11 +219,11 @@ class _ConvObjective:
         except (np.linalg.LinAlgError, ValueError):
             return lambda y: y
 
-    def solve_weighted(self, sqrt_w, x, maxiter):
-        """min_x || sqrt_w * (b - conv(f, x)) ||_2 from x, the iterations
+    def solve_weighted(self, w, x, maxiter):
+        """min_x sum_n w_n |b_n - conv(f, x)_n|^2 from x, the iterations
         spent, and whether the solve held.
 
-        Runs preconditioned CG on A^H W A x = A^H W b, W = diag(sqrt_w^2),
+        Runs preconditioned CG on A^H W A x = A^H W b, W = diag(w),
         for at most maxiter iterations, is charged at least one, and stops
         once the preconditioned residual norm sqrt(r^H M r) has fallen by
         PCG_RTOL from its start.  Both A^H W A and M are positive definite,
@@ -228,7 +232,6 @@ class _ConvObjective:
         stops there, returns its current iterate and reports that it did not
         hold.
         """
-        w = sqrt_w**2
         precond = self.preconditioner
         r = self.adjoint(w * self.residual(x))
         z = precond(r)
@@ -255,39 +258,14 @@ class _ConvObjective:
             rz = rz_next
         return x, max(spent, 1), True
 
-    def solve_unweighted_exact(self):
-        """Exact unweighted least squares through the Toeplitz normal equations.
-
-        Valid only when all base weights agree (beta = 0).  The normal matrix
-        is the autocorrelation of f, solved by Levinson recursion; returns
-        None when the recursion hits a degenerate principal minor.
-        """
-        nf = len(self.f_arr)
-        n = self.n_cols
-        col = self.normal_column
-        # rhs over column i: sum_n conj(f_{n - s_i}) b_n, a cross-correlation
-        # of f with the stored target; index bookkeeping collapses to
-        # nf - 1 + conv_off + i because b lives on the output range (all of
-        # b, not adjoint(b), whose shorter FFT rounds differently)
-        cross = fftconvolve(np.conj(self.f_arr[::-1]), self.b)
-        k0 = nf - 1 + self.conv_off
-        rhs = cross[k0 : k0 + n]
-        try:
-            x = scipy.linalg.solve_toeplitz((col, np.conj(col)), rhs)
-        except (np.linalg.LinAlgError, scipy.linalg.LinAlgError, ValueError):
-            return None
-        if not np.all(np.isfinite(x)):
-            return None
-        return x
-
 
 @dataclass(frozen=True)
 class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
-    `sweeps` counts the weighted least-squares solves (the IRLS sweeps, or
-    the p = 2 sweeps with fixed weights; the exact beta = 0 seed is not one),
-    and `iterations` the CG iterations they were charged.
+    `sweeps` counts the weighted least-squares solves: the l2 seed solve,
+    which is sweep 1, then the IRLS sweeps, or at p = 2 the sweeps with
+    fixed weights.  `iterations` counts the CG iterations they were charged.
     """
 
     value: float
@@ -316,73 +294,68 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     s_lo, s_hi = _support_range(support, degree)
     t_lo, t_arr = target
     prob = _ConvObjective(f.lo, f.arr, s_lo, s_hi, t_lo, t_arr, p, bval)
-    x0 = warm.dense(s_lo, s_hi) if warm is not None else None
-
-    x_exact = prob.solve_unweighted_exact() if bval == 0.0 else None
+    zeros = np.zeros(prob.n_cols, dtype=complex)
 
     # every solve below is preconditioned CG, and all of them share
-    # LSMR_TOTAL_BUDGET iterations over at most MU_STEPS * INNER_CAP sweeps;
-    # the returned value is an upper bound whether or not the search
-    # converges, with the exact beta = 0 seed already carrying the heavy
-    # lifting.  A solve that breaks down ends the search, not converged, at
-    # the best iterate so far
-    converged = True
-    iterations = sweeps = 0
-    if p == 2.0 and x_exact is not None:
-        x = x_exact
-    else:
-        # seed IRLS with the best available iterate and never return worse
-        candidates = [np.zeros(prob.n_cols, dtype=complex)]
-        if x0 is not None:
-            candidates.append(x0)
-        if x_exact is not None:
-            candidates.append(x_exact)
-        residuals = [prob.residual(c) for c in candidates]
-        norms = [prob.residual_norm(r) for r in residuals]
-        k = norms.index(min(norms))  # ties go to the earliest candidate
-        x, r = candidates[k], residuals[k]
-        best_x, best_v = x, norms[k]
-        mu0 = MU_SCALE * float(np.max(np.abs(r)))
-        if mu0 == 0.0:
-            mu0 = 1e-12
-        # at p = 2 the weights depend on neither mu nor r: one step, whose
-        # sweeps refine the inexact solves
-        mu_steps = 1 if p == 2.0 else MU_STEPS
-        iters_left = LSMR_TOTAL_BUDGET
-        held = True
-        for j in range(mu_steps):
-            mu = mu0 * 2.0**-j
-            prev = None
-            for _ in range(INNER_CAP):
-                if iters_left <= 0:
-                    converged = False
-                    break
-                w = np.sqrt(prob.base_w) * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 4.0)
-                # the exponent halves twice: once for smoothing, once for sqrt
-                x, spent, held = prob.solve_weighted(w, x, iters_left)
-                iters_left -= spent
-                iterations += spent
-                sweeps += 1
-                r = prob.residual(x)
-                v = prob.residual_norm(r)
-                if v < best_v:
-                    best_x, best_v = x, v
-                if not held:
-                    break
-                obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
-                if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
-                    break
-                prev = obj
-            else:
-                converged = False
-            if not held:
-                converged = False
-                break
+    # LSMR_TOTAL_BUDGET iterations over at most 1 + MU_STEPS * INNER_CAP
+    # sweeps; the returned value is an upper bound whether or not the search
+    # converges.  Sweep 1 is the l2 solve with the base weights, from zero:
+    # at beta = 0 its preconditioner is the exact inverse, so it lands on the
+    # l2 minimizer in about one iteration.  A solve that breaks down ends the
+    # search, not converged, at the best iterate so far
+    iters_left = LSMR_TOTAL_BUDGET
+    x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, iters_left)
+    iters_left -= iterations
+    sweeps = 1
+    converged = held
+    # seed IRLS with the best available iterate and never return worse
+    candidates = [zeros]
+    if warm is not None:
+        candidates.append(warm.dense(s_lo, s_hi))
+    candidates.append(x_ls)
+    residuals = [prob.residual(c) for c in candidates]
+    norms = [prob.residual_norm(r) for r in residuals]
+    k = norms.index(min(norms))  # ties go to the earliest candidate
+    x, r = candidates[k], residuals[k]
+    best_x, best_v = x, norms[k]
+    mu0 = MU_SCALE * float(np.max(np.abs(r)))
+    if mu0 == 0.0:
+        mu0 = 1e-12
+    # at p = 2 the weights depend on neither mu nor r: one step, whose
+    # sweeps refine the inexact solves
+    mu_steps = 1 if p == 2.0 else MU_STEPS
+    for j in range(mu_steps if held else 0):
+        mu = mu0 * 2.0**-j
+        prev = None
+        for _ in range(INNER_CAP):
             if iters_left <= 0:
-                # out of budget: converged only if no continuation step is left
-                converged = converged and j == mu_steps - 1
+                converged = False
                 break
-        x = best_x
+            w = prob.base_w * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 2.0)
+            x, spent, held = prob.solve_weighted(w, x, iters_left)
+            iters_left -= spent
+            iterations += spent
+            sweeps += 1
+            r = prob.residual(x)
+            v = prob.residual_norm(r)
+            if v < best_v:
+                best_x, best_v = x, v
+            if not held:
+                break
+            obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
+            if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
+                break
+            prev = obj
+        else:
+            converged = False
+        if not held:
+            converged = False
+            break
+        if iters_left <= 0:
+            # out of budget: converged only if no continuation step is left
+            converged = converged and j == mu_steps - 1
+            break
+    x = best_x
 
     poly = FourierSeries.from_dense(x, s_lo)
     # report the norm achieved by the polynomial actually returned
