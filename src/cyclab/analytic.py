@@ -45,15 +45,31 @@ def _check_pow2(G, smallest=8):
         raise ValueError(f"grid size must be a power of two >= {smallest}, got {G}")
 
 
+def _energy(arr):
+    """|c|^2 of each complex coefficient, rounded as Python's abs(c) ** 2.
+
+    hypot is what abs(complex) calls (see FourierSeries._store), and
+    float_power goes through the C library's pow, as Python's float ** does.
+    numpy's ** 2 squares by multiplication instead, and pow(x, 2) is not
+    always correctly rounded, so that would move about one term in 1200 by
+    an ulp; np.abs on complex rounds differently again.
+    """
+    return np.float_power(np.hypot(arr.real, arr.imag), 2.0)
+
+
 def _leakage(coeffs):
     """Share of the l2 energy of `coeffs` at negative frequencies.
 
-    Python's abs, pow and sum, in ascending frequency order: numpy's complex
-    abs, its square and its blocked sum each round differently in the last bit.
+    Bit for bit the loop sum(abs(c) ** 2 ...) over ascending frequencies,
+    with Python 3.11's sum: `_energy` rounds each term as abs(c) ** 2, and
+    cumsum adds strictly left to right, as that sum does.  numpy's sum is
+    pairwise and Python 3.12's sum is compensated, so neither would do.
+    The negative-frequency share is then cum[k-1] / cum[-1].
     """
-    energy = [abs(c) ** 2 for c in coeffs.arr.tolist()]
-    total = sum(energy)
-    return sum(energy[: max(-coeffs.lo, 0)]) / total if total > 0.0 else 0.0
+    cum = np.cumsum(_energy(coeffs.arr))
+    total = float(cum[-1]) if cum.size else 0.0
+    k = min(max(-coeffs.lo, 0), cum.size)
+    return float(cum[k - 1]) / total if total > 0.0 and k else 0.0
 
 
 def conjugate_function(g):
@@ -375,7 +391,7 @@ def douglas_seminorm(f_samples, alpha, exclusion):
     coeffs = series_from_samples(f, G // 2 - 1)
     nz = np.flatnonzero(coeffs.arr)
     support = coeffs.lo + nz
-    amps2 = np.array([abs(c) ** 2 for c in coeffs.arr[nz].tolist()])  # as _leakage
+    amps2 = _energy(coeffs.arr[nz])
     n_abs = np.abs(support)
     n_top = int(n_abs.max()) if support.size else 0
     w = douglas_weights(alpha, n_top)

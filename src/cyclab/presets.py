@@ -7,6 +7,7 @@ every entry carries an example config so the round-trip through validation
 can be checked mechanically.
 """
 
+import functools
 import math
 
 from .analytic import h_k, smooth_vanishing_function
@@ -24,12 +25,26 @@ EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
 
 
 def build_set(name, depth=None):
-    """ArcUnion for a named set preset (depth defaults per generator)."""
+    """ArcUnion for a named set preset (depth defaults per generator).
+
+    One shared set per resolved CantorSpec: `build_set(name)` and
+    `build_set(name, default_depth)` return the same object, built once per
+    process while it stays among the four most recently used.  Sharing is
+    safe because an ArcUnion and its arrays are read-only.
+    """
     if name not in SET_PRESETS:
         raise ValueError(
             "unknown set preset %r; available: %s" % (name, ", ".join(SET_PRESETS))
         )
-    return cantor_build(cantor_spec_by_name(name, depth))
+    return _shared_set(cantor_spec_by_name(name, depth))
+
+
+# four: the distinct sets of the catalogue examples and the eps sweeps on both
+# presets (middle thirds at depths 6, 8 and 12, non_carleson_n2 at 20);
+# `cantor_build` is looked up per call, so a tracer wrapping it counts builds
+@functools.lru_cache(maxsize=4)
+def _shared_set(spec):
+    return cantor_build(spec)
 
 
 def moebius_gap_series(k, max_degree=None, tail_tol=1e-13):

@@ -15,7 +15,9 @@ analytic.py existed:
 - coefficient decay table of exp(-1/d) on the depth-8 middle-thirds set
 """
 
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -28,6 +30,8 @@ from cyclab.analytic import (
     BoundaryModulus,
     MoebiusExpansion,
     OuterFunction,
+    _energy,
+    _leakage,
     conjugate_function,
     douglas_seminorm,
     douglas_weights,
@@ -37,7 +41,13 @@ from cyclab.analytic import (
     outer_power_modulus,
     smooth_vanishing_function,
 )
-from cyclab.fourier import FourierSeries, circle_grid, eval_on_grid, norm_ap_beta
+from cyclab.fourier import (
+    FourierSeries,
+    circle_grid,
+    eval_on_grid,
+    norm_ap_beta,
+    series_from_samples,
+)
 from cyclab.geometry import (
     ArcUnion,
     cantor_build,
@@ -236,6 +246,80 @@ class TestOuterFromModulus:
         assert np.max(np.abs(np.abs(recon) - phi) / phi) < 1e-8
         assert f.leakage < 1e-10
         assert f.value_at_zero == pytest.approx(np.exp(np.mean(u)), rel=1e-10)
+
+
+def loop_energy(arr):
+    """The definition: Python's abs(c) ** 2, one coefficient at a time."""
+    return [abs(c) ** 2 for c in arr.tolist()]
+
+
+def left_fold(xs):
+    """Plain left-to-right addition (builtin sum is compensated from 3.12 on)."""
+    return functools.reduce(operator.add, xs, 0.0)
+
+
+def loop_leakage(series):
+    energy = loop_energy(series.arr)
+    total = left_fold(energy)
+    return left_fold(energy[: max(-series.lo, 0)]) / total if total > 0.0 else 0.0
+
+
+def _random_slab(rng, size, log10_lo, log10_hi):
+    mod = 10.0 ** rng.uniform(log10_lo, log10_hi, size)
+    return mod * np.exp(1j * rng.uniform(0.0, TWO_PI, size))
+
+
+def _energy_cases():
+    rng = np.random.default_rng(20261018)
+    cases = {
+        # 2^15 terms: 28 of them round differently as hypot(c) * hypot(c)
+        "random_wide": (-(2**14), _random_slab(rng, 2**15, -1.0, 1.0)),
+        "lo_positive": (7, rng.standard_normal(3000) + 1j * rng.standard_normal(3000)),
+        "all_negative": (-5000, rng.standard_normal(2000) + 1j * rng.standard_normal(2000)),
+        "empty": (0, np.zeros(0, dtype=complex)),
+        # energies from 1e-300 to 1e300
+        "dynamic_range": (-2048, _random_slab(rng, 4096, -150.0, 150.0)),
+        # subnormal energies, and subnormal coefficients whose energy is 0
+        "subnormal": (-600, np.concatenate([
+            _random_slab(rng, 1000, -161.0, -154.0),
+            _random_slab(rng, 200, -323.0, -308.0),
+        ])),
+    }
+    for k in range(4):
+        size = int(rng.integers(1, 5000))
+        lo = int(rng.integers(-size - 10, 10))
+        scale = 10.0 ** rng.uniform(-20.0, 20.0)
+        cases["random_%d" % k] = (lo, scale * _random_slab(rng, size, -3.0, 3.0))
+    return cases
+
+
+ENERGY_CASES = _energy_cases()
+
+
+class TestCoefficientEnergy:
+    """`_energy` and `_leakage` against the loop definition, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(ENERGY_CASES))
+    def test_energy_matches_loop(self, name):
+        _, values = ENERGY_CASES[name]
+        got = [float(x).hex() for x in _energy(values)]
+        assert got == [x.hex() for x in loop_energy(values)]
+
+    @pytest.mark.parametrize("name", sorted(ENERGY_CASES))
+    def test_leakage_matches_loop(self, name):
+        lo, values = ENERGY_CASES[name]
+        series = FourierSeries.from_dense(values, lo, drop_tol=0.0)
+        assert _leakage(series).hex() == loop_leakage(series).hex()
+
+    def test_douglas_value_uses_loop_energies(self):
+        rng = np.random.default_rng(5)
+        f = rng.standard_normal(512) + 1j * rng.standard_normal(512)
+        coeffs = series_from_samples(f, 255)
+        nz = np.flatnonzero(coeffs.arr)
+        n_abs = np.abs(coeffs.lo + nz)
+        w = douglas_weights(0.3, int(n_abs.max()))
+        want = float(np.sum(np.array(loop_energy(coeffs.arr[nz])) * w[n_abs]))
+        assert douglas_seminorm(f, 0.3, 10.0 / 512).value.hex() == want.hex()
 
 
 class TestMoebiusFactor:

@@ -11,9 +11,11 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from cyclab import geometry
+from cyclab import geometry, presets
+from cyclab.analytic import smooth_vanishing_function
 from cyclab.cli import _FLAG_PARAMS, _build_parser, _config_from_flags
 from cyclab.experiments import (
     EXPERIMENTS,
@@ -231,6 +233,67 @@ class TestPresets:
     def test_eps_decade_is_decreasing(self):
         assert all(a > b for a, b in zip(EPS_DECADE, EPS_DECADE[1:]))
         assert len(EPS_DECADE) == 6
+
+
+def _raised(build):
+    try:
+        build()
+    except Exception as exc:  # the error itself is what is compared
+        return type(exc), str(exc)
+    return None
+
+
+class TestSharedSets:
+    """`build_set` returns one shared, read-only set per resolved CantorSpec."""
+
+    @pytest.mark.parametrize("name", ["middle_thirds", "non_carleson_n2"])
+    def test_default_and_explicit_depth_share_one_set(self, name):
+        default_depth = geometry.cantor_spec_by_name(name).depth
+        E = build_set(name)
+        assert build_set(name, default_depth) is E
+        assert build_set(name) is E
+        assert E == geometry.cantor_build(geometry.cantor_spec_by_name(name))
+
+    def test_other_depth_other_set(self):
+        E5, E6 = build_set("middle_thirds", 5), build_set("middle_thirds", 6)
+        assert E5 is not E6 and E5 != E6
+        assert (E5.n_arcs, E6.n_arcs) == (32, 64)
+
+    def test_arrays_are_read_only(self):
+        E = build_set("middle_thirds", 4)
+        for arr in (E.starts, E.ends):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+        with pytest.raises(AttributeError):
+            E._starts = np.zeros(1)
+
+    def test_unknown_name_raises(self):
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown set preset"):
+                build_set("enigma", 3)
+
+    @pytest.mark.parametrize("name, depth", [
+        ("middle_thirds", -1), ("non_carleson_n2", 0), ("middle_thirds", 2.5),
+    ])
+    def test_bad_depth_raises_as_an_uncached_build(self, name, depth):
+        want = _raised(lambda: geometry.cantor_build(
+            geometry.cantor_spec_by_name(name, depth)))
+        assert want is not None
+        for _ in range(2):  # a failed build is not kept
+            assert _raised(lambda: build_set(name, depth)) == want
+
+    def test_smooth_vanishing_same_before_and_after_a_hit(self):
+        params = {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048}
+        presets._shared_set.cache_clear()
+        before = build_function("smooth_vanishing", params)
+        misses = presets._shared_set.cache_info().misses
+        after = build_function("smooth_vanishing", params)
+        assert presets._shared_set.cache_info().misses == misses == 1
+        fresh = smooth_vanishing_function(
+            geometry.cantor_build(geometry.middle_thirds_spec(6)), 1.0, 2048
+        ).series
+        assert before == after == fresh
 
 
 class TestRunOutputs:
