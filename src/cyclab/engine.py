@@ -25,9 +25,11 @@ of one infimum share one total iteration budget, and a CG breakdown ends
 the search unconverged.  The spectrum of f is computed once per problem,
 at the transform lengths `scipy.signal.fftconvolve` would pick, so each
 convolution is one forward and one inverse transform and rounds exactly as
-`fftconvolve` does.  Solver output is always an upper bound witnessed by
-the returned polynomial; reported values are recomputed from that
-polynomial, never read off the iteration.
+scipy's does.  The autocorrelation of f, the first column of T, is one
+more such convolution, through the engine's own `fftconvolve`; the engine
+does not import scipy.signal.  Solver output is always an upper bound
+witnessed by the returned polynomial; reported values are recomputed from
+that polynomial, never read off the iteration.
 """
 
 import functools
@@ -37,7 +39,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.fft
 import scipy.linalg
-from scipy.signal import fftconvolve
 # no solve calls lsmr; the name stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import lsmr  # noqa: F401
 
@@ -109,6 +110,18 @@ class _Convolution:
         # fftconvolve's factor order: numpy's complex product, fused
         # multiply-adds and all, is not commutative bit for bit
         return scipy.fft.ifft(self.spectrum * scipy.fft.fft(x, self.size))[: self.n_out]
+
+
+def fftconvolve(a, x):
+    """The full convolution of a and x by one :class:`_Convolution`.
+
+    When a or x is complex it is bit for bit `scipy.signal.fftconvolve(a, x)`;
+    every FourierSeries slab is complex.  Two real operands are not covered:
+    scipy then takes half-spectrum transforms.  Callers go through this
+    module global, so a tracer that wraps `engine.fftconvolve` sees every
+    call.
+    """
+    return _Convolution(a, len(x))(x)
 
 
 class _ToeplitzInverse:

@@ -181,8 +181,15 @@ class CantorSpec:
             raise ValueError("schedule removes %.6f > 2*pi" % removed)
 
 
+def _check_depth(name, depth):
+    """Raise ValueError naming the depth unless it is an integer >= 1."""
+    if isinstance(depth, bool) or not isinstance(depth, (int, np.integer)) or depth < 1:
+        raise ValueError("%s depth must be an integer >= 1, got %r" % (name, depth))
+
+
 def middle_thirds_spec(depth):
     """Classical one-third gap removal: level-n gaps of length 2*pi/3^n."""
+    _check_depth("middle_thirds", depth)
     return CantorSpec(
         gap_lengths=tuple(TWO_PI / 3.0**n for n in range(1, depth + 1)),
         depth=depth,
@@ -199,6 +206,7 @@ def non_carleson_n2_spec(depth=20):
     like -sum 1/n, so deep approximations land on the divergent side of any
     fixed threshold.
     """
+    _check_depth("non_carleson_n2", depth)
     weights = sum(1.0 / n**2 for n in range(1, depth + 1))
     c = 2.0 * TWO_PI * (1.0 - 2.0 ** (-depth)) / weights
     return CantorSpec(

@@ -18,6 +18,10 @@ engine.py existed:
 
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,6 +78,19 @@ def certify_small_function():
         {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048,
          "truncate": 256},
     )
+
+
+def infimum_large_function():
+    """The smooth vanishing function of the infimum_large benchmark workload."""
+    return build_function(
+        "smooth_vanishing",
+        {"set": "non_carleson_n2", "gamma": 1.0, "grid": 2**14, "truncate": 1024},
+    )
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def rotated(f, rng):
@@ -212,6 +229,24 @@ def counting_transforms(monkeypatch):
     return counts
 
 
+def test_import_loads_no_scipy_subpackage_the_package_does_not_use():
+    # scipy.signal alone pulls in scipy.stats, scipy.interpolate and
+    # scipy.optimize; module presence, not wall time, so it cannot flake
+    unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys, cyclab; "
+        "print(sorted(m for m in %r if m in sys.modules))" % (unused,)
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestCachedSpectrum:
     # f_lo, nf, degree, real f; a complex f also runs with a real x and y
     CASES = [
@@ -263,6 +298,29 @@ class TestCachedSpectrum:
             assert cached.converged == reference.converged
             assert cached.iterations == reference.iterations > 0
 
+    # operand lengths; 1 on either side is a plain product, as in scipy
+    @pytest.mark.parametrize("na, nx", [
+        (1, 1), (1, 6), (7, 1), (6, 8), (7, 9), (8, 7), (2, 2),
+    ])
+    # a complex a, a complex x, or both; two real operands are not covered
+    @pytest.mark.parametrize("complex_a, complex_x", [
+        (True, True), (True, False), (False, True),
+    ])
+    def test_fftconvolve_matches_scipy_by_bit_pattern(self, na, nx, complex_a, complex_x):
+        rng = np.random.default_rng(100 * na + nx)
+        a, x = rng.standard_normal(na), rng.standard_normal(nx)
+        if complex_a:
+            a = a + 1j * rng.standard_normal(na)
+        if complex_x:
+            x = x + 1j * rng.standard_normal(nx)
+        assert_same_bits(engine.fftconvolve(a, x), fftconvolve(a, x))
+
+    def test_fftconvolve_autocorrelation_of_infimum_large_function(self):
+        f_arr = infimum_large_function().arr
+        assert len(f_arr) == 2049
+        a = np.conj(f_arr[::-1])
+        assert_same_bits(engine.fftconvolve(a, f_arr), fftconvolve(a, f_arr))
+
     def test_spectrum_is_taken_once_per_problem(self, monkeypatch):
         counts = counting_transforms(monkeypatch)
         rng = np.random.default_rng(41)
@@ -280,8 +338,10 @@ class TestCachedSpectrum:
 
     def test_a_whole_solve_takes_the_spectrum_once(self, monkeypatch):
         # f's two spectra and the preconditioner's two spectra are each taken
-        # once per problem; after that every convolution is one forward and
-        # one inverse transform, and every preconditioner apply three of each
+        # once per problem, and so is the autocorrelation of f, which is two
+        # forward transforms and one inverse; after that every convolution is
+        # one forward and one inverse transform, and every preconditioner
+        # apply three of each
         counts = counting_transforms(monkeypatch)
         calls = []
         for name in ("apply", "adjoint"):
@@ -310,9 +370,28 @@ class TestCachedSpectrum:
         assert res.sweeps > 1
         assert len(built) == 1 and len(applied) > res.sweeps
         assert counts == {
-            "fft": 2 + 2 + len(calls) + 3 * len(applied),
-            "ifft": len(calls) + 3 * len(applied),
+            "fft": 2 + 2 + 2 + len(calls) + 3 * len(applied),
+            "ifft": 1 + len(calls) + 3 * len(applied),
         }
+
+    def test_autocorrelation_is_one_fftconvolve_call_per_problem(self, monkeypatch):
+        # the count a tracer wrapping engine.fftconvolve reports
+        operands = []
+        real = engine.fftconvolve
+
+        def counting(a, x):
+            operands.append((a, x))
+            return real(a, x)
+
+        monkeypatch.setattr(engine, "fftconvolve", counting)
+        f = certify_small_function()
+        bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert len(operands) == 1
+        forward_shift_infimum(f, P15, 3)
+        assert len(operands) == 2
+        for a, x in operands:
+            assert np.array_equal(a, np.conj(f.arr[::-1]))
+            assert np.array_equal(x, f.arr)
 
 
 class TestSolvePath:

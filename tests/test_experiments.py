@@ -275,11 +275,12 @@ class TestSharedSets:
 
     @pytest.mark.parametrize("name, depth", [
         ("middle_thirds", -1), ("non_carleson_n2", 0), ("middle_thirds", 2.5),
+        ("middle_thirds", 0),
     ])
     def test_bad_depth_raises_as_an_uncached_build(self, name, depth):
         want = _raised(lambda: geometry.cantor_build(
             geometry.cantor_spec_by_name(name, depth)))
-        assert want is not None
+        assert want is not None and want[0] is ValueError
         for _ in range(2):  # a failed build is not kept
             assert _raised(lambda: build_set(name, depth)) == want
 

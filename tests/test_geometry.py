@@ -16,6 +16,7 @@ independent brute-force/Monte-Carlo oracles before geometry.py existed:
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,13 @@ class TestCantor:
             assert E.total_measure == pytest.approx(
                 TWO_PI * (2.0 / 3.0) ** depth, rel=1e-10
             )
+
+    @pytest.mark.parametrize("spec", [middle_thirds_spec, non_carleson_n2_spec])
+    @pytest.mark.parametrize("depth", [0, -1, 2.5, 1.0, True, "3", None])
+    def test_bad_depth_raises_naming_it(self, spec, depth):
+        with pytest.raises(ValueError, match=r"depth must be an integer >= 1, got %s$"
+                           % re.escape(repr(depth))):
+            spec(depth)
 
     def test_non_carleson_preset_depth20(self):
         spec = non_carleson_n2_spec(20)
