@@ -9,10 +9,11 @@ objective
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
 is driven to mu -> 0 by a geometric continuation schedule, each step running
-iteratively reweighted least squares.  Every search, whatever p and beta,
-starts with one solve from zero with the base weights w_n, towards the l2
-minimizer; the best of its result, zero and any warm start seeds the
-continuation, which at p = 2 is one step of sweeps with fixed weights.
+sweeps of iteratively reweighted least squares until its smoothed objective
+stalls.  Every search, whatever p and beta, starts with one solve from zero
+with the base weights w_n, towards the l2 minimizer; the best of its result,
+zero and any warm start seeds the continuation, which at p = 2 is one step
+of sweeps with fixed weights.
 Every weighted least-squares solve runs conjugate gradients on the weighted
 normal equations A^H W A x = A^H W b, preconditioned by the inverse of the
 unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation of
@@ -21,15 +22,16 @@ A^H W A and each solve takes few iterations; at beta = 0 the seed solve's
 preconditioner is exact, so it takes about one.  T^-1 is applied by the
 Gohberg-Semencul formula from one Levinson solve per problem, the only
 direct solve; where it breaks down, CG runs unpreconditioned.  All solves
-of one infimum share one total iteration budget, and a CG breakdown ends
-the search unconverged.  The spectrum of f is computed once per problem,
-at the transform lengths `scipy.signal.fftconvolve` would pick, so each
-convolution is one forward and one inverse transform and rounds exactly as
-scipy's does.  The autocorrelation of f, the first column of T, is one
-more such convolution, through the engine's own `fftconvolve`; the engine
-does not import scipy.signal.  Solver output is always an upper bound
-witnessed by the returned polynomial; reported values are recomputed from
-that polynomial, never read off the iteration.
+of one infimum share one total iteration budget, the only cap on its work;
+spending it, or a CG breakdown, ends the search unconverged.  The spectrum
+of f is computed once per problem, at the transform lengths
+`scipy.signal.fftconvolve` would pick, so each convolution is one forward
+and one inverse transform and rounds exactly as scipy's does.  The
+autocorrelation of f, the first column of T, is one more such convolution,
+through the engine's own `fftconvolve`; the engine does not import
+scipy.signal.  Solver output is always an upper bound witnessed by the
+returned polynomial; reported values are recomputed from that polynomial,
+never read off the iteration.
 """
 
 import functools
@@ -60,15 +62,15 @@ SUPPORTS = ("all_integers", "nonneg", "positive")
 VANISH_GATE_REL = 1e-6  # p_epsilon_decay: largest max |f| on E, relative to max |f|
 KEL_EXCLUSION_CELLS = 10.0  # lemma_kel_ratio drops pairs with chord < this / G
 
-# continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps
+# continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps;
+# step j ends once its smoothed objective moves by at most INNER_RTOL relative
 MU_STEPS = 8
 MU_SCALE = 0.1
-INNER_CAP = 200
 INNER_RTOL = 1e-10
 # total CG iterations one infimum call may spend across all its weighted
-# solves; each solve may spend what is left.  Generous for well-conditioned
-# problems, a hard wall for ill-conditioned ones, where the value is an upper
-# bound anyway
+# solves, the one cap on its work; each solve may spend what is left.
+# Generous for well-conditioned problems, a hard wall for ill-conditioned
+# ones, where the value is an upper bound anyway
 LSMR_TOTAL_BUDGET = 40000
 # a CG solve stops once its preconditioned residual norm has fallen by this
 # factor from where the solve started
@@ -279,6 +281,12 @@ class InfimumResult:
     `sweeps` counts the weighted least-squares solves: the l2 seed solve,
     which is sweep 1, then the IRLS sweeps, or at p = 2 the sweeps with
     fixed weights.  `iterations` counts the CG iterations they were charged.
+
+    `converged` means that every solve held (no CG breakdown) and that every
+    continuation step's smoothed objective stalled within INNER_RTOL before
+    LSMR_TOTAL_BUDGET was spent: the mu schedule finished.  It does not mean
+    that `value` is near the infimum; only a certified lower bound could
+    show that.
     """
 
     value: float
@@ -310,17 +318,16 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     zeros = np.zeros(prob.n_cols, dtype=complex)
 
     # every solve below is preconditioned CG, and all of them share
-    # LSMR_TOTAL_BUDGET iterations over at most 1 + MU_STEPS * INNER_CAP
-    # sweeps; the returned value is an upper bound whether or not the search
-    # converges.  Sweep 1 is the l2 solve with the base weights, from zero:
-    # at beta = 0 its preconditioner is the exact inverse, so it lands on the
-    # l2 minimizer in about one iteration.  A solve that breaks down ends the
+    # LSMR_TOTAL_BUDGET iterations, the one cap on the search's work; the
+    # returned value is an upper bound whether or not the search converges.
+    # Sweep 1 is the l2 solve with the base weights, from zero: at beta = 0
+    # its preconditioner is the exact inverse, so it lands on the l2
+    # minimizer in about one iteration.  A solve that breaks down ends the
     # search, not converged, at the best iterate so far
     iters_left = LSMR_TOTAL_BUDGET
     x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, iters_left)
     iters_left -= iterations
     sweeps = 1
-    converged = held
     # seed IRLS with the best available iterate and never return worse
     candidates = [zeros]
     if warm is not None:
@@ -335,42 +342,32 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     if mu0 == 0.0:
         mu0 = 1e-12
     # at p = 2 the weights depend on neither mu nor r: one step, whose
-    # sweeps refine the inexact solves
+    # sweeps refine the inexact solves.  Step j, the one after j stalled
+    # steps, sweeps at mu0 * 2^-j until its smoothed objective stalls within
+    # INNER_RTOL, and the search has converged once every step has stalled
     mu_steps = 1 if p == 2.0 else MU_STEPS
-    for j in range(mu_steps if held else 0):
-        mu = mu0 * 2.0**-j
-        prev = None
-        for _ in range(INNER_CAP):
-            if iters_left <= 0:
-                converged = False
-                break
-            w = prob.base_w * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 2.0)
-            x, spent, held = prob.solve_weighted(w, x, iters_left)
-            iters_left -= spent
-            iterations += spent
-            sweeps += 1
-            r = prob.residual(x)
-            v = prob.residual_norm(r)
-            if v < best_v:
-                best_x, best_v = x, v
-            if not held:
-                break
-            obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
-            if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
-                break
-            prev = obj
+    stalled = 0
+    prev = None
+    while held and stalled < mu_steps and iters_left > 0:
+        mu = mu0 * 2.0**-stalled
+        w = prob.base_w * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 2.0)
+        x, spent, held = prob.solve_weighted(w, x, iters_left)
+        iters_left -= spent
+        iterations += spent
+        sweeps += 1
+        r = prob.residual(x)
+        v = prob.residual_norm(r)
+        if v < best_v:
+            best_x, best_v = x, v
+        obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
+        if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
+            stalled += 1
+            prev = None
         else:
-            converged = False
-        if not held:
-            converged = False
-            break
-        if iters_left <= 0:
-            # out of budget: converged only if no continuation step is left
-            converged = converged and j == mu_steps - 1
-            break
-    x = best_x
+            prev = obj
+    converged = held and stalled == mu_steps
 
-    poly = FourierSeries.from_dense(x, s_lo)
+    poly = FourierSeries.from_dense(best_x, s_lo)
     # report the norm achieved by the polynomial actually returned
     value = prob.residual_norm(prob.residual(poly.dense(s_lo, s_hi)))
     return InfimumResult(

@@ -430,7 +430,8 @@ def _run_certify(params):
     """CSV columns: degree, bicyclic_norm, shift_norm."""
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     tail = 0.0
-    if params["preset"] == "smooth_vanishing" and params["truncate"] is not None:
+    # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere
+    if params["truncate"] is not None:
         full = series_from_config(dict(params, truncate=None))
         f = full.truncate(int(params["truncate"]))
         full_norm = norm_ap_beta(full, space)

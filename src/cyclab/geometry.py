@@ -140,10 +140,6 @@ class ArcUnion:
         keep = lengths > _GAP_EPS
         return starts[keep], lengths[keep]
 
-    def min_gap(self):
-        _, lengths = self.gaps()
-        return float(lengths.min()) if len(lengths) else 0.0
-
     def to_json_obj(self):
         return {"arcs": [[float(s), float(e)] for s, e in zip(self._starts, self._ends)]}
 
@@ -216,17 +212,12 @@ def non_carleson_n2_spec(depth=20):
     )
 
 
-def cantor_spec_by_name(name, depth=None, custom=None):
-    """Resolve a named schedule; ``custom`` takes a JSON-style gap array."""
+def cantor_spec_by_name(name, depth=None):
+    """Resolve a named schedule; other schedules are built as CantorSpec."""
     if name == "middle_thirds":
         return middle_thirds_spec(12 if depth is None else depth)
     if name == "non_carleson_n2":
         return non_carleson_n2_spec(20 if depth is None else depth)
-    if name == "custom":
-        if custom is None:
-            raise ValueError("custom schedule needs an explicit gap array")
-        gaps = tuple(float(g) for g in custom)
-        return CantorSpec(gap_lengths=gaps, depth=len(gaps), name="custom")
     raise ValueError("unknown cantor schedule %r" % (name,))
 
 

@@ -691,6 +691,19 @@ class TestBudgetExhaustion:
             res = bicyclicity_infimum(f, space, "all_integers", 256)
             assert res.converged is False, "budget %d reported converged" % budget
 
+    def test_a_step_that_never_stalls_sweeps_until_the_budget_is_spent(
+        self, monkeypatch
+    ):
+        # with a negative tolerance no continuation step ever stalls, so the
+        # iteration budget is the only thing that ends the search
+        monkeypatch.setattr(engine, "INNER_RTOL", -1.0)
+        monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 3000)
+        res = bicyclicity_infimum(Z_MINUS_1, P15, "nonneg", 8)
+        assert res.converged is False
+        assert res.iterations == 3000
+        recomputed = residual_norm(Z_MINUS_1, res.polynomial, P15, target_one=True)
+        assert abs(res.value - recomputed) < 1e-10 * max(1.0, recomputed)
+
 
 class TestSzegoBound:
     def test_shift_limit_of_outer_moebius_factor(self):
