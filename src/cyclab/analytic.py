@@ -160,6 +160,18 @@ class OuterFunction:
         )
 
 
+def _outer_boundary(phi):
+    """u = log phi and the boundary samples exp(u + i*Hu) of the outer
+    function with modulus `phi`, a BoundaryModulus (so already floored).
+
+    `outer_from_modulus` adds the coefficients and the leakage; callers that
+    read only the boundary samples of `outer_power_modulus` take
+    `_outer_boundary(_power_modulus(d, gamma, eps, mode))[1]` and stop here.
+    """
+    u = np.log(phi.values)
+    return u, np.exp(u + 1j * conjugate_function(u))
+
+
 def outer_from_modulus(phi, leakage_tol=None, modulus_spec=None):
     """Outer function whose boundary modulus is `phi`.
 
@@ -171,9 +183,7 @@ def outer_from_modulus(phi, leakage_tol=None, modulus_spec=None):
     """
     if not isinstance(phi, BoundaryModulus):
         phi = BoundaryModulus(np.asarray(phi, dtype=float))
-    u = np.log(phi.values)
-    conj = conjugate_function(u)
-    boundary = np.exp(u + 1j * conj)
+    u, boundary = _outer_boundary(phi)
     G = phi.grid_size
     coeffs = series_from_samples(boundary, G // 2 - 1)
     leakage = _leakage(coeffs)
@@ -255,16 +265,8 @@ def m_epsilon(d, gamma, eps):
     return M
 
 
-def outer_power_modulus(d, gamma, eps, mode):
-    """Outer function with modulus (d^gamma + eps)^(+-1/2), normalized for p_eps.
-
-    `d` is the distance to E on a uniform power-of-two grid.  mode "F_eps"
-    uses sqrt(d^gamma + eps) directly.  mode "p_eps" uses the reciprocal
-    square root scaled by exp(-m), where m is the grid mean of
-    (1/2) log 1/(d^gamma + eps); that makes the mean log modulus vanish, so
-    the center value is 1 and the pointwise product of the two moduli is the
-    constant exp(-m).
-    """
+def _power_modulus(d, gamma, eps, mode):
+    """The BoundaryModulus of `outer_power_modulus`."""
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
     if gamma <= 0.0 or eps <= 0.0:
@@ -276,8 +278,22 @@ def outer_power_modulus(d, gamma, eps, mode):
     else:
         m = float(np.mean(half_log_integrand(d, gamma, eps)))
         vals = np.exp(-m) / np.sqrt(base)
+    return BoundaryModulus(vals)
+
+
+def outer_power_modulus(d, gamma, eps, mode):
+    """Outer function with modulus (d^gamma + eps)^(+-1/2), normalized for p_eps.
+
+    `d` is the distance to E on a uniform power-of-two grid.  mode "F_eps"
+    uses sqrt(d^gamma + eps) directly.  mode "p_eps" uses the reciprocal
+    square root scaled by exp(-m), where m is the grid mean of
+    (1/2) log 1/(d^gamma + eps); that makes the mean log modulus vanish, so
+    the center value is 1 and the pointwise product of the two moduli is the
+    constant exp(-m).
+    """
+    phi = _power_modulus(d, gamma, eps, mode)
     spec = {"kind": mode, "gamma": float(gamma), "eps": float(eps)}
-    return outer_from_modulus(BoundaryModulus(vals), modulus_spec=spec)
+    return outer_from_modulus(phi, modulus_spec=spec)
 
 
 # ---------------------------------------------------------------------------

@@ -44,7 +44,13 @@ import scipy.linalg
 # no solve calls lsmr; the name stays bound because perfbench/tracing.py wraps it
 from scipy.sparse.linalg import lsmr  # noqa: F401
 
-from .analytic import half_log_integrand, lag_kernel, m_epsilon, outer_power_modulus
+from .analytic import (
+    _outer_boundary,
+    _power_modulus,
+    half_log_integrand,
+    lag_kernel,
+    m_epsilon,
+)
 from .fourier import (
     FourierSeries,
     _space_params,
@@ -566,7 +572,8 @@ class DecayReport:
 def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     """Track the weighted norm of p_eps * f as eps decreases.
 
-    For each eps the normalized outer factor p_eps is built on the grid, the
+    For each eps the boundary samples of the normalized outer factor p_eps
+    are built on the grid (only those: p_eps(0) = 1 by construction), the
     product is transformed back, and the norm is taken at the configured
     truncation.  Recorded alongside: the normalized log-mean m (the same
     number that makes p_eps(0) = 1) and the envelope ratio
@@ -594,8 +601,8 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     rows = []
     ratios = []
     for eps in eps_schedule:
-        outer = outer_power_modulus(d, gamma, eps, "p_eps")
-        prod = outer.boundary * f_grid
+        _, p_eps = _outer_boundary(_power_modulus(d, gamma, eps, "p_eps"))
+        prod = p_eps * f_grid
         series = series_from_samples(prod, truncation)
         norm = norm_ap_beta(series, space)
         m = float(np.mean(half_log_integrand(d, gamma, eps)))
@@ -642,6 +649,7 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
 
     kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
     cell = (TWO_PI / G) ** 2
+    spec_g = np.fft.fft(g)
 
     ratios = []
     m_values = []
@@ -649,10 +657,9 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
         M = m_epsilon(d, gamma, eps)
         if M <= 0.0:
             raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
-        F = outer_power_modulus(d, gamma, eps, "F_eps").boundary
+        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps"))
         absF2 = np.abs(F) ** 2
         t1 = float(np.sum(g * absF2))
-        spec_g = np.fft.fft(g)
         t2 = np.real(np.fft.ifft(np.conj(spec_g) * np.fft.fft(absF2)))
         a = g * F
         t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))

@@ -26,12 +26,15 @@ from hypothesis import strategies as st
 from scipy import integrate, special
 
 from cyclab.analytic import (
+    LOG_FLOOR,
     TWO_PI,
     BoundaryModulus,
     MoebiusExpansion,
     OuterFunction,
     _energy,
     _leakage,
+    _outer_boundary,
+    _power_modulus,
     conjugate_function,
     douglas_seminorm,
     douglas_weights,
@@ -445,6 +448,17 @@ class TestOuterPowerModulus:
         f = outer_power_modulus(d, 1.0, 0.25, "F_eps")
         want = np.sqrt(d + 0.25)
         assert np.max(np.abs(np.abs(f.boundary) - want) / want) < 1e-13
+
+    @pytest.mark.parametrize("mode", ["p_eps", "F_eps"])
+    def test_boundary_only_path_is_bit_for_bit_the_outer_boundary(self, mode):
+        d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**12)
+        for gamma, eps in ((1.0, 0.5), (0.7, 1e-3), (2.0, 1e-6), (1.0, 1e-30)):
+            phi = _power_modulus(d, gamma, eps, mode)
+            _, got = _outer_boundary(phi)
+            assert np.array_equal(got, outer_power_modulus(d, gamma, eps, mode).boundary)
+        if mode == "F_eps":
+            # the last case is floored: sqrt(0 + 1e-30) = 1e-15 on the set
+            assert phi.values.min() == LOG_FLOOR
 
     def test_spec_recorded(self):
         d = grid_distance(cantor_build(middle_thirds_spec(2)), 2**10)

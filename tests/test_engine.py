@@ -31,7 +31,14 @@ from hypothesis import strategies as st
 from scipy.signal import fftconvolve
 
 from cyclab import engine
-from cyclab.analytic import h_k, m_epsilon, smooth_vanishing_function
+from cyclab.analytic import (
+    h_k,
+    half_log_integrand,
+    lag_kernel,
+    m_epsilon,
+    outer_power_modulus,
+    smooth_vanishing_function,
+)
 from cyclab.engine import (
     SUPPORTS,
     CertificateProblem,
@@ -46,7 +53,14 @@ from cyclab.engine import (
     p_epsilon_decay,
     szego_lower_bound,
 )
-from cyclab.fourier import FourierSeries, SpaceIndex, circle_grid, norm_ap_beta
+from cyclab.fourier import (
+    FourierSeries,
+    SpaceIndex,
+    circle_grid,
+    eval_on_grid,
+    norm_ap_beta,
+    series_from_samples,
+)
 from cyclab.geometry import cantor_build, distance_to_set, middle_thirds_spec
 from cyclab.presets import build_function
 
@@ -893,6 +907,24 @@ class TestDecayExperiment:
         with pytest.raises(ValueError):
             p_epsilon_decay(f, E, -1.0, P15, [1e-1, 1e-2], G=G)
 
+    def test_equals_a_recomputation_through_full_outer_functions(self, carleson_setup):
+        # p_epsilon_decay reads only the boundary samples of p_eps; building
+        # the whole OuterFunction instead must give the same report bit for bit
+        E, f, G = carleson_setup
+        gamma, schedule = 1.0, [1e-1, 1e-2, 1e-3]
+        rep = p_epsilon_decay(f, E, gamma, P15, schedule, G=G)
+        f_grid = eval_on_grid(f, G)
+        d = distance_to_set(circle_grid(G), E)
+        rows, ratios = [], []
+        for eps in schedule:
+            prod = outer_power_modulus(d, gamma, eps, "p_eps").boundary * f_grid
+            norm = norm_ap_beta(series_from_samples(prod, G // 4), P15)
+            m = float(np.mean(half_log_integrand(d, gamma, eps)))
+            rows.append((eps, m, norm))
+            ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
+        assert rep.schedule == rows
+        assert rep.normalized_ratios == ratios
+
     def test_json_shape(self, carleson_setup):
         E, f, G = carleson_setup
         rep = p_epsilon_decay(f, E, 1.0, P15, [1e-1, 1e-2], G=G)
@@ -911,6 +943,29 @@ class TestKernelRatio:
         # the M_eps values the ratios divide by, bit for bit
         d = distance_to_set(circle_grid(2**10), E)
         assert m_values == [m_epsilon(d, 1.0, eps) for eps in (1e-1, 1e-2)]
+
+    def test_equals_a_recomputation_through_full_outer_functions(self):
+        # the ratios read only the boundary samples of F_eps, and the spectrum
+        # of the weight g is taken once; the per-eps form with whole
+        # OuterFunctions must give the same ratios bit for bit
+        E = cantor_build(middle_thirds_spec(8))
+        G, gamma, delta_prime, schedule = 2**10, 1.0, 1.2, [1e-1, 1e-2, 1e-3]
+        got, _ = lemma_kel_ratio(E, gamma, delta_prime, schedule, G)
+        d = distance_to_set(circle_grid(G), E)
+        g = np.zeros(G)
+        pos = d > 0.0
+        g[pos] = d[pos] ** (2.0 * (delta_prime - gamma))
+        kernel = lag_kernel(G, engine.KEL_EXCLUSION_CELLS / G, -2.0)
+        want = []
+        for eps in schedule:
+            F = outer_power_modulus(d, gamma, eps, "F_eps").boundary
+            absF2 = np.abs(F) ** 2
+            t1 = float(np.sum(g * absF2))
+            t2 = np.real(np.fft.ifft(np.conj(np.fft.fft(g)) * np.fft.fft(absF2)))
+            t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(g * F)) * np.fft.fft(F)))
+            lhs = (engine.TWO_PI / G) ** 2 * float(np.sum(kernel * (t1 + t2 - 2.0 * t3)))
+            want.append(lhs / m_epsilon(d, gamma, eps))
+        assert got == want
 
     def test_grid_doubling_is_stable(self):
         E = cantor_build(middle_thirds_spec(8))

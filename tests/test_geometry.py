@@ -17,6 +17,7 @@ independent brute-force/Monte-Carlo oracles before geometry.py existed:
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,38 @@ def loop_merge_oracle(arcs):
             merged.append([s, e])
     return (np.array([p[0] for p in merged], dtype=float),
             np.array([p[1] for p in merged], dtype=float))
+
+
+def fraction_tube_oracle(E, t):
+    """|E_t| as the exact union of E's float arcs, each dilated by the float
+    rho(t), merged in rational arithmetic on the circle [0, TWO_PI); the
+    result is rounded to a float once, at the end."""
+    if t >= 2.0:
+        return TWO_PI
+    circle = Fraction(TWO_PI)
+    rho = Fraction(2.0 * math.asin(t / 2.0))
+    pieces = []
+    for s, e in zip(E.starts, E.ends):
+        a, b = Fraction(float(s)) - rho, Fraction(float(e)) + rho
+        if b - a >= circle:
+            return TWO_PI
+        start = a % circle
+        end = start + (b - a)
+        if end > circle:
+            pieces += [(start, circle), (Fraction(0), end - circle)]
+        else:
+            pieces.append((start, end))
+    pieces.sort()
+    total = Fraction(0)
+    lo, hi = pieces[0]
+    for s, e in pieces[1:]:
+        if s > hi:
+            total += hi - lo
+            lo, hi = s, e
+        else:
+            hi = max(hi, e)
+    total += hi - lo
+    return float(min(total, circle))
 
 
 def greedy_cover_oracle(E, t):
@@ -620,3 +653,44 @@ def test_covering_matches_greedy_oracle(arcs, t):
         scales.append(1.5 * longest)  # above the largest arc
     for x in scales:
         assert covering_number(E, x) == greedy_cover_oracle(E, x)
+
+
+@st.composite
+def tube_arc_unions(draw):
+    """Up to 40 arcs: points, arcs touching the seam from either side, arcs
+    across the origin with others nested inside them, and the full circle."""
+    arcs = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        kind = draw(st.sampled_from(("point", "seam", "origin", "nested", "free")))
+        if kind == "point":
+            s = draw(st.sampled_from((0.0, TWO_PI)) | st.floats(0.0, TWO_PI))
+            arcs.append((s, s))
+        elif kind == "seam":
+            length = draw(st.floats(min_value=0.0, max_value=1.0))
+            arcs.append(draw(st.sampled_from(((0.0, length), (TWO_PI - length, TWO_PI)))))
+        elif kind == "origin":
+            s = -draw(st.floats(min_value=0.0, max_value=2.0))
+            arcs.append((s, s + draw(st.floats(min_value=-s, max_value=3.0))))
+        elif kind == "nested" and arcs:
+            s0, e0 = draw(st.sampled_from(arcs))
+            s = draw(st.floats(min_value=s0, max_value=e0))
+            arcs.append((s, draw(st.floats(min_value=s, max_value=e0))))
+        else:
+            s = draw(st.floats(min_value=0.0, max_value=TWO_PI))
+            length = draw(st.sampled_from((0.0, TWO_PI)) | st.floats(0.0, 0.5))
+            arcs.append((s, s + length))
+    return ArcUnion(arcs)
+
+
+@given(tube_arc_unions(),
+       st.sampled_from((2.0, 3.0)) | st.floats(min_value=1e-9, max_value=1.99))
+@example(E=ArcUnion([(0.0, 0.1), (TWO_PI - 0.2, TWO_PI)]), t=1e-3)
+@example(E=ArcUnion.from_points([0.0, 1.0, 2.5]), t=1e-6)
+@example(E=ArcUnion.full_circle(), t=0.1)
+@settings(max_examples=300, deadline=None)
+def test_tube_matches_exact_fraction_oracle(E, t):
+    # the closed form sums exact gaps and lengths, so it agrees with the
+    # exact union of the dilated float arcs to a few ulps even when the tube
+    # is many orders below 2*pi
+    want = fraction_tube_oracle(E, t)
+    assert abs(tube_measure(E, t) - want) <= 1e-13 * want
