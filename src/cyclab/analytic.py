@@ -3,9 +3,10 @@
 Everything works on a uniform power-of-two grid over [0, 2*pi).  An outer
 function is stored through its boundary samples together with the analytic
 Fourier coefficients recovered from them; the harmonic conjugate is taken
-spectrally with the -i*sign(n) multiplier, so log-moduli should be resolved
-by the grid (band-limited or close to it) for the negative-frequency leakage
-to stay small.
+spectrally with the -i*sign(n) multiplier, applied to the half spectrum of a
+half-length real transform (the log-modulus is real), so log-moduli should
+be resolved by the grid (band-limited or close to it) for the
+negative-frequency leakage to stay small.
 
 The per-eps kernels `m_epsilon` and `outer_power_modulus` take the sampled
 distance d = distance_to_set(circle_grid(G), E), G = len(d), not the set E,
@@ -75,20 +76,21 @@ def _leakage(coeffs):
 def conjugate_function(g):
     """Harmonic conjugate of a real grid function via the -i*sign(n) multiplier.
 
-    The mean (n = 0) and the Nyquist bin are zeroed, so the output has zero
-    mean and double conjugation returns -(g - mean g).
+    g is real, so its spectrum is Hermitian and the multiplier is applied to
+    the half spectrum n = 0..G/2 of a half-length real transform (`rfft`),
+    which `irfft` maps back to real samples.  The mean (n = 0) and the
+    Nyquist bin are zeroed, so the output has zero mean and double
+    conjugation returns -(g - mean g).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("expected a 1-D real grid")
     G = g.shape[0]
     _check_pow2(G, smallest=4)
-    spec = np.fft.fft(g)
-    freq = np.fft.fftfreq(G, d=1.0 / G)
-    mult = -1j * np.sign(freq)
-    mult[0] = 0.0
-    mult[G // 2] = 0.0
-    return np.real(np.fft.ifft(mult * spec))
+    spec = np.fft.rfft(g)
+    spec[0] = 0.0
+    spec[-1] = 0.0
+    return np.fft.irfft(-1j * spec, G)
 
 
 @dataclass(frozen=True)
@@ -166,7 +168,8 @@ def _outer_boundary(phi):
 
     `outer_from_modulus` adds the coefficients and the leakage; callers that
     read only the boundary samples of `outer_power_modulus` take
-    `_outer_boundary(_power_modulus(d, gamma, eps, mode))[1]` and stop here.
+    `_outer_boundary(_power_modulus(d, gamma, eps, mode)[0])[1]` and stop
+    here.
     """
     u = np.log(phi.values)
     return u, np.exp(u + 1j * conjugate_function(u))
@@ -266,19 +269,21 @@ def m_epsilon(d, gamma, eps):
 
 
 def _power_modulus(d, gamma, eps, mode):
-    """The BoundaryModulus of `outer_power_modulus`."""
+    """The BoundaryModulus of `outer_power_modulus`, and the grid mean m of
+    (1/2) log 1/(d^gamma + eps) that normalizes p_eps (None for F_eps)."""
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
     if gamma <= 0.0 or eps <= 0.0:
         raise ValueError("gamma and eps must be positive")
     d = np.asarray(d, dtype=float)
     base = d**gamma + eps
+    m = None
     if mode == "F_eps":
         vals = np.sqrt(base)
     else:
         m = float(np.mean(half_log_integrand(d, gamma, eps)))
         vals = np.exp(-m) / np.sqrt(base)
-    return BoundaryModulus(vals)
+    return BoundaryModulus(vals), m
 
 
 def outer_power_modulus(d, gamma, eps, mode):
@@ -291,7 +296,7 @@ def outer_power_modulus(d, gamma, eps, mode):
     the center value is 1 and the pointwise product of the two moduli is the
     constant exp(-m).
     """
-    phi = _power_modulus(d, gamma, eps, mode)
+    phi, _ = _power_modulus(d, gamma, eps, mode)
     spec = {"kind": mode, "gamma": float(gamma), "eps": float(eps)}
     return outer_from_modulus(phi, modulus_spec=spec)
 
@@ -460,7 +465,13 @@ def smooth_vanishing_function(E, gamma, G):
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
     _check_pow2(G, smallest=16)
-    d = distance_to_set(circle_grid(G), E)
+    return _vanishing_profile(distance_to_set(circle_grid(G), E), gamma)
+
+
+def _vanishing_profile(d, gamma):
+    """`smooth_vanishing_function` from the distance d to E sampled on its
+    grid, G = len(d); a caller that already holds d samples it once."""
+    G = d.shape[0]
     vals = np.zeros(G)
     pos = d > 0.0
     vals[pos] = np.exp(-(d[pos] ** (-gamma)))

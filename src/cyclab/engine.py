@@ -47,7 +47,6 @@ from scipy.sparse.linalg import lsmr  # noqa: F401
 from .analytic import (
     _outer_boundary,
     _power_modulus,
-    half_log_integrand,
     lag_kernel,
     m_epsilon,
 )
@@ -580,6 +579,14 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     norm^2 / ((1+m) e^(-2m)).  Verdict `decays` means strictly decreasing
     norms with the final below a tenth of the first; anything else `stalls`.
     """
+    return _decay_from_distance(
+        f, distance_to_set(circle_grid(G), E), gamma, space, eps_schedule, truncation
+    )
+
+
+def _decay_from_distance(f, d, gamma, space, eps_schedule, truncation):
+    """`p_epsilon_decay` from the distance d to E sampled on its grid,
+    G = len(d); a caller that already holds d samples it once."""
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
         raise ValueError("need at least two epsilons")
@@ -587,10 +594,10 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
         raise ValueError("eps schedule must be strictly decreasing")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    G = d.shape[0]
     if truncation is None:
         truncation = G // 4
     f_grid = eval_on_grid(f, G)
-    d = distance_to_set(circle_grid(G), E)
     on = d == 0.0
     # band-limiting f leaves ~1e-8 relative dust on the set; the gate only
     # needs to catch inputs that genuinely fail to vanish there
@@ -601,11 +608,11 @@ def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
     rows = []
     ratios = []
     for eps in eps_schedule:
-        _, p_eps = _outer_boundary(_power_modulus(d, gamma, eps, "p_eps"))
+        phi, m = _power_modulus(d, gamma, eps, "p_eps")
+        _, p_eps = _outer_boundary(phi)
         prod = p_eps * f_grid
         series = series_from_samples(prod, truncation)
         norm = norm_ap_beta(series, space)
-        m = float(np.mean(half_log_integrand(d, gamma, eps)))
         rows.append((eps, m, norm))
         ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
     norms = [r[2] for r in rows]
@@ -628,9 +635,11 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
     The left side is the arc-length double integral of
     d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
     with a chordal diagonal exclusion KEL_EXCLUSION_CELLS / G, evaluated by lag
-    reduction (three FFT-sized correlations per eps).  M_eps is the
-    unnormalized half log-integral, required positive.  Grid nodes lying exactly on E are
-    dropped from the weighted sum when the weight exponent is negative.
+    reduction (three FFT-sized correlations per eps; the one of two real
+    arrays, the weight and |F_eps|^2, by half-length real transforms).
+    M_eps is the unnormalized half log-integral, required positive.  Grid
+    nodes lying exactly on E are dropped from the weighted sum when the
+    weight exponent is negative.
     """
     if 2.0 * delta_prime - gamma - 1.0 < 0.0:
         raise ValueError("need 2*delta' - gamma - 1 >= 0")
@@ -649,7 +658,7 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
 
     kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
     cell = (TWO_PI / G) ** 2
-    spec_g = np.fft.fft(g)
+    spec_g = np.conj(np.fft.rfft(g))  # g is real: a half-length transform
 
     ratios = []
     m_values = []
@@ -657,10 +666,10 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
         M = m_epsilon(d, gamma, eps)
         if M <= 0.0:
             raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
-        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps"))
+        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps")[0])
         absF2 = np.abs(F) ** 2
         t1 = float(np.sum(g * absF2))
-        t2 = np.real(np.fft.ifft(np.conj(spec_g) * np.fft.fft(absF2)))
+        t2 = np.fft.irfft(spec_g * np.fft.rfft(absF2), G)
         a = g * F
         t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))
         lag_sums = t1 + t2 - 2.0 * t3

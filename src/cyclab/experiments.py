@@ -32,20 +32,20 @@ from typing import NamedTuple
 from . import __version__
 from .analytic import (
     M_EPSILON_SELF_CHECK_TOL,
+    _vanishing_profile,
     douglas_seminorm,
     m_epsilon,
     outer_power_modulus,
-    smooth_vanishing_function,
 )
 from .engine import (
     KEL_EXCLUSION_CELLS,
     VANISH_GATE_REL,
     CertificateProblem,
+    _decay_from_distance,
     certify_cyclic,
     classify_regime,
     forward_shift_infimum,
     lemma_kel_ratio,
-    p_epsilon_decay,
     szego_lower_bound,
 )
 from .fourier import SpaceIndex, circle_grid, eval_on_grid, norm_ap_beta
@@ -467,10 +467,10 @@ def _run_decay(params):
     G = params["grid"]
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     eps_schedule = [float(e) for e in params["eps"]]
-    f = smooth_vanishing_function(E, gamma, G).series
-    report_obj = p_epsilon_decay(
-        f, E, gamma, space, eps_schedule, G=G, truncation=params["truncate"]
-    )
+    # f = exp(-d^-gamma) and p_eps are both built from one distance profile
+    d = distance_to_set(circle_grid(G), E)
+    f = _vanishing_profile(d, gamma).series
+    report_obj = _decay_from_distance(f, d, gamma, space, eps_schedule, params["truncate"])
     rows = [
         (eps, m, norm, ratio)
         for (eps, m, norm), ratio in zip(

@@ -280,19 +280,33 @@ def tube_measure(E, t):
 
     capped at 2*pi.  This costs O(arcs) with no sort or merge.  The gap
     across the seam, from an arc ending at 2*pi to one starting at 0, is 0,
-    so those two arcs count as one.
+    so those two arcs count as one.  Profiles over many scales
+    (`covering_profile`, `lambda_divergence_test`) take the gaps and the
+    total measure once and give the same floats as a call per scale.
     """
+    return _tube_from_gaps(*_tube_inputs(E), t)
+
+
+def _tube_inputs(E):
+    """The cyclic gaps g_i (empty for the empty set) and the total measure
+    of E, the two inputs of `_tube_from_gaps`."""
+    if E.n_arcs == 0:
+        return np.empty(0), 0.0
+    s, e = E.starts, E.ends
+    return np.append(s[1:] - e[:-1], s[0] + TWO_PI - e[-1]), E.total_measure
+
+
+def _tube_from_gaps(gaps, measure, t):
+    """`tube_measure` from the cyclic gaps and the total measure of a set."""
     t = float(t)
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if E.n_arcs == 0:
+    if gaps.size == 0:
         return 0.0
     if t >= 2.0:
         return TWO_PI
     rho = 2.0 * math.asin(t / 2.0)  # the angular radius of a chord t < 2
-    s, e = E.starts, E.ends
-    gaps = np.append(s[1:] - e[:-1], s[0] + TWO_PI - e[-1])
-    total = E.total_measure + float(np.sum(np.minimum(gaps, 2.0 * rho)))
+    total = measure + float(np.sum(np.minimum(gaps, 2.0 * rho)))
     return min(total, TWO_PI)
 
 
@@ -354,9 +368,10 @@ class CoveringProfile:
 
 
 def covering_profile(E, t_values):
+    gaps, measure = _tube_inputs(E)
     rows = []
     for t in sorted(float(t) for t in t_values):
-        rows.append((t, covering_number(E, t), tube_measure(E, t)))
+        rows.append((t, covering_number(E, t), _tube_from_gaps(gaps, measure, t)))
     return CoveringProfile(samples=tuple(rows))
 
 
@@ -490,10 +505,11 @@ def lambda_divergence_test(E, gamma, t_floor, increment_tol=0.5, n_quad=400):
         if s >= 2.0:
             break
     floors = sorted(set(floors), reverse=True)  # large floors first
+    gaps, measure = _tube_inputs(E)
 
     def integral_from(s_lo):
         t = np.geomspace(s_lo, 2.0, n_quad)
-        tube = np.array([tube_measure(E, x) for x in t])
+        tube = np.array([_tube_from_gaps(gaps, measure, x) for x in t])
         integrand = tube * gamma * t ** (-gamma - 1.0)
         # trapezoid in log t: dt = t dlog(t)
         return float(np.trapezoid(integrand * t, np.log(t)))

@@ -21,7 +21,7 @@ import operator
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special
 
@@ -107,6 +107,18 @@ def w_exact_n1(alpha):
     ) / special.gamma(s / 2.0 + 1.0)
 
 
+def full_spectrum_conjugate(g):
+    """The -i*sign(n) multiplier on the full complex spectrum of g, with the
+    mean and Nyquist bins zeroed: the conjugate before it took half-length
+    real transforms, kept as an oracle."""
+    G = g.shape[0]
+    spec = np.fft.fft(g)
+    mult = -1j * np.sign(np.fft.fftfreq(G, d=1.0 / G))
+    mult[0] = 0.0
+    mult[G // 2] = 0.0
+    return np.real(np.fft.ifft(mult * spec))
+
+
 class TestConjugateFunction:
     def test_cosine_to_sine(self):
         th = circle_grid(128)
@@ -138,6 +150,35 @@ class TestConjugateFunction:
         g += 0.7
         twice = conjugate_function(conjugate_function(g))
         assert np.max(np.abs(twice + (g - np.mean(g)))) < 1e-10
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.sampled_from(("normal", "spiky", "wide_range")),
+    )
+    @example(log2_size=2, seed=0, kind="nyquist")
+    @example(log2_size=12, seed=0, kind="nyquist")
+    @example(log2_size=2, seed=0, kind="constant")
+    @example(log2_size=12, seed=0, kind="constant")
+    def test_half_spectrum_matches_full_spectrum_multiplier(self, log2_size, seed, kind):
+        G = 2**log2_size
+        rng = np.random.default_rng(seed)
+        if kind == "nyquist":
+            g = 1.5 * (-1.0) ** np.arange(G)
+        elif kind == "constant":
+            g = np.full(G, -2.5)
+        elif kind == "spiky":
+            g = np.zeros(G)
+            idx = rng.integers(0, G, size=min(G, 3))
+            g[idx] = rng.normal(size=idx.size) * 10.0 ** rng.uniform(-3, 3, idx.size)
+        elif kind == "wide_range":
+            g = rng.normal(size=G) * 10.0 ** rng.uniform(-8, 8, G)
+        else:  # normal
+            g = rng.normal(size=G)
+        got = conjugate_function(g)
+        want = full_spectrum_conjugate(g)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(g))
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -453,7 +494,7 @@ class TestOuterPowerModulus:
     def test_boundary_only_path_is_bit_for_bit_the_outer_boundary(self, mode):
         d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**12)
         for gamma, eps in ((1.0, 0.5), (0.7, 1e-3), (2.0, 1e-6), (1.0, 1e-30)):
-            phi = _power_modulus(d, gamma, eps, mode)
+            phi, _ = _power_modulus(d, gamma, eps, mode)
             _, got = _outer_boundary(phi)
             assert np.array_equal(got, outer_power_modulus(d, gamma, eps, mode).boundary)
         if mode == "F_eps":

@@ -61,7 +61,12 @@ from cyclab.fourier import (
     norm_ap_beta,
     series_from_samples,
 )
-from cyclab.geometry import cantor_build, distance_to_set, middle_thirds_spec
+from cyclab.geometry import (
+    cantor_build,
+    cantor_spec_by_name,
+    distance_to_set,
+    middle_thirds_spec,
+)
 from cyclab.presets import build_function
 
 Z_MINUS_1 = FourierSeries({0: -1.0, 1: 1.0})
@@ -947,7 +952,8 @@ class TestKernelRatio:
     def test_equals_a_recomputation_through_full_outer_functions(self):
         # the ratios read only the boundary samples of F_eps, and the spectrum
         # of the weight g is taken once; the per-eps form with whole
-        # OuterFunctions must give the same ratios bit for bit
+        # OuterFunctions must give the same ratios bit for bit (t2 correlates
+        # two real arrays, so both sides take it by half-length transforms)
         E = cantor_build(middle_thirds_spec(8))
         G, gamma, delta_prime, schedule = 2**10, 1.0, 1.2, [1e-1, 1e-2, 1e-3]
         got, _ = lemma_kel_ratio(E, gamma, delta_prime, schedule, G)
@@ -961,11 +967,29 @@ class TestKernelRatio:
             F = outer_power_modulus(d, gamma, eps, "F_eps").boundary
             absF2 = np.abs(F) ** 2
             t1 = float(np.sum(g * absF2))
-            t2 = np.real(np.fft.ifft(np.conj(np.fft.fft(g)) * np.fft.fft(absF2)))
+            t2 = np.fft.irfft(np.conj(np.fft.rfft(g)) * np.fft.rfft(absF2), G)
             t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(g * F)) * np.fft.fft(F)))
             lhs = (engine.TWO_PI / G) ** 2 * float(np.sum(kernel * (t1 + t2 - 2.0 * t3)))
             want.append(lhs / m_epsilon(d, gamma, eps))
         assert got == want
+
+    @pytest.mark.parametrize("name, depth, G", [
+        ("middle_thirds", 8, 2**10),
+        ("non_carleson_n2", 10, 2**12),
+    ])
+    def test_half_spectrum_t2_matches_the_full_spectrum_correlation(self, name, depth, G):
+        # t2[l] = sum_j g_j |F_{j+l}|^2 by half-length real transforms, against
+        # the full complex transforms it replaced
+        E = cantor_build(cantor_spec_by_name(name, depth))
+        d = distance_to_set(circle_grid(G), E)
+        g = np.zeros(G)
+        pos = d > 0.0
+        g[pos] = d[pos] ** (2.0 * (1.2 - 1.0))
+        for eps in (1e-1, 1e-3, 1e-6):
+            absF2 = np.abs(outer_power_modulus(d, 1.0, eps, "F_eps").boundary) ** 2
+            half = np.fft.irfft(np.conj(np.fft.rfft(g)) * np.fft.rfft(absF2), G)
+            full = np.real(np.fft.ifft(np.conj(np.fft.fft(g)) * np.fft.fft(absF2)))
+            assert np.max(np.abs(half - full)) <= 1e-12 * np.max(np.abs(full))
 
     def test_grid_doubling_is_stable(self):
         E = cantor_build(middle_thirds_spec(8))

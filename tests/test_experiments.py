@@ -495,7 +495,7 @@ class TestSharedWork:
     # default eps schedules: 6 for outer and decay, 4 for kel_ratio
     @pytest.mark.parametrize("experiment, extra, most", [
         ("outer", {}, 1),
-        ("decay", {"p": 1.5}, 2),  # smooth_vanishing_function and p_epsilon_decay
+        ("decay", {"p": 1.5}, 1),  # f and p_eps share one profile
         ("kel_ratio", {}, 1),
     ])
     def test_one_distance_profile_per_sweep(self, tmp_path, monkeypatch,

@@ -551,6 +551,47 @@ class TestLambdaDivergence:
             lambda_divergence_test(ArcUnion.from_points([0.0]), gamma=-1.0, t_floor=1e-3)
 
 
+def assert_profile_tubes_are_per_call(E, t_values):
+    """`covering_profile`'s tube column is, float for float, a `tube_measure`
+    call per scale."""
+    _, _, tube = covering_profile(E, t_values).as_arrays()
+    want = [tube_measure(E, t) for t in sorted(float(t) for t in t_values)]
+    assert [float.hex(x) for x in tube] == [float.hex(x) for x in want]
+
+
+def assert_lambda_tubes_are_per_call(E, gamma, t_floor, n_quad):
+    """`lambda_divergence_test` integrates, at every floor of its schedule,
+    the same tube array as a `tube_measure` call per quadrature node gives."""
+    rec = lambda_divergence_test(E, gamma, t_floor, n_quad=n_quad)
+    for s_lo, got in rec["schedule"]:
+        t = np.geomspace(s_lo, 2.0, n_quad)
+        tube = np.array([tube_measure(E, x) for x in t])
+        integrand = tube * gamma * t ** (-gamma - 1.0)
+        want = float(np.trapezoid(integrand * t, np.log(t)))
+        assert float.hex(got) == float.hex(want)
+
+
+@pytest.fixture(scope="module", params=SET_PRESETS)
+def default_preset_set(request):
+    return cantor_build(cantor_spec_by_name(request.param))
+
+
+class TestOneGapPass:
+    """Multi-scale profiles take the gaps once and match per-scale calls."""
+
+    def test_covering_profile_at_default_depth(self, default_preset_set):
+        # the `cantor` experiment's default scales
+        assert_profile_tubes_are_per_call(default_preset_set, log_t_grid(1e-4, 0.25, 9))
+
+    def test_lambda_test_at_default_depth(self, default_preset_set):
+        assert_lambda_tubes_are_per_call(default_preset_set, 0.369, 1e-4, 25)
+
+    def test_empty_set(self):
+        E = ArcUnion([])
+        assert_lambda_tubes_are_per_call(E, 0.5, 1e-3, 8)
+        assert lambda_divergence_test(E, 0.5, 1e-3)["integral_estimate"] == 0.0
+
+
 # ---------------------------------------------------------------------------
 # property-based checks
 # ---------------------------------------------------------------------------
@@ -694,3 +735,23 @@ def test_tube_matches_exact_fraction_oracle(E, t):
     # is many orders below 2*pi
     want = fraction_tube_oracle(E, t)
     assert abs(tube_measure(E, t) - want) <= 1e-13 * want
+
+
+@given(tube_arc_unions(),
+       st.lists(st.sampled_from((2.0, 3.0)) | st.floats(min_value=1e-3, max_value=1.99),
+                min_size=1, max_size=8))
+@example(E=ArcUnion([(0.0, 0.1), (TWO_PI - 0.2, TWO_PI)]), t_values=[1e-3, 0.05, 2.0])
+@example(E=ArcUnion.full_circle(), t_values=[0.1, 3.0])
+@settings(max_examples=100, deadline=None)
+def test_covering_profile_tubes_match_per_call(E, t_values):
+    # t >= 1e-3 keeps the covering sweep short; the tube column is what is checked
+    assert_profile_tubes_are_per_call(E, t_values)
+
+
+@given(tube_arc_unions(),
+       st.floats(min_value=0.1, max_value=2.0),
+       st.floats(min_value=1e-9, max_value=1.99))
+@example(E=ArcUnion.from_points([0.0, 1.0, 2.5]), gamma=0.5, t_floor=1e-6)
+@settings(max_examples=100, deadline=None)
+def test_lambda_test_tubes_match_per_call(E, gamma, t_floor):
+    assert_lambda_tubes_are_per_call(E, gamma, t_floor, 12)
