@@ -29,9 +29,12 @@ of f is computed once per problem, at the transform lengths
 and one inverse transform and rounds exactly as scipy's does.  The
 autocorrelation of f, the first column of T, is one more such convolution,
 through the engine's own `fftconvolve`; the engine does not import
-scipy.signal.  Solver output is always an upper bound witnessed by the
-returned polynomial; reported values are recomputed from that polynomial,
-never read off the iteration.
+scipy.signal.  Importing the engine loads no scipy subpackage: scipy.fft
+loads at the first transform and scipy.linalg at the first Levinson solve,
+so a run that never solves loads neither.  `lsmr`, which no solve calls,
+is bound on its first lookup.  Solver output is always an upper bound
+witnessed by the returned polynomial; reported values are recomputed from
+that polynomial, never read off the iteration.
 """
 
 import functools
@@ -39,10 +42,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.fft
-import scipy.linalg
-# no solve calls lsmr; the name stays bound because perfbench/tracing.py wraps it
-from scipy.sparse.linalg import lsmr  # noqa: F401
+import scipy
 
 from .analytic import (
     _outer_boundary,
@@ -82,6 +82,16 @@ LSMR_TOTAL_BUDGET = 40000
 PCG_RTOL = 1e-3
 
 
+def __getattr__(name):
+    # no solve calls lsmr; perfbench/tracing.py wraps `engine.lsmr`, so the
+    # name resolves here, and scipy.sparse loads only when it is looked up
+    if name == "lsmr":
+        import scipy.sparse.linalg
+
+        return scipy.sparse.linalg.lsmr
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _support_range(support, degree):
     if support == "all_integers":
         return -degree, degree
@@ -108,6 +118,8 @@ class _Convolution:
         self.a = a
         self.size = None
         if len(a) > 1 and n_x > 1:
+            import scipy.fft  # loaded at the first transform, not at import
+
             self.size = scipy.fft.next_fast_len(self.n_out, False)
             self.spectrum = scipy.fft.fft(a, self.size)
 
@@ -147,6 +159,9 @@ class _ToeplitzInverse:
     """
 
     def __init__(self, col):
+        import scipy.fft
+        import scipy.linalg  # loaded at the first Levinson solve
+
         n = len(col)
         e0 = np.zeros(n, dtype=complex)
         e0[0] = 1.0
@@ -239,9 +254,10 @@ class _ConvObjective:
         except (np.linalg.LinAlgError, ValueError):
             return lambda y: y
 
-    def solve_weighted(self, w, x, maxiter):
-        """min_x sum_n w_n |b_n - conv(f, x)_n|^2 from x, the iterations
-        spent, and whether the solve held.
+    def solve_weighted(self, w, x, resid, maxiter):
+        """min_x sum_n w_n |b_n - conv(f, x)_n|^2 from x, given its residual
+        resid = b - conv(f, x); the minimizer, the iterations spent, and
+        whether the solve held.
 
         Runs preconditioned CG on A^H W A x = A^H W b, W = diag(w),
         for at most maxiter iterations, is charged at least one, and stops
@@ -253,7 +269,7 @@ class _ConvObjective:
         hold.
         """
         precond = self.preconditioner
-        r = self.adjoint(w * self.residual(x))
+        r = self.adjoint(w * resid)
         z = precond(r)
         rz = float(np.real(np.vdot(r, z)))
         if not rz > 0.0:
@@ -325,12 +341,13 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     # every solve below is preconditioned CG, and all of them share
     # LSMR_TOTAL_BUDGET iterations, the one cap on the search's work; the
     # returned value is an upper bound whether or not the search converges.
-    # Sweep 1 is the l2 solve with the base weights, from zero: at beta = 0
-    # its preconditioner is the exact inverse, so it lands on the l2
-    # minimizer in about one iteration.  A solve that breaks down ends the
-    # search, not converged, at the best iterate so far
+    # Sweep 1 is the l2 solve with the base weights, from zero, whose
+    # residual is b: at beta = 0 its preconditioner is the exact inverse, so
+    # it lands on the l2 minimizer in about one iteration.  Each later sweep
+    # starts from the residual the sweep before it left.  A solve that
+    # breaks down ends the search, not converged, at the best iterate so far
     iters_left = LSMR_TOTAL_BUDGET
-    x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, iters_left)
+    x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, prob.b, iters_left)
     iters_left -= iterations
     sweeps = 1
     # seed IRLS with the best available iterate and never return worse
@@ -356,7 +373,7 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     while held and stalled < mu_steps and iters_left > 0:
         mu = mu0 * 2.0**-stalled
         w = prob.base_w * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 2.0)
-        x, spent, held = prob.solve_weighted(w, x, iters_left)
+        x, spent, held = prob.solve_weighted(w, x, r, iters_left)
         iters_left -= spent
         iterations += spent
         sweeps += 1
