@@ -26,12 +26,15 @@ of one infimum share one total iteration budget, the only cap on its work;
 spending it, or a CG breakdown, ends the search unconverged.  The spectrum
 of f is computed once per problem, at the transform lengths
 `scipy.signal.fftconvolve` would pick, so each convolution is one forward
-and one inverse transform and rounds exactly as scipy's does.  The
-autocorrelation of f, the first column of T, is one more such convolution,
-through the engine's own `fftconvolve`; the engine does not import
-scipy.signal.  Importing the engine loads no scipy subpackage: scipy.fft
-loads at the first transform and scipy.linalg at the first Levinson solve,
-so a run that never solves loads neither.  `lsmr`, which no solve calls,
+and one inverse transform and rounds exactly as scipy's does.  Each
+transform is one direct call of `scipy.fft._pocketfft.pypocketfft.c2c`, the
+kernel that scipy.fft's default backend runs: on small problems scipy.fft's
+per-call dispatch cost more than the transforms.  The autocorrelation of f,
+the first column of T, is one more such convolution, through the engine's
+own `fftconvolve`; the engine does not import scipy.signal.  Importing the
+engine loads no scipy subpackage: scipy.fft loads, and its kernel is bound,
+at the first transform, and scipy.linalg at the first Levinson solve, so a
+run that never solves loads neither.  `lsmr`, which no solve calls,
 is bound on its first lookup.  Solver output is always an upper bound
 witnessed by the returned polynomial; reported values are recomputed from
 that polynomial, never read off the iteration.
@@ -104,13 +107,47 @@ def _support_range(support, degree):
     raise ValueError(f"unknown support {support!r}; expected one of {SUPPORTS}")
 
 
+_c2c = None  # pocketfft's complex transform, bound once by _load_fft
+
+
+def _load_fft():
+    """Load scipy.fft, at the first transform rather than at import, and
+    bind `_c2c` to `scipy.fft._pocketfft.pypocketfft.c2c`, the kernel that
+    scipy.fft's default backend runs under its per-call dispatch."""
+    global _c2c
+    import scipy.fft
+
+    if _c2c is None:
+        from scipy.fft._pocketfft import pypocketfft
+
+        _c2c = pypocketfft.c2c
+
+
+def _fft(x, size):
+    """Bit for bit `scipy.fft.fft(x, size)` for float64 or complex128 x with
+    len(x) <= size: x is zero-padded into a fresh buffer of its own dtype,
+    as scipy pads it, and the kernel transforms a complex buffer in place
+    (a real one by its half-spectrum path, into a new array, as in scipy)."""
+    buf = np.zeros(size, x.dtype)
+    buf[: len(x)] = x
+    return _c2c(buf, (0,), True, 0, buf if buf.dtype.kind == "c" else None, 1)
+
+
+def _ifft(X):
+    """Bit for bit `scipy.fft.ifft(X)` for complex128 X, computed in place:
+    X is overwritten, so callers pass a temporary they own."""
+    return _c2c(X, (0,), False, 2, X, 1)
+
+
 class _Convolution:
     """x -> conv(a, x) for a fixed a and inputs x of one length.
 
     The result is bit for bit that of `scipy.signal.fftconvolve(a, x)` for
     complex a or x: the spectrum of a is taken once, at the length
     `fftconvolve` pads to, and each call is one forward and one inverse
-    transform.  Like `fftconvolve`, a length-1 operand is a plain product.
+    transform, each one direct call of the pocketfft kernel that scipy.fft
+    dispatches to (`_fft`, `_ifft`).  Like `fftconvolve`, a length-1
+    operand is a plain product.
     """
 
     def __init__(self, a, n_x):
@@ -118,17 +155,19 @@ class _Convolution:
         self.a = a
         self.size = None
         if len(a) > 1 and n_x > 1:
-            import scipy.fft  # loaded at the first transform, not at import
-
+            _load_fft()
             self.size = scipy.fft.next_fast_len(self.n_out, False)
-            self.spectrum = scipy.fft.fft(a, self.size)
+            self.spectrum = _fft(a, self.size)
 
     def __call__(self, x):
         if self.size is None:
             return self.a * x
         # fftconvolve's factor order: numpy's complex product, fused
-        # multiply-adds and all, is not commutative bit for bit
-        return scipy.fft.ifft(self.spectrum * scipy.fft.fft(x, self.size))[: self.n_out]
+        # multiply-adds and all, is not commutative bit for bit.  The
+        # transform gets a name because numpy writes a product into an
+        # unnamed operand of 256 KiB or more, and then swaps the factors
+        x_spec = _fft(x, self.size)
+        return _ifft(self.spectrum * x_spec)[: self.n_out]
 
 
 def fftconvolve(a, x):
@@ -153,13 +192,14 @@ class _ToeplitzInverse:
     holds, where L(u) is the lower triangular Toeplitz matrix with first
     column u, J reverses and Z shifts down by one.  The spectra of x and v
     are taken once, at a length of at least 2n that keeps the circular
-    products exact; each apply is then six transforms.  Raises LinAlgError
-    or ValueError when the Levinson solve breaks down: it raises, returns a
-    non-finite result, or gives x_0 <= 0.
+    products exact; each apply is then six transforms, each one direct call
+    of the pocketfft kernel, as in :class:`_Convolution`.  Raises
+    LinAlgError or ValueError when the Levinson solve breaks down: it
+    raises, returns a non-finite result, or gives x_0 <= 0.
     """
 
     def __init__(self, col):
-        import scipy.fft
+        _load_fft()
         import scipy.linalg  # loaded at the first Levinson solve
 
         n = len(col)
@@ -173,18 +213,22 @@ class _ToeplitzInverse:
         v[1:] = np.conj(x[:0:-1])
         self.n = n
         self.size = scipy.fft.next_fast_len(2 * n, False)
-        self.x_spec = scipy.fft.fft(x, self.size)
-        self.v_spec = scipy.fft.fft(v, self.size)
+        self.x_spec = _fft(x, self.size)
+        self.v_spec = _fft(v, self.size)
+        # the spectra of the adjoints, conjugated once: conjugation is exact
+        self.x_spec_conj = np.conj(self.x_spec)
+        self.v_spec_conj = np.conj(self.v_spec)
 
     def __call__(self, y):
-        n = self.n
-        y_spec = scipy.fft.fft(y, self.size)
+        n, size = self.n, self.size
+        y_spec = _fft(y, size)
         # the adjoints L(u)^H y are correlations, cut to the first n entries
-        a = scipy.fft.ifft(np.conj(self.x_spec) * y_spec)[:n]
-        b = scipy.fft.ifft(np.conj(self.v_spec) * y_spec)[:n]
-        a_spec = scipy.fft.fft(a, self.size)
-        b_spec = scipy.fft.fft(b, self.size)
-        return scipy.fft.ifft(self.x_spec * a_spec - self.v_spec * b_spec)[:n]
+        a = _ifft(self.x_spec_conj * y_spec)[:n]
+        b = _ifft(self.v_spec_conj * y_spec)[:n]
+        # named, as in _Convolution, so that the factor order holds
+        a_spec = _fft(a, size)
+        b_spec = _fft(b, size)
+        return _ifft(self.x_spec * a_spec - self.v_spec * b_spec)[:n]
 
 
 class _ConvObjective:
@@ -350,12 +394,14 @@ def _minimize(f, space, beta, support, degree, target, warm=None):
     x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, prob.b, iters_left)
     iters_left -= iterations
     sweeps = 1
-    # seed IRLS with the best available iterate and never return worse
+    # seed IRLS with the best available iterate and never return worse;
+    # the residual of zero is b itself, so it costs no convolution
     candidates = [zeros]
+    residuals = [prob.b.copy()]
     if warm is not None:
         candidates.append(warm.dense(s_lo, s_hi))
     candidates.append(x_ls)
-    residuals = [prob.residual(c) for c in candidates]
+    residuals += [prob.residual(c) for c in candidates[1:]]
     norms = [prob.residual_norm(r) for r in residuals]
     k = norms.index(min(norms))  # ties go to the earliest candidate
     x, r = candidates[k], residuals[k]

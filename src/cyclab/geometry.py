@@ -316,8 +316,10 @@ def covering_number(E, t):
     Greedy left-to-right sweep starting at the first arc start, which is
     optimal for covering on the circle once the start is fixed on a point
     of the set; ties between equal-count covers are broken by that start.
-    Arcs already covered are skipped by binary search on the ends, so the
-    cost is O(covers * log n), not O(n).
+    Within an arc the sweep lays covers end to end from the first uncovered
+    point y, so the arc takes max(1, ceil((end - y) / 2t)) of them, counted
+    in closed form; arcs already covered are skipped by binary search on
+    the ends.  The cost is O(arcs reached * log n), whatever t is.
     """
     if E.n_arcs == 0:
         raise ValueError("covering the empty set is undefined")
@@ -336,12 +338,10 @@ def covering_number(E, t):
     while i < len(s) and s[i] < limit:
         end_i = float(e[i])
         y = max(float(s[i]), covered)
-        while y <= end_i and y < limit:
-            count += 1
-            covered = y + two_t
-            if covered >= end_i:
-                break
-            y = covered
+        if y <= end_i and y < limit:
+            k = max(1, math.ceil((end_i - y) / two_t))
+            count += k
+            covered = y + k * two_t
         i += 1
         if i < len(s) and e[i] <= covered:
             # skip every arc that ends within `covered` (the ends increase strictly)

@@ -26,9 +26,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.fft._pocketfft import pypocketfft
 from scipy.signal import fftconvolve
 
 from cyclab import engine
@@ -236,16 +238,15 @@ class FftconvolveObjective(_ConvObjective):
 
 
 def counting_transforms(monkeypatch):
-    """Count the forward and inverse transforms the engine makes."""
+    """Count the forward and inverse transforms the engine makes: the calls
+    of its pocketfft kernel, by the kernel's `forward` flag."""
     counts = {"fft": 0, "ifft": 0}
-    for name in counts:
-        real = getattr(engine.scipy.fft, name)
 
-        def wrapper(*args, name=name, real=real, **kwargs):
-            counts[name] += 1
-            return real(*args, **kwargs)
+    def wrapper(a, axes, forward, inorm, out, nthreads):
+        counts["fft" if forward else "ifft"] += 1
+        return pypocketfft.c2c(a, axes, forward, inorm, out, nthreads)
 
-        monkeypatch.setattr(engine.scipy.fft, name, wrapper)
+    monkeypatch.setattr(engine, "_c2c", wrapper)
     return counts
 
 
@@ -345,9 +346,11 @@ class TestCachedSpectrum:
             assert cached.converged == reference.converged
             assert cached.iterations == reference.iterations > 0
 
-    # operand lengths; 1 on either side is a plain product, as in scipy
+    # operand lengths; 1 on either side is a plain product, as in scipy.
+    # (9000, 8000) pads to 17010: spectra of 256 KiB and more, which numpy
+    # would multiply in swapped order were a transform an unnamed temporary
     @pytest.mark.parametrize("na, nx", [
-        (1, 1), (1, 6), (7, 1), (6, 8), (7, 9), (8, 7), (2, 2),
+        (1, 1), (1, 6), (7, 1), (6, 8), (7, 9), (8, 7), (2, 2), (9000, 8000),
     ])
     # a complex a, a complex x, or both; two real operands are not covered
     @pytest.mark.parametrize("complex_a, complex_x", [
@@ -441,6 +444,79 @@ class TestCachedSpectrum:
             assert np.array_equal(x, f.arr)
 
 
+def _primes_to(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+# transform lengths: any size up to 20 000, the lengths the engine pads to,
+# and primes, which pocketfft takes by Bluestein's algorithm
+TRANSFORM_SIZES = (
+    st.integers(min_value=1, max_value=20000)
+    | st.integers(min_value=1, max_value=20000).map(
+        lambda n: scipy.fft.next_fast_len(n, False))
+    | st.sampled_from(_primes_to(20000))
+)
+
+
+class TestKernel:
+    """`_fft` and `_ifft` call the pocketfft kernel directly; they must be
+    scipy.fft.fft and scipy.fft.ifft bit for bit, and leave their callers'
+    arrays alone."""
+
+    @given(TRANSFORM_SIZES, st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(size=264, fill=1.0, seed=0)
+    @example(size=16464, fill=0.5, seed=1)
+    @example(size=19997, fill=0.3, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_transforms_match_scipy_fft_by_bit_pattern(self, size, fill, seed):
+        engine._load_fft()
+        rng = np.random.default_rng(seed)
+        # pre-padded (len(x) == size) and unpadded (len(x) < size) inputs
+        n = max(1, round(fill * size))
+        for m in {n, size}:
+            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            kept = x.copy()
+            assert_same_bits(engine._fft(x, size), scipy.fft.fft(x, size))
+            # a real x goes by the kernel's half-spectrum path, as in scipy
+            assert_same_bits(engine._fft(x.real, size), scipy.fft.fft(x.real, size))
+            assert_same_bits(x, kept)
+        X = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        assert_same_bits(engine._ifft(X.copy()), scipy.fft.ifft(X))
+
+    def test_kernel_is_bound_at_the_first_operator(self):
+        engine._Convolution(np.ones(3, dtype=complex), 4)
+        assert engine._c2c is pypocketfft.c2c
+
+    def test_results_survive_later_calls(self):
+        # no result shares memory with a buffer a later call writes: the
+        # CG loop keeps d = z across the next preconditioner apply
+        rng = np.random.default_rng(53)
+        f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        prob = _ConvObjective(-4, f_arr, -6, 6, 0, np.ones(1), 1.5, 0.0)
+        conv = engine._Convolution(f_arr, prob.n_cols)
+        inverse = engine._ToeplitzInverse(prob.normal_column)
+        assert isinstance(prob.preconditioner, engine._ToeplitzInverse)
+        operators = [
+            (conv, prob.n_cols), (inverse, prob.n_cols),
+            (prob.apply, prob.n_cols), (prob.adjoint, prob.n_rows),
+            (prob.preconditioner, prob.n_cols),
+        ]
+        for op, n_in in operators:
+            u = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+            u_kept = u.copy()
+            first = op(u)
+            first_kept = first.copy()
+            op(rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in))
+            assert_same_bits(first, first_kept)
+            assert_same_bits(u, u_kept)
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("f_lo, nf, s_lo, s_hi, shape", [
         # infimum_large: f of 2049 terms at two-sided degree 4096
@@ -480,6 +556,25 @@ class TestToeplitzInverse:
                 y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
                 ref = scipy.linalg.solve_toeplitz((col, np.conj(col)), y)
                 assert np.linalg.norm(inverse(y) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n", [7, 8200])
+    def test_apply_is_the_formula_by_bit_pattern(self, n):
+        # the six transforms and the factor order of the formula, spelled
+        # out with scipy.fft; n = 8200 pads to 16464, past the 256 KiB
+        # at which numpy reuses an unnamed temporary operand
+        rng = np.random.default_rng(n)
+        col = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 0.5 ** np.arange(n)
+        col[0] = 4.0
+        inverse = engine._ToeplitzInverse(col)
+        size = inverse.size
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        y_spec = scipy.fft.fft(y, size)
+        a = scipy.fft.ifft(np.conj(inverse.x_spec) * y_spec)[:n]
+        b = scipy.fft.ifft(np.conj(inverse.v_spec) * y_spec)[:n]
+        a_spec = scipy.fft.fft(a, size)
+        b_spec = scipy.fft.fft(b, size)
+        want = scipy.fft.ifft(inverse.x_spec * a_spec - inverse.v_spec * b_spec)[:n]
+        assert_same_bits(inverse(y), want)
 
     def test_breakdown_raises(self):
         # a negative definite T has (T^-1)_00 < 0

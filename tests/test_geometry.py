@@ -135,32 +135,33 @@ def fraction_tube_oracle(E, t):
 
 
 def greedy_cover_oracle(E, t):
-    """covering_number as a sweep that steps through every arc, covered or not."""
-    two_t = 2.0 * t
+    """covering_number as a sweep that steps through every arc, covered or
+    not, in exact rational arithmetic on the float inputs.  Each arc not yet
+    covered takes the least k >= 1 covers from its first uncovered point y
+    with y + 2tk >= end, so the cost does not grow as t shrinks."""
+    two_t = 2 * Fraction(t)
     if two_t >= TWO_PI:
         return 1
-    n = E.n_arcs
     base = float(E.starts[0])
-    limit = base + TWO_PI
-    s = np.concatenate([E.starts, E.starts + TWO_PI])
-    e = np.concatenate([E.ends, E.ends + TWO_PI])
+    # the turn ends at the float base + 2*pi, where covering_number ends it
+    limit = Fraction(base + TWO_PI)
+    base = Fraction(base)
     count = 0
     covered = base
+    covered_f = float(covered)  # the float nearest `covered`
     first = True
-    for i in range(2 * n):
-        if s[i] >= limit:
-            break
-        end_i = min(float(e[i]), limit)
-        if not first and end_i <= covered:
+    for s, e in zip(E.starts.tolist(), E.ends.tolist()):
+        # e <= covered: a float below (above) covered_f is below (above)
+        # covered, so only e == covered_f is compared exactly
+        if not first and (e < covered_f or (e == covered_f and e <= covered)):
             continue
-        y = float(s[i]) if first else max(float(s[i]), covered)
-        while y <= end_i and y < limit:
-            count += 1
-            covered = y + two_t
+        y = max(Fraction(s), covered)
+        if y <= e and y < limit:
+            k = max(1, math.ceil((e - y) / two_t))
+            count += k
+            covered = y + k * two_t
+            covered_f = float(covered)
             first = False
-            if covered >= end_i:
-                break
-            y = covered
     return max(count, 1)
 
 
@@ -422,6 +423,20 @@ class TestCovering:
             tube = tube_measure(E, t)
             assert t * N <= tube + 1e-12
             assert tube <= sandwich_upper_bound(t, N) + 1e-12
+
+    def test_near_touching_arcs_are_counted_per_arc(self):
+        # two unit arcs 1e-9 apart at t = 4e-10: some 2.5e9 covers, which a
+        # sweep that steps one cover at a time does not finish
+        E = ArcUnion([(0.0, 1.0), (1.0 + 1e-9, 2.0)])
+        t = 4e-10
+        (s0, s1), (e0, e1) = map(Fraction, E.starts), map(Fraction, E.ends)
+        two_t = 2 * Fraction(t)
+        first = math.ceil((e0 - s0) / two_t)
+        covered = s0 + first * two_t
+        assert covered < s1  # the second arc starts past the first's covers
+        second = math.ceil((e1 - s1) / two_t)
+        assert (first, second) == (1250000000, 1249999999)
+        assert covering_number(E, t) == first + second
 
 
     @pytest.mark.parametrize("name", SET_PRESETS)
