@@ -8,9 +8,12 @@ half-length real transform (the log-modulus is real), so log-moduli should
 be resolved by the grid (band-limited or close to it) for the
 negative-frequency leakage to stay small.
 
-The per-eps kernels `m_epsilon` and `outer_power_modulus` take the sampled
-distance d = distance_to_set(circle_grid(G), E), G = len(d), not the set E,
-so a sweep over eps computes d once.
+Every kernel of the distance to a zero set E takes the sampled distance
+d = distance_to_set(circle_grid(G), E), G = len(d), never the set E itself:
+`smooth_vanishing_function`, `m_epsilon` and `outer_power_modulus` here, and
+`p_epsilon_decay` and `lemma_kel_ratio` in the engine.  A caller samples d
+once and hands it to each of them, and this module does not import the
+geometry.
 
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
@@ -24,8 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, circle_grid, eval_on_grid, series_from_samples
-from .geometry import distance_to_set
+from .fourier import FourierSeries, eval_on_grid, series_from_samples
 
 TWO_PI = 2.0 * math.pi
 
@@ -453,25 +455,22 @@ class VanishingProfile:
     tail_share: float
 
 
-def smooth_vanishing_function(E, gamma, G):
+def smooth_vanishing_function(d, gamma):
     """The function exp(-d(zeta,E)^(-gamma)), zero exactly on E.
 
-    Returns the grid values together with the recovered coefficients and the
-    suprema of |f_hat(n)| (1+|n|)^m for m = 0..4 as smoothness evidence,
-    taken over the aliasing-trusted band |n| <= G/4.  A fat coefficient tail
-    (more than TAIL_SHARE_TOL of the l1 mass in the top half of the band) means
-    the grid missed genuine oscillation; that raises.
+    `d` is the distance to E sampled on a uniform grid of G = len(d) points,
+    a power of two >= 16.  Returns the grid values together with the
+    recovered coefficients and the suprema of |f_hat(n)| (1+|n|)^m for
+    m = 0..4 as smoothness evidence, taken over the aliasing-trusted band
+    |n| <= G/4.  A fat coefficient tail (more than TAIL_SHARE_TOL of the l1
+    mass in the top half of the band) means the grid missed genuine
+    oscillation; that raises.
     """
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    _check_pow2(G, smallest=16)
-    return _vanishing_profile(distance_to_set(circle_grid(G), E), gamma)
-
-
-def _vanishing_profile(d, gamma):
-    """`smooth_vanishing_function` from the distance d to E sampled on its
-    grid, G = len(d); a caller that already holds d samples it once."""
+    d = np.asarray(d, dtype=float)
     G = d.shape[0]
+    _check_pow2(G, smallest=16)
     vals = np.zeros(G)
     pos = d > 0.0
     vals[pos] = np.exp(-(d[pos] ** (-gamma)))

@@ -48,6 +48,7 @@ import numpy as np
 import scipy
 
 from .analytic import (
+    _check_pow2,
     _outer_boundary,
     _power_modulus,
     lag_kernel,
@@ -56,12 +57,10 @@ from .analytic import (
 from .fourier import (
     FourierSeries,
     _space_params,
-    circle_grid,
     eval_on_grid,
     norm_ap_beta,
     series_from_samples,
 )
-from .geometry import distance_to_set
 
 TWO_PI = 2.0 * math.pi
 
@@ -367,8 +366,8 @@ class InfimumResult:
         yield self.polynomial
 
 
-def _minimize(f, space, beta, support, degree, target, warm=None):
-    p, bval = _space_params(space, beta)
+def _minimize(f, space, support, degree, target, warm=None):
+    p, bval = _space_params(space)
     if p <= 1.0:
         raise ValueError("the solver handles 1 < p <= 2 only")
     if p > 2.0:
@@ -450,7 +449,7 @@ def bicyclicity_infimum(f, space, support="all_integers", degree=0, warm=None):
     Returns the achieved norm (an upper bound on the true infimum at this
     degree, nonincreasing in `degree`) and the optimizing polynomial.
     """
-    return _minimize(f, space, None, support, degree, (0, np.ones(1, dtype=complex)), warm)
+    return _minimize(f, space, support, degree, (0, np.ones(1, dtype=complex)), warm)
 
 
 def forward_shift_infimum(f, space, degree=0, warm=None):
@@ -462,7 +461,7 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
     if warm is not None:
         # the internal variable is R = z*Q, so a warm Q moves up by one
         warm = FourierSeries.from_dense(warm.arr, warm.lo + 1)
-    res = _minimize(f, space, None, "positive", degree + 1, (f.lo, f.arr), warm)
+    res = _minimize(f, space, "positive", degree + 1, (f.lo, f.arr), warm)
     shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
     return replace(res, polynomial=shifted, degree=degree, support="nonneg")
 
@@ -495,6 +494,8 @@ class CertificateProblem:
 
     def __post_init__(self):
         p, beta = _space_params(self.space)
+        if not (1.0 < p <= 2.0):
+            raise ValueError("the solver handles 1 < p <= 2 only")
         q = p / (p - 1.0)
         if beta * q > 1.0:
             raise ValueError(
@@ -631,25 +632,19 @@ class DecayReport:
         }
 
 
-def p_epsilon_decay(f, E, gamma, space, eps_schedule, G=2**14, truncation=None):
+def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
     """Track the weighted norm of p_eps * f as eps decreases.
 
-    For each eps the boundary samples of the normalized outer factor p_eps
-    are built on the grid (only those: p_eps(0) = 1 by construction), the
-    product is transformed back, and the norm is taken at the configured
-    truncation.  Recorded alongside: the normalized log-mean m (the same
-    number that makes p_eps(0) = 1) and the envelope ratio
-    norm^2 / ((1+m) e^(-2m)).  Verdict `decays` means strictly decreasing
-    norms with the final below a tenth of the first; anything else `stalls`.
+    `d` is the distance to E sampled on a uniform power-of-two grid of
+    G = len(d) points.  For each eps the boundary samples of the normalized
+    outer factor p_eps are built on that grid (only those: p_eps(0) = 1 by
+    construction), the product is transformed back, and the norm is taken
+    at the configured truncation, G // 4 by default.  Recorded alongside:
+    the normalized log-mean m (the same number that makes p_eps(0) = 1) and
+    the envelope ratio norm^2 / ((1+m) e^(-2m)).  Verdict `decays` means
+    strictly decreasing norms with the final below a tenth of the first;
+    anything else `stalls`.
     """
-    return _decay_from_distance(
-        f, distance_to_set(circle_grid(G), E), gamma, space, eps_schedule, truncation
-    )
-
-
-def _decay_from_distance(f, d, gamma, space, eps_schedule, truncation):
-    """`p_epsilon_decay` from the distance d to E sampled on its grid,
-    G = len(d); a caller that already holds d samples it once."""
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
         raise ValueError("need at least two epsilons")
@@ -657,6 +652,7 @@ def _decay_from_distance(f, d, gamma, space, eps_schedule, truncation):
         raise ValueError("eps schedule must be strictly decreasing")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
+    d = np.asarray(d, dtype=float)
     G = d.shape[0]
     if truncation is None:
         truncation = G // 4
@@ -691,9 +687,11 @@ def _decay_from_distance(f, d, gamma, space, eps_schedule, truncation):
     )
 
 
-def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
+def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
     """Ratios of the weighted double smoothness integral of F_eps to M_eps,
-    and the M_eps values, as two lists over the eps schedule.
+    and the M_eps values, as two lists over the eps schedule.  `d` is the
+    distance to E sampled on a uniform grid of G = len(d) points, a power
+    of two >= 16.
 
     The left side is the arc-length double integral of
     d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
@@ -708,11 +706,10 @@ def lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G):
         raise ValueError("need 2*delta' - gamma - 1 >= 0")
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    G = int(G)
-    if G < 16 or (G & (G - 1)) != 0:
-        raise ValueError("G must be a power of two >= 16")
+    d = np.asarray(d, dtype=float)
+    G = d.shape[0]
+    _check_pow2(G, smallest=16)
     expo = 2.0 * (delta_prime - gamma)
-    d = distance_to_set(circle_grid(G), E)
     g = np.zeros(G)
     pos = d > 0.0
     g[pos] = d[pos] ** expo

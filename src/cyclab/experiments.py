@@ -24,6 +24,7 @@ in the CSV and the report.
 """
 
 import json
+import math
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,8 +33,8 @@ from typing import NamedTuple
 from . import __version__
 from .analytic import (
     M_EPSILON_SELF_CHECK_TOL,
-    _vanishing_profile,
     douglas_seminorm,
+    smooth_vanishing_function,
     m_epsilon,
     outer_power_modulus,
 )
@@ -41,11 +42,11 @@ from .engine import (
     KEL_EXCLUSION_CELLS,
     VANISH_GATE_REL,
     CertificateProblem,
-    _decay_from_distance,
     certify_cyclic,
     classify_regime,
     forward_shift_infimum,
     lemma_kel_ratio,
+    p_epsilon_decay,
     szego_lower_bound,
 )
 from .fourier import SpaceIndex, circle_grid, eval_on_grid, norm_ap_beta
@@ -142,7 +143,14 @@ _REQUIRED = object()
 
 
 def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    """An int or float with a finite float value; json.load also yields NaN,
+    +-Infinity and ints past the float range."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _is_int(value):
@@ -188,13 +196,13 @@ def _coeffs(key, rows):
     if not all(map(_is_int, freqs)):
         raise ConfigError("coeffs frequencies must be integers")
     if not all(_is_number(x) for row in rows for x in row[1:]):
-        raise ConfigError("coeffs amplitudes must be numbers")
+        raise ConfigError("coeffs amplitudes must be finite numbers")
     # a series is stored densely over its frequency span
     if freqs and max(freqs) - min(freqs) > 2**20:
         raise ConfigError("coeffs frequencies must span at most 2**20")
 
 
-_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "{key} must be a positive number")
+_POSITIVE = _check(lambda v: _is_number(v) and v > 0, "{key} must be a positive finite number")
 _GRID = _check(lambda v: _is_int(v) and v >= 16 and v & (v - 1) == 0,
                "grid must be a power of two >= 16")
 _EPS = _check(
@@ -207,7 +215,8 @@ _FLAG = _check(lambda v: isinstance(v, bool), "{key} must be true or false")
 
 _SPACE_FIELDS = {
     "p": (_check(lambda v: _is_number(v) and 1.0 < v <= 2.0, "p must lie in (1, 2]"), 2.0),
-    "beta": (_check(lambda v: _is_number(v) and v >= 0.0, "beta must be >= 0"), 0.0),
+    "beta": (_check(lambda v: _is_number(v) and v >= 0.0,
+                    "beta must be a finite number >= 0"), 0.0),
 }
 _SET_FIELDS = {
     "set": (_one_of(SET_PRESETS, "unknown set preset {value!r}; available: "
@@ -469,8 +478,8 @@ def _run_decay(params):
     eps_schedule = [float(e) for e in params["eps"]]
     # f = exp(-d^-gamma) and p_eps are both built from one distance profile
     d = distance_to_set(circle_grid(G), E)
-    f = _vanishing_profile(d, gamma).series
-    report_obj = _decay_from_distance(f, d, gamma, space, eps_schedule, params["truncate"])
+    f = smooth_vanishing_function(d, gamma).series
+    report_obj = p_epsilon_decay(f, d, gamma, space, eps_schedule, params["truncate"])
     rows = [
         (eps, m, norm, ratio)
         for (eps, m, norm), ratio in zip(
@@ -493,7 +502,8 @@ def _run_kel_ratio(params):
     delta_prime = float(params["delta_prime"])
     G = params["grid"]
     eps_schedule = [float(e) for e in params["eps"]]
-    ratios, m_values = lemma_kel_ratio(E, gamma, delta_prime, eps_schedule, G)
+    d = distance_to_set(circle_grid(G), E)
+    ratios, m_values = lemma_kel_ratio(d, gamma, delta_prime, eps_schedule)
     rows = list(zip(eps_schedule, m_values, ratios))
     report = {
         "set": name,
@@ -553,7 +563,7 @@ EXPERIMENTS = {
         (_t_range,), _run_cantor),
     "carleson": Experiment(
         {**_SET_FIELDS, "grid": (_GRID, 2**12),
-         "threshold": (_check(_is_number, "threshold must be a number"), -10.0)},
+         "threshold": (_check(_is_number, "threshold must be a finite number"), -10.0)},
         (), _run_carleson),
     "outer": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE),
@@ -584,7 +594,7 @@ EXPERIMENTS = {
         (), _run_decay),
     "kel_ratio": Experiment(
         {**_VANISHING_FIELDS,
-         "delta_prime": (_check(_is_number, "delta_prime must be a number"), 1.2),
+         "delta_prime": (_check(_is_number, "delta_prime must be a finite number"), 1.2),
          "eps": (_EPS, (1e-1, 1e-2, 1e-3, 1e-4))},
         (_kel_exponent,), _run_kel_ratio),
     "classify": Experiment(

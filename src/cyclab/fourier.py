@@ -95,7 +95,10 @@ class FourierSeries:
         """Set the slab from (lo, arr) after the drop rule and end trimming."""
         # hypot rounds as Python's abs(complex) does; np.abs may not
         mod = np.hypot(arr.real, arr.imag)
-        keep = mod > drop_tol * mod.max(initial=0.0)
+        top = mod.max(initial=0.0)
+        if not math.isfinite(top):
+            raise ValueError("amplitude moduli must be finite")
+        keep = mod > drop_tol * top
         nz = np.flatnonzero(keep)
         if nz.size:
             arr = np.where(keep, arr, 0.0)[nz[0] : nz[-1] + 1]

@@ -271,43 +271,36 @@ def distance_to_set(theta, E):
 def tube_measure(E, t):
     """Lebesgue measure (radians) of the chordal t-neighborhood of E.
 
-    The neighborhood dilates each arc by rho = 2*asin(t/2) on both sides.
-    Since the stored arcs are sorted and disjoint, the dilation of arc i
-    adds its length e_i - s_i plus the part min(g_i, 2*rho) of the cyclic
-    gap g_i after it that the two dilations reaching into that gap cover:
+    Accepts a scale, giving a float, or an array of scales, giving an array
+    of its shape; every scale must be > 0 (NaN raises).  The neighborhood
+    dilates each arc by rho = 2*asin(t/2) on both sides.  Since the stored
+    arcs are sorted and disjoint, the dilation of arc i adds its length
+    e_i - s_i plus the part min(g_i, 2*rho) of the cyclic gap g_i after it
+    that the two dilations reaching into that gap cover:
 
         |E_t| = sum_i (e_i - s_i) + sum_i min(g_i, 2*rho),
 
-    capped at 2*pi.  This costs O(arcs) with no sort or merge.  The gap
-    across the seam, from an arc ending at 2*pi to one starting at 0, is 0,
-    so those two arcs count as one.  Profiles over many scales
-    (`covering_profile`, `lambda_divergence_test`) take the gaps and the
-    total measure once and give the same floats as a call per scale.
+    capped at 2*pi.  This costs O(arcs) per scale with no sort or merge; the
+    gaps and the total measure are taken once per call, so an array of
+    scales gives the same floats as a call per scale.  The gap across the
+    seam, from an arc ending at 2*pi to one starting at 0, is 0, so those
+    two arcs count as one.
     """
-    return _tube_from_gaps(*_tube_inputs(E), t)
-
-
-def _tube_inputs(E):
-    """The cyclic gaps g_i (empty for the empty set) and the total measure
-    of E, the two inputs of `_tube_from_gaps`."""
-    if E.n_arcs == 0:
-        return np.empty(0), 0.0
-    s, e = E.starts, E.ends
-    return np.append(s[1:] - e[:-1], s[0] + TWO_PI - e[-1]), E.total_measure
-
-
-def _tube_from_gaps(gaps, measure, t):
-    """`tube_measure` from the cyclic gaps and the total measure of a set."""
-    t = float(t)
-    if t <= 0.0:
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > 0.0):
         raise ValueError("t must be positive")
-    if gaps.size == 0:
-        return 0.0
-    if t >= 2.0:
-        return TWO_PI
-    rho = 2.0 * math.asin(t / 2.0)  # the angular radius of a chord t < 2
-    total = measure + float(np.sum(np.minimum(gaps, 2.0 * rho)))
-    return min(total, TWO_PI)
+    out = np.zeros(t_arr.shape)
+    if E.n_arcs > 0:
+        s, e = E.starts, E.ends
+        gaps = np.append(s[1:] - e[:-1], s[0] + TWO_PI - e[-1])
+        measure = E.total_measure
+        for i, x in np.ndenumerate(t_arr):
+            if x >= 2.0:
+                out[i] = TWO_PI
+            else:
+                rho = 2.0 * math.asin(x / 2.0)  # the angular radius of a chord x < 2
+                out[i] = min(measure + float(np.sum(np.minimum(gaps, 2.0 * rho))), TWO_PI)
+    return float(out) if out.ndim == 0 else out
 
 
 def covering_number(E, t):
@@ -324,7 +317,7 @@ def covering_number(E, t):
     if E.n_arcs == 0:
         raise ValueError("covering the empty set is undefined")
     t = float(t)
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     two_t = 2.0 * t
     if two_t >= TWO_PI:
@@ -368,10 +361,9 @@ class CoveringProfile:
 
 
 def covering_profile(E, t_values):
-    gaps, measure = _tube_inputs(E)
-    rows = []
-    for t in sorted(float(t) for t in t_values):
-        rows.append((t, covering_number(E, t), _tube_from_gaps(gaps, measure, t)))
+    t_sorted = sorted(float(t) for t in t_values)
+    tubes = tube_measure(E, np.array(t_sorted)).tolist()
+    rows = [(t, covering_number(E, t), tube) for t, tube in zip(t_sorted, tubes)]
     return CoveringProfile(samples=tuple(rows))
 
 
@@ -505,16 +497,13 @@ def lambda_divergence_test(E, gamma, t_floor, increment_tol=0.5, n_quad=400):
         if s >= 2.0:
             break
     floors = sorted(set(floors), reverse=True)  # large floors first
-    gaps, measure = _tube_inputs(E)
-
-    def integral_from(s_lo):
-        t = np.geomspace(s_lo, 2.0, n_quad)
-        tube = np.array([_tube_from_gaps(gaps, measure, x) for x in t])
-        integrand = tube * gamma * t ** (-gamma - 1.0)
-        # trapezoid in log t: dt = t dlog(t)
-        return float(np.trapezoid(integrand * t, np.log(t)))
-
-    schedule = [(s_lo, integral_from(s_lo)) for s_lo in floors]
+    t = np.array([np.geomspace(s_lo, 2.0, n_quad) for s_lo in floors])
+    # log-spaced trapezoid per floor: dt = t dlog(t)
+    integrand = tube_measure(E, t) * gamma * t ** (-gamma - 1.0) * t
+    schedule = [
+        (s_lo, float(np.trapezoid(row, np.log(t_row))))
+        for s_lo, row, t_row in zip(floors, integrand, t)
+    ]
     estimate = schedule[-1][1]
     if len(schedule) >= 2:
         last_increment = schedule[-1][1] - schedule[-2][1]

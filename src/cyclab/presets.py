@@ -11,8 +11,8 @@ import functools
 import math
 
 from .analytic import h_k, smooth_vanishing_function
-from .fourier import FourierSeries
-from .geometry import cantor_build, cantor_spec_by_name
+from .fourier import FourierSeries, circle_grid
+from .geometry import cantor_build, cantor_spec_by_name, distance_to_set
 
 SET_PRESETS = ("middle_thirds", "non_carleson_n2")
 # each function preset with the config fields it reads
@@ -79,9 +79,8 @@ def build_function(name, params):
         return z_minus_1()
     if name == "smooth_vanishing":
         E = build_set(params.get("set", "non_carleson_n2"), params.get("depth"))
-        series = smooth_vanishing_function(
-            E, float(params.get("gamma", 1.0)), int(params.get("grid", 2**14))
-        ).series
+        d = distance_to_set(circle_grid(int(params.get("grid", 2**14))), E)
+        series = smooth_vanishing_function(d, float(params.get("gamma", 1.0))).series
         truncate = params.get("truncate")
         if truncate is not None:
             series = series.truncate(int(truncate))

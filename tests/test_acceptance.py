@@ -369,8 +369,9 @@ def test_criterion_08_decay_experiment():
     start = time.time()
     G = 2**14
     E = build_set("non_carleson_n2")
-    f = smooth_vanishing_function(E, 1.0, G).series
-    rep = p_epsilon_decay(f, E, 1.0, P15, list(EPS_DECADE), G=G)
+    d = distance_to_set(circle_grid(G), E)
+    f = smooth_vanishing_function(d, 1.0).series
+    rep = p_epsilon_decay(f, d, 1.0, P15, list(EPS_DECADE))
     norms = [row[2] for row in rep.schedule]
     decreasing = all(a > b for a, b in zip(norms, norms[1:]))
     factor = norms[-1] / norms[0]
@@ -382,7 +383,6 @@ def test_criterion_08_decay_experiment():
     bound = math.exp(m_first - m_last) * math.sqrt((1.0 + m_last) / (1.0 + m_first))
     # l2 <= l^1.5 <= l1 bounds any exact evaluation of the factor from below
     f_grid = eval_on_grid(f, G)
-    d = distance_to_set(circle_grid(G), E)
     ends = [
         series_from_samples(
             outer_power_modulus(d, 1.0, eps, "p_eps").boundary * f_grid,
@@ -393,8 +393,9 @@ def test_criterion_08_decay_experiment():
     floor = norm_ap_beta(ends[1], 2.0) / norm_ap_beta(ends[0], 1.0)
     spread = max(rep.normalized_ratios) / min(rep.normalized_ratios)
     E_mt = build_set("middle_thirds")
-    f_mt = smooth_vanishing_function(E_mt, 1.0, G).series
-    rep_mt = p_epsilon_decay(f_mt, E_mt, 1.0, P15, list(EPS_DECADE), G=G)
+    d_mt = distance_to_set(circle_grid(G), E_mt)
+    f_mt = smooth_vanishing_function(d_mt, 1.0).series
+    rep_mt = p_epsilon_decay(f_mt, d_mt, 1.0, P15, list(EPS_DECADE))
     elapsed = time.time() - start
     _criterion(8, "norm decay of p_eps * f on the non-Carleson preset", [
         (decreasing,
@@ -418,9 +419,9 @@ def test_criterion_09_kernel_ratio_sweep():
     start = time.time()
     E = build_set("non_carleson_n2")
     eps = [1e-1, 1e-2, 1e-3, 1e-4]
-    base, _ = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**14)
+    base, _ = lemma_kel_ratio(distance_to_set(circle_grid(2**14), E), 1.0, 1.2, eps)
     spread = max(base) / min(base)
-    fine, _ = lemma_kel_ratio(E, 1.0, 1.2, eps, 2**15)
+    fine, _ = lemma_kel_ratio(distance_to_set(circle_grid(2**15), E), 1.0, 1.2, eps)
     drift = max(abs(a - b) / a for a, b in zip(base, fine))
     elapsed = time.time() - start
     _criterion(9, "weighted smoothness integral over M_eps stays bounded", [
@@ -437,7 +438,7 @@ def test_criterion_09_kernel_ratio_sweep():
 def test_criterion_10_end_to_end_certificate():
     start = time.time()
     E = build_set("non_carleson_n2")
-    full = smooth_vanishing_function(E, 1.0, 2**14).series
+    full = smooth_vanishing_function(distance_to_set(circle_grid(2**14), E), 1.0).series
     f = full.truncate(1024)
     tail = norm_ap_beta(full - f, P15) / norm_ap_beta(full, P15)
     rep = certify_cyclic(

@@ -622,8 +622,8 @@ class TestSmoothVanishing:
     def test_zero_on_set_and_max_off_it(self):
         E = cantor_build(middle_thirds_spec(6))
         G = 2**13
-        prof = smooth_vanishing_function(E, 1.0, G)
         d = distance_to_set(circle_grid(G), E)
+        prof = smooth_vanishing_function(d, 1.0)
         on = d == 0.0
         assert on.any()
         assert np.all(prof.values[on] == 0.0)
@@ -631,7 +631,7 @@ class TestSmoothVanishing:
 
     def test_decay_table_middle_thirds(self):
         E = cantor_build(middle_thirds_spec(8))
-        prof = smooth_vanishing_function(E, 1.0, 2**14)
+        prof = smooth_vanishing_function(distance_to_set(circle_grid(2**14), E), 1.0)
         assert prof.decay_sup[0] == pytest.approx(5.3982823921e-02, rel=1e-9)
         assert prof.decay_sup[1] == pytest.approx(1.2838017514e-01, rel=1e-9)
         assert prof.decay_sup[2] == pytest.approx(5.7139313754e-01, rel=1e-9)
@@ -650,16 +650,16 @@ class TestSmoothVanishing:
         # sub-grid arcs carry values far below double precision, so the
         # profile stays clean even though the set has 2^20 components
         E = cantor_build(non_carleson_n2_spec(20))
-        prof = smooth_vanishing_function(E, 1.0, 2**14)
+        prof = smooth_vanishing_function(distance_to_set(circle_grid(2**14), E), 1.0)
         assert prof.tail_share < 2e-4
         assert prof.values.max() == pytest.approx(0.5486, abs=1e-4)
 
     def test_under_resolved_raises(self):
         E = cantor_build(middle_thirds_spec(8))
         with pytest.raises(ValueError):
-            smooth_vanishing_function(E, 1.0, 512)
+            smooth_vanishing_function(distance_to_set(circle_grid(512), E), 1.0)
 
     def test_rejects_bad_gamma(self):
         E = cantor_build(middle_thirds_spec(2))
         with pytest.raises(ValueError):
-            smooth_vanishing_function(E, 0.0, 1024)
+            smooth_vanishing_function(distance_to_set(circle_grid(1024), E), 0.0)

@@ -87,6 +87,25 @@ class TestExitCodes:
         assert main(["run", str(cfg)]) == 2
         assert not (tmp_path / "never").exists()
 
+    @pytest.mark.parametrize("experiment, parameters, message", [
+        ("norms", '{"coeffs": [[0, NaN, 0], [1, 1, 0]]}', "amplitudes"),
+        ("certify", '{"preset": "z_minus_1", "degree_budget": 8, "epsilon_target": Infinity}',
+         "epsilon_target"),
+        ("decay", '{"set": "middle_thirds", "depth": 8, "grid": 4096, "beta": Infinity}',
+         "beta"),
+        ("decay", '{"set": "middle_thirds", "depth": 8, "grid": 4096, "gamma": 1%s}' % ("0" * 400),
+         "gamma"),
+    ], ids=["nan_amplitude", "infinite_epsilon_target", "infinite_beta", "int_past_float_gamma"])
+    def test_non_finite_numbers_are_exit_2(self, tmp_path, capsys, experiment, parameters,
+                                           message):
+        # json.load reads NaN and Infinity; such configs used to run and report ok
+        cfg = tmp_path / "nonfinite.json"
+        cfg.write_text('{"experiment": "%s", "parameters": %s, "output_dir": %s}'
+                       % (experiment, parameters, json.dumps(str(tmp_path / "never"))))
+        assert main(["run", str(cfg)]) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "numfail.json"
         cfg.write_text(

@@ -994,19 +994,25 @@ class TestCertify:
         with pytest.raises(ValueError):
             CertificateProblem(f=FourierSeries({}), space=P15)
 
+    @pytest.mark.parametrize("p", [1.0, 2.5, math.nan])
+    def test_problem_refuses_p_outside_the_solver_range(self, p):
+        # p = 1 used to divide by zero, and p = 2.5 to fail only in the first solve
+        with pytest.raises(ValueError, match="1 < p <= 2"):
+            CertificateProblem(f=Z_MINUS_1, space=p)
+
 
 @pytest.fixture(scope="module")
 def carleson_setup():
     E = cantor_build(middle_thirds_spec(8))
     G = 2**11
-    f = smooth_vanishing_function(E, 1.0, G).series
+    f = smooth_vanishing_function(distance_to_set(circle_grid(G), E), 1.0).series
     return E, f, G
 
 
 class TestDecayExperiment:
     def test_carleson_set_stalls(self, carleson_setup):
         E, f, G = carleson_setup
-        rep = p_epsilon_decay(f, E, 1.0, P15, [1e-1, 1e-2, 1e-3], G=G)
+        rep = p_epsilon_decay(f, distance_to_set(circle_grid(G), E), 1.0, P15, [1e-1, 1e-2, 1e-3])
         assert rep.verdict == "stalls"
         norms = [row[2] for row in rep.schedule]
         for got, want in zip(norms, DECAY_NORMS_MT8):
@@ -1015,34 +1021,37 @@ class TestDecayExperiment:
 
     def test_refinement_stability(self, carleson_setup):
         E, f, G = carleson_setup
-        coarse = p_epsilon_decay(f, E, 1.0, P15, [1e-1, 1e-2], G=G, truncation=G // 4)
-        f2 = smooth_vanishing_function(E, 1.0, 2 * G).series
-        fine = p_epsilon_decay(f2, E, 1.0, P15, [1e-1, 1e-2], G=2 * G, truncation=G // 4)
+        d, d2 = (distance_to_set(circle_grid(n), E) for n in (G, 2 * G))
+        coarse = p_epsilon_decay(f, d, 1.0, P15, [1e-1, 1e-2], truncation=G // 4)
+        f2 = smooth_vanishing_function(d2, 1.0).series
+        fine = p_epsilon_decay(f2, d2, 1.0, P15, [1e-1, 1e-2], truncation=G // 4)
         for a, b in zip(coarse.schedule, fine.schedule):
             assert abs(a[2] - b[2]) < 1e-3 * a[2]
 
     def test_rejects_nonvanishing_f(self, carleson_setup):
         E, _, G = carleson_setup
         with pytest.raises(ValueError, match="vanish"):
-            p_epsilon_decay(FourierSeries({0: 1.0}), E, 1.0, P15, [1e-1, 1e-2], G=G)
+            p_epsilon_decay(FourierSeries({0: 1.0}), distance_to_set(circle_grid(G), E), 1.0, P15,
+                            [1e-1, 1e-2])
 
     def test_rejects_bad_schedules(self, carleson_setup):
         E, f, G = carleson_setup
+        d = distance_to_set(circle_grid(G), E)
         with pytest.raises(ValueError):
-            p_epsilon_decay(f, E, 1.0, P15, [1e-1], G=G)
+            p_epsilon_decay(f, d, 1.0, P15, [1e-1])
         with pytest.raises(ValueError):
-            p_epsilon_decay(f, E, 1.0, P15, [1e-2, 1e-1], G=G)
+            p_epsilon_decay(f, d, 1.0, P15, [1e-2, 1e-1])
         with pytest.raises(ValueError):
-            p_epsilon_decay(f, E, -1.0, P15, [1e-1, 1e-2], G=G)
+            p_epsilon_decay(f, d, -1.0, P15, [1e-1, 1e-2])
 
     def test_equals_a_recomputation_through_full_outer_functions(self, carleson_setup):
         # p_epsilon_decay reads only the boundary samples of p_eps; building
         # the whole OuterFunction instead must give the same report bit for bit
         E, f, G = carleson_setup
         gamma, schedule = 1.0, [1e-1, 1e-2, 1e-3]
-        rep = p_epsilon_decay(f, E, gamma, P15, schedule, G=G)
-        f_grid = eval_on_grid(f, G)
         d = distance_to_set(circle_grid(G), E)
+        rep = p_epsilon_decay(f, d, gamma, P15, schedule)
+        f_grid = eval_on_grid(f, G)
         rows, ratios = [], []
         for eps in schedule:
             prod = outer_power_modulus(d, gamma, eps, "p_eps").boundary * f_grid
@@ -1055,7 +1064,7 @@ class TestDecayExperiment:
 
     def test_json_shape(self, carleson_setup):
         E, f, G = carleson_setup
-        rep = p_epsilon_decay(f, E, 1.0, P15, [1e-1, 1e-2], G=G)
+        rep = p_epsilon_decay(f, distance_to_set(circle_grid(G), E), 1.0, P15, [1e-1, 1e-2])
         obj = rep.to_json_obj()
         assert len(obj["schedule"]) == 2
         assert obj["grid_size"] == G
@@ -1065,11 +1074,11 @@ class TestDecayExperiment:
 class TestKernelRatio:
     def test_frozen_smoke_values(self):
         E = cantor_build(middle_thirds_spec(8))
-        got, m_values = lemma_kel_ratio(E, 1.0, 1.2, [1e-1, 1e-2], 2**10)
+        d = distance_to_set(circle_grid(2**10), E)
+        got, m_values = lemma_kel_ratio(d, 1.0, 1.2, [1e-1, 1e-2])
         for g, want in zip(got, KEL_RATIOS_MT8):
             assert abs(g - want) < 1e-6 * want
         # the M_eps values the ratios divide by, bit for bit
-        d = distance_to_set(circle_grid(2**10), E)
         assert m_values == [m_epsilon(d, 1.0, eps) for eps in (1e-1, 1e-2)]
 
     def test_equals_a_recomputation_through_full_outer_functions(self):
@@ -1079,8 +1088,8 @@ class TestKernelRatio:
         # two real arrays, so both sides take it by half-length transforms)
         E = cantor_build(middle_thirds_spec(8))
         G, gamma, delta_prime, schedule = 2**10, 1.0, 1.2, [1e-1, 1e-2, 1e-3]
-        got, _ = lemma_kel_ratio(E, gamma, delta_prime, schedule, G)
         d = distance_to_set(circle_grid(G), E)
+        got, _ = lemma_kel_ratio(d, gamma, delta_prime, schedule)
         g = np.zeros(G)
         pos = d > 0.0
         g[pos] = d[pos] ** (2.0 * (delta_prime - gamma))
@@ -1116,25 +1125,25 @@ class TestKernelRatio:
 
     def test_grid_doubling_is_stable(self):
         E = cantor_build(middle_thirds_spec(8))
-        a = lemma_kel_ratio(E, 1.0, 1.2, [1e-1], 2**10)[0][0]
-        b = lemma_kel_ratio(E, 1.0, 1.2, [1e-1], 2**11)[0][0]
+        a = lemma_kel_ratio(distance_to_set(circle_grid(2**10), E), 1.0, 1.2, [1e-1])[0][0]
+        b = lemma_kel_ratio(distance_to_set(circle_grid(2**11), E), 1.0, 1.2, [1e-1])[0][0]
         assert abs(a - b) < 0.05 * a
 
     def test_hypothesis_guard(self):
         E = cantor_build(middle_thirds_spec(8))
         with pytest.raises(ValueError, match="2\\*delta"):
-            lemma_kel_ratio(E, 1.0, 0.9, [1e-1], 2**10)
+            lemma_kel_ratio(distance_to_set(circle_grid(2**10), E), 1.0, 0.9, [1e-1])
 
     def test_large_eps_rejected_when_mean_negative(self):
         E = cantor_build(middle_thirds_spec(8))
         # at eps = 10 the half log-integral is negative; the ratio is undefined
         with pytest.raises(ValueError, match="eps too large"):
-            lemma_kel_ratio(E, 1.0, 1.2, [10.0], 2**10)
+            lemma_kel_ratio(distance_to_set(circle_grid(2**10), E), 1.0, 1.2, [10.0])
 
     def test_grid_validation(self):
         E = cantor_build(middle_thirds_spec(8))
         with pytest.raises(ValueError):
-            lemma_kel_ratio(E, 1.0, 1.2, [1e-1], 1000)
+            lemma_kel_ratio(distance_to_set(circle_grid(1000), E), 1.0, 1.2, [1e-1])
 
 
 class TestClassifier:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cyclab import geometry, presets
+from cyclab import engine, geometry, presets
 from cyclab.analytic import smooth_vanishing_function
 from cyclab.cli import _FLAG_PARAMS, _build_parser, _config_from_flags
 from cyclab.experiments import (
@@ -32,7 +32,7 @@ from cyclab.presets import (
     build_set,
     moebius_gap_series,
 )
-from cyclab.fourier import SpaceIndex, norm_ap_beta
+from cyclab.fourier import SpaceIndex, circle_grid, norm_ap_beta
 
 
 def read_csv(path):
@@ -291,8 +291,9 @@ class TestSharedSets:
         misses = presets._shared_set.cache_info().misses
         after = build_function("smooth_vanishing", params)
         assert presets._shared_set.cache_info().misses == misses == 1
+        E = geometry.cantor_build(geometry.middle_thirds_spec(6))
         fresh = smooth_vanishing_function(
-            geometry.cantor_build(geometry.middle_thirds_spec(6)), 1.0, 2048
+            geometry.distance_to_set(circle_grid(2048), E), 1.0
         ).series
         assert before == after == fresh
 
@@ -506,6 +507,20 @@ class TestSharedWork:
                         "output_dir": str(tmp_path)})
         assert manifest.status == "ok"
         assert len(calls) <= most
+
+    @pytest.mark.parametrize("experiment, kernel, extra", [
+        ("decay", "p_epsilon_decay", {"p": 1.5}),
+        ("kel_ratio", "lemma_kel_ratio", {}),
+    ])
+    def test_one_kernel_call_on_one_distance_profile(self, tmp_path, monkeypatch,
+                                                     experiment, kernel, extra):
+        kernel_calls = count_calls(monkeypatch, engine, kernel)
+        d_calls = count_calls(monkeypatch, geometry, "distance_to_set")
+        params = {"set": "middle_thirds", "depth": 8, "grid": 2**14, **extra}
+        manifest = run({"experiment": experiment, "parameters": params,
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+        assert len(kernel_calls) == len(d_calls) == 1
 
     def test_cantor_counts_each_scale_once(self, tmp_path, monkeypatch):
         calls = count_calls(monkeypatch, geometry, "covering_number")

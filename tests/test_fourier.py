@@ -104,6 +104,15 @@ class TestFourierSeries:
         # both survive: cleaning is relative to the peak, not absolute
         assert f.support() == [0, 3]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0.0, math.nan)])
+    def test_non_finite_amplitude_raises(self, bad):
+        # a non-finite peak used to make the drop rule keep nothing, so the
+        # series silently became the zero series
+        with pytest.raises(ValueError, match="finite"):
+            FourierSeries({0: 0.0, 1: bad, 2: 1.0})
+        with pytest.raises(ValueError, match="finite"):
+            FourierSeries.from_dense([1.0, bad], -1)
+
     def test_degree(self):
         f = FourierSeries({-7: 1.0, 2: 1.0})
         assert f.degree == 7

@@ -606,6 +606,43 @@ class TestOneGapPass:
         assert_lambda_tubes_are_per_call(E, 0.5, 1e-3, 8)
         assert lambda_divergence_test(E, 0.5, 1e-3)["integral_estimate"] == 0.0
 
+    @pytest.mark.parametrize("E", [
+        ArcUnion([]),
+        ArcUnion.from_points([0.0, 0.1]),
+        ArcUnion([(0.0, 1.0), (TWO_PI - 0.5, TWO_PI)]),
+        cantor_build(middle_thirds_spec(6)),
+    ], ids=["empty", "two_points", "across_the_seam", "middle_thirds_6"])
+    def test_array_of_scales_is_a_call_per_scale(self, E):
+        t = np.array([[1e-4, 3.0**-6, 0.05, 0.2], [1.0, 1.999, 2.0, 5.0]])
+        got = tube_measure(E, t)
+        assert got.shape == t.shape
+        want = [tube_measure(E, float(x)) for x in t.ravel()]
+        assert all(type(x) is float for x in want)
+        assert [float.hex(x) for x in got.ravel()] == [float.hex(x) for x in want]
+
+    def test_zero_d_scale_returns_a_float(self):
+        E = cantor_build(middle_thirds_spec(6))
+        want = tube_measure(E, 0.2)
+        for t in (np.float64(0.2), np.array(0.2), 0.2):
+            got = tube_measure(E, t)
+            assert type(got) is float
+            assert float.hex(got) == float.hex(want)
+
+    @pytest.mark.parametrize("t", [
+        math.nan, 0.0, -1.0, np.array([0.1, math.nan]), np.array([0.1, 0.0]),
+    ])
+    def test_refuses_nan_and_nonpositive_scales(self, t):
+        # a NaN scale passed the old `t <= 0` guard: the tube read NaN
+        with pytest.raises(ValueError, match="t must be positive"):
+            tube_measure(ArcUnion.from_points([0.0]), t)
+        with pytest.raises(ValueError, match="t must be positive"):
+            tube_measure(ArcUnion([]), t)
+
+    def test_covering_refuses_a_nan_scale(self):
+        # the old guard let NaN through to math.ceil
+        with pytest.raises(ValueError, match="t must be positive"):
+            covering_number(ArcUnion.from_points([0.0, 1.0]), math.nan)
+
 
 # ---------------------------------------------------------------------------
 # property-based checks
