@@ -13,7 +13,9 @@ d = distance_to_set(circle_grid(G), E), G = len(d), never the set E itself:
 `smooth_vanishing_function`, `m_epsilon` and `outer_power_modulus` here, and
 `p_epsilon_decay` and `lemma_kel_ratio` in the engine.  A caller samples d
 once and hands it to each of them, and this module does not import the
-geometry.
+geometry.  All five read d and its exponent gamma through one check,
+`_sampled_distance`: d is a finite, nonnegative 1-D grid of a power of two
+>= 16 points, and gamma is positive and finite.
 
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
@@ -46,6 +48,18 @@ M_EPSILON_SELF_CHECK_TOL = 3e-3
 def _check_pow2(G, smallest=8):
     if G < smallest or (G & (G - 1)) != 0:
         raise ValueError(f"grid size must be a power of two >= {smallest}, got {G}")
+
+
+def _sampled_distance(d, gamma):
+    """`d` as a float array, after the one check every kernel of d shares."""
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be positive and finite")
+    d = np.asarray(d, dtype=float)
+    G = d.shape[0] if d.ndim == 1 else 0
+    if G < 16 or G & (G - 1) or not (np.all(np.isfinite(d)) and d.min() >= 0.0):
+        raise ValueError("d must be a finite, nonnegative 1-D grid of a power "
+                         "of two >= 16 points")
+    return d
 
 
 def _energy(arr):
@@ -248,17 +262,15 @@ def half_log_integrand(d, gamma, eps):
 def m_epsilon(d, gamma, eps):
     """Half the arc-length integral of log 1/(d(zeta,E)^gamma + eps).
 
-    `d` is the exact chordal distance to E sampled on a uniform grid, whose
-    size must be even and at least 16.  Plain midpoint quadrature on that
-    grid; the same nodes subsampled by two give an internal convergence
-    check: disagreement beyond M_EPSILON_SELF_CHECK_TOL * max(1, |M|) raises,
+    `d` is the exact chordal distance to E sampled on a uniform grid (see
+    `_sampled_distance`).  Plain midpoint quadrature on that grid; the same
+    nodes subsampled by two give an internal convergence check:
+    disagreement beyond M_EPSILON_SELF_CHECK_TOL * max(1, |M|) raises,
     flagging a grid too coarse for the distance profile at this eps.
     """
-    if gamma <= 0.0 or eps <= 0.0:
-        raise ValueError("gamma and eps must be positive")
-    d = np.asarray(d, dtype=float)
-    if d.ndim != 1 or d.shape[0] < 16 or d.shape[0] % 2 != 0:
-        raise ValueError("d must be a 1-D grid of even length >= 16")
+    d = _sampled_distance(d, gamma)
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     integrand = half_log_integrand(d, gamma, eps)
     M = float(np.mean(integrand) * TWO_PI)
     M_half = float(np.mean(integrand[::2]) * TWO_PI)
@@ -275,17 +287,14 @@ def _power_modulus(d, gamma, eps, mode):
     (1/2) log 1/(d^gamma + eps) that normalizes p_eps (None for F_eps)."""
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
-    if gamma <= 0.0 or eps <= 0.0:
-        raise ValueError("gamma and eps must be positive")
-    d = np.asarray(d, dtype=float)
+    d = _sampled_distance(d, gamma)
+    if not eps > 0.0:
+        raise ValueError("eps must be positive")
     base = d**gamma + eps
-    m = None
     if mode == "F_eps":
-        vals = np.sqrt(base)
-    else:
-        m = float(np.mean(half_log_integrand(d, gamma, eps)))
-        vals = np.exp(-m) / np.sqrt(base)
-    return BoundaryModulus(vals), m
+        return BoundaryModulus(np.sqrt(base)), None
+    m = float(np.mean(0.5 * np.log(1.0 / base)))
+    return BoundaryModulus(np.exp(-m) / np.sqrt(base)), m
 
 
 def outer_power_modulus(d, gamma, eps, mode):
@@ -458,19 +467,16 @@ class VanishingProfile:
 def smooth_vanishing_function(d, gamma):
     """The function exp(-d(zeta,E)^(-gamma)), zero exactly on E.
 
-    `d` is the distance to E sampled on a uniform grid of G = len(d) points,
-    a power of two >= 16.  Returns the grid values together with the
+    `d` is the distance to E sampled on a uniform grid of G = len(d) points
+    (see `_sampled_distance`).  Returns the grid values together with the
     recovered coefficients and the suprema of |f_hat(n)| (1+|n|)^m for
     m = 0..4 as smoothness evidence, taken over the aliasing-trusted band
     |n| <= G/4.  A fat coefficient tail (more than TAIL_SHARE_TOL of the l1
     mass in the top half of the band) means the grid missed genuine
     oscillation; that raises.
     """
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    d = np.asarray(d, dtype=float)
+    d = _sampled_distance(d, gamma)
     G = d.shape[0]
-    _check_pow2(G, smallest=16)
     vals = np.zeros(G)
     pos = d > 0.0
     vals[pos] = np.exp(-(d[pos] ** (-gamma)))

@@ -48,14 +48,15 @@ import numpy as np
 import scipy
 
 from .analytic import (
-    _check_pow2,
     _outer_boundary,
     _power_modulus,
+    _sampled_distance,
     lag_kernel,
     m_epsilon,
 )
 from .fourier import (
     FourierSeries,
+    SpaceIndex,
     _space_params,
     eval_on_grid,
     norm_ap_beta,
@@ -366,12 +367,16 @@ class InfimumResult:
         yield self.polynomial
 
 
-def _minimize(f, space, support, degree, target, warm=None):
-    p, bval = _space_params(space)
-    if p <= 1.0:
+def _solver_space(space):
+    """(p, beta) of a SpaceIndex or a bare p that the solver handles."""
+    p = space.p if isinstance(space, SpaceIndex) else float(space)
+    if not (1.0 < p <= 2.0):
         raise ValueError("the solver handles 1 < p <= 2 only")
-    if p > 2.0:
-        raise ValueError("p > 2 objectives are outside the solver's scope")
+    return _space_params(space)
+
+
+def _minimize(f, space, support, degree, target, warm=None):
+    p, bval = _solver_space(space)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     if len(f) == 0:
@@ -493,9 +498,7 @@ class CertificateProblem:
     truncation_tail: float = 0.0
 
     def __post_init__(self):
-        p, beta = _space_params(self.space)
-        if not (1.0 < p <= 2.0):
-            raise ValueError("the solver handles 1 < p <= 2 only")
+        p, beta = _solver_space(self.space)
         q = p / (p - 1.0)
         if beta * q > 1.0:
             raise ValueError(
@@ -635,24 +638,22 @@ class DecayReport:
 def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
     """Track the weighted norm of p_eps * f as eps decreases.
 
-    `d` is the distance to E sampled on a uniform power-of-two grid of
-    G = len(d) points.  For each eps the boundary samples of the normalized
-    outer factor p_eps are built on that grid (only those: p_eps(0) = 1 by
-    construction), the product is transformed back, and the norm is taken
-    at the configured truncation, G // 4 by default.  Recorded alongside:
-    the normalized log-mean m (the same number that makes p_eps(0) = 1) and
-    the envelope ratio norm^2 / ((1+m) e^(-2m)).  Verdict `decays` means
-    strictly decreasing norms with the final below a tenth of the first;
-    anything else `stalls`.
+    `d` is the distance to E sampled on a uniform grid of G = len(d) points
+    (see `analytic._sampled_distance`).  For each eps the boundary samples
+    of the normalized outer factor p_eps are built on that grid (only those:
+    p_eps(0) = 1 by construction), the product is transformed back, and the
+    norm is taken at the configured truncation, G // 4 by default.  Recorded
+    alongside: the normalized log-mean m (the same number that makes
+    p_eps(0) = 1) and the envelope ratio norm^2 / ((1+m) e^(-2m)).  Verdict
+    `decays` means strictly decreasing norms with the final below a tenth of
+    the first; anything else `stalls`.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
         raise ValueError("need at least two epsilons")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("eps schedule must be strictly decreasing")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    d = np.asarray(d, dtype=float)
+    d = _sampled_distance(d, gamma)
     G = d.shape[0]
     if truncation is None:
         truncation = G // 4
@@ -690,8 +691,8 @@ def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
 def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
     """Ratios of the weighted double smoothness integral of F_eps to M_eps,
     and the M_eps values, as two lists over the eps schedule.  `d` is the
-    distance to E sampled on a uniform grid of G = len(d) points, a power
-    of two >= 16.
+    distance to E sampled on a uniform grid of G = len(d) points (see
+    `analytic._sampled_distance`).
 
     The left side is the arc-length double integral of
     d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
@@ -704,11 +705,8 @@ def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
     """
     if 2.0 * delta_prime - gamma - 1.0 < 0.0:
         raise ValueError("need 2*delta' - gamma - 1 >= 0")
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    d = np.asarray(d, dtype=float)
+    d = _sampled_distance(d, gamma)
     G = d.shape[0]
-    _check_pow2(G, smallest=16)
     expo = 2.0 * (delta_prime - gamma)
     g = np.zeros(G)
     pos = d > 0.0

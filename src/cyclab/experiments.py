@@ -218,23 +218,26 @@ _SPACE_FIELDS = {
     "beta": (_check(lambda v: _is_number(v) and v >= 0.0,
                     "beta must be a finite number >= 0"), 0.0),
 }
+# the function-preset fields take their defaults from FUNCTION_PRESETS
+_PRESET = {**FUNCTION_PRESETS["h_k"], **FUNCTION_PRESETS["smooth_vanishing"]}
 _SET_FIELDS = {
     "set": (_one_of(SET_PRESETS, "unknown set preset {value!r}; available: "
-                    + ", ".join(SET_PRESETS)), "non_carleson_n2"),
-    "depth": (_int_at_least(1), None),  # None: the generator's own depth
+                    + ", ".join(SET_PRESETS)), _PRESET["set"]),
+    "depth": (_int_at_least(1), lambda params: cantor_spec_by_name(params["set"]).depth),
 }
 # exp(-d(., E)^-gamma) on the named set, sampled at `grid` points
-_VANISHING_FIELDS = {**_SET_FIELDS, "gamma": (_POSITIVE, 1.0), "grid": (_GRID, 2**14)}
+_VANISHING_FIELDS = {**_SET_FIELDS, "gamma": (_POSITIVE, _PRESET["gamma"]),
+                     "grid": (_GRID, _PRESET["grid"])}
 # f as a named preset with its knobs, or as explicit coefficients
 _FUNCTION_FIELDS = {
     "preset": (_one_of(FUNCTION_PRESETS, "unknown function preset {value!r}; available: "
                        + ", ".join(FUNCTION_PRESETS)), None),
     "coeffs": (_coeffs, None),
-    "k": (_int_at_least(1), 5),
-    "max_degree": (_int_at_least(0), None),
-    "tail_tol": (_POSITIVE, 1e-13),
+    "k": (_int_at_least(1), _PRESET["k"]),
+    "max_degree": (_int_at_least(0), _PRESET["max_degree"]),
+    "tail_tol": (_POSITIVE, _PRESET["tail_tol"]),
     **_VANISHING_FIELDS,
-    "truncate": (_int_at_least(1), None),
+    "truncate": (_int_at_least(1), _PRESET["truncate"]),
 }
 
 
@@ -325,7 +328,6 @@ def _run_norms(params):
 def _run_cantor(params):
     """CSV columns: t, covering_count, tube_measure."""
     name, depth = params["set"], params["depth"]
-    spec = cantor_spec_by_name(name, depth)
     E = build_set(name, depth)
     profile = covering_profile(
         E, log_t_grid(params["t_min"], params["t_max"], params["t_count"])
@@ -333,7 +335,7 @@ def _run_cantor(params):
     rows = [(t, int(N), tube) for t, N, tube in profile.samples]
     report = {
         "set": name,
-        "depth": spec.depth,
+        "depth": depth,
         "n_arcs": E.n_arcs,
         "total_measure": E.total_measure,
         "profile": [list(r) for r in rows],
@@ -348,7 +350,6 @@ def _run_cantor(params):
 def _run_carleson(params):
     """CSV columns: set, depth, interval_sum, interval_sum_radian, log_integral, verdict."""
     name, depth = params["set"], params["depth"]
-    spec = cantor_spec_by_name(name, depth)
     E = build_set(name, depth)
     result = carleson_test(
         E, params["grid"], divergence_threshold=params["threshold"]
@@ -356,7 +357,7 @@ def _run_carleson(params):
     rows = [
         (
             name,
-            spec.depth,
+            depth,
             result["interval_sum"],
             result["interval_sum_radian"],
             result["log_integral"],
@@ -365,7 +366,7 @@ def _run_carleson(params):
     ]
     report = dict(result)
     report["set"] = name
-    report["depth"] = spec.depth
+    report["depth"] = depth
     header = ("set", "depth", "interval_sum", "interval_sum_radian",
               "log_integral", "verdict")
     return report, header, rows, {"divergence_threshold": params["threshold"]}
@@ -653,35 +654,26 @@ def run(config):
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
-    outputs = []
+    outputs, tolerances, failure = [], {}, None
     try:
         report, header, rows, tolerances = EXPERIMENTS[config.experiment].handler(params)
     except (ValueError, ArithmeticError, RuntimeError) as exc:
-        manifest = RunManifest(
-            config=config.to_json_obj(),
-            version=__version__,
-            wall_clock_s=time.perf_counter() - t0,
-            tolerances={},
-            outputs=outputs,
-            status="numerical_failure",
-            error=str(exc),
-        )
-        _write_json(out_dir / "manifest.json", manifest.to_json_obj())
-        raise NumericalFailure(str(exc)) from exc
-
-    report_path = out_dir / "report.json"
-    _write_json(report_path, report)
-    outputs.append(report_path.name)
-    csv_path = out_dir / ("%s.csv" % config.experiment)
-    _write_csv(csv_path, header, rows)
-    outputs.append(csv_path.name)
+        failure = exc
+    else:
+        csv_name = "%s.csv" % config.experiment
+        _write_json(out_dir / "report.json", report)
+        _write_csv(out_dir / csv_name, header, rows)
+        outputs = ["report.json", csv_name]
     manifest = RunManifest(
         config=config.to_json_obj(),
         version=__version__,
         wall_clock_s=time.perf_counter() - t0,
         tolerances=tolerances,
         outputs=outputs,
-        status="ok",
+        status="ok" if failure is None else "numerical_failure",
+        error=None if failure is None else str(failure),
     )
     _write_json(out_dir / "manifest.json", manifest.to_json_obj())
+    if failure is not None:
+        raise NumericalFailure(str(failure)) from failure
     return manifest

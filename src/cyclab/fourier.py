@@ -264,8 +264,8 @@ def _space_params(space, beta=None):
     else:
         p = float(space)
         b = 0.0 if beta is None else float(beta)
-    if p < 1.0:
-        raise ValueError("exponent p must satisfy p >= 1, got %r" % (p,))
+    if not (1.0 <= p < math.inf and math.isfinite(b)):
+        raise ValueError("need a finite p >= 1 and a finite beta, got %r, %r" % (p, b))
     return p, b
 
 

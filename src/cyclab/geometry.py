@@ -193,7 +193,7 @@ def middle_thirds_spec(depth):
     )
 
 
-def non_carleson_n2_spec(depth=20):
+def non_carleson_n2_spec(depth):
     """Gap schedule c * 2^-n / n^2 with c tuned to the depth.
 
     The constant makes the total removed length 2*pi*(1 - 2^-depth), so the
@@ -213,7 +213,8 @@ def non_carleson_n2_spec(depth=20):
 
 
 def cantor_spec_by_name(name, depth=None):
-    """Resolve a named schedule; other schedules are built as CantorSpec."""
+    """Resolve a named schedule, at its preset depth when `depth` is None;
+    other schedules are built as CantorSpec."""
     if name == "middle_thirds":
         return middle_thirds_spec(12 if depth is None else depth)
     if name == "non_carleson_n2":

@@ -15,10 +15,12 @@ from .fourier import FourierSeries, circle_grid
 from .geometry import cantor_build, cantor_spec_by_name, distance_to_set
 
 SET_PRESETS = ("middle_thirds", "non_carleson_n2")
-# each function preset with the config fields it reads
-FUNCTION_PRESETS = {"h_k": ("k", "max_degree", "tail_tol"),
-                    "smooth_vanishing": ("set", "gamma", "grid", "depth", "truncate"),
-                    "z_minus_1": ()}
+# each function preset with the config fields it reads and their defaults,
+# the one statement of them; depth None is the set generator's own depth
+FUNCTION_PRESETS = {"h_k": {"k": 5, "max_degree": None, "tail_tol": 1e-13},
+                    "smooth_vanishing": {"set": "non_carleson_n2", "depth": None,
+                                         "gamma": 1.0, "grid": 2**14, "truncate": None},
+                    "z_minus_1": {}}
 
 # the standard geometric schedule: one decade per step
 EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
@@ -47,7 +49,7 @@ def _shared_set(spec):
     return cantor_build(spec)
 
 
-def moebius_gap_series(k, max_degree=None, tail_tol=1e-13):
+def moebius_gap_series(k, max_degree=None, tail_tol=FUNCTION_PRESETS["h_k"]["tail_tol"]):
     """The series 1 - h_k, whose p-norm has the closed form 1/((k+1)^p - k^p).
 
     The geometric coefficient tail is cut adaptively: `max_degree` defaults
@@ -70,25 +72,22 @@ def z_minus_1():
 
 
 def build_function(name, params):
-    """FourierSeries for a named function preset; `params` supplies knobs."""
+    """FourierSeries for a named function preset; `params` supplies knobs,
+    and FUNCTION_PRESETS fills the ones it leaves out."""
+    if name not in FUNCTION_PRESETS:
+        raise ValueError("unknown function preset %r; available: %s"
+                         % (name, ", ".join(FUNCTION_PRESETS)))
+    knobs = {**FUNCTION_PRESETS[name], **params}
     if name == "h_k":
-        return moebius_gap_series(
-            params.get("k", 5), params.get("max_degree"), params.get("tail_tol", 1e-13)
-        )
+        return moebius_gap_series(knobs["k"], knobs["max_degree"], knobs["tail_tol"])
     if name == "z_minus_1":
         return z_minus_1()
-    if name == "smooth_vanishing":
-        E = build_set(params.get("set", "non_carleson_n2"), params.get("depth"))
-        d = distance_to_set(circle_grid(int(params.get("grid", 2**14))), E)
-        series = smooth_vanishing_function(d, float(params.get("gamma", 1.0))).series
-        truncate = params.get("truncate")
-        if truncate is not None:
-            series = series.truncate(int(truncate))
-        return series
-    raise ValueError(
-        "unknown function preset %r; available: %s"
-        % (name, ", ".join(FUNCTION_PRESETS))
-    )
+    E = build_set(knobs["set"], knobs["depth"])
+    d = distance_to_set(circle_grid(int(knobs["grid"])), E)
+    series = smooth_vanishing_function(d, float(knobs["gamma"])).series
+    if knobs["truncate"] is not None:
+        series = series.truncate(int(knobs["truncate"]))
+    return series
 
 
 def series_from_config(params):
@@ -105,7 +104,7 @@ CATALOGUE = [
         "name": "middle_thirds",
         "kind": "set",
         "doc": "Classical Cantor generator, level-n gaps 2*pi/3^n; Carleson.",
-        "parameters": "depth (default 12)",
+        "parameters": "depth (default %d)" % cantor_spec_by_name("middle_thirds").depth,
         "example_config": {
             "experiment": "cantor",
             "parameters": {"set": "middle_thirds", "depth": 8},
@@ -117,7 +116,7 @@ CATALOGUE = [
         "doc": "Gaps c*2^-n/n^2 tuned to leave measure 2*pi*2^-depth; the "
         "complementary-interval sum diverges, so deep levels are "
         "non-Carleson evidence.",
-        "parameters": "depth (default 20)",
+        "parameters": "depth (default %d)" % cantor_spec_by_name("non_carleson_n2").depth,
         "example_config": {
             "experiment": "carleson",
             "parameters": {"set": "non_carleson_n2", "depth": 20},
@@ -128,7 +127,8 @@ CATALOGUE = [
         "kind": "function",
         "doc": "1 - h_k with h_k the Moebius factor (z-1)/(z-1-1/k); the "
         "p-norm obeys norm^p = 1/((k+1)^p - k^p) exactly.",
-        "parameters": "k (default 5), max_degree (default: l1 tail < 1e-13)",
+        "parameters": "k (default %(k)d), max_degree (default: l1 tail < %(tail_tol)g)"
+        % FUNCTION_PRESETS["h_k"],
         "example_config": {
             "experiment": "norms",
             "parameters": {"preset": "h_k", "k": 5, "p": 2.0, "beta": 0.0},
@@ -139,8 +139,8 @@ CATALOGUE = [
         "kind": "function",
         "doc": "exp(-d(., E)^-gamma) on a named set: flat zero on E, smooth "
         "off it; the central object of the decay and certificate runs.",
-        "parameters": "set (default non_carleson_n2), gamma (default 1), "
-        "grid (default 16384; 2048 in douglas), depth, truncate",
+        "parameters": "set (default %(set)s), gamma (default %(gamma)g), grid (default "
+        "%(grid)d; 2048 in douglas), depth, truncate" % FUNCTION_PRESETS["smooth_vanishing"],
         "example_config": {
             "experiment": "szego",
             "parameters": {

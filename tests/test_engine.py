@@ -782,6 +782,15 @@ class TestSolverContract:
         assert poly is res.polynomial
         assert isinstance(res, InfimumResult)
 
+    @pytest.mark.parametrize("space", [math.nan, 2.5, SpaceIndex(p=2.5)])
+    def test_p_outside_the_solver_range_raises(self, space):
+        # a NaN p used to reach the solver and return value nan, not converged;
+        # p > 2 had a second message
+        with pytest.raises(ValueError, match="the solver handles 1 < p <= 2 only"):
+            bicyclicity_infimum(Z_MINUS_1, space, "all_integers", 4)
+        with pytest.raises(ValueError, match="the solver handles 1 < p <= 2 only"):
+            forward_shift_infimum(Z_MINUS_1, space, 4)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             bicyclicity_infimum(Z_MINUS_1, SpaceIndex(p=1.0, beta=0.0), "nonneg", 2)
@@ -1144,6 +1153,46 @@ class TestKernelRatio:
         E = cantor_build(middle_thirds_spec(8))
         with pytest.raises(ValueError):
             lemma_kel_ratio(distance_to_set(circle_grid(1000), E), 1.0, 1.2, [1e-1])
+
+
+# the five kernels of the sampled distance d, each with valid other arguments
+DISTANCE_KERNELS = {
+    "smooth_vanishing_function": lambda d, gamma: smooth_vanishing_function(d, gamma),
+    "m_epsilon": lambda d, gamma: m_epsilon(d, gamma, 0.1),
+    "outer_power_modulus": lambda d, gamma: outer_power_modulus(d, gamma, 0.1, "F_eps"),
+    "p_epsilon_decay": lambda d, gamma: p_epsilon_decay(Z_MINUS_1, d, gamma, P15,
+                                                        [1e-1, 1e-2]),
+    "lemma_kel_ratio": lambda d, gamma: lemma_kel_ratio(d, gamma, 1.2, [1e-1]),
+}
+
+
+def _with_entry(value):
+    d = distance_to_set(circle_grid(2**10), cantor_build(middle_thirds_spec(4)))
+    d[100] = value
+    return d
+
+
+class TestSampledDistance:
+    """Every kernel of d reads d and gamma through one check, with one error."""
+
+    @pytest.mark.parametrize("d", [
+        np.ones((16, 16)), np.ones(48), np.ones(8), _with_entry(math.nan),
+        _with_entry(-1e-3), _with_entry(math.inf),
+    ], ids=["2-D", "48 points", "8 points", "NaN entry", "negative entry", "inf entry"])
+    def test_every_kernel_refuses_a_bad_distance_alike(self, d):
+        for name, kernel in DISTANCE_KERNELS.items():
+            with pytest.raises(ValueError) as info:
+                kernel(d, 1.0)
+            assert str(info.value) == ("d must be a finite, nonnegative 1-D grid of a "
+                                       "power of two >= 16 points"), name
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, math.nan])
+    def test_every_kernel_refuses_a_bad_gamma_alike(self, gamma):
+        d = _with_entry(0.5)
+        for name, kernel in DISTANCE_KERNELS.items():
+            with pytest.raises(ValueError) as info:
+                kernel(d, gamma)
+            assert str(info.value) == "gamma must be positive and finite", name
 
 
 class TestClassifier:

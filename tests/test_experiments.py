@@ -226,6 +226,18 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_set("enigma")
 
+    @pytest.mark.parametrize("name", sorted(presets.FUNCTION_PRESETS))
+    def test_table_defaults_build_what_the_schema_resolves(self, name):
+        record = validate(ExperimentConfig.from_json_obj(
+            {"experiment": "norms", "parameters": {"preset": name}}))
+        assert build_function(name, {}) == build_function(name, record)
+
+    @pytest.mark.parametrize("name", ["middle_thirds", "non_carleson_n2"])
+    def test_schema_resolves_the_generator_depth(self, name):
+        record = validate(ExperimentConfig.from_json_obj(
+            {"experiment": "cantor", "parameters": {"set": name}}))
+        assert record["depth"] == geometry.cantor_spec_by_name(name).depth
+
     def test_build_function_rejects_unknown(self):
         with pytest.raises(ValueError):
             build_function("enigma", {})

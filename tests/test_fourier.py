@@ -247,6 +247,16 @@ class TestNorm:
         f = FourierSeries({3: 1.0})
         assert norm_ap_beta(f, 2.0, -1.0) == pytest.approx(0.25, abs=1e-15)
 
+    @pytest.mark.parametrize("space, beta", [
+        (math.nan, None), (math.inf, None), (1.5, math.nan), (1.5, math.inf),
+        (1.5, -math.inf), (SpaceIndex(p=1.5), math.nan),
+        (SpaceIndex(p=1.5, beta=math.inf), None),
+    ])
+    def test_non_finite_exponents_raise(self, space, beta):
+        # a NaN p passed the old `p < 1` test and made the norm NaN
+        with pytest.raises(ValueError, match="finite p >= 1 and a finite beta"):
+            norm_ap_beta(FourierSeries({3: 1.0}), space, beta)
+
 
 # ---------------------------------------------------------------------------
 # product / pairing
