@@ -10,12 +10,14 @@ negative-frequency leakage to stay small.
 
 Every kernel of the distance to a zero set E takes the sampled distance
 d = distance_to_set(circle_grid(G), E), G = len(d), never the set E itself:
-`smooth_vanishing_function`, `m_epsilon` and `outer_power_modulus` here, and
-`p_epsilon_decay` and `lemma_kel_ratio` in the engine.  A caller samples d
-once and hands it to each of them, and this module does not import the
-geometry.  All five read d and its exponent gamma through one check,
-`_sampled_distance`: d is a finite, nonnegative 1-D grid of a power of two
->= 16 points, and gamma is positive and finite.
+`smooth_vanishing_function`, `m_epsilon`, `outer_power_modulus` and the
+two eps-sweeps `p_epsilon_decay` and `lemma_kel_ratio`, all of them here.  A
+caller samples d once and hands it to each of them, and this module does
+not import the geometry.  Each of the five checks d and its exponent gamma
+on entry through one check, `_sampled_distance`: d is a finite, nonnegative
+1-D grid of a power of two >= 16 points, and gamma is positive and finite.
+The private helper `_power_modulus` takes d as checked, so `p_epsilon_decay`
+checks d once, not once per eps.
 
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fourier import FourierSeries, eval_on_grid, series_from_samples
+from .fourier import FourierSeries, eval_on_grid, norm_ap_beta, series_from_samples
 
 TWO_PI = 2.0 * math.pi
 
@@ -43,6 +45,9 @@ TAIL_SHARE_TOL = 1e-3
 
 # m_epsilon's relative tolerance between the grid and every other node
 M_EPSILON_SELF_CHECK_TOL = 3e-3
+
+VANISH_GATE_REL = 1e-6  # p_epsilon_decay: largest max |f| on E, relative to max |f|
+KEL_EXCLUSION_CELLS = 10.0  # lemma_kel_ratio drops pairs with chord < this / G
 
 
 def _check_pow2(G, smallest=8):
@@ -180,13 +185,7 @@ class OuterFunction:
 
 def _outer_boundary(phi):
     """u = log phi and the boundary samples exp(u + i*Hu) of the outer
-    function with modulus `phi`, a BoundaryModulus (so already floored).
-
-    `outer_from_modulus` adds the coefficients and the leakage; callers that
-    read only the boundary samples of `outer_power_modulus` take
-    `_outer_boundary(_power_modulus(d, gamma, eps, mode)[0])[1]` and stop
-    here.
-    """
+    function with modulus `phi`, a BoundaryModulus (so already floored)."""
     u = np.log(phi.values)
     return u, np.exp(u + 1j * conjugate_function(u))
 
@@ -284,10 +283,10 @@ def m_epsilon(d, gamma, eps):
 
 def _power_modulus(d, gamma, eps, mode):
     """The BoundaryModulus of `outer_power_modulus`, and the grid mean m of
-    (1/2) log 1/(d^gamma + eps) that normalizes p_eps (None for F_eps)."""
+    (1/2) log 1/(d^gamma + eps) that normalizes p_eps (None for F_eps).
+    `d` has passed `_sampled_distance`."""
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
-    d = _sampled_distance(d, gamma)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
     base = d**gamma + eps
@@ -307,9 +306,142 @@ def outer_power_modulus(d, gamma, eps, mode):
     the center value is 1 and the pointwise product of the two moduli is the
     constant exp(-m).
     """
-    phi, _ = _power_modulus(d, gamma, eps, mode)
+    phi, _ = _power_modulus(_sampled_distance(d, gamma), gamma, eps, mode)
     spec = {"kind": mode, "gamma": float(gamma), "eps": float(eps)}
     return outer_from_modulus(phi, modulus_spec=spec)
+
+
+@dataclass
+class DecayReport:
+    """Norm decay of p_eps * f along an epsilon schedule."""
+
+    schedule: list  # (eps, m_eps, norm) triples, m_eps in the normalized mean
+    normalized_ratios: list
+    verdict: str
+    grid_size: int
+    truncation: int
+    gamma: float
+
+    def to_json_obj(self):
+        return {
+            "schedule": [list(row) for row in self.schedule],
+            "normalized_ratios": self.normalized_ratios,
+            "verdict": self.verdict,
+            "grid_size": self.grid_size,
+            "truncation": self.truncation,
+            "gamma": self.gamma,
+        }
+
+
+def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
+    """Track the weighted norm of p_eps * f as eps decreases.
+
+    `d` is the distance to E sampled on a uniform grid of G = len(d) points
+    (see `_sampled_distance`).  For each eps the boundary samples
+    of the normalized outer factor p_eps are built on that grid (only those:
+    p_eps(0) = 1 by construction), the product is transformed back, and the
+    norm is taken at the configured truncation, G // 4 by default.  Recorded
+    alongside: the normalized log-mean m (the same number that makes
+    p_eps(0) = 1) and the envelope ratio norm^2 / ((1+m) e^(-2m)).  Verdict
+    `decays` means strictly decreasing norms with the final below a tenth of
+    the first; anything else `stalls`.
+
+    The rule is meant to detect norms that tend to zero as eps -> 0, as the
+    e^(-m) envelope does when the log-integral of d diverges, against norms
+    that level off at a positive floor, as they do when it converges (a
+    Carleson set, where m stays bounded).  A monotone drop alone cannot tell
+    the two apart, hence the factor of ten.  Neither set preset meets it on
+    the default schedule eps = 1e-1 .. 1e-6: the final norm is 0.553 times
+    the first on `non_carleson_n2` and 0.463 times on middle thirds, so both
+    report `stalls`.
+    """
+    eps_schedule = [float(e) for e in eps_schedule]
+    if len(eps_schedule) < 2:
+        raise ValueError("need at least two epsilons")
+    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
+        raise ValueError("eps schedule must be strictly decreasing")
+    d = _sampled_distance(d, gamma)
+    G = d.shape[0]
+    if truncation is None:
+        truncation = G // 4
+    f_grid = eval_on_grid(f, G)
+    on = d == 0.0
+    # band-limiting f leaves ~1e-8 relative dust on the set; the gate only
+    # needs to catch inputs that genuinely fail to vanish there
+    gate = VANISH_GATE_REL * max(float(np.max(np.abs(f_grid))), 1e-30)
+    if on.any() and float(np.max(np.abs(f_grid[on]))) > gate:
+        raise ValueError("f does not vanish on E at the grid resolution")
+
+    rows = []
+    ratios = []
+    for eps in eps_schedule:
+        phi, m = _power_modulus(d, gamma, eps, "p_eps")
+        _, p_eps = _outer_boundary(phi)
+        prod = p_eps * f_grid
+        series = series_from_samples(prod, truncation)
+        norm = norm_ap_beta(series, space)
+        rows.append((eps, m, norm))
+        ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
+    norms = [r[2] for r in rows]
+    decreasing = all(a > b for a, b in zip(norms, norms[1:]))
+    verdict = "decays" if decreasing and norms[-1] < 0.1 * norms[0] else "stalls"
+    return DecayReport(
+        schedule=rows,
+        normalized_ratios=ratios,
+        verdict=verdict,
+        grid_size=G,
+        truncation=truncation,
+        gamma=gamma,
+    )
+
+
+def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
+    """Ratios of the weighted double smoothness integral of F_eps to M_eps,
+    and the M_eps values, as two lists over the eps schedule.  `d` is the
+    distance to E sampled on a uniform grid of G = len(d) points (see
+    `_sampled_distance`).
+
+    The left side is the arc-length double integral of
+    d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
+    with a chordal diagonal exclusion KEL_EXCLUSION_CELLS / G, evaluated by lag
+    reduction (three FFT-sized correlations per eps; the one of two real
+    arrays, the weight and |F_eps|^2, by half-length real transforms).
+    M_eps is the unnormalized half log-integral, required positive.  Grid
+    nodes lying exactly on E are dropped from the weighted sum when the
+    weight exponent is negative.
+    """
+    if 2.0 * delta_prime - gamma - 1.0 < 0.0:
+        raise ValueError("need 2*delta' - gamma - 1 >= 0")
+    d = _sampled_distance(d, gamma)
+    G = d.shape[0]
+    expo = 2.0 * (delta_prime - gamma)
+    g = np.zeros(G)
+    pos = d > 0.0
+    g[pos] = d[pos] ** expo
+    if expo >= 0.0:
+        g[~pos] = 0.0 if expo > 0.0 else 1.0
+
+    kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
+    cell = (TWO_PI / G) ** 2
+    spec_g = np.conj(np.fft.rfft(g))  # g is real: a half-length transform
+
+    ratios = []
+    m_values = []
+    for eps in eps_schedule:
+        M = m_epsilon(d, gamma, eps)
+        if M <= 0.0:
+            raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
+        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps")[0])
+        absF2 = np.abs(F) ** 2
+        t1 = float(np.sum(g * absF2))
+        t2 = np.fft.irfft(spec_g * np.fft.rfft(absF2), G)
+        a = g * F
+        t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))
+        lag_sums = t1 + t2 - 2.0 * t3
+        lhs = cell * float(np.sum(kernel * lag_sums))
+        ratios.append(lhs / M)
+        m_values.append(M)
+    return ratios, m_values
 
 
 # ---------------------------------------------------------------------------

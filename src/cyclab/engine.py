@@ -47,28 +47,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy
 
-from .analytic import (
-    _outer_boundary,
-    _power_modulus,
-    _sampled_distance,
-    lag_kernel,
-    m_epsilon,
-)
-from .fourier import (
-    FourierSeries,
-    SpaceIndex,
-    _space_params,
-    eval_on_grid,
-    norm_ap_beta,
-    series_from_samples,
-)
-
-TWO_PI = 2.0 * math.pi
+# re-exported: perfbench/tracing.py looks both sweeps up on this module
+from .analytic import lemma_kel_ratio, p_epsilon_decay
+from .fourier import FourierSeries, SpaceIndex, _space_params, eval_on_grid
 
 SUPPORTS = ("all_integers", "nonneg", "positive")
-
-VANISH_GATE_REL = 1e-6  # p_epsilon_decay: largest max |f| on E, relative to max |f|
-KEL_EXCLUSION_CELLS = 10.0  # lemma_kel_ratio drops pairs with chord < this / G
 
 # continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps;
 # step j ends once its smoothed objective moves by at most INNER_RTOL relative
@@ -611,130 +594,6 @@ def certify_cyclic(problem):
         best_p=best_p,
         best_q=best_q,
     )
-
-
-@dataclass
-class DecayReport:
-    """Norm decay of p_eps * f along an epsilon schedule."""
-
-    schedule: list  # (eps, m_eps, norm) triples, m_eps in the normalized mean
-    normalized_ratios: list
-    verdict: str
-    grid_size: int
-    truncation: int
-    gamma: float
-
-    def to_json_obj(self):
-        return {
-            "schedule": [list(row) for row in self.schedule],
-            "normalized_ratios": self.normalized_ratios,
-            "verdict": self.verdict,
-            "grid_size": self.grid_size,
-            "truncation": self.truncation,
-            "gamma": self.gamma,
-        }
-
-
-def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
-    """Track the weighted norm of p_eps * f as eps decreases.
-
-    `d` is the distance to E sampled on a uniform grid of G = len(d) points
-    (see `analytic._sampled_distance`).  For each eps the boundary samples
-    of the normalized outer factor p_eps are built on that grid (only those:
-    p_eps(0) = 1 by construction), the product is transformed back, and the
-    norm is taken at the configured truncation, G // 4 by default.  Recorded
-    alongside: the normalized log-mean m (the same number that makes
-    p_eps(0) = 1) and the envelope ratio norm^2 / ((1+m) e^(-2m)).  Verdict
-    `decays` means strictly decreasing norms with the final below a tenth of
-    the first; anything else `stalls`.
-    """
-    eps_schedule = [float(e) for e in eps_schedule]
-    if len(eps_schedule) < 2:
-        raise ValueError("need at least two epsilons")
-    if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
-        raise ValueError("eps schedule must be strictly decreasing")
-    d = _sampled_distance(d, gamma)
-    G = d.shape[0]
-    if truncation is None:
-        truncation = G // 4
-    f_grid = eval_on_grid(f, G)
-    on = d == 0.0
-    # band-limiting f leaves ~1e-8 relative dust on the set; the gate only
-    # needs to catch inputs that genuinely fail to vanish there
-    gate = VANISH_GATE_REL * max(float(np.max(np.abs(f_grid))), 1e-30)
-    if on.any() and float(np.max(np.abs(f_grid[on]))) > gate:
-        raise ValueError("f does not vanish on E at the grid resolution")
-
-    rows = []
-    ratios = []
-    for eps in eps_schedule:
-        phi, m = _power_modulus(d, gamma, eps, "p_eps")
-        _, p_eps = _outer_boundary(phi)
-        prod = p_eps * f_grid
-        series = series_from_samples(prod, truncation)
-        norm = norm_ap_beta(series, space)
-        rows.append((eps, m, norm))
-        ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
-    norms = [r[2] for r in rows]
-    decreasing = all(a > b for a, b in zip(norms, norms[1:]))
-    verdict = "decays" if decreasing and norms[-1] < 0.1 * norms[0] else "stalls"
-    return DecayReport(
-        schedule=rows,
-        normalized_ratios=ratios,
-        verdict=verdict,
-        grid_size=G,
-        truncation=truncation,
-        gamma=gamma,
-    )
-
-
-def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
-    """Ratios of the weighted double smoothness integral of F_eps to M_eps,
-    and the M_eps values, as two lists over the eps schedule.  `d` is the
-    distance to E sampled on a uniform grid of G = len(d) points (see
-    `analytic._sampled_distance`).
-
-    The left side is the arc-length double integral of
-    d(zeta',E)^(2(delta'-gamma)) |F_eps(zeta)-F_eps(zeta')|^2 / |zeta-zeta'|^2
-    with a chordal diagonal exclusion KEL_EXCLUSION_CELLS / G, evaluated by lag
-    reduction (three FFT-sized correlations per eps; the one of two real
-    arrays, the weight and |F_eps|^2, by half-length real transforms).
-    M_eps is the unnormalized half log-integral, required positive.  Grid
-    nodes lying exactly on E are dropped from the weighted sum when the
-    weight exponent is negative.
-    """
-    if 2.0 * delta_prime - gamma - 1.0 < 0.0:
-        raise ValueError("need 2*delta' - gamma - 1 >= 0")
-    d = _sampled_distance(d, gamma)
-    G = d.shape[0]
-    expo = 2.0 * (delta_prime - gamma)
-    g = np.zeros(G)
-    pos = d > 0.0
-    g[pos] = d[pos] ** expo
-    if expo >= 0.0:
-        g[~pos] = 0.0 if expo > 0.0 else 1.0
-
-    kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
-    cell = (TWO_PI / G) ** 2
-    spec_g = np.conj(np.fft.rfft(g))  # g is real: a half-length transform
-
-    ratios = []
-    m_values = []
-    for eps in eps_schedule:
-        M = m_epsilon(d, gamma, eps)
-        if M <= 0.0:
-            raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
-        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps")[0])
-        absF2 = np.abs(F) ** 2
-        t1 = float(np.sum(g * absF2))
-        t2 = np.fft.irfft(spec_g * np.fft.rfft(absF2), G)
-        a = g * F
-        t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))
-        lag_sums = t1 + t2 - 2.0 * t3
-        lhs = cell * float(np.sum(kernel * lag_sums))
-        ratios.append(lhs / M)
-        m_values.append(M)
-    return ratios, m_values
 
 
 def classify_regime(dim_estimate, space, smoothness, log_nonintegrable,

@@ -32,21 +32,22 @@ from typing import NamedTuple
 
 from . import __version__
 from .analytic import (
+    KEL_EXCLUSION_CELLS,
     M_EPSILON_SELF_CHECK_TOL,
+    VANISH_GATE_REL,
     douglas_seminorm,
-    smooth_vanishing_function,
+    lemma_kel_ratio,
     m_epsilon,
     outer_power_modulus,
+    p_epsilon_decay,
+    smooth_vanishing_function,
 )
 from .engine import (
-    KEL_EXCLUSION_CELLS,
-    VANISH_GATE_REL,
+    SUPPORTS,
     CertificateProblem,
     certify_cyclic,
     classify_regime,
     forward_shift_infimum,
-    lemma_kel_ratio,
-    p_epsilon_decay,
     szego_lower_bound,
 )
 from .fourier import SpaceIndex, circle_grid, eval_on_grid, norm_ap_beta
@@ -584,8 +585,7 @@ EXPERIMENTS = {
         (_function_source(),), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
-         "support": (_one_of(("all_integers", "nonneg", "positive"),
-                             "unknown support {value!r}"), "all_integers"),
+         "support": (_one_of(SUPPORTS, "unknown support {value!r}"), "all_integers"),
          "degree_budget": (_int_at_least(0), 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
         (_function_source(), _has_cyclic_vectors), _run_certify),

@@ -37,7 +37,7 @@ class SpaceIndex:
     """Exponent pair (p, beta) selecting a weighted coefficient space.
 
     ``p`` is the summability exponent, in [1, inf); ``beta >= 0`` is the
-    weight exponent.  The conjugate exponent ``q = p/(p-1)`` (infinite at
+    weight exponent, finite.  The conjugate exponent ``q = p/(p-1)`` (infinite at
     p = 1) is derived.  Negative weights never enter a SpaceIndex; dual-side
     norm evaluations pass an explicit negative beta to :func:`norm_ap_beta`
     instead.
@@ -47,10 +47,10 @@ class SpaceIndex:
     beta: float = 0.0
 
     def __post_init__(self):
-        if not (self.p >= 1.0):
-            raise ValueError("exponent p must satisfy p >= 1, got %r" % (self.p,))
-        if not (self.beta >= 0.0):
-            raise ValueError("weight beta must be >= 0, got %r" % (self.beta,))
+        if not (1.0 <= self.p < math.inf):
+            raise ValueError("exponent p must be finite and >= 1, got %r" % (self.p,))
+        if not (0.0 <= self.beta < math.inf):
+            raise ValueError("weight beta must be finite and >= 0, got %r" % (self.beta,))
 
     @property
     def q(self):
@@ -357,14 +357,17 @@ def inclusion_holds(r, beta, s, gamma):
     """Whether the (r, beta) space embeds in the (s, gamma) space.
 
     For r <= s the embedding holds exactly when gamma <= beta; for r > s it
-    needs the strict weight gap beta - gamma > 1/s - 1/r.
+    needs the strict weight gap beta - gamma > 1/s - 1/r.  Every argument
+    must be finite (NaN refused).
     """
-    r, s = float(r), float(s)
+    r, beta, s, gamma = float(r), float(beta), float(s), float(gamma)
+    if not all(map(math.isfinite, (r, beta, s, gamma))):
+        raise ValueError("exponents and weights must be finite")
     if r < 1.0 or s < 1.0:
         raise ValueError("exponents must be >= 1")
     if r <= s:
-        return float(gamma) <= float(beta)
-    return float(beta) - float(gamma) > 1.0 / s - 1.0 / r
+        return gamma <= beta
+    return beta - gamma > 1.0 / s - 1.0 / r
 
 
 def powerlog_member(u, space, beta=None, _edge_tol=1e-12):

@@ -41,8 +41,10 @@ from scipy.signal import fftconvolve
 from cyclab.analytic import (
     douglas_seminorm,
     douglas_weights,
+    lemma_kel_ratio,
     outer_from_modulus,
     outer_power_modulus,
+    p_epsilon_decay,
     smooth_vanishing_function,
 )
 from cyclab.engine import (
@@ -51,8 +53,6 @@ from cyclab.engine import (
     certify_cyclic,
     classify_regime,
     forward_shift_infimum,
-    lemma_kel_ratio,
-    p_epsilon_decay,
 )
 from cyclab.fourier import (
     FourierSeries,

@@ -33,13 +33,15 @@ from hypothesis import strategies as st
 from scipy.fft._pocketfft import pypocketfft
 from scipy.signal import fftconvolve
 
-from cyclab import engine
+from cyclab import analytic, engine
 from cyclab.analytic import (
     h_k,
     half_log_integrand,
     lag_kernel,
+    lemma_kel_ratio,
     m_epsilon,
     outer_power_modulus,
+    p_epsilon_decay,
     smooth_vanishing_function,
 )
 from cyclab.engine import (
@@ -52,8 +54,6 @@ from cyclab.engine import (
     certify_cyclic,
     classify_regime,
     forward_shift_infimum,
-    lemma_kel_ratio,
-    p_epsilon_decay,
     szego_lower_bound,
 )
 from cyclab.fourier import (
@@ -1102,7 +1102,7 @@ class TestKernelRatio:
         g = np.zeros(G)
         pos = d > 0.0
         g[pos] = d[pos] ** (2.0 * (delta_prime - gamma))
-        kernel = lag_kernel(G, engine.KEL_EXCLUSION_CELLS / G, -2.0)
+        kernel = lag_kernel(G, analytic.KEL_EXCLUSION_CELLS / G, -2.0)
         want = []
         for eps in schedule:
             F = outer_power_modulus(d, gamma, eps, "F_eps").boundary
@@ -1110,7 +1110,7 @@ class TestKernelRatio:
             t1 = float(np.sum(g * absF2))
             t2 = np.fft.irfft(np.conj(np.fft.rfft(g)) * np.fft.rfft(absF2), G)
             t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(g * F)) * np.fft.fft(F)))
-            lhs = (engine.TWO_PI / G) ** 2 * float(np.sum(kernel * (t1 + t2 - 2.0 * t3)))
+            lhs = (analytic.TWO_PI / G) ** 2 * float(np.sum(kernel * (t1 + t2 - 2.0 * t3)))
             want.append(lhs / m_epsilon(d, gamma, eps))
         assert got == want
 
@@ -1193,6 +1193,22 @@ class TestSampledDistance:
             with pytest.raises(ValueError) as info:
                 kernel(d, gamma)
             assert str(info.value) == "gamma must be positive and finite", name
+
+    def test_decay_sweep_checks_d_once_over_its_schedule(self, carleson_setup, monkeypatch):
+        E, f, G = carleson_setup
+        d = distance_to_set(circle_grid(G), E)
+        calls = []
+        check = analytic._sampled_distance
+        monkeypatch.setattr(analytic, "_sampled_distance",
+                            lambda d, gamma: calls.append(1) or check(d, gamma))
+        p_epsilon_decay(f, d, 1.0, P15, [1e-1, 1e-2, 1e-3])
+        assert len(calls) == 1
+
+
+def test_engine_reexports_the_sweeps_of_analytic():
+    # perfbench/tracing.py looks both sweeps up on cyclab.engine
+    assert engine.p_epsilon_decay is analytic.p_epsilon_decay
+    assert engine.lemma_kel_ratio is analytic.lemma_kel_ratio
 
 
 class TestClassifier:

@@ -238,6 +238,13 @@ class TestPresets:
             {"experiment": "cantor", "parameters": {"set": name}}))
         assert record["depth"] == geometry.cantor_spec_by_name(name).depth
 
+    @pytest.mark.parametrize("support", engine.SUPPORTS)
+    def test_schema_takes_every_engine_support(self, support):
+        record = validate(ExperimentConfig.from_json_obj(
+            {"experiment": "certify",
+             "parameters": {"preset": "z_minus_1", "support": support}}))
+        assert record["support"] == support
+
     def test_build_function_rejects_unknown(self):
         with pytest.raises(ValueError):
             build_function("enigma", {})

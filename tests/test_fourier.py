@@ -250,7 +250,7 @@ class TestNorm:
     @pytest.mark.parametrize("space, beta", [
         (math.nan, None), (math.inf, None), (1.5, math.nan), (1.5, math.inf),
         (1.5, -math.inf), (SpaceIndex(p=1.5), math.nan),
-        (SpaceIndex(p=1.5, beta=math.inf), None),
+        (SpaceIndex(p=1.5), math.inf),
     ])
     def test_non_finite_exponents_raise(self, space, beta):
         # a NaN p passed the old `p < 1` test and made the norm NaN
@@ -313,6 +313,12 @@ class TestSpaces:
         with pytest.raises(ValueError):
             SpaceIndex(p=2.0, beta=-0.1)
 
+    @pytest.mark.parametrize("p, beta", [(math.inf, 0.0), (1.5, math.inf),
+                                         (math.inf, math.inf)])
+    def test_space_index_refuses_infinities(self, p, beta):
+        with pytest.raises(ValueError, match="must be finite"):
+            SpaceIndex(p=p, beta=beta)
+
     def test_conjugate_exponent(self):
         assert SpaceIndex(p=1.0).q == math.inf
         for p in (1.25, 1.5, 2.0, 3.0):
@@ -323,6 +329,15 @@ class TestSpaces:
         assert inclusion_holds(1, 0, 2, 0) is True
         assert inclusion_holds(2, 0, 1, 0) is False
         assert inclusion_holds(2, 0.6, 1, 0) is True
+
+    @pytest.mark.parametrize("r, beta, s, gamma", [
+        (math.nan, 0, 2, 0), (1.5, math.nan, 2, 0), (1.5, 0, math.inf, 0),
+        (1.5, 0, 2, -math.inf),
+    ])
+    def test_inclusion_refuses_non_finite_arguments(self, r, beta, s, gamma):
+        # NaN makes every comparison false, which would read as False
+        with pytest.raises(ValueError, match="must be finite"):
+            inclusion_holds(r, beta, s, gamma)
 
     def test_powerlog_examples(self):
         X = SpaceIndex(p=2.0, beta=0.0)

@@ -565,6 +565,13 @@ class TestLambdaDivergence:
         with pytest.raises(ValueError):
             lambda_divergence_test(ArcUnion.from_points([0.0]), gamma=-1.0, t_floor=1e-3)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
+    def test_non_finite_gamma_raises(self, gamma):
+        # a NaN gamma makes every increment NaN, which reads as convergent
+        E = cantor_build(middle_thirds_spec(4))
+        with pytest.raises(ValueError, match="positive and finite"):
+            lambda_divergence_test(E, gamma, 1e-2)
+
 
 def assert_profile_tubes_are_per_call(E, t_values):
     """`covering_profile`'s tube column is, float for float, a `tube_measure`
