@@ -27,7 +27,7 @@ unnormalized arc length |dzeta|.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -227,8 +227,6 @@ class MoebiusExpansion:
 
     series: FourierSeries
     tail_l1: float
-    k: int
-    max_degree: int
 
 
 def h_k(k, max_degree):
@@ -248,9 +246,7 @@ def h_k(k, max_degree):
     coeffs[1:] = -((ratio ** np.arange(1, max_degree + 1)) / (k + 1.0))
     series = FourierSeries.from_dense(coeffs, 0)
     tail = ratio ** (max_degree + 1)
-    return MoebiusExpansion(
-        series=series, tail_l1=float(tail), k=k, max_degree=int(max_degree)
-    )
+    return MoebiusExpansion(series=series, tail_l1=float(tail))
 
 
 def half_log_integrand(d, gamma, eps):
@@ -323,14 +319,9 @@ class DecayReport:
     gamma: float
 
     def to_json_obj(self):
-        return {
-            "schedule": [list(row) for row in self.schedule],
-            "normalized_ratios": self.normalized_ratios,
-            "verdict": self.verdict,
-            "grid_size": self.grid_size,
-            "truncation": self.truncation,
-            "gamma": self.gamma,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["schedule"] = [list(row) for row in self.schedule]
+        return obj
 
 
 def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
@@ -522,14 +513,12 @@ def lag_kernel(G, exclusion, exponent):
 
 @dataclass(frozen=True)
 class DouglasResult:
-    """Coefficient-side Douglas energy with its banded quadrature cross-check."""
+    """Coefficient-side Douglas energy with its banded quadrature cross-check,
+    at the alpha, exclusion and grid of the call (not repeated here)."""
 
     value: float
     quadrature_value: float
     band_matched_value: float
-    alpha: float
-    exclusion: float
-    grid_size: int
 
 
 def douglas_seminorm(f_samples, alpha, exclusion):
@@ -580,9 +569,6 @@ def douglas_seminorm(f_samples, alpha, exclusion):
         value=value,
         quadrature_value=quadrature_value,
         band_matched_value=band_matched,
-        alpha=float(alpha),
-        exclusion=float(exclusion),
-        grid_size=G,
     )
 
 

@@ -42,7 +42,7 @@ that polynomial, never read off the iteration.
 
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 import scipy
@@ -326,6 +326,7 @@ class _ConvObjective:
 class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
+    The degree and support searched are the caller's, not repeated here.
     `sweeps` counts the weighted least-squares solves: the l2 seed solve,
     which is sweep 1, then the IRLS sweeps, or at p = 2 the sweeps with
     fixed weights.  `iterations` counts the CG iterations they were charged.
@@ -340,8 +341,6 @@ class InfimumResult:
     value: float
     polynomial: FourierSeries
     converged: bool
-    degree: int
-    support: str
     iterations: int = 0
     sweeps: int = 0
 
@@ -425,10 +424,8 @@ def _minimize(f, space, support, degree, target, warm=None):
     poly = FourierSeries.from_dense(best_x, s_lo)
     # report the norm achieved by the polynomial actually returned
     value = prob.residual_norm(prob.residual(poly.dense(s_lo, s_hi)))
-    return InfimumResult(
-        value=value, polynomial=poly, converged=converged, degree=degree,
-        support=support, iterations=iterations, sweeps=sweeps,
-    )
+    return InfimumResult(value=value, polynomial=poly, converged=converged,
+                         iterations=iterations, sweeps=sweeps)
 
 
 def bicyclicity_infimum(f, space, support="all_integers", degree=0, warm=None):
@@ -451,15 +448,17 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
         warm = FourierSeries.from_dense(warm.arr, warm.lo + 1)
     res = _minimize(f, space, "positive", degree + 1, (f.lo, f.arr), warm)
     shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
-    return replace(res, polynomial=shifted, degree=degree, support="nonneg")
+    return replace(res, polynomial=shifted)
 
 
-def szego_lower_bound(f, G=4096):
+def szego_lower_bound(f):
     """exp of the grid mean of log |f|, exact-zero samples excluded.
 
-    At p = 2, beta = 0 the shift infimum cannot fall below this number, and
-    for nonvanishing f it is the infimum's large-degree limit.
+    The grid has 4096 points, doubled until it resolves f.  At p = 2,
+    beta = 0 the shift infimum cannot fall below this number, and for
+    nonvanishing f it is the infimum's large-degree limit.
     """
+    G = 4096
     while G < 2 * f.degree + 1:
         G *= 2
     vals = np.abs(eval_on_grid(f, G))
@@ -513,18 +512,11 @@ class CertificateReport:
     best_q: FourierSeries = field(repr=False, default=None)
 
     def to_json_obj(self):
-        return {
-            "achieved_bicyclic_norm": self.achieved_bicyclic_norm,
-            "achieved_shift_norm": self.achieved_shift_norm,
-            "degrees_used": list(self.degrees_used),
-            "verdict": self.verdict,
-            "solver_trace": self.solver_trace,
-            "szego_bound": self.szego_bound,
-            "epsilon_target": self.epsilon_target,
-            "truncation_tail": self.truncation_tail,
-            "best_p": self.best_p.to_json_obj() if self.best_p is not None else None,
-            "best_q": self.best_q.to_json_obj() if self.best_q is not None else None,
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["degrees_used"] = list(self.degrees_used)
+        for key in ("best_p", "best_q"):
+            obj[key] = None if obj[key] is None else obj[key].to_json_obj()
+        return obj
 
 
 def _degree_schedule(budget):
@@ -549,37 +541,33 @@ def certify_cyclic(problem):
     itself exceeds the target.
     """
     eps = problem.epsilon_target
-    best_b = math.inf
-    best_s = math.inf
-    best_p = None
-    best_q = None
-    deg_b = deg_s = 0
+    f, space = problem.f, problem.space
+    # bound to the module's infima at each call, so a tracer that wraps them
+    # sees every search; the two sides run in this order at every level
+    searches = {
+        "bicyclic": functools.partial(bicyclicity_infimum, f, space, problem.support),
+        "shift": functools.partial(forward_shift_infimum, f, space),
+    }
+    best = {side: (math.inf, None, 0) for side in searches}  # (norm, poly, degree)
     trace = []
     for deg in _degree_schedule(problem.degree_budget):
-        # a side already under the target is not searched again: None
-        conv_b = conv_s = None
-        if best_b >= eps:
-            rb = bicyclicity_infimum(
-                problem.f, problem.space, problem.support, deg, warm=best_p
-            )
-            conv_b = rb.converged
-            if rb.value < best_b:
-                best_b, best_p, deg_b = rb.value, rb.polynomial, deg
-        if best_s >= eps:
-            rs = forward_shift_infimum(problem.f, problem.space, deg, warm=best_q)
-            conv_s = rs.converged
-            if rs.value < best_s:
-                best_s, best_q, deg_s = rs.value, rs.polynomial, deg
-        trace.append(
-            {"degree": deg, "bicyclic_norm": best_b, "shift_norm": best_s,
-             "bicyclic_converged": conv_b, "shift_converged": conv_s}
-        )
-        if best_b < eps and best_s < eps:
+        row = {"degree": deg}
+        for side, search in searches.items():
+            # a side already under the target is not searched again: None
+            converged = None
+            if best[side][0] >= eps:
+                res = search(deg, warm=best[side][1])
+                converged = res.converged
+                if res.value < best[side][0]:
+                    best[side] = (res.value, res.polynomial, deg)
+            row[side + "_norm"] = best[side][0]
+            row[side + "_converged"] = converged
+        trace.append(row)
+        if all(norm < eps for norm, _, _ in best.values()):
             break
-    if best_b < eps and best_s < eps:
-        verdict = "certified"
-    elif best_b < eps:
-        verdict = "bicyclic_only"
+    (best_b, best_p, deg_b), (best_s, best_q, deg_s) = best["bicyclic"], best["shift"]
+    if best_b < eps:
+        verdict = "certified" if best_s < eps else "bicyclic_only"
     else:
         verdict = "failed"
     return CertificateReport(
@@ -588,7 +576,7 @@ def certify_cyclic(problem):
         degrees_used=(deg_b, deg_s),
         verdict=verdict,
         solver_trace=trace,
-        szego_bound=szego_lower_bound(problem.f),
+        szego_bound=szego_lower_bound(f),
         epsilon_target=eps,
         truncation_tail=problem.truncation_tail,
         best_p=best_p,

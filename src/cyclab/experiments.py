@@ -26,7 +26,7 @@ in the CSV and the report.
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -104,11 +104,7 @@ class ExperimentConfig:
         return cls(experiment=experiment, parameters=dict(parameters), output_dir=output_dir)
 
     def to_json_obj(self):
-        return {
-            "experiment": self.experiment,
-            "parameters": self.parameters,
-            "output_dir": self.output_dir,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -122,16 +118,9 @@ class RunManifest:
     error: str = None
 
     def to_json_obj(self):
-        obj = {
-            "config": self.config,
-            "version": self.version,
-            "wall_clock_s": self.wall_clock_s,
-            "tolerances": self.tolerances,
-            "outputs": self.outputs,
-            "status": self.status,
-        }
-        if self.error is not None:
-            obj["error"] = self.error
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.error is None:
+            del obj["error"]
         return obj
 
 
@@ -274,6 +263,14 @@ def _has_cyclic_vectors(params, _given):
 def _kel_exponent(params, _given):
     if 2.0 * params["delta_prime"] - params["gamma"] - 1.0 < 0.0:
         raise ConfigError("need 2*delta_prime - gamma - 1 >= 0")
+
+
+def _decay_sweep_fits(params, _given):
+    # what p_epsilon_decay needs, refused here before anything is written
+    if len(params["eps"]) < 2:
+        raise ConfigError("decay needs at least two eps")
+    if params["truncate"] is not None and 2 * params["truncate"] + 1 > params["grid"]:
+        raise ConfigError("truncate must be at most (grid - 1) // 2")
 
 
 def _t_range(params, _given):
@@ -592,7 +589,7 @@ EXPERIMENTS = {
     "decay": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
          "truncate": (_int_at_least(1), None)},
-        (), _run_decay),
+        (_decay_sweep_fits,), _run_decay),
     "kel_ratio": Experiment(
         {**_VANISHING_FIELDS,
          "delta_prime": (_check(_is_number, "delta_prime must be a finite number"), 1.2),
@@ -644,9 +641,9 @@ def run(config):
     """Validate, dispatch, and persist one experiment.
 
     Returns the RunManifest.  ConfigError propagates before any file is
-    written; numerical failures inside the dispatched operation write a
-    manifest with status `numerical_failure` listing whatever partial
-    outputs exist, then raise NumericalFailure.
+    written; numerical failures inside the dispatched operation, running
+    out of memory included, write a manifest with status `numerical_failure`
+    listing whatever partial outputs exist, then raise NumericalFailure.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_json_obj(config)
@@ -657,7 +654,7 @@ def run(config):
     outputs, tolerances, failure = [], {}, None
     try:
         report, header, rows, tolerances = EXPERIMENTS[config.experiment].handler(params)
-    except (ValueError, ArithmeticError, RuntimeError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         failure = exc
     else:
         csv_name = "%s.csv" % config.experiment

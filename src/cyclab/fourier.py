@@ -370,15 +370,15 @@ def inclusion_holds(r, beta, s, gamma):
     return beta - gamma > 1.0 / s - 1.0 / r
 
 
-def powerlog_member(u, space, beta=None, _edge_tol=1e-12):
+def powerlog_member(u, space, beta=None):
     """Whether the power-log profile u lies in the (p, beta) space.
 
     Decides convergence of sum (1+|n|)^(p*(beta-a)) log(2+|n|)^(-p*b):
-    true when p*(a-beta) > 1, and on the critical line p*(a-beta) = 1
-    exactly when p*b > 1.
+    true when p*(a-beta) > 1, and on the critical line p*(a-beta) = 1,
+    to within 1e-12, exactly when p*b > 1.
     """
     p, weight = _space_params(space, beta)
     t = p * (u.a - weight)
-    if abs(t - 1.0) <= _edge_tol:
+    if abs(t - 1.0) <= 1e-12:
         return p * u.b > 1.0
     return t > 1.0

@@ -32,6 +32,8 @@ TWO_PI = 2.0 * math.pi
 # Gaps shorter than this are construction noise (touching arcs), not
 # complementary intervals.
 _GAP_EPS = 1e-14
+# the per-decade increment above which lambda_divergence_test says divergent
+LAMBDA_INCREMENT_TOL = 0.5
 
 
 def _merge_arcs(s, e):
@@ -472,18 +474,18 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     }
 
 
-def lambda_divergence_test(E, gamma, t_floor, increment_tol=0.5, n_quad=400):
+def lambda_divergence_test(E, gamma, t_floor, n_quad=400):
     """Evidence for divergence of the tube-measure integral against dLambda.
 
     Evaluates I(s) = integral over [s, 2] of |E_t| * gamma * t^(-gamma-1) dt
     by log-spaced trapezoid quadrature, for a schedule of floors shrinking to
     ``t_floor`` (factors of 10).  The verdict is divergent when the last
-    per-decade increment still exceeds ``increment_tol``: a convergent
+    per-decade increment still exceeds LAMBDA_INCREMENT_TOL: a convergent
     integral's tail increments vanish, a divergent one keeps accumulating.
     Results describe the current depth approximation, so the floor should
     stay above the finest construction scale.
 
-    The fixed ``increment_tol`` per decade is known to miscall: on middle
+    The fixed LAMBDA_INCREMENT_TOL per decade is known to miscall: on middle
     thirds at depth 12 it calls gamma = 0.2 and 0.3 divergent, yet the
     ideal integral converges for gamma < 1 - dim ~ 0.369, and the measured
     increments there fall geometrically.
@@ -519,8 +521,8 @@ def lambda_divergence_test(E, gamma, t_floor, increment_tol=0.5, n_quad=400):
         per_decade = 0.0
     return {
         "integral_estimate": estimate,
-        "divergent": bool(per_decade > increment_tol),
+        "divergent": bool(per_decade > LAMBDA_INCREMENT_TOL),
         "schedule": schedule,
         "increment_per_decade": per_decade,
-        "increment_tol": increment_tol,
+        "increment_tol": LAMBDA_INCREMENT_TOL,
     }

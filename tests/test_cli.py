@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from cyclab import experiments
 from cyclab.cli import main, parse_eps_spec
 
 
@@ -124,6 +125,37 @@ class TestExitCodes:
             (tmp_path / "partial" / "manifest.json").read_text()
         )
         assert manifest["status"] == "numerical_failure"
+
+    def test_one_eps_decay_is_exit_2(self, tmp_path, capsys):
+        # p_epsilon_decay compares two or more eps; one used to exit 3
+        cfg = tmp_path / "one_eps.json"
+        cfg.write_text(json.dumps({
+            "experiment": "decay",
+            "parameters": {"set": "middle_thirds", "depth": 6, "grid": 2048, "eps": [0.1]},
+            "output_dir": str(tmp_path / "never"),
+        }))
+        assert main(["run", str(cfg)]) == 2
+        assert "at least two eps" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_memory_error_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a grid too large to allocate used to escape as a traceback, exit 1
+        def out_of_memory(params):
+            raise MemoryError("cannot allocate the grid")
+
+        monkeypatch.setitem(experiments.EXPERIMENTS, "carleson",
+                            experiments.EXPERIMENTS["carleson"]._replace(handler=out_of_memory))
+        cfg = tmp_path / "oom.json"
+        cfg.write_text(json.dumps({
+            "experiment": "carleson",
+            "parameters": {"set": "middle_thirds", "depth": 6},
+            "output_dir": str(tmp_path / "partial"),
+        }))
+        assert main(["run", str(cfg)]) == 3
+        manifest = json.loads((tmp_path / "partial" / "manifest.json").read_text())
+        assert manifest["status"] == "numerical_failure"
+        assert manifest["error"] == "cannot allocate the grid"
+        assert manifest["outputs"] == []
 
     def test_missing_config_file_is_exit_2(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.json")]) == 2

@@ -957,6 +957,35 @@ class TestCertify:
         assert rep.solver_trace[1]["bicyclic_converged"] is None
         assert isinstance(rep.solver_trace[1]["shift_converged"], bool)
 
+    def test_trace_rows_name_both_sides(self, monkeypatch):
+        # degree 64 searches both sides of f = 1, degree 128 the shift alone;
+        # the searches go through the module's infima, which a tracer wraps
+        calls = []
+
+        def recording(name, solve):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return solve(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(engine, "bicyclicity_infimum",
+                            recording("bicyclic", bicyclicity_infimum))
+        monkeypatch.setattr(engine, "forward_shift_infimum",
+                            recording("shift", forward_shift_infimum))
+        rep = certify_cyclic(
+            CertificateProblem(
+                f=FourierSeries({0: 1.0}), space=P15, degree_budget=128,
+                epsilon_target=0.5,
+            )
+        )
+        assert calls == ["bicyclic", "shift", "shift"]
+        keys = {"degree", "bicyclic_norm", "shift_norm", "bicyclic_converged",
+                "shift_converged"}
+        assert [set(row) for row in rep.solver_trace] == [keys, keys]
+        last = rep.solver_trace[-1]
+        assert last["bicyclic_norm"] == rep.achieved_bicyclic_norm
+        assert last["shift_norm"] == rep.achieved_shift_norm
+
     def test_exhausted_budget_shows_in_the_trace(self, monkeypatch):
         monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 1)
         calls, _ = recording_solves(monkeypatch)

@@ -22,6 +22,7 @@ from cyclab.experiments import (
     ConfigError,
     ExperimentConfig,
     NumericalFailure,
+    RunManifest,
     run,
     validate,
 )
@@ -114,6 +115,10 @@ class TestConfigValidation:
             ("douglas", {"preset": "smooth_vanishing", "k": 3, "max_degree": 9,
                          "tail_tol": 1e-9}, "does not read: k, max_degree, tail_tol"),
             ("norms", {"preset": "h_k", "k": 3, "k_values": [1, 2]}, "no k"),
+            ("decay", {"set": "middle_thirds", "depth": 6, "grid": 2048, "eps": [0.1]},
+             "at least two eps"),
+            ("decay", {"set": "middle_thirds", "depth": 6, "grid": 2048, "truncate": 5000},
+             "truncate must be at most"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -136,6 +141,16 @@ class TestConfigValidation:
         validate(ExperimentConfig.from_json_obj(
             {"experiment": experiment, "parameters": params}
         ))
+
+    def test_decay_truncate_must_fit_the_grid(self):
+        # series_from_samples needs 2*truncate + 1 <= grid
+        def decay(truncate):
+            return ExperimentConfig.from_json_obj({"experiment": "decay", "parameters": {
+                "set": "middle_thirds", "depth": 6, "grid": 2048, "truncate": truncate}})
+
+        assert validate(decay(1023))["truncate"] == 1023
+        with pytest.raises(ConfigError, match="truncate must be at most"):
+            validate(decay(1024))
 
     def test_coeffs_span_at_the_bound_is_accepted(self):
         config = ExperimentConfig.from_json_obj(
@@ -550,6 +565,19 @@ class TestSharedWork:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["box_dimension"] is not None
         assert len(calls) == len(report["profile"]) == 9
+
+
+class TestManifest:
+    def test_keys_with_and_without_an_error(self):
+        keys = {"config", "version", "wall_clock_s", "tolerances", "outputs", "status"}
+        manifest = RunManifest(config={"experiment": "cantor"}, version="0",
+                               wall_clock_s=0.5, tolerances={}, outputs=["report.json"])
+        assert set(manifest.to_json_obj()) == keys
+        failed = RunManifest(config={}, version="0", wall_clock_s=0.5, tolerances={},
+                             outputs=[], status="numerical_failure", error="boom")
+        obj = failed.to_json_obj()
+        assert set(obj) == keys | {"error"}
+        assert (obj["status"], obj["error"]) == ("numerical_failure", "boom")
 
 
 class TestNumericalFailure:
