@@ -8,20 +8,26 @@ objective
 
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
-is driven to mu -> 0 by a geometric continuation schedule, each step running
-sweeps of iteratively reweighted least squares until its smoothed objective
-stalls.  Every search, whatever p and beta, starts with one solve from zero
-with the base weights w_n, towards the l2 minimizer; the best of its result,
-zero and any warm start seeds the continuation, which at p = 2 is one step
-of sweeps with fixed weights.
-Every weighted least-squares solve runs conjugate gradients on the weighted
-normal equations A^H W A x = A^H W b, preconditioned by the inverse of the
-unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation of
-f, and the IRLS weights are bounded, so T is spectrally equivalent to
-A^H W A and each solve takes few iterations; at beta = 0 the seed solve's
-preconditioner is exact, so it takes about one.  T^-1 is applied by the
-Gohberg-Semencul formula from one Levinson solve per problem, the only
-direct solve; where it breaks down, CG runs unpreconditioned.  All solves
+is driven to mu -> 0 by a geometric continuation schedule, each step taking
+truncated Newton steps on its smoothed objective until that objective
+stalls (Nocedal & Wright, Numerical Optimization, 2006, ch. 7; the
+smoothing is that of Daubechies, DeVore, Fornasier & Gunturk, CPAM 63,
+2010).  A Newton step solves H d = A^H W r, W = diag(w_n s^((p-2)/2)),
+s = |r|^2 + mu^2, by CG, where H is the objective's Hessian over p; an
+Armijo line search, trying the CG iterate first and halving from there,
+guards it.  Every search, whatever p and beta, starts with one solve from
+zero with the base weights w_n, towards the l2 minimizer; the best of its
+result, zero and any warm start seeds the continuation.  At p = 2 the
+Hessian is A^H W A with fixed weights, and the continuation is one step of
+weighted least-squares sweeps, each taken whole.
+Every solve runs conjugate gradients on x as a real vector, preconditioned
+by the inverse of the unweighted normal matrix T = A^H A.  T is Toeplitz,
+the autocorrelation of f, and the weights are bounded, so T is spectrally
+equivalent to the Hessian and each solve takes few iterations; at
+beta = 0 the seed solve's preconditioner is exact, so it takes about one.
+T^-1 is applied by the Gohberg-Semencul formula from one Levinson solve per
+problem, the only direct solve; where it breaks down, CG runs
+unpreconditioned.  All solves
 of one infimum share one total iteration budget, the only cap on its work;
 spending it, or a CG breakdown, ends the search unconverged.  The spectrum
 of f is computed once per problem, at the transform lengths
@@ -54,10 +60,15 @@ from .fourier import FourierSeries, SpaceIndex, _space_params, eval_on_grid
 SUPPORTS = ("all_integers", "nonneg", "positive")
 
 # continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps;
-# step j ends once its smoothed objective moves by at most INNER_RTOL relative
+# step j takes Newton steps on its smoothed objective until that objective
+# moves by at most INNER_RTOL relative
 MU_STEPS = 8
 MU_SCALE = 0.1
 INNER_RTOL = 1e-10
+# the Armijo constant: a Newton step of length t is taken once the smoothed
+# objective there is at most f + ARMIJO_C1 * t * slope, where f is the
+# objective at the step's start and slope < 0 its derivative along the step
+ARMIJO_C1 = 1e-4
 # total CG iterations one infimum call may spend across all its weighted
 # solves, the one cap on its work; each solve may spend what is left.
 # Generous for well-conditioned problems, a hard wall for ill-conditioned
@@ -281,21 +292,53 @@ class _ConvObjective:
         except (np.linalg.LinAlgError, ValueError):
             return lambda y: y
 
-    def solve_weighted(self, w, x, resid, maxiter):
-        """min_x sum_n w_n |b_n - conv(f, x)_n|^2 from x, given its residual
-        resid = b - conv(f, x); the minimizer, the iterations spent, and
-        whether the solve held.
+    def smoothed_objective(self, r, mu):
+        """sum_n w_n (|r_n|^2 + mu^2)^(p/2), the objective of one
+        continuation step at the residual r."""
+        return float(np.sum(self.base_w * (np.abs(r) ** 2 + mu**2) ** (self.p / 2)))
 
-        Runs preconditioned CG on A^H W A x = A^H W b, W = diag(w),
-        for at most maxiter iterations, is charged at least one, and stops
-        once the preconditioned residual norm sqrt(r^H M r) has fallen by
-        PCG_RTOL from its start.  Both A^H W A and M are positive definite,
-        so a curvature d^H A^H W A d or residual product r^H M r that is not
-        positive (zero only at an exact solution) is a breakdown: the solve
-        stops there, returns its current iterate and reports that it did not
-        hold.
+    def hessian(self, w, resid, c=None):
+        """d -> A^H [w A d + c r Re(conj(r) A d)] with r = resid.
+
+        With w = w_n s^((p-2)/2), c = (p-2) w_n s^(p/2-2) and
+        s = |r|^2 + mu^2, this is the Hessian of the smoothed objective at
+        the point whose residual is r, divided by p, on x as a real vector;
+        without c it is A^H W A, the weighted normal matrix.  Either is
+        real-linear and self-adjoint under Re<u, v>.  For p > 1 the Hessian
+        is positive definite: row n adds w |(A d)_n|^2 + c Re(conj(r_n)
+        (A d)_n)^2 to Re<d, H d>, with c < 0, which is least where (A d)_n
+        is a real multiple of r_n, and is then
+        w_n s^(p/2-2) (mu^2 + (p-1)|r_n|^2) |(A d)_n|^2 > 0.
+        """
+        if c is None:
+            return lambda d: self.adjoint(w * self.apply(d))
+        cr, r_conj = c * resid, np.conj(resid)
+
+        def apply(d):
+            ad = self.apply(d)
+            return self.adjoint(w * ad + cr * np.real(r_conj * ad))
+
+        return apply
+
+    def solve_weighted(self, w, x, resid, maxiter, c=None):
+        """One step from x, given its residual resid = b - conv(f, x): the
+        new iterate, the iterations spent, and whether the solve held.
+
+        Runs preconditioned CG on H (y - x) = A^H W resid, W = diag(w), with
+        H = `hessian(w, resid, c)`.  Without c that is the weighted normal
+        equations A^H W A y = A^H W b, whose solution minimizes
+        sum_n w_n |b_n - conv(f, y)_n|^2; with c it is the Newton step on
+        the smoothed objective, whose gradient is -p A^H W resid.  CG takes
+        the real inner product Re<u, v>, runs for at most maxiter
+        iterations, is charged at least one, and stops once the
+        preconditioned residual norm sqrt(r^H M r) has fallen by PCG_RTOL
+        from its start.  Both H and M are positive definite, so a curvature
+        d^H H d or residual product r^H M r that is not positive (zero only
+        at an exact solution) is a breakdown: the solve stops there, returns
+        its current iterate and reports that it did not hold.
         """
         precond = self.preconditioner
+        hessian = self.hessian(w, resid, c)
         r = self.adjoint(w * resid)
         z = precond(r)
         rz = float(np.real(np.vdot(r, z)))
@@ -305,7 +348,7 @@ class _ConvObjective:
         d = z
         spent = 0
         while spent < maxiter and rz > stop:
-            q = self.adjoint(w * self.apply(d))
+            q = hessian(d)
             spent += 1
             dq = float(np.real(np.vdot(d, q)))
             if not dq > 0.0:
@@ -327,9 +370,9 @@ class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
     The degree and support searched are the caller's, not repeated here.
-    `sweeps` counts the weighted least-squares solves: the l2 seed solve,
-    which is sweep 1, then the IRLS sweeps, or at p = 2 the sweeps with
-    fixed weights.  `iterations` counts the CG iterations they were charged.
+    `sweeps` counts the solves: the l2 seed solve, which is sweep 1, then
+    the Newton steps, or at p = 2 the sweeps with fixed weights.
+    `iterations` counts the CG iterations they were charged.
 
     `converged` means that every solve held (no CG breakdown) and that every
     continuation step's smoothed objective stalled within INNER_RTOL before
@@ -357,6 +400,30 @@ def _solver_space(space):
     return _space_params(space)
 
 
+def _armijo(prob, mu, w, x, r, y, r_y, obj):
+    """Backtrack the Newton step from x (residual r) to y (residual r_y,
+    smoothed objective obj) by the Armijo rule: the first point
+    x + t (y - x), t = 1, 1/2, 1/4, ..., whose smoothed objective is at most
+    f0 + ARMIJO_C1 * t * slope, with its residual and objective; f0 is the
+    objective at x and slope its derivative along y - x.  Once
+    x + t (y - x) rounds to x the step is not taken: x comes back
+    unchanged, and the stall test then ends the mu step.
+    """
+    f0 = prob.smoothed_objective(r, mu)
+    # the objective's derivative along y - x, whose image A(y - x) is r - r_y
+    slope = -prob.p * float(np.sum(w * np.real(np.conj(r) * (r - r_y))))
+    step = y - x
+    t = 1.0
+    while not obj <= f0 + ARMIJO_C1 * t * slope:
+        t /= 2.0
+        y = x + t * step
+        if np.array_equal(y, x):
+            return x, r, f0
+        r_y = prob.residual(y)
+        obj = prob.smoothed_objective(r_y, mu)
+    return y, r_y, obj
+
+
 def _minimize(f, space, support, degree, target, warm=None):
     p, bval = _solver_space(space)
     if degree < 0:
@@ -371,16 +438,17 @@ def _minimize(f, space, support, degree, target, warm=None):
     # every solve below is preconditioned CG, and all of them share
     # LSMR_TOTAL_BUDGET iterations, the one cap on the search's work; the
     # returned value is an upper bound whether or not the search converges.
-    # Sweep 1 is the l2 solve with the base weights, from zero, whose
+    # Solve 1 is the l2 solve with the base weights, from zero, whose
     # residual is b: at beta = 0 its preconditioner is the exact inverse, so
-    # it lands on the l2 minimizer in about one iteration.  Each later sweep
-    # starts from the residual the sweep before it left.  A solve that
+    # it lands on the l2 minimizer in about one iteration.  Each later solve
+    # starts from the residual the step before it left.  A solve that
     # breaks down ends the search, not converged, at the best iterate so far
     iters_left = LSMR_TOTAL_BUDGET
     x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, prob.b, iters_left)
     iters_left -= iterations
     sweeps = 1
-    # seed IRLS with the best available iterate and never return worse;
+    # seed the continuation with the best available iterate and never
+    # return worse;
     # the residual of zero is b itself, so it costs no convolution
     candidates = [zeros]
     residuals = [prob.b.copy()]
@@ -397,23 +465,31 @@ def _minimize(f, space, support, degree, target, warm=None):
         mu0 = 1e-12
     # at p = 2 the weights depend on neither mu nor r: one step, whose
     # sweeps refine the inexact solves.  Step j, the one after j stalled
-    # steps, sweeps at mu0 * 2^-j until its smoothed objective stalls within
-    # INNER_RTOL, and the search has converged once every step has stalled
+    # steps, takes Newton steps at mu0 * 2^-j until its smoothed objective
+    # stalls within INNER_RTOL, and the search has converged once every
+    # step has stalled
     mu_steps = 1 if p == 2.0 else MU_STEPS
     stalled = 0
     prev = None
     while held and stalled < mu_steps and iters_left > 0:
         mu = mu0 * 2.0**-stalled
-        w = prob.base_w * (np.abs(r) ** 2 + mu**2) ** ((p - 2.0) / 2.0)
-        x, spent, held = prob.solve_weighted(w, x, r, iters_left)
+        s = np.abs(r) ** 2 + mu**2
+        w = prob.base_w * s ** ((p - 2.0) / 2.0)
+        # the Newton step's curvature term; p = 2 has none, and its step is
+        # the weighted least-squares sweep, taken whole
+        c = None if p == 2.0 else (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
+        y, spent, held = prob.solve_weighted(w, x, r, iters_left, c)
         iters_left -= spent
         iterations += spent
         sweeps += 1
-        r = prob.residual(x)
+        r_y = prob.residual(y)
+        obj = prob.smoothed_objective(r_y, mu)
+        if c is not None:
+            y, r_y, obj = _armijo(prob, mu, w, x, r, y, r_y, obj)
+        x, r = y, r_y
         v = prob.residual_norm(r)
         if v < best_v:
             best_x, best_v = x, v
-        obj = float(np.sum(prob.base_w * (np.abs(r) ** 2 + mu**2) ** (p / 2)))
         if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
             stalled += 1
             prev = None

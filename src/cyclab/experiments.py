@@ -371,7 +371,14 @@ def _run_carleson(params):
 
 
 def _run_outer(params):
-    """CSV columns: eps, m_eps, value_at_zero, leakage."""
+    """CSV columns: eps, m_eps, value_at_zero, leakage.
+
+    The leakage, in the CSV and the report alike, is written with 6
+    significant digits.  Digits past those carry no information: at large
+    eps the leakage sits at the float64 rounding floor of its energy sums
+    (1.78e-15 at eps = 0.1 on a 2^17 grid), and any reordering of the
+    transform's arithmetic moves its trailing digits.
+    """
     name = params["set"]
     E = build_set(name, params["depth"])
     gamma = float(params["gamma"])
@@ -383,7 +390,7 @@ def _run_outer(params):
     for eps in eps_schedule:
         outer = outer_power_modulus(d, gamma, eps, mode)
         m_value = m_epsilon(d, gamma, eps)
-        rows.append((eps, m_value, outer.value_at_zero, outer.leakage))
+        rows.append((eps, m_value, outer.value_at_zero, float("%.6g" % outer.leakage)))
     report = {
         "set": name,
         "gamma": gamma,
@@ -435,7 +442,18 @@ def _run_szego(params):
 
 
 def _run_certify(params):
-    """CSV columns: degree, bicyclic_norm, shift_norm."""
+    """CSV columns: degree, bicyclic_norm, shift_norm.
+
+    When f is built on a set preset, the report gives the set's measure as
+    `zero_set_measure`, and `obstruction` reads `zero_set_positive_measure`
+    when that measure is positive.  Such an f is neither cyclic nor
+    bicyclic in any space the package handles: at beta >= 0 and p <= 2,
+    l^p_beta embeds densely in l^2, so a cyclic or bicyclic vector there is
+    one in l^2 too, whose transform vanishes only on a null set (Wiener).
+    A `certified` or `bicyclic_only` verdict is then true of the truncated
+    trigonometric polynomial alone, and reads `truncation_only`.  Both
+    fields are None for every other f.
+    """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     tail = 0.0
     # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere
@@ -455,13 +473,23 @@ def _run_certify(params):
         epsilon_target=params["epsilon_target"],
         truncation_tail=tail,
     )
-    report_obj = certify_cyclic(problem)
+    report = certify_cyclic(problem).to_json_obj()
+    # only smooth_vanishing reads `set`: it vanishes on that set
+    measure = None
+    if params["preset"] == "smooth_vanishing":
+        measure = build_set(params["set"], params["depth"]).total_measure
+    report["zero_set_measure"] = measure
+    report["obstruction"] = None
+    if measure is not None and measure > 0.0:
+        report["obstruction"] = "zero_set_positive_measure"
+        if report["verdict"] in ("certified", "bicyclic_only"):
+            report["verdict"] = "truncation_only"
     rows = [
         (row["degree"], row["bicyclic_norm"], row["shift_norm"])
-        for row in report_obj.solver_trace
+        for row in report["solver_trace"]
     ]
     return (
-        report_obj.to_json_obj(),
+        report,
         ("degree", "bicyclic_norm", "shift_norm"),
         rows,
         {"epsilon_target": problem.epsilon_target},

@@ -55,16 +55,16 @@ SHA256 = {
     "02_norms/norms.csv": "83f0f1b59232ec5c7e28a652bc90535d598d15fe4d23e5166530ac71fabf1b0b",
     "03_szego/report.json": "a27bd072769a213478331a9377a0bbeb2f93f97cc90c718f1ad8f790d77c6d90",
     "03_szego/szego.csv": "cab3953b2475c53cef5c566f1103e6b5ddd650ed43515fda122e4b37a94cfc95",
-    "04_certify/report.json": "194996f4cfb3660429f3fd780eb7e1425fb1756ac59283c130ac8e3ba06bcdf3",
-    "04_certify/certify.csv": "4b5dddfba9a3d5b0d3aa0957426edb45478a8347b58c9cec325d70b367b5ed59",
+    "04_certify/report.json": "a1de5e0b00861adced1b7a0db6d4df672016b0e0e6a477f2d963bbc290911725",
+    "04_certify/certify.csv": "138ae6db1c832caf79541e0213832415457c1593e481d59925d1dafd2bad3ff6",
     "05_decay/report.json": "40e61da5c55d84a65f33c5106923baed11fbd87a239795631534cc113bd5d5c7",
     "05_decay/decay.csv": "5967d4676343a66a7f719d475ad7cbfb605225a29f8f897613c4fdb9f12e7003",
     "06_decay/report.json": "899198aee5bb802ddf911bff2323956b2aaee26daf2dd962ce020df23bcbece7",
     "06_decay/decay.csv": "b02384436570991dadc24c5cc2f3eb5e48dfa5cb899354b99913ab2d9b934a2b",
     "07_kel_ratio/report.json": "0212e36ed7e90f9dc5d63a7b06fd45499ed91eed88b779a6833585a0601d21d7",
     "07_kel_ratio/kel_ratio.csv": "04f70b6141d800e30b17d4e4d4097d8e9b1cda30642c9351c242547e30a808ee",
-    "08_outer/report.json": "f82372b6bc6cbad9df0044794945fda1f71095ec2034b27879ab646a2850825b",
-    "08_outer/outer.csv": "01dc9cf34e36b1a65e4e26b51a85be9d324c7f6df14b256500fb69c6725c2fc2",
+    "08_outer/report.json": "c4c60cb43ac6f9c786f3e05eee396e591107d3cdaa9177126279ce1226b568de",
+    "08_outer/outer.csv": "d103f82787b0239797d00431ec200e6ca71e60ccad683ae92484a85f581a62fd",
     "09_cantor/report.json": "8edec55875febd2bf043ab189cdaff29139933921e0c7dfecc8d359f4e14b0c5",
     "09_cantor/cantor.csv": "34e5aca4a937cf92a1474f10d3a386cd4850902be4216c4d27f0c05d7ef3b141",
     "10_classify/report.json": "e1ba670d7bcfb2db8bca9d7b6493093015c4c19c5794941fa333a299902d7d6d",

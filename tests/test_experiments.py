@@ -441,6 +441,44 @@ class TestRunOutputs:
         header, rows = read_csv(tmp_path / "certify.csv")
         assert header == ["degree", "bicyclic_norm", "shift_norm"]
 
+    def test_certify_on_a_positive_measure_zero_set_certifies_the_truncation_only(
+        self, tmp_path
+    ):
+        # both norms fall under the target on the truncated series, which
+        # used to read `certified`; the function vanishes on middle thirds
+        # at depth 6, an arc union of measure 2 pi (2/3)^6, so it is neither
+        # cyclic nor bicyclic
+        run(
+            {
+                "experiment": "certify",
+                "parameters": {
+                    "preset": "smooth_vanishing", "set": "middle_thirds", "depth": 6,
+                    "gamma": 1.0, "grid": 2048, "truncate": 256, "p": 1.5,
+                    "beta": 0.0, "degree_budget": 4096, "epsilon_target": 0.5,
+                },
+                "output_dir": str(tmp_path),
+            }
+        )
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["achieved_bicyclic_norm"] < 0.5
+        assert report["achieved_shift_norm"] < 0.5
+        assert report["verdict"] == "truncation_only"
+        assert report["obstruction"] == "zero_set_positive_measure"
+        assert abs(report["zero_set_measure"] - 2 * math.pi * (2 / 3) ** 6) < 1e-12
+
+    def test_certify_without_a_set_reports_no_obstruction(self, tmp_path):
+        run(
+            {
+                "experiment": "certify",
+                "parameters": {"preset": "z_minus_1", "p": 1.5, "degree_budget": 8,
+                               "epsilon_target": 0.5},
+                "output_dir": str(tmp_path),
+            }
+        )
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"] == "bicyclic_only"
+        assert report["zero_set_measure"] is None and report["obstruction"] is None
+
     def test_douglas_builds_f_on_its_own_default_grid(self, tmp_path):
         manifest = run(
             {
