@@ -17,9 +17,13 @@ s = |r|^2 + mu^2, by CG, where H is the objective's Hessian over p; an
 Armijo line search, trying the CG iterate first and halving from there,
 guards it.  Every search, whatever p and beta, starts with one solve from
 zero with the base weights w_n, towards the l2 minimizer; the best of its
-result, zero and any warm start seeds the continuation.  At p = 2 the
-Hessian is A^H W A with fixed weights, and the continuation is one step of
-weighted least-squares sweeps, each taken whole.
+result, zero and any warm start seeds the continuation.  The search returns
+the best of these seeds and of the points where a continuation step
+stalled, each a minimizer of its smoothed objective to within INNER_RTOL,
+so the value does not depend on how closely CG solved the Newton steps
+between them.  At p = 2 the Hessian is A^H W A with fixed weights, and the
+continuation is one step of weighted least-squares sweeps, each taken
+whole, each minimizing the norm itself, and each a candidate.
 Every solve runs conjugate gradients on x as a real vector, preconditioned
 by the inverse of the unweighted normal matrix T = A^H A.  T is Toeplitz,
 the autocorrelation of f, and the weights are bounded, so T is spectrally
@@ -406,8 +410,8 @@ def _armijo(prob, mu, w, x, r, y, r_y, obj):
     x + t (y - x), t = 1, 1/2, 1/4, ..., whose smoothed objective is at most
     f0 + ARMIJO_C1 * t * slope, with its residual and objective; f0 is the
     objective at x and slope its derivative along y - x.  Once
-    x + t (y - x) rounds to x the step is not taken: x comes back
-    unchanged, and the stall test then ends the mu step.
+    x + t (y - x) rounds to x the step is not taken: x itself comes back,
+    and the caller ends the mu step there.
     """
     f0 = prob.smoothed_objective(r, mu)
     # the objective's derivative along y - x, whose image A(y - x) is r - r_y
@@ -484,17 +488,27 @@ def _minimize(f, space, support, degree, target, warm=None):
         sweeps += 1
         r_y = prob.residual(y)
         obj = prob.smoothed_objective(r_y, mu)
+        refused = False
         if c is not None:
             y, r_y, obj = _armijo(prob, mu, w, x, r, y, r_y, obj)
+            # a refused step leaves x as it was, and the same step from there
+            # would be refused again: the mu step has stalled
+            refused = y is x
         x, r = y, r_y
-        v = prob.residual_norm(r)
-        if v < best_v:
-            best_x, best_v = x, v
-        if prev is not None and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0):
+        stall = refused or (prev is not None
+                            and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0))
+        if stall:
             stalled += 1
             prev = None
         else:
             prev = obj
+        # a point is a candidate where its mu step stalls, at every p = 2
+        # sweep, and where the search stops unconverged; the Newton iterates
+        # in between sit wherever CG's inexact solves left them
+        if stall or c is None or not held or iters_left <= 0:
+            v = prob.residual_norm(r)
+            if v < best_v:
+                best_x, best_v = x, v
     converged = held and stalled == mu_steps
 
     poly = FourierSeries.from_dense(best_x, s_lo)

@@ -22,6 +22,7 @@ import math
 import os
 import subprocess
 import sys
+from decimal import Decimal, getcontext
 from pathlib import Path
 
 import numpy as np
@@ -627,15 +628,10 @@ class TestPreconditionedPath:
             bicyclicity_infimum(f, space, support, degree),
             forward_shift_infimum(f, space, degree),
         )
-        # at p < 2 both paths end on the minimizer of the last smoothed
-        # objective, within 1e-15 of each other in that objective; it is flat
-        # along directions in which the unsmoothed norm is not, so their
-        # values differ by more than at p = 2 (1.1e-8 relative at degree 16)
-        rtol = 1e-9 if space.p == 2.0 else 1e-7
         for d, it in zip(dense, iterative):
             assert d.converged is True and it.converged is True
             assert (d.iterations, it.iterations > 0) == (0, True)
-            assert abs(it.value - d.value) <= rtol * d.value
+            assert abs(it.value - d.value) <= 1e-9 * d.value
 
     @pytest.mark.parametrize("space", [P15, P2])
     def test_one_levinson_solve_per_infimum(self, monkeypatch, space):
@@ -774,7 +770,8 @@ def recording_newton_steps(monkeypatch):
 
 
 # the values the IRLS sweeps reached before Newton steps replaced them, by
-# float.hex: p = 1.5, (function, side, beta, degree) -> value
+# float.hex: p = 1.5, (function, side, beta, degree) -> value.  Z_MINUS_1 at
+# beta = 0 is held to its exact infimum instead (TestNewtonStep)
 IRLS_CEILINGS = {
     ("certify_small", "two_sided", 0.0, 64): "0x1.e3c551d855e0ap-1",
     ("certify_small", "shift", 0.0, 64): "0x1.a08640c12cf48p-11",
@@ -788,10 +785,6 @@ IRLS_CEILINGS = {
     ("certify_small", "shift", 0.25, 64): "0x1.20d38f6586a13p-9",
     ("certify_small", "two_sided", 0.25, 256): "0x1.f62111958fc57p-1",
     ("certify_small", "shift", 0.25, 256): "0x1.0ef6de5594066p-9",
-    ("z_minus_1", "two_sided", 0.0, 64): "0x1.9447a8a9335e1p-3",
-    ("z_minus_1", "shift", 0.0, 64): "0x1.149941251060ap+0",
-    ("z_minus_1", "two_sided", 0.0, 256): "0x1.ff55c6c43cda8p-4",
-    ("z_minus_1", "shift", 0.0, 256): "0x1.0a849784c5cb2p+0",
     ("z_minus_1", "two_sided", 0.1, 64): "0x1.1467fbe02b890p-2",
     ("z_minus_1", "shift", 0.1, 64): "0x1.20dd5a1ae125ep+0",
     ("z_minus_1", "two_sided", 0.1, 256): "0x1.8dbb372517056p-3",
@@ -839,8 +832,9 @@ class TestNewtonStep:
         ("certify_small", lambda f: bicyclicity_infimum(
             f, SpaceIndex(p=1.5, beta=0.25), "all_integers", 64)),
         ("certify_small", lambda f: forward_shift_infimum(f, P15, 64)),
-        # at beta = 0 the seed is z - 1's minimizer, and the steps backtrack
-        ("z_minus_1", lambda f: bicyclicity_infimum(f, P15, "all_integers", 64)),
+        # three steps backtrack here
+        ("z_minus_1", lambda f: bicyclicity_infimum(
+            f, SpaceIndex(p=1.5, beta=0.1), "all_integers", 256)),
     ])
     def test_no_accepted_step_raises_its_smoothed_objective(self, monkeypatch, name, search):
         # each step starts where the one before it ended: that point's
@@ -863,14 +857,44 @@ class TestNewtonStep:
             res = bicyclicity_infimum(f, space, "all_integers", degree)
         else:
             res = forward_shift_infimum(f, space, degree)
-        ceiling = float.fromhex(IRLS_CEILINGS[key])
-        if name == "z_minus_1" and beta == 0.0:
-            # the l2 seed is the l^1.5 minimizer here (its residual has
-            # coefficients of one modulus), so every later iterate lies
-            # within a few ulp of it, and the value is rounding noise
-            ceiling += 4 * math.ulp(ceiling)
         assert res.converged is True
-        assert res.value <= ceiling, (res.value.hex(), IRLS_CEILINGS[key])
+        assert res.value <= float.fromhex(IRLS_CEILINGS[key]), (
+            res.value.hex(), IRLS_CEILINGS[key])
+
+    @pytest.mark.parametrize("side", ["two_sided", "shift"])
+    @pytest.mark.parametrize("degree", [64, 256])
+    def test_z_minus_1_at_beta_0_ends_on_its_exact_infimum(self, side, degree):
+        # the residuals 1 - P (z - 1) are the vectors on rows -N..N+1 whose
+        # coefficients sum to 1, and the residuals (z - 1) - R (z - 1) are
+        # those with -1 at row 0 and the rest, rows 1..N+2, summing to 1;
+        # the l^p norm is least where the free coefficients are equal, so the
+        # infima are (2N + 2)^(1/p - 1) and (1 + (N + 2)^(1 - p))^(1/p).
+        # That minimizer is the l2 seed, and every value the search visits
+        # differs from it by rounding alone: the IRLS sweeps' least visits
+        # lay up to 2 ulp below the infimum (0x1.149941251060ap+0 against
+        # 0x1.149941251060cp+0 for the shift at degree 64), so the infimum,
+        # computed to 40 digits, is the ceiling here
+        getcontext().prec = 40
+        n = Decimal(degree)
+        if side == "two_sided":
+            res = bicyclicity_infimum(Z_MINUS_1, P15, "all_integers", degree)
+            infimum = float(1 / (2 * n + 2) ** (Decimal(1) / 3))
+        else:
+            res = forward_shift_infimum(Z_MINUS_1, P15, degree)
+            infimum = float((1 + 1 / (n + 2).sqrt()) ** (Decimal(2) / 3))
+        assert res.converged is True
+        assert infimum * (1 - 1e-15) <= res.value <= infimum, (res.value.hex(), infimum.hex())
+
+    def test_a_refused_step_ends_its_mu_step(self, monkeypatch):
+        # with a line search that refuses every step, each mu step takes one
+        # Newton step: the same step from the same point is not solved twice
+        def refusing(prob, mu, w, x, r, y, r_y, obj):
+            return x, r, prob.smoothed_objective(r, mu)
+
+        monkeypatch.setattr(engine, "_armijo", refusing)
+        f = certify_small_function()
+        res = bicyclicity_infimum(f, P15, "all_integers", 16)
+        assert res.converged is True and res.sweeps == 1 + engine.MU_STEPS
 
     @pytest.mark.parametrize("search, value", [
         (lambda f: forward_shift_infimum(f, P2, 256), "0x1.6a708a6c22e0ap-12"),
