@@ -306,6 +306,15 @@ def tube_measure(E, t):
     return float(out) if out.ndim == 0 else out
 
 
+_FIXED_ONE = 1 << 1074  # 2**-1074 is the least positive float
+
+
+def _fixed(x):
+    """The float x as an exact integer multiple of 2**-1074."""
+    num, den = float(x).as_integer_ratio()
+    return num << (1075 - den.bit_length())
+
+
 def covering_number(E, t):
     """Minimal number of closed arcs of angular length 2t covering E.
 
@@ -315,7 +324,10 @@ def covering_number(E, t):
     Within an arc the sweep lays covers end to end from the first uncovered
     point y, so the arc takes max(1, ceil((end - y) / 2t)) of them, counted
     in closed form; arcs already covered are skipped by binary search on
-    the ends.  The cost is O(arcs reached * log n), whatever t is.
+    the ends.  The cost is O(arcs reached * log n), whatever t is.  The
+    sweep is exact on the float inputs: it counts in integer multiples of
+    2**-1074, where every float is an integer, so a cover end that rounds
+    onto a set point cannot cover it.
     """
     if E.n_arcs == 0:
         raise ValueError("covering the empty set is undefined")
@@ -328,20 +340,26 @@ def covering_number(E, t):
     s, e = E.starts, E.ends
     base = float(s[0])
     limit = base + TWO_PI
+    turn_end, width = _fixed(limit), _fixed(two_t)
     count = 0
-    covered = base  # greedy invariant: every set point below this is covered
+    covered = _fixed(base)  # greedy invariant: every set point below this is covered
     i = 0
     while i < len(s) and s[i] < limit:
-        end_i = float(e[i])
-        y = max(float(s[i]), covered)
-        if y <= end_i and y < limit:
-            k = max(1, math.ceil((end_i - y) / two_t))
+        end_i = _fixed(e[i])
+        y = max(_fixed(s[i]), covered)
+        if y <= end_i and y < turn_end:
+            k = max(1, -((y - end_i) // width))
             count += k
-            covered = y + k * two_t
+            covered = y + k * width
         i += 1
-        if i < len(s) and e[i] <= covered:
-            # skip every arc that ends within `covered` (the ends increase strictly)
-            i = int(np.searchsorted(e, covered, side="right"))
+        if i < len(s) and _fixed(e[i]) <= covered:
+            # skip every arc that ends within `covered` (the ends increase
+            # strictly); the float nearest `covered` rounds, so only an end
+            # equal to it is compared exactly
+            near = covered / _FIXED_ONE
+            i = int(np.searchsorted(e, near, side="left"))
+            if i < len(s) and e[i] == near and _fixed(e[i]) <= covered:
+                i += 1
     return count
 
 

@@ -157,7 +157,7 @@ def greedy_cover_oracle(E, t):
             continue
         y = max(Fraction(s), covered)
         if y <= e and y < limit:
-            k = max(1, math.ceil((e - y) / two_t))
+            k = max(1, math.ceil((Fraction(e) - y) / two_t))
             count += k
             covered = y + k * two_t
             covered_f = float(covered)
@@ -437,6 +437,15 @@ class TestCovering:
         second = math.ceil((e1 - s1) / two_t)
         assert (first, second) == (1250000000, 1249999999)
         assert covering_number(E, t) == first + second
+
+    def test_a_cover_end_rounding_onto_a_point_does_not_cover_it(self):
+        # 500 covers of the float 2e-4 end at 0.1000000000000000048, short of
+        # the float 0.1 (0.1000000000000000056); in floats that end rounds to
+        # 0.1, and the point used to count as covered
+        E = ArcUnion([(0.0, 0.0999), (0.1, 0.1)])
+        t = 1e-4
+        assert 500 * 2 * Fraction(t) < Fraction(0.1)
+        assert covering_number(E, t) == greedy_cover_oracle(E, t) == 501
 
 
     @pytest.mark.parametrize("name", SET_PRESETS)
@@ -739,6 +748,8 @@ def test_arc_union_matches_loop_oracle(arcs):
 
 @given(raw_arcs(min_size=1), st.floats(min_value=1e-4, max_value=4.0))
 @example(arcs=[(0.0, 0.1), (0.3, 0.4), (3.0, 3.0)], t=0.05)
+@example(arcs=[(-1.1754943508222875e-38, -1.1754943508222875e-38),
+               (-1.1754943508222875e-38, 0.1), (0.1, 0.1)], t=0.0001)
 @settings(max_examples=200, deadline=None)
 def test_covering_matches_greedy_oracle(arcs, t):
     E = ArcUnion(arcs)
