@@ -568,6 +568,7 @@ class CertificateProblem:
     degree_budget: int = 1024
     epsilon_target: float = 0.25
     truncation_tail: float = 0.0
+    zero_set_measure: float = None  # see certify_cyclic; None when unknown
 
     def __post_init__(self):
         p, beta = _solver_space(self.space)
@@ -578,10 +579,22 @@ class CertificateProblem:
             )
         if self.support not in SUPPORTS:
             raise ValueError(f"unknown support {self.support!r}")
-        if self.degree_budget < 0:
+        budget = self.degree_budget
+        if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+            raise ValueError("degree_budget must be an integer")
+        if budget < 0:
             raise ValueError("degree_budget must be nonnegative")
-        if not (self.epsilon_target > 0.0):
-            raise ValueError("epsilon_target must be positive")
+        if not (0.0 < self.epsilon_target < math.inf):
+            raise ValueError("epsilon_target must be a positive finite number")
+        if not (0.0 <= self.truncation_tail < math.inf):
+            raise ValueError("truncation_tail must be a finite number >= 0")
+        m = self.zero_set_measure
+        if m is not None and (
+            isinstance(m, bool)
+            or not isinstance(m, (int, float, np.integer, np.floating))
+            or not (0.0 <= m <= 2.0 * math.pi)
+        ):
+            raise ValueError("zero_set_measure must be None or a number in [0, 2 pi]")
         if len(self.f) == 0:
             raise ValueError("f must be nonzero")
 
@@ -598,6 +611,8 @@ class CertificateReport:
     szego_bound: float
     epsilon_target: float
     truncation_tail: float
+    zero_set_measure: float
+    obstruction: str
     best_p: FourierSeries = field(repr=False, default=None)
     best_q: FourierSeries = field(repr=False, default=None)
 
@@ -628,7 +643,12 @@ def certify_cyclic(problem):
     strictly below the target, `bicyclic_only` the two-sided one alone,
     `failed` otherwise.  The Szego bound documents the p = 2 floor under the
     shift norm; a failed verdict is evidence, not proof, unless that floor
-    itself exceeds the target.
+    itself exceeds the target.  A positive `zero_set_measure`, that of the
+    set the function f approximates vanishes on, makes that function neither
+    cyclic nor bicyclic: l^p_beta (beta >= 0, p <= 2) embeds densely in l^2,
+    where those vectors vanish on null sets only (Wiener).  `obstruction`
+    then reads `zero_set_positive_measure`, and a `certified` or
+    `bicyclic_only` verdict reads `truncation_only`.
     """
     eps = problem.epsilon_target
     f, space = problem.f, problem.space
@@ -656,10 +676,13 @@ def certify_cyclic(problem):
         if all(norm < eps for norm, _, _ in best.values()):
             break
     (best_b, best_p, deg_b), (best_s, best_q, deg_s) = best["bicyclic"], best["shift"]
-    if best_b < eps:
-        verdict = "certified" if best_s < eps else "bicyclic_only"
-    else:
+    obstruction = "zero_set_positive_measure" if problem.zero_set_measure else None
+    if best_b >= eps:
         verdict = "failed"
+    elif obstruction:
+        verdict = "truncation_only"
+    else:
+        verdict = "certified" if best_s < eps else "bicyclic_only"
     return CertificateReport(
         achieved_bicyclic_norm=best_b,
         achieved_shift_norm=best_s,
@@ -669,6 +692,8 @@ def certify_cyclic(problem):
         szego_bound=szego_lower_bound(f),
         epsilon_target=eps,
         truncation_tail=problem.truncation_tail,
+        zero_set_measure=problem.zero_set_measure,
+        obstruction=obstruction,
         best_p=best_p,
         best_q=best_q,
     )
@@ -682,7 +707,12 @@ def classify_regime(dim_estimate, space, smoothness, log_nonintegrable,
     Order of precedence: the algebra exclusion (beta*q > 1), then the
     dimension obstruction (dim > 1 - beta*q), then the sufficient branches
     below 2(1 - beta*q)/q, and `indeterminate` for the gap in between, where
-    dimension alone cannot classify.
+    dimension alone cannot classify.  The Lip-delta branch reads only
+    `log_dist_nonintegrable`: |f| <= C d^delta, so a non-integrable log d
+    makes log|f| non-integrable too, and the flag implies
+    `log_nonintegrable`.  No l^2 obstruction is checked yet: a zero set of
+    positive measure, or an integrable log|f|, rules out cyclicity in every
+    space handled here, but the verdict does not read either.
     """
     p, beta = _space_params(space)
     if not (1.0 < p <= 2.0):

@@ -183,8 +183,8 @@ def _coeffs(key, rows):
             and all(isinstance(row, list) and len(row) == 3 for row in rows)):
         raise ConfigError("coeffs must be a list of [n, re, im] triples")
     freqs = [row[0] for row in rows]
-    if not all(map(_is_int, freqs)):
-        raise ConfigError("coeffs frequencies must be integers")
+    if not all(_is_int(n) and -2**63 <= n < 2**63 for n in freqs):
+        raise ConfigError("coeffs frequencies must be integers in the int64 range")
     if not all(_is_number(x) for row in rows for x in row[1:]):
         raise ConfigError("coeffs amplitudes must be finite numbers")
     # a series is stored densely over its frequency span
@@ -444,15 +444,7 @@ def _run_szego(params):
 def _run_certify(params):
     """CSV columns: degree, bicyclic_norm, shift_norm.
 
-    When f is built on a set preset, the report gives the set's measure as
-    `zero_set_measure`, and `obstruction` reads `zero_set_positive_measure`
-    when that measure is positive.  Such an f is neither cyclic nor
-    bicyclic in any space the package handles: at beta >= 0 and p <= 2,
-    l^p_beta embeds densely in l^2, so a cyclic or bicyclic vector there is
-    one in l^2 too, whose transform vanishes only on a null set (Wiener).
-    A `certified` or `bicyclic_only` verdict is then true of the truncated
-    trigonometric polynomial alone, and reads `truncation_only`.  Both
-    fields are None for every other f.
+    A smooth_vanishing f passes its set's measure to `certify_cyclic`'s verdict.
     """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     tail = 0.0
@@ -465,6 +457,10 @@ def _run_certify(params):
             tail = norm_ap_beta(full - f, space) / full_norm
     else:
         f = series_from_config(params)
+    # only smooth_vanishing reads `set`: it vanishes on that set
+    measure = None
+    if params["preset"] == "smooth_vanishing":
+        measure = build_set(params["set"], params["depth"]).total_measure
     problem = CertificateProblem(
         f=f,
         space=space,
@@ -472,18 +468,9 @@ def _run_certify(params):
         degree_budget=params["degree_budget"],
         epsilon_target=params["epsilon_target"],
         truncation_tail=tail,
+        zero_set_measure=measure,
     )
     report = certify_cyclic(problem).to_json_obj()
-    # only smooth_vanishing reads `set`: it vanishes on that set
-    measure = None
-    if params["preset"] == "smooth_vanishing":
-        measure = build_set(params["set"], params["depth"]).total_measure
-    report["zero_set_measure"] = measure
-    report["obstruction"] = None
-    if measure is not None and measure > 0.0:
-        report["obstruction"] = "zero_set_positive_measure"
-        if report["verdict"] in ("certified", "bicyclic_only"):
-            report["verdict"] = "truncation_only"
     rows = [
         (row["degree"], row["bicyclic_norm"], row["shift_norm"])
         for row in report["solver_trace"]

@@ -107,6 +107,18 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    def test_frequency_outside_int64_is_exit_2(self, tmp_path, capsys):
+        # used to write a numerical_failure manifest and exit 3
+        cfg = tmp_path / "huge_frequency.json"
+        cfg.write_text(json.dumps({
+            "experiment": "norms",
+            "parameters": {"coeffs": [[10**30, 1.0, 0.0]], "p": 1.5},
+            "output_dir": str(tmp_path / "never"),
+        }))
+        assert main(["run", str(cfg)]) == 2
+        assert "int64" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "numfail.json"
         cfg.write_text(

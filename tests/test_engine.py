@@ -1095,19 +1095,35 @@ class TestCertify:
         assert rep.achieved_bicyclic_norm < 0.25
         assert rep.achieved_shift_norm < 0.25
 
-    def test_verdict_matches_norms(self):
+    @pytest.mark.parametrize("measure", [None, 0.0, 2 * math.pi * (2 / 3) ** 6])
+    def test_verdict_matches_norms(self, measure):
+        # certify_small's function is certified at degree 64 against 0.95
+        # (norms 0.945 and 7.9e-4); z - 1 fails at degree 8 against 0.1
+        plain = []
         for f, budget, eps in [
             (FourierSeries({0: 1.0}), 32, 0.5),
             (Z_MINUS_1, 64, 0.5),
             (Z_MINUS_1 * 0.1, 64, 0.25),
+            (certify_small_function(), 64, 0.95),
+            (Z_MINUS_1, 8, 0.1),
         ]:
             rep = certify_cyclic(
-                CertificateProblem(f=f, space=P15, degree_budget=budget, epsilon_target=eps)
+                CertificateProblem(f=f, space=P15, degree_budget=budget, epsilon_target=eps,
+                                   zero_set_measure=measure)
             )
-            both = (
-                rep.achieved_bicyclic_norm < eps and rep.achieved_shift_norm < eps
-            )
-            assert (rep.verdict == "certified") == both
+            two_sided = rep.achieved_bicyclic_norm < eps
+            both = two_sided and rep.achieved_shift_norm < eps
+            plain.append("certified" if both else "bicyclic_only" if two_sided else "failed")
+            assert rep.zero_set_measure == measure
+            if measure:
+                # a positive measure zero set: neither cyclic nor bicyclic
+                assert rep.obstruction == "zero_set_positive_measure"
+                assert rep.verdict == ("truncation_only" if two_sided else "failed")
+            else:
+                assert rep.obstruction is None
+                assert rep.verdict == plain[-1]
+        assert plain.count("certified") == 2 and plain.count("bicyclic_only") == 2
+        assert plain.count("failed") == 1
 
     def test_report_reevaluates_from_stored_polynomials(self):
         rep = certify_cyclic(
@@ -1215,6 +1231,31 @@ class TestCertify:
             CertificateProblem(f=Z_MINUS_1, space=P15, support="diag")
         with pytest.raises(ValueError):
             CertificateProblem(f=FourierSeries({}), space=P15)
+
+    @pytest.mark.parametrize("kwargs", [
+        # z - 1 at degree 8 used to read `certified` against an infinite target
+        {"degree_budget": 8, "epsilon_target": math.inf},
+        # a NaN tail used to be written into the report
+        {"truncation_tail": math.nan},
+        {"truncation_tail": math.inf},
+        {"truncation_tail": -0.1},
+        # 8.5 used to fail in the degree schedule with a TypeError
+        {"degree_budget": 8.5},
+        {"degree_budget": True},
+        {"zero_set_measure": -0.1},
+        {"zero_set_measure": 2 * math.pi + 1e-9},
+        {"zero_set_measure": math.nan},
+        {"zero_set_measure": True},
+        {"zero_set_measure": "0.5"},
+    ], ids=lambda kwargs: "-".join("%s=%r" % item for item in kwargs.items()))
+    def test_problem_refuses_an_out_of_range_input(self, kwargs):
+        with pytest.raises(ValueError, match=list(kwargs)[-1]):
+            CertificateProblem(f=Z_MINUS_1, space=P15, **kwargs)
+
+    @pytest.mark.parametrize("measure", [None, 0, 0.0, 2 * math.pi, np.float64(0.5)])
+    def test_zero_set_measure_accepts_none_and_the_closed_interval(self, measure):
+        problem = CertificateProblem(f=Z_MINUS_1, space=P15, zero_set_measure=measure)
+        assert problem.zero_set_measure is measure
 
     @pytest.mark.parametrize("p", [1.0, 2.5, math.nan])
     def test_problem_refuses_p_outside_the_solver_range(self, p):

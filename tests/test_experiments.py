@@ -9,6 +9,7 @@ than numerics, which the module-level suites already pin.
 import json
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -119,6 +120,9 @@ class TestConfigValidation:
              "at least two eps"),
             ("decay", {"set": "middle_thirds", "depth": 6, "grid": 2048, "truncate": 5000},
              "truncate must be at most"),
+            ("norms", {"coeffs": [[10**30, 1.0, 0.0]], "p": 1.5}, "int64"),
+            ("norms", {"coeffs": [[2**63, 1.0, 0.0]]}, "int64"),
+            ("norms", {"coeffs": [[-2**63 - 1, 1.0, 0.0]]}, "int64"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -158,6 +162,12 @@ class TestConfigValidation:
              "parameters": {"coeffs": [[0, 1.0, 0.0], [2**20, 1.0, 0.0]]}}
         )
         validate(config)
+
+    def test_coeffs_frequencies_at_the_int64_bounds_are_accepted(self):
+        for n in (2**63 - 1, -2**63):
+            validate(ExperimentConfig.from_json_obj(
+                {"experiment": "norms", "parameters": {"coeffs": [[n, 1.0, 0.0]]}}
+            ))
 
     def test_validation_happens_before_any_write(self, tmp_path):
         # the last two used to escape run() as TypeError after the mkdir
@@ -478,6 +488,17 @@ class TestRunOutputs:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["verdict"] == "bicyclic_only"
         assert report["zero_set_measure"] is None and report["obstruction"] is None
+
+    @pytest.mark.parametrize("params", [
+        {"preset": "z_minus_1", "degree_budget": 8},
+        {"preset": "smooth_vanishing", "set": "middle_thirds", "depth": 6, "gamma": 1.0,
+         "grid": 2048, "truncate": 64, "degree_budget": 8},
+    ], ids=["z_minus_1", "smooth_vanishing"])
+    def test_certify_report_is_the_engine_record(self, tmp_path, params):
+        # the handler writes CertificateReport as it is, with no key of its own
+        run({"experiment": "certify", "parameters": params, "output_dir": str(tmp_path)})
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report) == {f.name for f in fields(engine.CertificateReport)}
 
     def test_douglas_builds_f_on_its_own_default_grid(self, tmp_path):
         manifest = run(
