@@ -9,29 +9,30 @@ objective
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
 is driven to mu -> 0 by a geometric continuation schedule, each step taking
-truncated Newton steps on its smoothed objective until that objective
-stalls (Nocedal & Wright, Numerical Optimization, 2006, ch. 7; the
-smoothing is that of Daubechies, DeVore, Fornasier & Gunturk, CPAM 63,
-2010).  A Newton step solves H d = A^H W r, W = diag(w_n s^((p-2)/2)),
-s = |r|^2 + mu^2, by CG, where H is the objective's Hessian over p; an
-Armijo line search, trying the CG iterate first and halving from there,
-guards it.  Every search, whatever p and beta, starts with one solve from
-zero with the base weights w_n, towards the l2 minimizer; the best of its
-result, zero and any warm start seeds the continuation.  The search returns
-the best of these seeds and of the points where a continuation step
-stalled, each a minimizer of its smoothed objective to within INNER_RTOL,
-so the value does not depend on how closely CG solved the Newton steps
-between them.  At p = 2 the Hessian is A^H W A with fixed weights, and the
-continuation is one step of weighted least-squares sweeps, each taken
-whole, each minimizing the norm itself, and each a candidate.
-Every solve runs conjugate gradients on x as a real vector, preconditioned
-by the inverse of the unweighted normal matrix T = A^H A.  T is Toeplitz,
-the autocorrelation of f, and the weights are bounded, so T is spectrally
-equivalent to the Hessian and each solve takes few iterations; at
-beta = 0 the seed solve's preconditioner is exact, so it takes about one.
-T^-1 is applied by the Gohberg-Semencul formula from one Levinson solve per
-problem, the only direct solve; where it breaks down, CG runs
-unpreconditioned.  All solves
+truncated Newton steps on its smoothed objective until one of them moves
+that objective by at most INNER_RTOL (Nocedal & Wright, Numerical
+Optimization, 2006, ch. 7; the smoothing is that of Daubechies, DeVore,
+Fornasier & Gunturk, CPAM 63, 2010).  A Newton step solves H d = A^H W r,
+W = diag(w_n s^((p-2)/2)), s = |r|^2 + mu^2, by CG, where H is the
+objective's Hessian over p.  A step that stalls is taken unless it
+climbs; any other goes through an Armijo line search, which tries the CG
+iterate first and halves from there, and a step it refuses stalls too.
+One loop serves every p: at p = 2 the curvature term of H is zero and the
+weights are fixed, so the Newton step is the weighted least-squares sweep
+and the schedule is one step long.  Every search, whatever p and
+beta, starts with one solve from zero with the base weights w_n, towards
+the l2 minimizer; the best of its result, zero and any warm start seeds
+the continuation.  The search returns the best of these seeds and of the
+points where a continuation step stalled, each a minimizer of its
+smoothed objective to within INNER_RTOL, so the value does not depend on
+how closely CG solved the Newton steps between them.  Every solve runs
+conjugate gradients on x as a real vector, preconditioned by the inverse of
+the unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation
+of f, and the weights are bounded, so T is spectrally equivalent to the
+Hessian and each solve takes few iterations; at beta = 0 the seed solve's
+preconditioner is exact, so it takes about one.  T^-1 is applied by the
+Gohberg-Semencul formula from one Levinson solve per problem, the only
+direct solve; where it breaks down, CG runs unpreconditioned.  All solves
 of one infimum share one total iteration budget, the only cap on its work;
 spending it, or a CG breakdown, ends the search unconverged.  The spectrum
 of f is computed once per problem, at the transform lengths
@@ -64,8 +65,8 @@ from .fourier import FourierSeries, SpaceIndex, _space_params, eval_on_grid
 SUPPORTS = ("all_integers", "nonneg", "positive")
 
 # continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps;
-# step j takes Newton steps on its smoothed objective until that objective
-# moves by at most INNER_RTOL relative
+# step j takes Newton steps on its smoothed objective until one step moves
+# that objective by at most INNER_RTOL relative
 MU_STEPS = 8
 MU_SCALE = 0.1
 INNER_RTOL = 1e-10
@@ -306,13 +307,14 @@ class _ConvObjective:
 
         With w = w_n s^((p-2)/2), c = (p-2) w_n s^(p/2-2) and
         s = |r|^2 + mu^2, this is the Hessian of the smoothed objective at
-        the point whose residual is r, divided by p, on x as a real vector;
-        without c it is A^H W A, the weighted normal matrix.  Either is
-        real-linear and self-adjoint under Re<u, v>.  For p > 1 the Hessian
-        is positive definite: row n adds w |(A d)_n|^2 + c Re(conj(r_n)
-        (A d)_n)^2 to Re<d, H d>, with c < 0, which is least where (A d)_n
-        is a real multiple of r_n, and is then
-        w_n s^(p/2-2) (mu^2 + (p-1)|r_n|^2) |(A d)_n|^2 > 0.
+        the point whose residual is r, divided by p, on x as a real vector.
+        At p = 2 c is zero, and the Hessian is A^H W A, the weighted normal
+        matrix; without c it is that matrix for any w, the form the seed
+        solve takes.  Either is real-linear and self-adjoint under
+        Re<u, v>.  For 1 < p < 2 the Hessian is positive definite: row n
+        adds w |(A d)_n|^2 + c Re(conj(r_n) (A d)_n)^2 to Re<d, H d>, with
+        c < 0, which is least where (A d)_n is a real multiple of r_n, and
+        is then w_n s^(p/2-2) (mu^2 + (p-1)|r_n|^2) |(A d)_n|^2 > 0.
         """
         if c is None:
             return lambda d: self.adjoint(w * self.apply(d))
@@ -329,17 +331,18 @@ class _ConvObjective:
         new iterate, the iterations spent, and whether the solve held.
 
         Runs preconditioned CG on H (y - x) = A^H W resid, W = diag(w), with
-        H = `hessian(w, resid, c)`.  Without c that is the weighted normal
-        equations A^H W A y = A^H W b, whose solution minimizes
-        sum_n w_n |b_n - conv(f, y)_n|^2; with c it is the Newton step on
-        the smoothed objective, whose gradient is -p A^H W resid.  CG takes
-        the real inner product Re<u, v>, runs for at most maxiter
-        iterations, is charged at least one, and stops once the
-        preconditioned residual norm sqrt(r^H M r) has fallen by PCG_RTOL
-        from its start.  Both H and M are positive definite, so a curvature
-        d^H H d or residual product r^H M r that is not positive (zero only
-        at an exact solution) is a breakdown: the solve stops there, returns
-        its current iterate and reports that it did not hold.
+        H = `hessian(w, resid, c)`.  With c it is the Newton step on the
+        smoothed objective, whose gradient is -p A^H W resid.  Without c, as
+        in the seed solve, or with c = 0, as at p = 2, it is the weighted
+        normal equations A^H W A y = A^H W b, whose solution minimizes
+        sum_n w_n |b_n - conv(f, y)_n|^2: the weighted least-squares sweep,
+        the Newton step at p = 2.  CG takes the real inner product Re<u, v>,
+        runs for at most maxiter iterations, is charged at least one, and
+        stops once the preconditioned residual norm sqrt(r^H M r) has fallen
+        by PCG_RTOL from its start.  Both H and M are positive definite, so
+        a curvature d^H H d or residual product r^H M r that is not positive
+        (zero only at an exact solution) is a breakdown: the solve stops
+        there, returns its current iterate and reports that it did not hold.
         """
         precond = self.preconditioner
         hessian = self.hessian(w, resid, c)
@@ -374,15 +377,15 @@ class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
     The degree and support searched are the caller's, not repeated here.
-    `sweeps` counts the solves: the l2 seed solve, which is sweep 1, then
-    the Newton steps, or at p = 2 the sweeps with fixed weights.
-    `iterations` counts the CG iterations they were charged.
+    `sweeps` counts the solves: the seed solve, then the Newton steps, at
+    p = 2 the weighted least-squares sweeps.  `iterations` counts the CG
+    iterations they were charged.
 
     `converged` means that every solve held (no CG breakdown) and that every
-    continuation step's smoothed objective stalled within INNER_RTOL before
-    LSMR_TOTAL_BUDGET was spent: the mu schedule finished.  It does not mean
-    that `value` is near the infimum; only a certified lower bound could
-    show that.
+    continuation step stalled, on a step within INNER_RTOL or one the line
+    search turned down, before LSMR_TOTAL_BUDGET was spent: the schedule
+    ended.  It does not mean that `value` is near the infimum; only a
+    certified lower bound could show that.
     """
 
     value: float
@@ -404,16 +407,15 @@ def _solver_space(space):
     return _space_params(space)
 
 
-def _armijo(prob, mu, w, x, r, y, r_y, obj):
-    """Backtrack the Newton step from x (residual r) to y (residual r_y,
-    smoothed objective obj) by the Armijo rule: the first point
-    x + t (y - x), t = 1, 1/2, 1/4, ..., whose smoothed objective is at most
-    f0 + ARMIJO_C1 * t * slope, with its residual and objective; f0 is the
-    objective at x and slope its derivative along y - x.  Once
+def _armijo(prob, mu, w, f0, x, r, y, r_y, obj):
+    """Backtrack the Newton step from x (residual r, smoothed objective f0)
+    to y (residual r_y, smoothed objective obj) by the Armijo rule: the
+    first point x + t (y - x), t = 1, 1/2, 1/4, ..., whose smoothed
+    objective is at most f0 + ARMIJO_C1 * t * slope, with its residual and
+    objective; slope is the objective's derivative along y - x.  Once
     x + t (y - x) rounds to x the step is not taken: x itself comes back,
     and the caller ends the mu step there.
     """
-    f0 = prob.smoothed_objective(r, mu)
     # the objective's derivative along y - x, whose image A(y - x) is r - r_y
     slope = -prob.p * float(np.sum(w * np.real(np.conj(r) * (r - r_y))))
     step = y - x
@@ -467,45 +469,39 @@ def _minimize(f, space, support, degree, target, warm=None):
     mu0 = MU_SCALE * float(np.max(np.abs(r)))
     if mu0 == 0.0:
         mu0 = 1e-12
-    # at p = 2 the weights depend on neither mu nor r: one step, whose
-    # sweeps refine the inexact solves.  Step j, the one after j stalled
-    # steps, takes Newton steps at mu0 * 2^-j until its smoothed objective
-    # stalls within INNER_RTOL, and the search has converged once every
-    # step has stalled
+    # step j, the one after j stalled steps, takes Newton steps at
+    # mu0 * 2^-j, and the search has converged once every step has stalled;
+    # the smoothing does nothing at p = 2, whose schedule is one step
     mu_steps = 1 if p == 2.0 else MU_STEPS
     stalled = 0
-    prev = None
     while held and stalled < mu_steps and iters_left > 0:
         mu = mu0 * 2.0**-stalled
         s = np.abs(r) ** 2 + mu**2
         w = prob.base_w * s ** ((p - 2.0) / 2.0)
-        # the Newton step's curvature term; p = 2 has none, and its step is
-        # the weighted least-squares sweep, taken whole
-        c = None if p == 2.0 else (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
+        # the Newton step's curvature term, identically zero at p = 2, where
+        # the step is the weighted least-squares sweep
+        c = (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
         y, spent, held = prob.solve_weighted(w, x, r, iters_left, c)
         iters_left -= spent
         iterations += spent
         sweeps += 1
+        f0 = prob.smoothed_objective(r, mu)
         r_y = prob.residual(y)
         obj = prob.smoothed_objective(r_y, mu)
-        refused = False
-        if c is not None:
-            y, r_y, obj = _armijo(prob, mu, w, x, r, y, r_y, obj)
-            # a refused step leaves x as it was, and the same step from there
-            # would be refused again: the mu step has stalled
-            refused = y is x
-        x, r = y, r_y
-        stall = refused or (prev is not None
-                            and abs(prev - obj) <= INNER_RTOL * max(obj, 1.0))
-        if stall:
-            stalled += 1
-            prev = None
-        else:
-            prev = obj
-        # a point is a candidate where its mu step stalls, at every p = 2
-        # sweep, and where the search stops unconverged; the Newton iterates
-        # in between sit wherever CG's inexact solves left them
-        if stall or c is None or not held or iters_left <= 0:
+        # a step that moves the objective by at most INNER_RTOL stalls, and
+        # is taken unless it climbs; a step the line search turns down stalls
+        # too, since from the same point it would be turned down again
+        stall = abs(f0 - obj) <= INNER_RTOL * max(obj, 1.0)
+        if not stall:
+            y, r_y, obj = _armijo(prob, mu, w, f0, x, r, y, r_y, obj)
+            stall = y is x
+        if not stall or obj <= f0:
+            x, r = y, r_y
+        stalled += stall
+        # a point is a candidate where its mu step stalls and where the
+        # search stops unconverged; the Newton iterates in between sit
+        # wherever CG's inexact solves left them
+        if stall or not held or iters_left <= 0:
             v = prob.residual_norm(r)
             if v < best_v:
                 best_x, best_v = x, v

@@ -273,6 +273,24 @@ def _decay_sweep_fits(params, _given):
         raise ConfigError("truncate must be at most (grid - 1) // 2")
 
 
+def _max_abs_frequency(params):
+    """The largest |n| of the `coeffs` rows; 0 when f comes from a preset."""
+    return max((abs(row[0]) for row in params["coeffs"] or ()), default=0)
+
+
+def _coeffs_solvable(params, _given):
+    # the solver slabs, and the Szego grid of at least 2*degree + 1 points,
+    # reach from frequency 0 to the largest |n| of f
+    if _max_abs_frequency(params) > 2**20:
+        raise ConfigError("coeffs frequencies must lie in [-2**20, 2**20] for the solvers")
+
+
+def _coeffs_fit_the_grid(params, _given):
+    # eval_on_grid needs grid >= 2*degree + 1
+    if 2 * _max_abs_frequency(params) + 1 > params["grid"]:
+        raise ConfigError("coeffs frequencies must satisfy 2*|n| + 1 <= grid")
+
+
 def _t_range(params, _given):
     if not params["t_min"] < params["t_max"]:
         raise ConfigError("need t_min < t_max")
@@ -588,19 +606,19 @@ EXPERIMENTS = {
          "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
                             "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
          "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
-        (_function_source(own=("grid",)),), _run_douglas),
+        (_function_source(own=("grid",)), _coeffs_fit_the_grid), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,
                               "degrees must be a list of nonnegative integers"),
                      (25, 50, 100, 200))},
-        (_function_source(),), _run_szego),
+        (_function_source(), _coeffs_solvable), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "support": (_one_of(SUPPORTS, "unknown support {value!r}"), "all_integers"),
          "degree_budget": (_int_at_least(0), 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
-        (_function_source(), _has_cyclic_vectors), _run_certify),
+        (_function_source(), _coeffs_solvable, _has_cyclic_vectors), _run_certify),
     "decay": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
          "truncate": (_int_at_least(1), None)},

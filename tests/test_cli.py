@@ -6,6 +6,7 @@ import pytest
 
 from cyclab import experiments
 from cyclab.cli import main, parse_eps_spec
+from test_experiments import UNREACHABLE_COEFFS
 
 
 class TestEpsSpec:
@@ -117,6 +118,17 @@ class TestExitCodes:
         }))
         assert main(["run", str(cfg)]) == 2
         assert "int64" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    @pytest.mark.parametrize("experiment, parameters", UNREACHABLE_COEFFS)
+    def test_coeffs_the_solvers_cannot_reach_are_exit_2(self, tmp_path, capsys,
+                                                        experiment, parameters):
+        # each used to write a numerical_failure manifest and exit 3
+        cfg = tmp_path / "unreachable.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(tmp_path / "never")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "coeffs frequencies must" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):

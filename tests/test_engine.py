@@ -885,11 +885,57 @@ class TestNewtonStep:
         assert res.converged is True
         assert infimum * (1 - 1e-15) <= res.value <= infimum, (res.value.hex(), infimum.hex())
 
+    def test_z_minus_1_at_beta_0_stalls_every_mu_step_at_its_first_step(
+        self, monkeypatch
+    ):
+        # the l2 seed is the minimizer, so each Newton step moves the smoothed
+        # objective by rounding alone: one step per mu step, no line search,
+        # and one residual per solve and for the reported value
+        residuals, armijo = [], []
+        real_residual, real_armijo = _ConvObjective.residual, engine._armijo
+
+        def counting_residual(self, x):
+            residuals.append(1)
+            return real_residual(self, x)
+
+        def counting_armijo(*args):
+            armijo.append(1)
+            return real_armijo(*args)
+
+        monkeypatch.setattr(_ConvObjective, "residual", counting_residual)
+        monkeypatch.setattr(engine, "_armijo", counting_armijo)
+        res = bicyclicity_infimum(Z_MINUS_1, P15, "all_integers", 64)
+        assert res.converged is True and res.sweeps == 1 + engine.MU_STEPS
+        assert len(residuals) <= 12 and not armijo
+        # the exact infimum of test_z_minus_1_at_beta_0_ends_on_its_exact_infimum
+        getcontext().prec = 40
+        infimum = float(1 / Decimal(2 * 64 + 2) ** (Decimal(1) / 3))
+        assert infimum * (1 - 1e-15) <= res.value <= infimum, (res.value.hex(), infimum.hex())
+
+    @pytest.mark.parametrize("side", ["two_sided", "shift"])
+    @pytest.mark.parametrize("degree", [64, 256])
+    def test_p2_at_beta_0_stalls_at_its_first_step_on_the_least_squares_value(
+        self, side, degree
+    ):
+        # at beta = 0 the seed solve's preconditioner is exact, so the seed is
+        # the least-squares minimizer and the one sweep after it stalls
+        f = certify_small_function()
+        if side == "two_sided":
+            res = bicyclicity_infimum(f, P2, "all_integers", degree)
+            prob = DenseObjective(f.lo, f.arr, -degree, degree, 0, np.ones(1), 2.0, 0.0)
+        else:
+            res = forward_shift_infimum(f, P2, degree)
+            prob = DenseObjective(f.lo, f.arr, 1, degree + 1, f.lo, f.arr, 2.0, 0.0)
+        x, _, _ = prob.solve_weighted(prob.base_w, np.zeros(prob.n_cols, complex), prob.b, 0)
+        least_squares = prob.residual_norm(prob.residual(x))
+        assert res.converged is True and res.sweeps == 2
+        assert abs(res.value - least_squares) <= 1e-12 * least_squares
+
     def test_a_refused_step_ends_its_mu_step(self, monkeypatch):
         # with a line search that refuses every step, each mu step takes one
         # Newton step: the same step from the same point is not solved twice
-        def refusing(prob, mu, w, x, r, y, r_y, obj):
-            return x, r, prob.smoothed_objective(r, mu)
+        def refusing(prob, mu, w, f0, x, r, y, r_y, obj):
+            return x, r, f0
 
         monkeypatch.setattr(engine, "_armijo", refusing)
         f = certify_small_function()
@@ -902,9 +948,10 @@ class TestNewtonStep:
                                        256), "0x1.aa8bbcf0aeeefp-1"),
     ])
     def test_p2_results_are_the_weighted_sweeps_bit_for_bit(self, search, value):
-        # p = 2 has no curvature term and takes no line search: these are the
-        # values of its fixed-weight sweeps, which the Newton steps of
-        # 1 < p < 2 must leave bit for bit as they were
+        # p = 2 runs the Newton loop of 1 < p < 2 with a curvature term that
+        # is identically zero, so each step is a fixed-weight sweep: these
+        # are the values the sweeps reached before the two paths became one,
+        # and the loop must leave them bit for bit as they were
         res = search(certify_small_function())
         assert res.value.hex() == value
 

@@ -37,6 +37,17 @@ from cyclab.presets import (
 from cyclab.fourier import SpaceIndex, circle_grid, norm_ap_beta
 
 
+# configs that validated, then failed inside the solvers or the grid
+# transform: certify and szego on int64 frequencies the solver slabs cannot
+# index, and douglas on a series its default grid of 2048 aliases
+UNREACHABLE_COEFFS = [
+    *((experiment, {"coeffs": [[n, 1.0, 0.0], [n + 1, 1.0, 0.0]], **extra})
+      for experiment, extra in (("certify", {"degree_budget": 8}), ("szego", {}))
+      for n in (2**62, 2**63 - 2, -2**63)),
+    ("douglas", {"coeffs": [[5000, 1.0, 0.0]]}),
+]
+
+
 def read_csv(path):
     lines = Path(path).read_text().strip().split("\n")
     header = lines[0].split(",")
@@ -123,6 +134,12 @@ class TestConfigValidation:
             ("norms", {"coeffs": [[10**30, 1.0, 0.0]], "p": 1.5}, "int64"),
             ("norms", {"coeffs": [[2**63, 1.0, 0.0]]}, "int64"),
             ("norms", {"coeffs": [[-2**63 - 1, 1.0, 0.0]]}, "int64"),
+            ("certify", {"coeffs": [[-2**20 - 1, 1.0, 0.0]]}, r"\[-2\*\*20, 2\*\*20\]"),
+            ("szego", {"coeffs": [[2**20 + 1, 1.0, 0.0]]}, r"\[-2\*\*20, 2\*\*20\]"),
+            ("douglas", {"coeffs": [[0, 1.0, 0.0], [1024, 1.0, 0.0]], "grid": 2048},
+             r"2\*\|n\| \+ 1 <= grid"),
+            ("douglas", {"coeffs": [[-1024, 1.0, 0.0]], "grid": 2048},
+             r"2\*\|n\| \+ 1 <= grid"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -169,12 +186,24 @@ class TestConfigValidation:
                 {"experiment": "norms", "parameters": {"coeffs": [[n, 1.0, 0.0]]}}
             ))
 
+    @pytest.mark.parametrize("experiment, n, extra", [
+        ("certify", 2**20, {}), ("certify", -2**20, {}),
+        ("szego", 2**20, {}), ("szego", -2**20, {}),
+        # eval_on_grid needs 2*|n| + 1 <= grid
+        ("douglas", 1023, {"grid": 2048}), ("douglas", -1023, {"grid": 2048}),
+    ])
+    def test_coeffs_frequencies_at_the_run_bounds_are_accepted(self, experiment, n, extra):
+        validate(ExperimentConfig.from_json_obj({"experiment": experiment, "parameters": {
+            "coeffs": [[0, 1.0, 0.0], [n, 1.0, 0.0]], **extra}}))
+
     def test_validation_happens_before_any_write(self, tmp_path):
-        # the last two used to escape run() as TypeError after the mkdir
+        # the two norms configs used to escape run() as TypeError after the
+        # mkdir, and the unreachable coeffs to fail inside the run
         for i, (experiment, params) in enumerate([
             ("decay", {"set": "middle_thirds", "gamma": -1.0}),
             ("norms", {"preset": "h_k", "k": "5"}),
             ("norms", {"coeffs": [[0, "a", 0]]}),
+            *UNREACHABLE_COEFFS,
         ]):
             out = tmp_path / ("never%d" % i)
             with pytest.raises(ConfigError):
