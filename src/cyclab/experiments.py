@@ -62,6 +62,7 @@ from .presets import (
     EPS_DECADE,
     FUNCTION_PRESETS,
     SET_PRESETS,
+    build_function,
     build_set,
     series_from_config,
 )
@@ -285,10 +286,20 @@ def _coeffs_solvable(params, _given):
         raise ConfigError("coeffs frequencies must lie in [-2**20, 2**20] for the solvers")
 
 
-def _coeffs_fit_the_grid(params, _given):
-    # eval_on_grid needs grid >= 2*degree + 1
-    if 2 * _max_abs_frequency(params) + 1 > params["grid"]:
-        raise ConfigError("coeffs frequencies must satisfy 2*|n| + 1 <= grid")
+def _f_fits_the_grid(params, _given):
+    # eval_on_grid needs grid >= 2*degree + 1.  h_k's degree is known only
+    # after its tail rule and the drop rule, so h_k is built here, in
+    # O(degree); smooth_vanishing is built on the grid and always fits it
+    degree = _max_abs_frequency(params)
+    if params["preset"] == "h_k":
+        try:
+            degree = build_function("h_k", params).degree
+        except (ArithmeticError, MemoryError, ValueError) as exc:
+            raise ConfigError("h_k at k = %d cannot be built: %s"
+                              % (params["k"], exc)) from exc
+    if 2 * degree + 1 > params["grid"]:
+        raise ConfigError("coeffs frequencies must satisfy 2*|n| + 1 <= grid; "
+                          "f has degree %d" % degree)
 
 
 def _t_range(params, _given):
@@ -606,7 +617,7 @@ EXPERIMENTS = {
          "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
                             "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
          "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
-        (_function_source(own=("grid",)), _coeffs_fit_the_grid), _run_douglas),
+        (_function_source(own=("grid",)), _f_fits_the_grid), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,

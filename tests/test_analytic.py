@@ -79,6 +79,8 @@ W_ORACLE = {
     (0.4, 5): 1.565814208284e02,
     (0.4, 8): 2.302699726600e02,
     (0.4, 16): 4.045759726497e02,
+    (0.7, 7): 6.044184803925e02,
+    (0.7, 300): 1.154022006938e05,
 }
 
 # extrema of w(n)/(1+n)^(2 alpha) over 1 <= n <= 256
@@ -526,12 +528,20 @@ class TestDouglasWeights:
             assert got == pytest.approx(want, rel=1e-8)
 
     def test_exact_closed_form_n1(self):
-        for alpha in (0.2, 0.3, 0.4):
+        for alpha in (0.2, 0.3, 0.4, 0.5, 0.7):
             got = douglas_weights(alpha, 1)[1]
             assert got == pytest.approx(w_exact_n1(alpha), rel=1e-9)
 
     def test_zero_frequency(self):
         assert douglas_weights(0.3, 4)[0] == 0.0
+
+    def test_fejer_weights_at_alpha_one_half(self):
+        # |zeta^n - 1|^2 / |zeta - 1|^2 is n times the Fejer kernel, whose
+        # normalized mean is 1, so w_(1/2)(n) = 4 pi^2 n
+        n = np.arange(4097)
+        w = douglas_weights(0.5, 4096)
+        assert w[0] == 0.0
+        np.testing.assert_allclose(w[1:], 4.0 * math.pi**2 * n[1:], rtol=1e-12, atol=0.0)
 
     def test_ratio_bounds(self):
         n = np.arange(1, 257)
@@ -542,7 +552,7 @@ class TestDouglasWeights:
             assert ratio.max() == pytest.approx(hi, rel=1e-6)
             assert ratio.max() / ratio.min() < 50.0
 
-    def test_cache_idempotent(self):
+    def test_shorter_range_is_a_bit_identical_prefix(self):
         a = douglas_weights(0.35, 32)
         b = douglas_weights(0.35, 16)
         assert np.array_equal(a[:17], b)
@@ -616,6 +626,9 @@ class TestDouglasSeminorm:
             douglas_seminorm(z, 1.2, 0.1)
         with pytest.raises(ValueError):
             douglas_seminorm(z, 0.3, 0.0)
+        for exclusion in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                douglas_seminorm(z, 0.3, exclusion)
 
 
 class TestSmoothVanishing:

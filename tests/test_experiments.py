@@ -39,12 +39,14 @@ from cyclab.fourier import SpaceIndex, circle_grid, norm_ap_beta
 
 # configs that validated, then failed inside the solvers or the grid
 # transform: certify and szego on int64 frequencies the solver slabs cannot
-# index, and douglas on a series its default grid of 2048 aliases
+# index, and douglas on a series its default grid of 2048 aliases, given as
+# coeffs or built by h_k (degree 27644 at k = 1000)
 UNREACHABLE_COEFFS = [
     *((experiment, {"coeffs": [[n, 1.0, 0.0], [n + 1, 1.0, 0.0]], **extra})
       for experiment, extra in (("certify", {"degree_budget": 8}), ("szego", {}))
       for n in (2**62, 2**63 - 2, -2**63)),
     ("douglas", {"coeffs": [[5000, 1.0, 0.0]]}),
+    ("douglas", {"preset": "h_k", "k": 1000}),
 ]
 
 
@@ -140,6 +142,11 @@ class TestConfigValidation:
              r"2\*\|n\| \+ 1 <= grid"),
             ("douglas", {"coeffs": [[-1024, 1.0, 0.0]], "grid": 2048},
              r"2\*\|n\| \+ 1 <= grid"),
+            ("douglas", {"preset": "h_k", "k": 1000, "max_degree": 1024},
+             r"2\*\|n\| \+ 1 <= grid; f has degree 1024"),
+            ("douglas", {"preset": "h_k", "k": 10**17}, "h_k at k = .* cannot be built"),
+            ("douglas", {"preset": "h_k", "max_degree": 10**30},
+             "h_k at k = 5 cannot be built"),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
@@ -156,6 +163,7 @@ class TestConfigValidation:
             ("certify", {"preset": "smooth_vanishing", "set": "middle_thirds", "depth": 4,
                          "gamma": 1.0, "grid": 1024, "truncate": 64}),
             ("douglas", {"coeffs": [[0, 1.0, 0.0]], "grid": 1024}),
+            ("douglas", {"preset": "h_k", "k": 1000, "max_degree": 1023}),
         ],
     )
     def test_fields_the_preset_reads_are_accepted(self, experiment, params):
