@@ -6,13 +6,16 @@ every field to one check and one default, and attaches the few rules that
 span fields.  The function-preset fields and the space fields `p`, `beta`
 are declared once and shared.  `validate` walks that table and raises
 ConfigError on the first problem: an unknown or missing field, a value its
-check refuses (numeric checks refuse booleans), or a broken rule, such as
-a function field that the chosen preset does not read.  It runs
-before anything touches the disk, so a bad config writes nothing, not even
-the output directory.  Otherwise it returns the resolved record, every
-accepted field with the config's value or its default, and the handlers
-read only that record.  Failures inside the numerics are a separate class:
-whatever was written stays on disk and the manifest flags the failure.
+check refuses (numeric checks refuse booleans), or a broken rule, such as a
+function field that the chosen preset does not read.  One size rule covers
+every f a config names but smooth_vanishing: it spans at most 2**20
+frequencies (`presets.MAX_SPAN`), with |n| <= 2**20 for `certify` and
+`szego` and 2|n| + 1 <= grid for `douglas`.  Validation runs before anything
+touches the disk, so a bad config writes nothing, not even the output
+directory.  Otherwise it returns the resolved record, every accepted field
+with the config's value or its default, and the handlers read only that
+record.  Failures inside the numerics are a separate class: whatever was
+written stays on disk and the manifest flags the failure.
 
 Every experiment writes `report.json` (full structured results),
 `<experiment>.csv` (one flat plot-ready table; columns are fixed per
@@ -61,9 +64,10 @@ from .geometry import (
 from .presets import (
     EPS_DECADE,
     FUNCTION_PRESETS,
+    MAX_SPAN,
     SET_PRESETS,
-    build_function,
     build_set,
+    moebius_gap_degree,
     series_from_config,
 )
 
@@ -188,8 +192,7 @@ def _coeffs(key, rows):
         raise ConfigError("coeffs frequencies must be integers in the int64 range")
     if not all(_is_number(x) for row in rows for x in row[1:]):
         raise ConfigError("coeffs amplitudes must be finite numbers")
-    # a series is stored densely over its frequency span
-    if freqs and max(freqs) - min(freqs) > 2**20:
+    if freqs and max(freqs) - min(freqs) > MAX_SPAN:
         raise ConfigError("coeffs frequencies must span at most 2**20")
 
 
@@ -232,10 +235,29 @@ _FUNCTION_FIELDS = {
 }
 
 
-def _function_source(own=()):
-    """Rule: f from exactly one of `preset` or `coeffs`, and no function field
+def _frequency_ranges(params):
+    """(lowest, highest) frequency of each f the config names, found without
+    building it: the `coeffs` rows' (zero amplitudes count), or h_k's for each
+    k, which presets refuses above MAX_SPAN.  z_minus_1 spans 0..1, and
+    smooth_vanishing is built on its own grid: both fit every limit."""
+    if params["coeffs"] is not None:
+        freqs = [row[0] for row in params["coeffs"]]
+        yield min(freqs, default=0), max(freqs, default=0)
+    elif params["preset"] == "h_k":
+        k_values = params.get("k_values")
+        for k in [params["k"]] if k_values is None else k_values:
+            try:
+                yield 0, moebius_gap_degree(k, params["max_degree"], params["tail_tol"])
+            except ValueError as exc:
+                raise ConfigError("h_k at k = %d cannot be built: %s" % (k, exc)) from exc
+
+
+def _function_source(own=(), fits=None, refusal=None):
+    """Rule: f from exactly one of `preset` or `coeffs`; no function field
     given that neither that preset (`FUNCTION_PRESETS`) nor the experiment
-    (`own`) reads.
+    (`own`) reads; and the size rule: every f resolves to a frequency range
+    (`_frequency_ranges`) on which `fits(record, lo, hi)` holds, if given,
+    else ConfigError(refusal), {degree} being f's largest |n|.
     """
 
     def rule(params, given):
@@ -246,8 +268,22 @@ def _function_source(own=()):
         unused = sorted(knobs & given - set(FUNCTION_PRESETS.get(source, ())))
         if unused:
             raise ConfigError("%s does not read: %s" % (source, ", ".join(unused)))
+        for lo, hi in _frequency_ranges(params):
+            if fits is not None and not fits(params, lo, hi):
+                raise ConfigError(refusal.format(degree=max(-lo, hi)))
 
     return rule
+
+
+# the solver slabs, and the Szego grid of at least 2*degree + 1 points,
+# reach from frequency 0 to the largest |n| of f
+_SOLVABLE = _function_source((), lambda _params, lo, hi: max(-lo, hi) <= MAX_SPAN,
+                             "coeffs frequencies must lie in [-2**20, 2**20] for the solvers")
+# eval_on_grid needs grid >= 2*degree + 1
+_ON_THE_GRID = _function_source(("grid",),
+                                lambda params, lo, hi: 2 * max(-lo, hi) + 1 <= params["grid"],
+                                "coeffs frequencies must satisfy 2*|n| + 1 <= grid; "
+                                "f has degree {degree}")
 
 
 def _k_values_need_h_k(params, given):
@@ -274,38 +310,9 @@ def _decay_sweep_fits(params, _given):
         raise ConfigError("truncate must be at most (grid - 1) // 2")
 
 
-def _max_abs_frequency(params):
-    """The largest |n| of the `coeffs` rows; 0 when f comes from a preset."""
-    return max((abs(row[0]) for row in params["coeffs"] or ()), default=0)
-
-
-def _coeffs_solvable(params, _given):
-    # the solver slabs, and the Szego grid of at least 2*degree + 1 points,
-    # reach from frequency 0 to the largest |n| of f
-    if _max_abs_frequency(params) > 2**20:
-        raise ConfigError("coeffs frequencies must lie in [-2**20, 2**20] for the solvers")
-
-
-def _f_fits_the_grid(params, _given):
-    # eval_on_grid needs grid >= 2*degree + 1.  h_k's degree is known only
-    # after its tail rule and the drop rule, so h_k is built here, in
-    # O(degree); smooth_vanishing is built on the grid and always fits it
-    degree = _max_abs_frequency(params)
-    if params["preset"] == "h_k":
-        try:
-            degree = build_function("h_k", params).degree
-        except (ArithmeticError, MemoryError, ValueError) as exc:
-            raise ConfigError("h_k at k = %d cannot be built: %s"
-                              % (params["k"], exc)) from exc
-    if 2 * degree + 1 > params["grid"]:
-        raise ConfigError("coeffs frequencies must satisfy 2*|n| + 1 <= grid; "
-                          "f has degree %d" % degree)
-
-
 def _t_range(params, _given):
     if not params["t_min"] < params["t_max"]:
         raise ConfigError("need t_min < t_max")
-
 
 
 # -- serialization helpers ---------------------------------------------------
@@ -336,16 +343,9 @@ def _run_norms(params):
     """CSV columns: label, p, beta, norm, norm_pow_p."""
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     rows = []
-    if params["k_values"] is not None:
-        for k in params["k_values"]:
-            f = series_from_config(dict(params, k=k))
-            norm = norm_ap_beta(f, space)
-            rows.append(("h_%d" % k, space.p, space.beta, norm, norm**space.p))
-    else:
-        f = series_from_config(params)
-        label = params["preset"] or "coeffs"
-        if label == "h_k":
-            label = "h_%d" % params["k"]
+    for k in [params["k"]] if params["k_values"] is None else params["k_values"]:
+        f = series_from_config(dict(params, k=k))
+        label = "h_%d" % k if params["preset"] == "h_k" else params["preset"] or "coeffs"
         norm = norm_ap_beta(f, space)
         rows.append((label, space.p, space.beta, norm, norm**space.p))
     header = ("label", "p", "beta", "norm", "norm_pow_p")
@@ -377,25 +377,11 @@ def _run_cantor(params):
 def _run_carleson(params):
     """CSV columns: set, depth, interval_sum, interval_sum_radian, log_integral, verdict."""
     name, depth = params["set"], params["depth"]
-    E = build_set(name, depth)
-    result = carleson_test(
-        E, params["grid"], divergence_threshold=params["threshold"]
-    )
-    rows = [
-        (
-            name,
-            depth,
-            result["interval_sum"],
-            result["interval_sum_radian"],
-            result["log_integral"],
-            result["verdict"],
-        )
-    ]
-    report = dict(result)
-    report["set"] = name
-    report["depth"] = depth
-    header = ("set", "depth", "interval_sum", "interval_sum_radian",
-              "log_integral", "verdict")
+    result = carleson_test(build_set(name, depth), params["grid"],
+                           divergence_threshold=params["threshold"])
+    report = {**result, "set": name, "depth": depth}
+    header = ("set", "depth", "interval_sum", "interval_sum_radian", "log_integral", "verdict")
+    rows = [tuple(report[column] for column in header)]
     return report, header, rows, {"divergence_threshold": params["threshold"]}
 
 
@@ -476,16 +462,14 @@ def _run_certify(params):
     A smooth_vanishing f passes its set's measure to `certify_cyclic`'s verdict.
     """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
-    tail = 0.0
     # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere
+    f = full = series_from_config(dict(params, truncate=None))
+    tail = 0.0
     if params["truncate"] is not None:
-        full = series_from_config(dict(params, truncate=None))
         f = full.truncate(int(params["truncate"]))
         full_norm = norm_ap_beta(full, space)
         if full_norm > 0.0:
             tail = norm_ap_beta(full - f, space) / full_norm
-    else:
-        f = series_from_config(params)
     # only smooth_vanishing reads `set`: it vanishes on that set
     measure = None
     if params["preset"] == "smooth_vanishing":
@@ -500,16 +484,9 @@ def _run_certify(params):
         zero_set_measure=measure,
     )
     report = certify_cyclic(problem).to_json_obj()
-    rows = [
-        (row["degree"], row["bicyclic_norm"], row["shift_norm"])
-        for row in report["solver_trace"]
-    ]
-    return (
-        report,
-        ("degree", "bicyclic_norm", "shift_norm"),
-        rows,
-        {"epsilon_target": problem.epsilon_target},
-    )
+    header = ("degree", "bicyclic_norm", "shift_norm")
+    rows = [tuple(row[column] for column in header) for row in report["solver_trace"]]
+    return report, header, rows, {"epsilon_target": problem.epsilon_target}
 
 
 def _run_decay(params):
@@ -523,18 +500,10 @@ def _run_decay(params):
     d = distance_to_set(circle_grid(G), E)
     f = smooth_vanishing_function(d, gamma).series
     report_obj = p_epsilon_decay(f, d, gamma, space, eps_schedule, params["truncate"])
-    rows = [
-        (eps, m, norm, ratio)
-        for (eps, m, norm), ratio in zip(
-            report_obj.schedule, report_obj.normalized_ratios
-        )
-    ]
-    return (
-        report_obj.to_json_obj(),
-        ("eps", "M_eps", "norm", "ratio"),
-        rows,
-        {"vanish_gate_rel": VANISH_GATE_REL},
-    )
+    rows = [(eps, m, norm, ratio) for (eps, m, norm), ratio
+            in zip(report_obj.schedule, report_obj.normalized_ratios)]
+    return (report_obj.to_json_obj(), ("eps", "M_eps", "norm", "ratio"), rows,
+            {"vanish_gate_rel": VANISH_GATE_REL})
 
 
 def _run_kel_ratio(params):
@@ -617,19 +586,19 @@ EXPERIMENTS = {
          "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
                             "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
          "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
-        (_function_source(own=("grid",)), _f_fits_the_grid), _run_douglas),
+        (_ON_THE_GRID,), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,
                               "degrees must be a list of nonnegative integers"),
                      (25, 50, 100, 200))},
-        (_function_source(), _coeffs_solvable), _run_szego),
+        (_SOLVABLE,), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "support": (_one_of(SUPPORTS, "unknown support {value!r}"), "all_integers"),
          "degree_budget": (_int_at_least(0), 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
-        (_function_source(), _coeffs_solvable, _has_cyclic_vectors), _run_certify),
+        (_SOLVABLE, _has_cyclic_vectors), _run_certify),
     "decay": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
          "truncate": (_int_at_least(1), None)},

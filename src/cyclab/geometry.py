@@ -199,10 +199,10 @@ def non_carleson_n2_spec(depth):
     """Gap schedule c * 2^-n / n^2 with c tuned to the depth.
 
     The constant makes the total removed length 2*pi*(1 - 2^-depth), so the
-    depth-level approximation keeps measure 2*pi*2^-depth and the limit set
-    has measure zero.  The complementary-interval sum of this family diverges
-    like -sum 1/n, so deep approximations land on the divergent side of any
-    fixed threshold.
+    depth-level set keeps measure 2*pi*2^-depth.  As c moves with the depth,
+    the depths are not nested (E_13's arc endpoints lie up to 7.3e-3 from
+    E_12), so there is no limit set.  The complementary-interval sum diverges
+    like -sum 1/n, so deep levels land on the divergent side of any threshold.
     """
     _check_depth("non_carleson_n2", depth)
     weights = sum(1.0 / n**2 for n in range(1, depth + 1))

@@ -10,8 +10,10 @@ can be checked mechanically.
 import functools
 import math
 
+import numpy as np
+
 from .analytic import h_k, smooth_vanishing_function
-from .fourier import FourierSeries, circle_grid
+from .fourier import DROP_REL_TOL, FourierSeries, circle_grid
 from .geometry import cantor_build, cantor_spec_by_name, distance_to_set
 
 SET_PRESETS = ("middle_thirds", "non_carleson_n2")
@@ -21,6 +23,7 @@ FUNCTION_PRESETS = {"h_k": {"k": 5, "max_degree": None, "tail_tol": 1e-13},
                     "smooth_vanishing": {"set": "non_carleson_n2", "depth": None,
                                          "gamma": 1.0, "grid": 2**14, "truncate": None},
                     "z_minus_1": {}}
+MAX_SPAN = 2**20  # the largest frequency span of a config's f, stored densely
 
 # the standard geometric schedule: one decade per step
 EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
@@ -49,21 +52,47 @@ def _shared_set(spec):
     return cantor_build(spec)
 
 
-def moebius_gap_series(k, max_degree=None, tail_tol=FUNCTION_PRESETS["h_k"]["tail_tol"]):
-    """The series 1 - h_k, whose p-norm has the closed form 1/((k+1)^p - k^p).
+def moebius_gap_degree(k, max_degree=None, tail_tol=FUNCTION_PRESETS["h_k"]["tail_tol"]):
+    """Degree of `moebius_gap_series(k, max_degree, tail_tol)`, found without
+    building it; ValueError above MAX_SPAN, or when k/(k+1) rounds to 1 and
+    the tail rule has no degree.
 
-    The geometric coefficient tail is cut adaptively: `max_degree` defaults
-    to the smallest N with l1 tail (k/(k+1))^(N+1) below `tail_tol`, so the
-    closed-form identity survives truncation at full precision.
+    `max_degree` defaults to the smallest N with l1 tail (k/(k+1))^(N+1)
+    below `tail_tol`.  The drop rule keeps h_k's coefficient -r^n/(k+1),
+    r = k/(k+1), only while r^n > DROP_REL_TOL*k; the degree is the smaller
+    of N and that cut, settled on the coefficients as `analytic.h_k` has them.
     """
     k = int(k)
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if max_degree is None:
+    try:
         ratio = k / (k + 1.0)
-        max_degree = max(8, int(math.ceil(math.log(tail_tol) / math.log(ratio))))
-    expansion = h_k(k, int(max_degree))
-    return FourierSeries({0: 1.0}) - expansion.series
+    except OverflowError:
+        raise ValueError("k is past the float range") from None
+    if max_degree is None:
+        if ratio == 1.0:
+            raise ValueError("k/(k+1) rounds to 1, so the l1 tail never falls below tail_tol")
+        max_degree = max(8, math.ceil(math.log(tail_tol) / math.log(ratio)))
+    cut = DROP_REL_TOL * k
+    degree = min(max_degree, math.floor(math.log(cut) / math.log(ratio)) if cut < 1 else 0)
+
+    def kept(n):  # the coefficient at n as analytic.h_k computes it
+        return n == 0 or (ratio ** np.arange(n, n + 1) / (k + 1.0))[0] > DROP_REL_TOL * ratio
+
+    while degree < max_degree and kept(degree + 1):
+        degree += 1
+    while not kept(degree):
+        degree -= 1
+    if degree > MAX_SPAN:
+        raise ValueError("it keeps degree %d, above 2**20" % degree)
+    return degree
+
+
+def moebius_gap_series(k, max_degree=None, tail_tol=FUNCTION_PRESETS["h_k"]["tail_tol"]):
+    """The series 1 - h_k, whose p-norm has the closed form 1/((k+1)^p - k^p),
+    to the degree `moebius_gap_degree` finds; the tail rule keeps the identity
+    at full precision."""
+    return FourierSeries({0: 1.0}) - h_k(k, moebius_gap_degree(k, max_degree, tail_tol)).series
 
 
 def z_minus_1():
@@ -93,9 +122,7 @@ def build_function(name, params):
 def series_from_config(params):
     """Resolve the `preset`/`coeffs` part of an experiment parameter record."""
     if params.get("coeffs") is not None:
-        return FourierSeries(
-            {int(n): complex(re, im) for n, re, im in params["coeffs"]}
-        )
+        return FourierSeries.from_json(params)
     return build_function(params["preset"], params)
 
 
@@ -127,7 +154,8 @@ CATALOGUE = [
         "kind": "function",
         "doc": "1 - h_k with h_k the Moebius factor (z-1)/(z-1-1/k); the "
         "p-norm obeys norm^p = 1/((k+1)^p - k^p) exactly.",
-        "parameters": "k (default %(k)d), max_degree (default: l1 tail < %(tail_tol)g)"
+        "parameters": "k (default %(k)d), max_degree (default: l1 tail < %(tail_tol)g); "
+        "the degree kept after the drop rule is at most 2**20, the span bound of every f"
         % FUNCTION_PRESETS["h_k"],
         "example_config": {
             "experiment": "norms",

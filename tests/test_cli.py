@@ -131,6 +131,15 @@ class TestExitCodes:
         assert "coeffs frequencies must" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
+    def test_h_k_past_the_span_bound_is_exit_2(self, tmp_path, capsys):
+        # k/(k+1) rounds to 1, so the tail rule has no degree; this used to
+        # write a numerical_failure manifest ("float division by zero") and exit 3
+        out = tmp_path / "d"
+        assert main(["run", "--experiment", "norms", "--preset", "h_k",
+                     "--k", "100000000000000000", "--out", str(out)]) == 2
+        assert "h_k at k = 100000000000000000 cannot be built" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "numfail.json"
         cfg.write_text(

@@ -6,17 +6,21 @@ files existing and parsing, byte-identical reruns, failure flagging) rather
 than numerics, which the module-level suites already pin.
 """
 
+import contextlib
 import json
 import math
+import resource
 import sys
 from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cyclab import engine, geometry, presets
-from cyclab.analytic import smooth_vanishing_function
+from cyclab.analytic import h_k, smooth_vanishing_function
 from cyclab.cli import _FLAG_PARAMS, _build_parser, _config_from_flags
 from cyclab.experiments import (
     EXPERIMENTS,
@@ -34,7 +38,7 @@ from cyclab.presets import (
     build_set,
     moebius_gap_series,
 )
-from cyclab.fourier import SpaceIndex, circle_grid, norm_ap_beta
+from cyclab.fourier import FourierSeries, SpaceIndex, circle_grid, norm_ap_beta
 
 
 # configs that validated, then failed inside the solvers or the grid
@@ -48,6 +52,41 @@ UNREACHABLE_COEFFS = [
     ("douglas", {"coeffs": [[5000, 1.0, 0.0]]}),
     ("douglas", {"preset": "h_k", "k": 1000}),
 ]
+
+# h_k configs that validated, then failed in the run: at k = 10**17, k/(k+1)
+# rounds to 1 and the tail rule divided by log 1 = 0; at k = 10**400 no float
+# holds k; at k = 10**6 the drop rule keeps degree 20723276, past 2**20, and
+# max_degree 2**28 there asked numpy for gigabytes; k = 50000 keeps 1186224,
+# past the solvers' |n| <= 2**20
+OVERSIZED_H_K = [
+    *((experiment, {"preset": "h_k", **knobs})
+      for experiment in ("norms", "szego", "certify")
+      for knobs in ({"k": 10**17}, {"k": 10**400, "max_degree": 8},
+                    {"k": 10**6, "max_degree": 2**28})),
+    ("norms", {"preset": "h_k", "k_values": [10**17]}),
+    ("certify", {"preset": "h_k", "k": 50000, "max_degree": 2**21}),
+]
+
+
+@contextlib.contextmanager
+def address_space_capped(headroom=2**28):
+    """Cap this process's address space `headroom` bytes above its present
+    size, so that code allocating in proportion to an oversized degree fails
+    with MemoryError instead of exhausting the host's memory."""
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    try:
+        with open("/proc/self/statm") as fh:
+            cap = int(fh.read().split()[0]) * resource.getpagesize() + headroom
+    except OSError:  # no procfs to read the present size from: run uncapped
+        yield
+        return
+    if hard != resource.RLIM_INFINITY:
+        cap = min(cap, hard)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
 
 
 def read_csv(path):
@@ -145,15 +184,17 @@ class TestConfigValidation:
             ("douglas", {"preset": "h_k", "k": 1000, "max_degree": 1024},
              r"2\*\|n\| \+ 1 <= grid; f has degree 1024"),
             ("douglas", {"preset": "h_k", "k": 10**17}, "h_k at k = .* cannot be built"),
-            ("douglas", {"preset": "h_k", "max_degree": 10**30},
-             "h_k at k = 5 cannot be built"),
+            ("douglas", {"preset": "h_k", "k": 10**6, "max_degree": 10**30},
+             r"h_k at k = 1000000 cannot be built: it keeps degree 20723276, above 2\*\*20"),
+            *((experiment, params, r"h_k at k = \d+ cannot be built")
+              for experiment, params in OVERSIZED_H_K),
         ],
     )
     def test_rejected_parameters(self, experiment, params, message):
         config = ExperimentConfig.from_json_obj(
             {"experiment": experiment, "parameters": params}
         )
-        with pytest.raises(ConfigError, match=message):
+        with pytest.raises(ConfigError, match=message), address_space_capped():
             validate(config)
 
     @pytest.mark.parametrize(
@@ -164,6 +205,16 @@ class TestConfigValidation:
                          "gamma": 1.0, "grid": 1024, "truncate": 64}),
             ("douglas", {"coeffs": [[0, 1.0, 0.0]], "grid": 1024}),
             ("douglas", {"preset": "h_k", "k": 1000, "max_degree": 1023}),
+            ("norms", {"preset": "h_k", "max_degree": 2**20}),
+            # the drop rule keeps degree 180 at k = 5 and 49 at k = 1, and
+            # 957697 at k = 40000, whose tail-rule degree is 1197019
+            ("norms", {"preset": "h_k", "max_degree": 2**28}),
+            ("certify", {"preset": "h_k", "max_degree": 2**21}),
+            ("douglas", {"preset": "h_k", "max_degree": 10**30}),
+            ("norms", {"preset": "h_k", "k": 1, "max_degree": 2**21}),
+            ("norms", {"preset": "h_k", "k": 40000}),
+            ("norms", {"preset": "h_k", "k": 10**17, "max_degree": 10}),
+            ("norms", {"preset": "h_k", "k_values": []}),
         ],
     )
     def test_fields_the_preset_reads_are_accepted(self, experiment, params):
@@ -206,15 +257,17 @@ class TestConfigValidation:
 
     def test_validation_happens_before_any_write(self, tmp_path):
         # the two norms configs used to escape run() as TypeError after the
-        # mkdir, and the unreachable coeffs to fail inside the run
+        # mkdir, and the unreachable coeffs and oversized h_k to fail inside
+        # the run; the cap makes an allocation in proportion to the degree fail
         for i, (experiment, params) in enumerate([
             ("decay", {"set": "middle_thirds", "gamma": -1.0}),
             ("norms", {"preset": "h_k", "k": "5"}),
             ("norms", {"coeffs": [[0, "a", 0]]}),
             *UNREACHABLE_COEFFS,
+            *OVERSIZED_H_K,
         ]):
             out = tmp_path / ("never%d" % i)
-            with pytest.raises(ConfigError):
+            with pytest.raises(ConfigError), address_space_capped():
                 run(
                     {
                         "experiment": experiment,
@@ -223,6 +276,29 @@ class TestConfigValidation:
                     }
                 )
             assert not out.exists()
+
+    # at the default tail_tol, k = 43969 keeps degree 1048564, within 2**20,
+    # and k = 43970 keeps 1048587
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 10**20), max_degree=st.none() | st.integers(0, 2**40),
+           tail_tol=st.floats(1e-15, 1e-3))
+    @example(k=43969, max_degree=None, tail_tol=1e-13)
+    @example(k=43970, max_degree=None, tail_tol=1e-13)
+    @example(k=10**17, max_degree=None, tail_tol=1e-13)
+    @example(k=1, max_degree=2**20 + 1, tail_tol=1e-13)
+    def test_an_accepted_h_k_spans_at_most_the_bound(self, k, max_degree, tail_tol):
+        params = {"preset": "h_k", "k": k, "tail_tol": tail_tol}
+        if max_degree is not None:
+            params["max_degree"] = max_degree
+        config = ExperimentConfig.from_json_obj({"experiment": "norms", "parameters": params})
+        with address_space_capped():
+            try:
+                record = validate(config)
+            except ConfigError:
+                return
+            f = build_function("h_k", record)
+        assert f.arr.size - 1 <= presets.MAX_SPAN
+        assert f.degree == presets.moebius_gap_degree(k, max_degree, tail_tol)
 
     def test_validate_returns_the_resolved_record(self):
         params = {"coeffs": [[0, 1.0, 0.0]], "grid": 4096}
@@ -311,6 +387,30 @@ class TestPresets:
         with pytest.raises(ValueError):
             build_function("enigma", {})
 
+    @pytest.mark.parametrize("params, message", [
+        ({"k": 10**17}, r"k/\(k\+1\) rounds to 1"),
+        ({"k": 10**400, "max_degree": 8}, "float range"),
+        ({"k": 10**6}, r"keeps degree 20723276, above 2\*\*20"),
+        ({"k": 43970, "max_degree": 10**30}, r"keeps degree 1048587, above 2\*\*20")])
+    def test_h_k_past_the_span_bound_is_a_value_error(self, params, message):
+        # k = 10**17 divided by zero in the tail rule, k = 10**400 overflowed,
+        # and k = 10**6 asked numpy for 30 million coefficients
+        with pytest.raises(ValueError, match=message), address_space_capped():
+            build_function("h_k", params)
+
+    @pytest.mark.parametrize("k, max_degree, enough", [
+        (5, 10**30, 400), (5, 2**28, 400), (1, 2**21, 100),
+        (40000, None, 1_400_000), (43969, None, 1_400_000),
+        (999999999997262, 5000, 5000)])
+    def test_h_k_computes_only_the_coefficients_the_drop_rule_keeps(self, k, max_degree,
+                                                                    enough):
+        # h_k's expansion to any degree past the kept one drops to one series;
+        # at k = 999999999997262 the closed-form cut, 2740, is one past it
+        with address_space_capped():
+            f = moebius_gap_series(k, max_degree)
+        assert f.degree == presets.moebius_gap_degree(k, max_degree) <= presets.MAX_SPAN
+        assert f == FourierSeries({0: 1.0}) - h_k(k, enough).series
+
     def test_eps_decade_is_decreasing(self):
         assert all(a > b for a, b in zip(EPS_DECADE, EPS_DECADE[1:]))
         assert len(EPS_DECADE) == 6
@@ -393,6 +493,13 @@ class TestRunOutputs:
         assert header == ["label", "p", "beta", "norm", "norm_pow_p"]
         assert rows[0][0] == "h_5"
         assert abs(float(rows[0][4]) - 1.0 / 11.0) < 1e-9
+
+    def test_norms_on_no_k_values_writes_no_rows(self, tmp_path):
+        manifest = run({"experiment": "norms",
+                        "parameters": {"preset": "h_k", "k_values": []},
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+        assert json.loads((tmp_path / "report.json").read_text())["rows"] == []
 
     def test_decay_csv_columns(self, tmp_path):
         run(
