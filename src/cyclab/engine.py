@@ -538,11 +538,14 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
 
 
 def szego_lower_bound(f):
-    """exp of the grid mean of log |f|, exact-zero samples excluded.
+    """exp of the grid mean of log |f|, exact-zero samples dropped.
 
-    The grid has 4096 points, doubled until it resolves f.  At p = 2,
-    beta = 0 the shift infimum cannot fall below this number, and for
-    nonvanishing f it is the infimum's large-degree limit.
+    The grid has 4096 points, doubled until it resolves f.  For
+    nonvanishing f it is the p = 2, beta = 0 shift infimum's large-degree
+    limit, but it is not a floor under that infimum: on z - 1 it returns
+    1.0020333, where the infimum is 1.0019361 at degree 256 and 1.0001220
+    at degree 4096, because the grid's sample at the zero is dropped.  A
+    certified floor is D20.
     """
     G = 4096
     while G < 2 * f.degree + 1:
@@ -637,13 +640,14 @@ def certify_cyclic(problem):
     carried-over polynomials stay feasible, so the recorded best norms are
     monotone along the schedule.  Verdicts: `certified` needs both norms
     strictly below the target, `bicyclic_only` the two-sided one alone,
-    `failed` otherwise.  The Szego bound documents the p = 2 floor under the
-    shift norm; a failed verdict is evidence, not proof, unless that floor
-    itself exceeds the target.  A positive `zero_set_measure`, that of the
-    set the function f approximates vanishes on, makes that function neither
-    cyclic nor bicyclic: l^p_beta (beta >= 0, p <= 2) embeds densely in l^2,
-    where those vectors vanish on null sets only (Wiener).  `obstruction`
-    then reads `zero_set_positive_measure`, and a `certified` or
+    `failed` otherwise.  The Szego bound, the grid mean of log |f| with
+    exact zeros dropped, is reported beside the shift norm; it is not a
+    certified floor (that is D20), so a failed verdict is evidence, not
+    proof.  A positive `zero_set_measure`, that of the set the function f
+    approximates vanishes on, makes that function neither cyclic nor
+    bicyclic: l^p_beta (beta >= 0, p <= 2) embeds densely in l^2, where
+    those vectors vanish on null sets only (Wiener).  `obstruction` then
+    reads `zero_set_positive_measure`, and a `certified` or
     `bicyclic_only` verdict reads `truncation_only`.
     """
     eps = problem.epsilon_target

@@ -10,12 +10,14 @@ check refuses (numeric checks refuse booleans), or a broken rule, such as a
 function field that the chosen preset does not read.  One size rule covers
 every f a config names but smooth_vanishing: it spans at most 2**20
 frequencies (`presets.MAX_SPAN`), with |n| <= 2**20 for `certify` and
-`szego` and 2|n| + 1 <= grid for `douglas`.  Validation runs before anything
-touches the disk, so a bad config writes nothing, not even the output
-directory.  Otherwise it returns the resolved record, every accepted field
-with the config's value or its default, and the handlers read only that
-record.  Failures inside the numerics are a separate class: whatever was
-written stays on disk and the manifest flags the failure.
+`szego` and 2|n| + 1 <= grid for `douglas`, read off the `coeffs` rows or
+the h_k series built to degree at most 2**20 + 1; `certify`'s
+`degree_budget` and `szego`'s `degrees` lie in [0, 2**20].  Validation runs
+before anything touches the disk, so a bad config writes nothing, not even
+the output directory.  Otherwise it returns the resolved record, every
+accepted field with the config's value or its default, and the handlers
+read only that record.  Failures inside the numerics are a separate class:
+whatever was written stays on disk and the manifest flags the failure.
 
 Every experiment writes `report.json` (full structured results),
 `<experiment>.csv` (one flat plot-ready table; columns are fixed per
@@ -67,7 +69,7 @@ from .presets import (
     MAX_SPAN,
     SET_PRESETS,
     build_set,
-    moebius_gap_degree,
+    moebius_gap_series,
     series_from_config,
 )
 
@@ -206,6 +208,9 @@ _EPS = _check(
     "eps must be a nonempty, strictly decreasing list of positive numbers",
 )
 _FLAG = _check(lambda v: isinstance(v, bool), "{key} must be true or false")
+# a solver's slabs reach from frequency 0 to its degree, bounded as f's span
+_SOLVER_DEGREE = _check(lambda v: _is_int(v) and 0 <= v <= MAX_SPAN,
+                        "{key} must be an integer in [0, 2**20]")
 
 _SPACE_FIELDS = {
     "p": (_check(lambda v: _is_number(v) and 1.0 < v <= 2.0, "p must lie in (1, 2]"), 2.0),
@@ -236,10 +241,11 @@ _FUNCTION_FIELDS = {
 
 
 def _frequency_ranges(params):
-    """(lowest, highest) frequency of each f the config names, found without
-    building it: the `coeffs` rows' (zero amplitudes count), or h_k's for each
-    k, which presets refuses above MAX_SPAN.  z_minus_1 spans 0..1, and
-    smooth_vanishing is built on its own grid: both fit every limit."""
+    """(lowest, highest) frequency of each f the config names: the `coeffs`
+    rows' (zero amplitudes count), or, for each k, that of the h_k series
+    built here, which presets expands to degree at most 2**20 + 1 and
+    refuses above MAX_SPAN.  z_minus_1 spans 0..1, and smooth_vanishing is
+    built on its own grid: both fit every limit."""
     if params["coeffs"] is not None:
         freqs = [row[0] for row in params["coeffs"]]
         yield min(freqs, default=0), max(freqs, default=0)
@@ -247,9 +253,10 @@ def _frequency_ranges(params):
         k_values = params.get("k_values")
         for k in [params["k"]] if k_values is None else k_values:
             try:
-                yield 0, moebius_gap_degree(k, params["max_degree"], params["tail_tol"])
+                f = moebius_gap_series(k, params["max_degree"], params["tail_tol"])
             except ValueError as exc:
                 raise ConfigError("h_k at k = %d cannot be built: %s" % (k, exc)) from exc
+            yield f.lo, f.lo + len(f.arr) - 1
 
 
 def _function_source(own=(), fits=None, refusal=None):
@@ -589,14 +596,14 @@ EXPERIMENTS = {
         (_ON_THE_GRID,), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
-         "degrees": (_list_of(lambda d: _is_int(d) and d >= 0,
-                              "degrees must be a list of nonnegative integers"),
+         "degrees": (_list_of(lambda d: _is_int(d) and 0 <= d <= MAX_SPAN,
+                              "degrees must be a list of integers in [0, 2**20]"),
                      (25, 50, 100, 200))},
         (_SOLVABLE,), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "support": (_one_of(SUPPORTS, "unknown support {value!r}"), "all_integers"),
-         "degree_budget": (_int_at_least(0), 1024),
+         "degree_budget": (_SOLVER_DEGREE, 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
         (_SOLVABLE, _has_cyclic_vectors), _run_certify),
     "decay": Experiment(

@@ -6,7 +6,7 @@ import pytest
 
 from cyclab import experiments
 from cyclab.cli import main, parse_eps_spec
-from test_experiments import UNREACHABLE_COEFFS
+from test_experiments import UNBOUNDED_SOLVER_DEGREES, UNREACHABLE_COEFFS
 
 
 class TestEpsSpec:
@@ -139,6 +139,17 @@ class TestExitCodes:
                      "--k", "100000000000000000", "--out", str(out)]) == 2
         assert "h_k at k = 100000000000000000 cannot be built" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("experiment, parameters", UNBOUNDED_SOLVER_DEGREES)
+    def test_solver_degree_past_the_span_bound_is_exit_2(self, tmp_path, capsys,
+                                                          experiment, parameters):
+        # certify ran without end, and szego exited 3 ("Unable to allocate 16.0 TiB")
+        cfg = tmp_path / "unbounded.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(tmp_path / "never")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "in [0, 2**20]" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):
         cfg = tmp_path / "numfail.json"

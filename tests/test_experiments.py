@@ -67,6 +67,13 @@ OVERSIZED_H_K = [
     ("certify", {"preset": "h_k", "k": 50000, "max_degree": 2**21}),
 ]
 
+# solver degrees that validated, then ran without end (a degree_budget of
+# 2**40) or asked numpy for 16 TiB (szego at degree 2**40)
+UNBOUNDED_SOLVER_DEGREES = [
+    ("certify", {"preset": "z_minus_1", "degree_budget": 2**40}),
+    ("szego", {"preset": "z_minus_1", "degrees": [2**40]}),
+]
+
 
 @contextlib.contextmanager
 def address_space_capped(headroom=2**28):
@@ -185,7 +192,16 @@ class TestConfigValidation:
              r"2\*\|n\| \+ 1 <= grid; f has degree 1024"),
             ("douglas", {"preset": "h_k", "k": 10**17}, "h_k at k = .* cannot be built"),
             ("douglas", {"preset": "h_k", "k": 10**6, "max_degree": 10**30},
-             r"h_k at k = 1000000 cannot be built: it keeps degree 20723276, above 2\*\*20"),
+             r"h_k at k = 1000000 cannot be built: it keeps a degree above 2\*\*20"),
+            # k/(k+1) rounds to 1 at any max_degree: 1 - h_k is the zero series
+            ("norms", {"preset": "h_k", "k": 10**17, "max_degree": 10},
+             r"h_k at k = 100000000000000000 cannot be built: k/\(k\+1\) rounds to 1"),
+            ("certify", {"preset": "z_minus_1", "degree_budget": 2**20 + 1},
+             r"degree_budget must be an integer in \[0, 2\*\*20\]"),
+            ("szego", {"preset": "z_minus_1", "degrees": [16, 2**20 + 1]},
+             r"degrees must be a list of integers in \[0, 2\*\*20\]"),
+            *((experiment, params, r"in \[0, 2\*\*20\]")
+              for experiment, params in UNBOUNDED_SOLVER_DEGREES),
             *((experiment, params, r"h_k at k = \d+ cannot be built")
               for experiment, params in OVERSIZED_H_K),
         ],
@@ -213,8 +229,9 @@ class TestConfigValidation:
             ("douglas", {"preset": "h_k", "max_degree": 10**30}),
             ("norms", {"preset": "h_k", "k": 1, "max_degree": 2**21}),
             ("norms", {"preset": "h_k", "k": 40000}),
-            ("norms", {"preset": "h_k", "k": 10**17, "max_degree": 10}),
             ("norms", {"preset": "h_k", "k_values": []}),
+            ("certify", {"preset": "z_minus_1", "degree_budget": 2**20}),
+            ("szego", {"preset": "z_minus_1", "degrees": [0, 2**20]}),
         ],
     )
     def test_fields_the_preset_reads_are_accepted(self, experiment, params):
@@ -265,6 +282,7 @@ class TestConfigValidation:
             ("norms", {"coeffs": [[0, "a", 0]]}),
             *UNREACHABLE_COEFFS,
             *OVERSIZED_H_K,
+            *UNBOUNDED_SOLVER_DEGREES,
         ]):
             out = tmp_path / ("never%d" % i)
             with pytest.raises(ConfigError), address_space_capped():
@@ -298,7 +316,7 @@ class TestConfigValidation:
                 return
             f = build_function("h_k", record)
         assert f.arr.size - 1 <= presets.MAX_SPAN
-        assert f.degree == presets.moebius_gap_degree(k, max_degree, tail_tol)
+        assert f.lo == 0 and len(f) > 0
 
     def test_validate_returns_the_resolved_record(self):
         params = {"coeffs": [[0, 1.0, 0.0]], "grid": 4096}
@@ -390,8 +408,8 @@ class TestPresets:
     @pytest.mark.parametrize("params, message", [
         ({"k": 10**17}, r"k/\(k\+1\) rounds to 1"),
         ({"k": 10**400, "max_degree": 8}, "float range"),
-        ({"k": 10**6}, r"keeps degree 20723276, above 2\*\*20"),
-        ({"k": 43970, "max_degree": 10**30}, r"keeps degree 1048587, above 2\*\*20")])
+        ({"k": 10**6}, r"keeps a degree above 2\*\*20"),
+        ({"k": 43970, "max_degree": 10**30}, r"keeps a degree above 2\*\*20")])
     def test_h_k_past_the_span_bound_is_a_value_error(self, params, message):
         # k = 10**17 divided by zero in the tail rule, k = 10**400 overflowed,
         # and k = 10**6 asked numpy for 30 million coefficients
@@ -401,14 +419,16 @@ class TestPresets:
     @pytest.mark.parametrize("k, max_degree, enough", [
         (5, 10**30, 400), (5, 2**28, 400), (1, 2**21, 100),
         (40000, None, 1_400_000), (43969, None, 1_400_000),
-        (999999999997262, 5000, 5000)])
+        (999999999997262, 5000, 5000), (999999999997400, 5000, 5000),
+        (999999999998600, 5000, 5000), (999999999999900, 5000, 5000)])
     def test_h_k_computes_only_the_coefficients_the_drop_rule_keeps(self, k, max_degree,
                                                                     enough):
         # h_k's expansion to any degree past the kept one drops to one series;
-        # at k = 999999999997262 the closed-form cut, 2740, is one past it
+        # near k = 10**15 pow moves r^n by a few ulps per step, and the kept
+        # degree is one below the cut log(1e-15*k)/log r at these four k
         with address_space_capped():
             f = moebius_gap_series(k, max_degree)
-        assert f.degree == presets.moebius_gap_degree(k, max_degree) <= presets.MAX_SPAN
+        assert f.degree <= presets.MAX_SPAN
         assert f == FourierSeries({0: 1.0}) - h_k(k, enough).series
 
     def test_eps_decade_is_decreasing(self):
