@@ -31,10 +31,12 @@ the unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation
 of f, and the weights are bounded, so T is spectrally equivalent to the
 Hessian and each solve takes few iterations; at beta = 0 the seed solve's
 preconditioner is exact, so it takes about one.  T^-1 is applied by the
-Gohberg-Semencul formula from one Levinson solve per problem, the only
-direct solve; where it breaks down, CG runs unpreconditioned.  All solves
-of one infimum share one total iteration budget, the only cap on its work;
-spending it, or a CG breakdown, ends the search unconverged.  The spectrum
+Gohberg-Semencul formula from one solve per problem, the only direct
+solve: the engine's own Hermitian Levinson-Durbin recursion, one vector
+whose inner products run over f's band of lags only.  Where it breaks
+down, CG runs unpreconditioned.  All solves of one infimum share one total
+iteration budget, the only cap on its work; spending it, or a CG
+breakdown, ends the search unconverged.  The spectrum
 of f is computed once per problem, at the transform lengths
 `scipy.signal.fftconvolve` would pick, so each convolution is one forward
 and one inverse transform and rounds exactly as scipy's does.  Each
@@ -42,13 +44,13 @@ transform is one direct call of `scipy.fft._pocketfft.pypocketfft.c2c`, the
 kernel that scipy.fft's default backend runs: on small problems scipy.fft's
 per-call dispatch cost more than the transforms.  The autocorrelation of f,
 the first column of T, is one more such convolution, through the engine's
-own `fftconvolve`; the engine does not import scipy.signal.  Importing the
-engine loads no scipy subpackage: scipy.fft loads, and its kernel is bound,
-at the first transform, and scipy.linalg at the first Levinson solve, so a
-run that never solves loads neither.  `lsmr`, which no solve calls,
-is bound on its first lookup.  Solver output is always an upper bound
-witnessed by the returned polynomial; reported values are recomputed from
-that polynomial, never read off the iteration.
+own `fftconvolve`; the engine imports neither scipy.signal nor
+scipy.linalg.  Importing the engine loads no scipy subpackage: scipy.fft
+loads, and its kernel is bound, at the first transform, so a run that never
+solves never loads it.  `lsmr`, which no solve calls, is bound on its first
+lookup.  Solver output is always an upper bound witnessed by the returned
+polynomial; reported values are recomputed from that polynomial, never
+read off the iteration.
 """
 
 import functools
@@ -181,10 +183,52 @@ def fftconvolve(a, x):
     return _Convolution(a, len(x))(x)
 
 
+def _levinson_durbin(col):
+    """x = T^-1 e_0 for the Hermitian Toeplitz matrix T with first column
+    col, t_m = col[m] and t_-m = conj(t_m), by Durbin's recursion (Golub &
+    Van Loan, Matrix Computations, 4th ed., section 4.7).
+
+    From a = [1] and E = t_0, step k extends the solution of T_k a = E e_0
+    to order k + 1 by one reflection: Delta = sum_j t_(k-j) a_j,
+    gamma = Delta / E, a_i -= gamma conj(a_(k-i)) for i = 1..k, and
+    E *= 1 - |gamma|^2; then x = a / E.  One vector, and on positive
+    definite T as stable as Levinson's recursion (Cybenko, SIAM J. Sci.
+    Stat. Comput. 1, 1980).  Lags past the last nonzero entry of col, the
+    band, are zero, so Delta sums over the band only.  Raises ValueError
+    where E is not finite and > 0: then |gamma| >= 1, and T is not
+    numerically positive definite.
+    """
+    n = len(col)
+    nonzero = np.flatnonzero(col)
+    band = int(nonzero[-1]) if len(nonzero) else 0
+    a = np.zeros(n, dtype=complex)
+    a[0] = 1.0
+    buf = np.empty(n, dtype=complex)
+    broke_down = "Levinson-Durbin recursion broke down: T is not numerically positive definite"
+    E = float(col[0].real)
+    if not 0.0 < E < math.inf:
+        raise ValueError(broke_down)
+    for k in range(1, n):
+        lo = k - band if k > band else 0  # t_(k-j) = 0 for j < lo
+        gamma = np.dot(col[k - lo : 0 : -1], a[lo:k]) / E
+        # a_i -= gamma conj(a_(k-i)), i = 1..k, in one buffer and without
+        # temporaries; gamma is the left factor, since numpy's complex
+        # product is not commutative bit for bit
+        reflected = buf[:k]
+        np.conjugate(a[k - 1 :: -1], out=reflected)
+        np.multiply(gamma, reflected, out=reflected)
+        np.subtract(a[1 : k + 1], reflected, out=a[1 : k + 1])
+        E *= 1.0 - float(abs(gamma)) ** 2
+        if not 0.0 < E < math.inf:
+            raise ValueError(broke_down)
+    return a / E
+
+
 class _ToeplitzInverse:
     """y -> T^-1 y for a Hermitian positive definite Toeplitz matrix T.
 
-    With x = T^-1 e_0 from one Levinson solve, the Gohberg-Semencul formula
+    With x = T^-1 e_0 from one Hermitian Levinson-Durbin solve
+    (:func:`_levinson_durbin`), the Gohberg-Semencul formula
 
         T^-1 = (1/x_0) [L(x) L(x)^H - L(v) L(v)^H],    v = Z J conj(x),
 
@@ -193,20 +237,13 @@ class _ToeplitzInverse:
     are taken once, at a length of at least 2n that keeps the circular
     products exact; each apply is then six transforms, each one direct call
     of the pocketfft kernel, as in :class:`_Convolution`.  Raises
-    LinAlgError or ValueError when the Levinson solve breaks down: it
-    raises, returns a non-finite result, or gives x_0 <= 0.
+    ValueError when the recursion breaks down.
     """
 
     def __init__(self, col):
         _load_fft()
-        import scipy.linalg  # loaded at the first Levinson solve
-
+        x = _levinson_durbin(col)
         n = len(col)
-        e0 = np.zeros(n, dtype=complex)
-        e0[0] = 1.0
-        x = scipy.linalg.solve_toeplitz((col, np.conj(col)), e0)
-        if not np.all(np.isfinite(x)) or not x[0].real > 0.0:
-            raise ValueError("Levinson solve broke down")
         x = x / math.sqrt(x[0].real)  # folds the 1/x_0 into both factors
         v = np.zeros(n, dtype=complex)
         v[1:] = np.conj(x[:0:-1])
@@ -290,11 +327,11 @@ class _ConvObjective:
     @functools.cached_property
     def preconditioner(self):
         """y -> (A^H A)^-1 y by a :class:`_ToeplitzInverse`, built once; the
-        identity where its Levinson solve breaks down, so CG runs
+        identity where its Levinson-Durbin recursion breaks down, so CG runs
         unpreconditioned."""
         try:
             return _ToeplitzInverse(self.normal_column)
-        except (np.linalg.LinAlgError, ValueError):
+        except ValueError:
             return lambda y: y
 
     def smoothed_objective(self, r, mu):

@@ -15,9 +15,10 @@ the h_k series built to degree at most 2**20 + 1; `certify`'s
 `degree_budget` and `szego`'s `degrees` lie in [0, 2**20].  Validation runs
 before anything touches the disk, so a bad config writes nothing, not even
 the output directory.  Otherwise it returns the resolved record, every
-accepted field with the config's value or its default, and the handlers
-read only that record.  Failures inside the numerics are a separate class:
-whatever was written stays on disk and the manifest flags the failure.
+accepted field with the config's value or its default, plus the h_k series
+validation built, and the handlers read only that record.  Failures inside
+the numerics are a separate class: whatever was written stays on disk and
+the manifest flags the failure.
 
 Every experiment writes `report.json` (full structured results),
 `<experiment>.csv` (one flat plot-ready table; columns are fixed per
@@ -240,22 +241,32 @@ _FUNCTION_FIELDS = {
 }
 
 
+def _h_k_series(params):
+    """{k: h_k series} for each k the config names, each built once, here:
+    presets expands h_k to degree at most 2**20 + 1 and refuses it above
+    MAX_SPAN.  The record keeps the map, so the handler reads f from it
+    (`_function`) and does not build it again."""
+    k_values = params.get("k_values")
+    built = {}
+    for k in [params["k"]] if k_values is None else k_values:
+        if k not in built:
+            try:
+                built[k] = moebius_gap_series(k, params["max_degree"], params["tail_tol"])
+            except ValueError as exc:
+                raise ConfigError("h_k at k = %d cannot be built: %s" % (k, exc)) from exc
+    return built
+
+
 def _frequency_ranges(params):
     """(lowest, highest) frequency of each f the config names: the `coeffs`
-    rows' (zero amplitudes count), or, for each k, that of the h_k series
-    built here, which presets expands to degree at most 2**20 + 1 and
-    refuses above MAX_SPAN.  z_minus_1 spans 0..1, and smooth_vanishing is
-    built on its own grid: both fit every limit."""
+    rows' (zero amplitudes count), or that of each h_k series validation
+    built.  z_minus_1 spans 0..1, and smooth_vanishing is built on its own
+    grid: both fit every limit."""
     if params["coeffs"] is not None:
         freqs = [row[0] for row in params["coeffs"]]
         yield min(freqs, default=0), max(freqs, default=0)
     elif params["preset"] == "h_k":
-        k_values = params.get("k_values")
-        for k in [params["k"]] if k_values is None else k_values:
-            try:
-                f = moebius_gap_series(k, params["max_degree"], params["tail_tol"])
-            except ValueError as exc:
-                raise ConfigError("h_k at k = %d cannot be built: %s" % (k, exc)) from exc
+        for f in params["h_k_series"].values():
             yield f.lo, f.lo + len(f.arr) - 1
 
 
@@ -275,6 +286,8 @@ def _function_source(own=(), fits=None, refusal=None):
         unused = sorted(knobs & given - set(FUNCTION_PRESETS.get(source, ())))
         if unused:
             raise ConfigError("%s does not read: %s" % (source, ", ".join(unused)))
+        if source == "h_k":
+            params["h_k_series"] = _h_k_series(params)
         for lo, hi in _frequency_ranges(params):
             if fits is not None and not fits(params, lo, hi):
                 raise ConfigError(refusal.format(degree=max(-lo, hi)))
@@ -346,12 +359,20 @@ def _write_json(path, obj):
 # each returns (report_obj, csv_header, csv_rows, tolerances)
 
 
+def _function(params, k=None):
+    """f of a resolved record: for h_k, the series validation built at k
+    (default the record's k); else the preset's or the coeffs' series."""
+    if params["preset"] == "h_k":
+        return params["h_k_series"][params["k"] if k is None else k]
+    return series_from_config(params)
+
+
 def _run_norms(params):
     """CSV columns: label, p, beta, norm, norm_pow_p."""
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     rows = []
     for k in [params["k"]] if params["k_values"] is None else params["k_values"]:
-        f = series_from_config(dict(params, k=k))
+        f = _function(params, k)
         label = "h_%d" % k if params["preset"] == "h_k" else params["preset"] or "coeffs"
         norm = norm_ap_beta(f, space)
         rows.append((label, space.p, space.beta, norm, norm**space.p))
@@ -426,7 +447,7 @@ def _run_outer(params):
 
 def _run_douglas(params):
     """CSV columns: alpha, coefficient_value, quadrature_value, band_matched_value."""
-    f = series_from_config(params)
+    f = _function(params)
     G = params["grid"]
     samples = eval_on_grid(f, G)
     exclusion = params["exclusion"]
@@ -445,7 +466,7 @@ def _run_douglas(params):
 
 def _run_szego(params):
     """CSV columns: degree, shift_norm, szego_bound."""
-    f = series_from_config(params)
+    f = _function(params)
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     bound = szego_lower_bound(f)
     rows = []
@@ -470,7 +491,7 @@ def _run_certify(params):
     """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere
-    f = full = series_from_config(dict(params, truncate=None))
+    f = full = _function(dict(params, truncate=None))
     tail = 0.0
     if params["truncate"] is not None:
         f = full.truncate(int(params["truncate"]))
@@ -631,7 +652,9 @@ def validate(config):
 
     The resolved record maps every field the experiment accepts to the
     config's value, or to the field's default where the config leaves the
-    field out.  Raises ConfigError on the first problem found.
+    field out.  A config on preset h_k also gets `h_k_series`, each h_k
+    series the size rule built, keyed by k, so the run builds none again.
+    Raises ConfigError on the first problem found.
     """
     experiment = EXPERIMENTS[config.experiment]
     params = config.parameters

@@ -274,9 +274,10 @@ def counting_transforms(monkeypatch):
 
 def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
     # scipy.signal alone pulls in scipy.stats, scipy.interpolate and
-    # scipy.optimize; the solver's scipy.fft and scipy.linalg load at the
-    # first solve, and scipy.sparse never.  Module presence, not wall time,
-    # so it cannot flake
+    # scipy.optimize; the solver's scipy.fft loads at the first solve, and
+    # scipy.linalg and scipy.sparse never: the one direct solve is the
+    # engine's own recursion.  Module presence, not wall time, so it cannot
+    # flake
     unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
     lazy = ("scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special")
     src = str(Path(engine.__file__).resolve().parents[1])
@@ -304,8 +305,8 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
     )
     at_import, after_cantor, after_solve = map(json.loads, out.stdout.splitlines())
     assert at_import == [] and after_cantor == []
-    assert {"scipy.fft", "scipy.linalg"} <= set(after_solve)
-    assert not set(after_solve) & {"scipy.sparse", *unused}
+    assert "scipy.fft" in after_solve
+    assert not set(after_solve) & {"scipy.linalg", "scipy.sparse", *unused}
 
 
 def test_lsmr_is_bound_on_first_lookup():
@@ -565,7 +566,71 @@ class TestSolvePath:
         assert max(values) - min(values) < 1e-8
 
 
+def hermitian_dominant_column(rng, n, band):
+    """A Hermitian Toeplitz first column with lags 1..band random and the
+    rest zero, and t_0 = 1 + 2 sum |t_m|: T is strictly diagonally dominant,
+    so positive definite."""
+    col = np.zeros(n, dtype=complex)
+    m = min(band, n - 1)
+    col[1 : m + 1] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    col[0] = 1.0 + 2.0 * np.sum(np.abs(col[1:]))
+    return col
+
+
+def full_length_durbin(col):
+    """Durbin's recursion with Delta summed over every j < k, zero lags and
+    all, in plain Python arithmetic."""
+    n = len(col)
+    a = [1.0 + 0j] + [0j] * (n - 1)
+    E = col[0].real
+    for k in range(1, n):
+        gamma = sum(complex(col[k - j]) * a[j] for j in range(k)) / E
+        a[1 : k + 1] = [a[i] - gamma * a[k - i].conjugate() for i in range(1, k + 1)]
+        E *= 1.0 - abs(gamma) ** 2
+    return np.array(a) / E
+
+
 class TestToeplitzInverse:
+    @given(st.integers(1, 40), st.sampled_from(["1", "2", "3", "band", "band+1", "300"]),
+           st.booleans(), st.integers(0, 2**32 - 1))
+    @example(band=5, size="300", banded=True, seed=0)
+    @example(band=1, size="1", banded=False, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_levinson_durbin_matches_solve_toeplitz(self, band, size, banded, seed):
+        # scipy's general Levinson recursion as the oracle, on full columns
+        # and on banded ones (zero past lag band < n - 1)
+        n = {"band": band, "band+1": band + 1}.get(size) or int(size)
+        col = hermitian_dominant_column(np.random.default_rng(seed), n,
+                                        band if banded else n - 1)
+        e0 = np.zeros(n, dtype=complex)
+        e0[0] = 1.0
+        ref = scipy.linalg.solve_toeplitz((col, np.conj(col)), e0)
+        x = engine._levinson_durbin(col)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("n, band", [(2, 1), (3, 1), (40, 3), (300, 7), (300, 299)])
+    def test_band_limited_sums_match_the_full_length_recursion(self, n, band):
+        # the kernel's Delta skips the lags past the band, which are zero
+        col = hermitian_dominant_column(np.random.default_rng(n + band), n, band)
+        want = full_length_durbin(col)
+        x = engine._levinson_durbin(col)
+        assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
+
+    def test_indefinite_minor_breaks_down_to_plain_cg(self):
+        # t_0 > 0 and the 2x2 minor is positive, but the 3x3 is indefinite:
+        # the recursion's second reflection has |gamma| = 9
+        col = np.array([1.0, 0.9, -0.9], dtype=complex)
+        assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() < 0.0
+        with pytest.raises(ValueError, match="broke down"):
+            engine._levinson_durbin(col)
+        with pytest.raises(ValueError, match="broke down"):
+            engine._ToeplitzInverse(col)
+        prob = _ConvObjective(0, np.ones(2, dtype=complex), 0, 2, 0, np.ones(1), 1.5, 0.0)
+        prob.normal_column = col  # the cached property, set before first use
+        y = np.array([1.0, 2.0, 3.0], dtype=complex)
+        assert not isinstance(prob.preconditioner, engine._ToeplitzInverse)
+        assert prob.preconditioner(y) is y
+
     def test_matches_solve_toeplitz(self):
         # a Hermitian Toeplitz matrix with a dominant, decaying first column
         # is positive definite and well conditioned
@@ -635,17 +700,17 @@ class TestPreconditionedPath:
 
     @pytest.mark.parametrize("space", [P15, P2])
     def test_one_levinson_solve_per_infimum(self, monkeypatch, space):
-        # the preconditioner's Levinson solve is the only direct solve, and
-        # at p = 2, beta = 0 it is exact: the seed sweep lands on the l2
-        # minimizer, and the sweeps after it stop at the rounding floor
+        # the preconditioner's Levinson-Durbin solve is the only direct
+        # solve, and at p = 2, beta = 0 it is exact: the seed sweep lands on
+        # the l2 minimizer, and the sweeps after it stop at the rounding floor
         levinson = []
-        real = engine.scipy.linalg.solve_toeplitz
+        real = engine._levinson_durbin
 
         def counting(*args, **kwargs):
             levinson.append(1)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(engine.scipy.linalg, "solve_toeplitz", counting)
+        monkeypatch.setattr(engine, "_levinson_durbin", counting)
         f = certify_small_function()
         for infimum in (
             lambda: bicyclicity_infimum(f, space, "all_integers", 256),
@@ -664,9 +729,9 @@ class TestPreconditionedPath:
             exact = bicyclicity_infimum(f, P15, "all_integers", 4).value
 
         def broken(*args, **kwargs):
-            raise np.linalg.LinAlgError("singular principal minor")
+            raise ValueError("Levinson-Durbin recursion broke down")
 
-        monkeypatch.setattr(engine.scipy.linalg, "solve_toeplitz", broken)
+        monkeypatch.setattr(engine, "_levinson_durbin", broken)
         calls, _ = recording_solves(monkeypatch)
         res = bicyclicity_infimum(f, P15, "all_integers", 4)
         assert calls and set(calls) == {"plain"}
@@ -943,7 +1008,11 @@ class TestNewtonStep:
         assert res.converged is True and res.sweeps == 1 + engine.MU_STEPS
 
     @pytest.mark.parametrize("search, value", [
-        (lambda f: forward_shift_infimum(f, P2, 256), "0x1.6a708a6c22e0ap-12"),
+        # moved from 0x1.6a708a6c22e0ap-12 (+4.2e-14 relative) when the
+        # preconditioner's direct solve became the Levinson-Durbin recursion,
+        # which rounds differently; both lie about 2e-13 above the dense
+        # least-squares minimum 0x1.6a708a6c229aep-12
+        (lambda f: forward_shift_infimum(f, P2, 256), "0x1.6a708a6c22f17p-12"),
         (lambda f: bicyclicity_infimum(f, SpaceIndex(p=2.0, beta=0.25), "all_integers",
                                        256), "0x1.aa8bbcf0aeeefp-1"),
     ])

@@ -748,7 +748,26 @@ def count_calls(monkeypatch, module, name):
 
 
 class TestSharedWork:
-    """An eps sweep samples the distance to E once, and `cantor` counts each scale once."""
+    """An eps sweep samples the distance to E once, `cantor` counts each scale
+    once, and a run builds each h_k once."""
+
+    # validation builds each h_k for the size rule, and the handler reads
+    # that series; a repeated k is built once
+    @pytest.mark.parametrize("experiment, extra, builds", [
+        ("norms", {"k": 5}, 1),
+        ("norms", {"k_values": [3, 5, 3]}, 2),
+        ("douglas", {"k": 5}, 1),
+        ("szego", {"k": 5, "degrees": [4, 8]}, 1),
+        ("certify", {"k": 5, "degree_budget": 4}, 1),
+    ])
+    def test_each_h_k_is_built_once_per_run(self, tmp_path, monkeypatch,
+                                            experiment, extra, builds):
+        calls = count_calls(monkeypatch, presets, "moebius_gap_series")
+        manifest = run({"experiment": experiment,
+                        "parameters": {"preset": "h_k", **extra},
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+        assert len(calls) == builds
 
     # default eps schedules: 6 for outer and decay, 4 for kel_ratio
     @pytest.mark.parametrize("experiment, extra, most", [
