@@ -33,11 +33,12 @@ Hessian and each solve takes few iterations; at beta = 0 the seed solve's
 preconditioner is exact, so it takes about one.  T^-1 is applied by the
 Gohberg-Semencul formula from one solve per problem, the only direct
 solve: the engine's own Hermitian Levinson-Durbin recursion, one vector
-whose inner products run over f's band of lags only.  Where it breaks
-down, CG runs unpreconditioned.  All solves of one infimum share one total
-iteration budget, the only cap on its work; spending it, or a CG
-breakdown, ends the search unconverged.  The spectrum
-of f is computed once per problem, at the transform lengths
+whose inner products run over f's band of lags only.  Where it breaks down,
+it runs on T + delta t_0 I for the least delta of a doubling sequence that
+holds, so CG never runs unpreconditioned.  All solves of one infimum share
+one total iteration budget, the only cap on its work; spending it, a CG
+breakdown or a T that is not finite ends the search unconverged.  The
+spectrum of f is computed once per problem, at the transform lengths
 `scipy.signal.fftconvolve` would pick, so each convolution is one forward
 and one inverse transform and rounds exactly as scipy's does.  Each
 transform is one direct call of `scipy.fft._pocketfft.pypocketfft.c2c`, the
@@ -49,10 +50,11 @@ scipy.linalg.  Importing the engine loads no scipy subpackage: scipy.fft
 loads, and its kernel is bound, at the first transform, so a run that never
 solves never loads it.  `lsmr`, which no solve calls, is bound on its first
 lookup.  Solver output is always an upper bound witnessed by the returned
-polynomial; reported values are recomputed from that polynomial, never
-read off the iteration.
+polynomial; reported values are recomputed from that polynomial, never read
+off the iteration.
 """
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, fields, replace
@@ -237,7 +239,7 @@ class _ToeplitzInverse:
     are taken once, at a length of at least 2n that keeps the circular
     products exact; each apply is then six transforms, each one direct call
     of the pocketfft kernel, as in :class:`_Convolution`.  Raises
-    ValueError when the recursion breaks down.
+    ValueError when the recursion breaks down; a larger t_0 may then hold.
     """
 
     def __init__(self, col):
@@ -326,13 +328,15 @@ class _ConvObjective:
 
     @functools.cached_property
     def preconditioner(self):
-        """y -> (A^H A)^-1 y by a :class:`_ToeplitzInverse`, built once; the
-        identity where its Levinson-Durbin recursion breaks down, so CG runs
-        unpreconditioned."""
-        try:
-            return _ToeplitzInverse(self.normal_column)
-        except ValueError:
-            return lambda y: y
+        """y -> (T + delta t_0 I)^-1 y, T = A^H A, by a _ToeplitzInverse built
+        once, at the first delta of 0, n eps 2^j < 1 (j >= 0, n = len(T)) and 1
+        that holds.  A Gram T fails at 1 only if it is not finite: then None."""
+        col = self.normal_column
+        n_eps = len(col) * np.finfo(float).eps
+        for delta in [0.0, *n_eps * 2.0 ** np.arange(-np.log2(n_eps)), 1.0]:
+            with contextlib.suppress(ValueError):
+                return _ToeplitzInverse(np.append(col[0] * (1 + delta), col[1:]) if delta else col)
+        return None
 
     def smoothed_objective(self, r, mu):
         """sum_n w_n (|r_n|^2 + mu^2)^(p/2), the objective of one
@@ -382,6 +386,8 @@ class _ConvObjective:
         there, returns its current iterate and reports that it did not hold.
         """
         precond = self.preconditioner
+        if precond is None:
+            return x, 1, False
         hessian = self.hessian(w, resid, c)
         r = self.adjoint(w * resid)
         z = precond(r)

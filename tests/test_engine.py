@@ -103,6 +103,15 @@ def certify_small_function():
     )
 
 
+def certify_small_function_untruncated():
+    """certify_small's function with no truncation: exactly 0 in float64 on a
+    tube around the set, so its normal matrix is numerically singular."""
+    return build_function(
+        "smooth_vanishing",
+        {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048},
+    )
+
+
 def infimum_large_function():
     """The smooth vanishing function of the infimum_large benchmark workload."""
     return build_function(
@@ -616,20 +625,28 @@ class TestToeplitzInverse:
         x = engine._levinson_durbin(col)
         assert np.linalg.norm(x - want) <= 1e-14 * np.linalg.norm(want)
 
-    def test_indefinite_minor_breaks_down_to_plain_cg(self):
+    def test_indefinite_minor_breaks_down_to_a_shifted_inverse(self):
         # t_0 > 0 and the 2x2 minor is positive, but the 3x3 is indefinite:
         # the recursion's second reflection has |gamma| = 9
         col = np.array([1.0, 0.9, -0.9], dtype=complex)
-        assert np.linalg.eigvalsh(scipy.linalg.toeplitz(col)).min() < 0.0
+        T = scipy.linalg.toeplitz(col)
+        assert np.linalg.eigvalsh(T).min() < 0.0
         with pytest.raises(ValueError, match="broke down"):
             engine._levinson_durbin(col)
         with pytest.raises(ValueError, match="broke down"):
             engine._ToeplitzInverse(col)
         prob = _ConvObjective(0, np.ones(2, dtype=complex), 0, 2, 0, np.ones(1), 1.5, 0.0)
         prob.normal_column = col  # the cached property, set before first use
-        y = np.array([1.0, 2.0, 3.0], dtype=complex)
-        assert not isinstance(prob.preconditioner, engine._ToeplitzInverse)
-        assert prob.preconditioner(y) is y
+        # the first delta of 0, 3 eps 2^j < 1 and 1 that makes T + delta t_0 I
+        # positive definite: 3 eps 2^50 = 0.75 falls short of lambda_min = -0.8
+        n_eps = 3 * np.finfo(float).eps
+        deltas = [0.0, *(n_eps * 2.0**j for j in range(64) if n_eps * 2.0**j < 1.0), 1.0]
+        delta = next(d for d in deltas if np.linalg.eigvalsh(T + d * np.eye(3)).min() > 0.0)
+        assert delta == 1.0
+        y = np.array([1.0, 2.0 - 1.0j, 3.0], dtype=complex)
+        want = np.linalg.solve(T + delta * col[0].real * np.eye(3), y)
+        assert isinstance(prob.preconditioner, engine._ToeplitzInverse)
+        assert np.linalg.norm(prob.preconditioner(y) - want) <= 1e-12 * np.linalg.norm(want)
 
     def test_matches_solve_toeplitz(self):
         # a Hermitian Toeplitz matrix with a dominant, decaying first column
@@ -722,23 +739,73 @@ class TestPreconditionedPath:
             if space.p == 2.0:
                 assert res.sweeps <= 4 and res.iterations <= 8
 
-    def test_levinson_breakdown_falls_back_to_plain_cg(self, monkeypatch):
+    def test_levinson_breakdown_shifts_the_preconditioner(self, monkeypatch):
         f = certify_small_function()
         with monkeypatch.context() as m:
             m.setattr(engine, "_ConvObjective", DenseObjective)
             exact = bicyclicity_infimum(f, P15, "all_integers", 4).value
+        unshifted = _ConvObjective(f.lo, f.arr, -4, 4, 0, np.ones(1), 1.5, 0.0).normal_column
+        real = engine._levinson_durbin
+        seen = []
 
-        def broken(*args, **kwargs):
-            raise ValueError("Levinson-Durbin recursion broke down")
+        def broken_unshifted(col):
+            seen.append(col[0])
+            if np.array_equal(col, unshifted):
+                raise ValueError("Levinson-Durbin recursion broke down")
+            return real(col)
 
-        monkeypatch.setattr(engine, "_levinson_durbin", broken)
+        monkeypatch.setattr(engine, "_levinson_durbin", broken_unshifted)
         calls, _ = recording_solves(monkeypatch)
         res = bicyclicity_infimum(f, P15, "all_integers", 4)
-        assert calls and set(calls) == {"plain"}
+        # one retry, at delta = n eps with n = 9 columns, and no plain CG
+        assert seen == [unshifted[0], unshifted[0] * (1.0 + 9 * np.finfo(float).eps)]
+        assert calls and "plain" not in calls
         assert res.converged is True and res.iterations >= len(calls)
         recomputed = residual_norm(f, res.polynomial, P15, target_one=True)
         assert abs(res.value - recomputed) < 1e-10 * recomputed
         assert abs(res.value - exact) < 1e-6 * exact
+
+    def test_a_breakdown_at_every_shift_ends_the_search_at_its_best_seed(self, monkeypatch):
+        shifts = []
+
+        def broken(col):
+            shifts.append(col[0])
+            raise ValueError("Levinson-Durbin recursion broke down")
+
+        monkeypatch.setattr(engine, "_levinson_durbin", broken)
+        f = certify_small_function()
+        res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert res.converged is False
+        assert (res.sweeps, res.iterations) == (1, 1)
+        # no solve held, so the best seed is zero, whose residual is b = e_0
+        assert len(res.polynomial) == 0 and res.value == 1.0
+        # t_0 (1 + delta) for delta = 0, 9 eps 2^j, j = 0..48 (9 eps 2^48 =
+        # 0.5625), then 1: 51 attempts, over 9 columns
+        n_eps = 9 * np.finfo(float).eps
+        deltas = [0.0, *(n_eps * 2.0**j for j in range(49)), 1.0]
+        assert shifts == [shifts[0] * (1.0 + d) for d in deltas]
+
+    def test_untruncated_certify_small_function_breaks_down_and_converges(self):
+        # no stub: the normal matrix of the untruncated function is singular
+        # in float64, and the shifted preconditioner still takes the search
+        # below its degree-512 value
+        f = certify_small_function_untruncated()
+        prob = _ConvObjective(f.lo, f.arr, -1024, 1024, 0, np.ones(1), 1.5, 0.0)
+        with pytest.raises(ValueError, match="broke down"):
+            engine._levinson_durbin(prob.normal_column)
+        res = bicyclicity_infimum(f, P15, "all_integers", 1024)
+        assert res.converged is True and res.iterations <= 2000
+        assert res.value < 0.9322994
+        recomputed = residual_norm(f, res.polynomial, P15, target_one=True)
+        assert abs(res.value - recomputed) < 1e-10 * recomputed
+
+    def test_a_normal_matrix_that_overflows_ends_the_search_unconverged(self):
+        # t_0 = 2e320 is not finite, so no shift holds and no solve runs
+        f = FourierSeries({0: 1e160, 1: -1e160})
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert res.converged is False
+        assert len(res.polynomial) == 0 and res.value == 1.0
 
     @pytest.mark.parametrize("good_applies", [0, 1])
     def test_cg_breakdown_is_not_converged(self, monkeypatch, good_applies):

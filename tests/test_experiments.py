@@ -640,6 +640,26 @@ class TestRunOutputs:
         assert report["obstruction"] == "zero_set_positive_measure"
         assert abs(report["zero_set_measure"] - 2 * math.pi * (2 / 3) ** 6) < 1e-12
 
+    def test_certify_on_the_untruncated_function_converges_at_every_level(self, tmp_path):
+        # untruncated, f is exactly 0 in float64 on a tube around the set, so
+        # the Levinson-Durbin recursion on its normal matrix breaks down at
+        # degree 1024; the shifted preconditioner still converges there
+        run(
+            {
+                "experiment": "certify",
+                "parameters": {
+                    "preset": "smooth_vanishing", "set": "middle_thirds", "depth": 6,
+                    "gamma": 1.0, "grid": 2048, "p": 1.5, "degree_budget": 1024,
+                },
+                "output_dir": str(tmp_path),
+            }
+        )
+        trace = json.loads((tmp_path / "report.json").read_text())["solver_trace"]
+        assert [row["degree"] for row in trace] == [64, 128, 256, 512, 1024]
+        for row in trace:
+            assert row["bicyclic_converged"] in (True, None)
+            assert row["shift_converged"] in (True, None)
+
     def test_certify_without_a_set_reports_no_obstruction(self, tmp_path):
         run(
             {
