@@ -19,14 +19,24 @@ on entry through one check, `_sampled_distance`: d is a finite, nonnegative
 The private helper `_power_modulus` takes d as checked, so `p_epsilon_decay`
 checks d once, not once per eps.
 
+The eps values of a sweep are independent.  `_over_eps` maps a sweep's
+per-eps body over its schedule on one thread per CPU of the process's
+affinity mask, at most one per eps, the calling thread among them; the
+experiments' `outer` loop uses it too.  numpy releases the GIL in the
+transforms, exp and log that dominate each eps.  Every eps goes through
+the same operations as in a serial loop, so the outputs are bit for bit
+the same whatever the thread count.
+
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
 the geometric integrals (`m_epsilon`, `douglas_seminorm`) follow the
 unnormalized arc length |dzeta|.
 """
 
+import contextvars
 import json
 import math
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -307,6 +317,45 @@ def outer_power_modulus(d, gamma, eps, mode):
     return outer_from_modulus(phi, modulus_spec=spec)
 
 
+def _over_eps(fn, eps_schedule):
+    """[fn(eps) for eps in eps_schedule], in schedule order, on one thread
+    per CPU of the process's affinity mask, at most one per eps.
+
+    The calling thread computes every k-th eps from the first, and k - 1
+    worker threads the rest; numpy releases the GIL in its transforms, exp
+    and log, so the threads overlap.  Each eps goes through the operations
+    of the serial loop, so every result is bit for bit the serial one.
+    Workers run in a copy of the caller's context, so a caller's
+    np.errstate holds in them too.  The first eps in schedule order that
+    raises raises here, as in the serial loop; eps values not yet started
+    are cancelled, and no worker outlives the call.
+    """
+    eps_schedule = list(eps_schedule)
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    k = min(len(eps_schedule), cpus)
+    if k < 2:
+        return [fn(eps) for eps in eps_schedule]
+    from concurrent.futures import Future, ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(k - 1)
+    try:
+        futures = {i: pool.submit(contextvars.copy_context().run, fn, eps)
+                   for i, eps in enumerate(eps_schedule) if i % k}
+        for i in range(0, len(eps_schedule), k):
+            futures[i] = Future()
+            try:
+                futures[i].set_result(fn(eps_schedule[i]))
+            except Exception as exc:  # raised below, in schedule order
+                futures[i].set_exception(exc)
+                break
+        return [futures[i].result() for i in range(len(eps_schedule))]
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 @dataclass
 class DecayReport:
     """Norm decay of p_eps * f along an epsilon schedule."""
@@ -344,7 +393,8 @@ def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
     the two apart, hence the factor of ten.  Neither set preset meets it on
     the default schedule eps = 1e-1 .. 1e-6: the final norm is 0.553 times
     the first on `non_carleson_n2` and 0.463 times on middle thirds, so both
-    report `stalls`.
+    report `stalls`.  The eps values run on the process's CPUs
+    (`_over_eps`); the rows are bit for bit those of a serial loop.
     """
     eps_schedule = [float(e) for e in eps_schedule]
     if len(eps_schedule) < 2:
@@ -363,16 +413,14 @@ def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
     if on.any() and float(np.max(np.abs(f_grid[on]))) > gate:
         raise ValueError("f does not vanish on E at the grid resolution")
 
-    rows = []
-    ratios = []
-    for eps in eps_schedule:
+    def row(eps):
         phi, m = _power_modulus(d, gamma, eps, "p_eps")
         _, p_eps = _outer_boundary(phi)
-        prod = p_eps * f_grid
-        series = series_from_samples(prod, truncation)
-        norm = norm_ap_beta(series, space)
-        rows.append((eps, m, norm))
-        ratios.append(norm**2 / ((1.0 + m) * math.exp(-2.0 * m)))
+        series = series_from_samples(p_eps * f_grid, truncation)
+        return eps, m, norm_ap_beta(series, space)
+
+    rows = _over_eps(row, eps_schedule)
+    ratios = [norm**2 / ((1.0 + m) * math.exp(-2.0 * m)) for _, m, norm in rows]
     norms = [r[2] for r in rows]
     decreasing = all(a > b for a, b in zip(norms, norms[1:]))
     verdict = "decays" if decreasing and norms[-1] < 0.1 * norms[0] else "stalls"
@@ -399,7 +447,9 @@ def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
     arrays, the weight and |F_eps|^2, by half-length real transforms).
     M_eps is the unnormalized half log-integral, required positive.  Grid
     nodes lying exactly on E are dropped from the weighted sum when the
-    weight exponent is negative.
+    weight exponent is negative.  The eps values run on the process's CPUs
+    (`_over_eps`), bit for bit as in a serial loop; where several eps have
+    M_eps <= 0, the error names the first of them in the schedule.
     """
     if 2.0 * delta_prime - gamma - 1.0 < 0.0:
         raise ValueError("need 2*delta' - gamma - 1 >= 0")
@@ -416,9 +466,7 @@ def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
     cell = (TWO_PI / G) ** 2
     spec_g = np.conj(np.fft.rfft(g))  # g is real: a half-length transform
 
-    ratios = []
-    m_values = []
-    for eps in eps_schedule:
+    def ratio_and_m(eps):
         M = m_epsilon(d, gamma, eps)
         if M <= 0.0:
             raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
@@ -430,9 +478,10 @@ def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
         t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))
         lag_sums = t1 + t2 - 2.0 * t3
         lhs = cell * float(np.sum(kernel * lag_sums))
-        ratios.append(lhs / M)
-        m_values.append(M)
-    return ratios, m_values
+        return lhs / M, M
+
+    pairs = _over_eps(ratio_and_m, eps_schedule)
+    return [ratio for ratio, _ in pairs], [M for _, M in pairs]
 
 
 # ---------------------------------------------------------------------------

@@ -369,7 +369,8 @@ class _ConvObjective:
 
     def solve_weighted(self, w, x, resid, maxiter, c=None):
         """One step from x, given its residual resid = b - conv(f, x): the
-        new iterate, the iterations spent, and whether the solve held.
+        new iterate, the iterations spent, and whether the solve held, that
+        is, reached PCG_RTOL.
 
         Runs preconditioned CG on H (y - x) = A^H W resid, W = diag(w), with
         H = `hessian(w, resid, c)`.  With c it is the Newton step on the
@@ -380,8 +381,9 @@ class _ConvObjective:
         the Newton step at p = 2.  CG takes the real inner product Re<u, v>,
         runs for at most maxiter iterations, is charged at least one, and
         stops once the preconditioned residual norm sqrt(r^H M r) has fallen
-        by PCG_RTOL from its start.  Both H and M are positive definite, so
-        a curvature d^H H d or residual product r^H M r that is not positive
+        by PCG_RTOL from its start.  A solve that stops at maxiter short of
+        that did not hold.  Both H and M are positive definite, so a
+        curvature d^H H d or residual product r^H M r that is not positive
         (zero only at an exact solution) is a breakdown: the solve stops
         there, returns its current iterate and reports that it did not hold.
         """
@@ -412,7 +414,7 @@ class _ConvObjective:
                 return x, spent, False
             d = z + (rz_next / rz) * d
             rz = rz_next
-        return x, max(spent, 1), True
+        return x, max(spent, 1), rz <= stop
 
 
 @dataclass(frozen=True)
@@ -424,10 +426,12 @@ class InfimumResult:
     p = 2 the weighted least-squares sweeps.  `iterations` counts the CG
     iterations they were charged.
 
-    `converged` means that every solve held (no CG breakdown) and that every
-    continuation step stalled, on a step within INNER_RTOL or one the line
-    search turned down, before LSMR_TOTAL_BUDGET was spent: the schedule
-    ended.  It does not mean that `value` is near the infimum; only a
+    `converged` means that every solve held, reaching PCG_RTOL with no CG
+    breakdown, and that every continuation step stalled, on a step within
+    INNER_RTOL or one the line search turned down: the schedule ended.  A
+    solve cut off when LSMR_TOTAL_BUDGET ran out did not hold, so a search
+    that spends its budget inside a step has not converged, even in the
+    last step.  It does not mean that `value` is near the infimum; only a
     certified lower bound could show that.
     """
 
@@ -540,7 +544,10 @@ def _minimize(f, space, support, degree, target, warm=None):
             stall = y is x
         if not stall or obj <= f0:
             x, r = y, r_y
-        stalled += stall
+        # a step whose solve did not hold (a breakdown, or a budget spent
+        # short of PCG_RTOL) ends the search and counts as no stall, however
+        # little it moved
+        stalled += held and stall
         # a point is a candidate where its mu step stalls and where the
         # search stops unconverged; the Newton iterates in between sit
         # wherever CG's inexact solves left them
@@ -548,7 +555,7 @@ def _minimize(f, space, support, degree, target, warm=None):
             v = prob.residual_norm(r)
             if v < best_v:
                 best_x, best_v = x, v
-    converged = held and stalled == mu_steps
+    converged = stalled == mu_steps
 
     poly = FourierSeries.from_dense(best_x, s_lo)
     # report the norm achieved by the polynomial actually returned

@@ -41,6 +41,7 @@ from .analytic import (
     KEL_EXCLUSION_CELLS,
     M_EPSILON_SELF_CHECK_TOL,
     VANISH_GATE_REL,
+    _over_eps,
     douglas_seminorm,
     lemma_kel_ratio,
     m_epsilon,
@@ -420,7 +421,9 @@ def _run_outer(params):
     significant digits.  Digits past those carry no information: at large
     eps the leakage sits at the float64 rounding floor of its energy sums
     (1.78e-15 at eps = 0.1 on a 2^17 grid), and any reordering of the
-    transform's arithmetic moves its trailing digits.
+    transform's arithmetic moves its trailing digits.  The eps values run
+    on the process's CPUs (`analytic._over_eps`), each row bit for bit as
+    in a serial loop.
     """
     name = params["set"]
     E = build_set(name, params["depth"])
@@ -429,11 +432,13 @@ def _run_outer(params):
     mode = params["mode"]
     eps_schedule = [float(e) for e in params["eps"]]
     d = distance_to_set(circle_grid(G), E)
-    rows = []
-    for eps in eps_schedule:
+
+    def row(eps):
         outer = outer_power_modulus(d, gamma, eps, mode)
         m_value = m_epsilon(d, gamma, eps)
-        rows.append((eps, m_value, outer.value_at_zero, float("%.6g" % outer.leakage)))
+        return eps, m_value, outer.value_at_zero, float("%.6g" % outer.leakage)
+
+    rows = _over_eps(row, eps_schedule)
     report = {
         "set": name,
         "gamma": gamma,

@@ -18,6 +18,9 @@ analytic.py existed:
 import functools
 import math
 import operator
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -34,16 +37,19 @@ from cyclab.analytic import (
     _energy,
     _leakage,
     _outer_boundary,
+    _over_eps,
     _power_modulus,
     conjugate_function,
     douglas_seminorm,
     douglas_weights,
     h_k,
+    lemma_kel_ratio,
     m_epsilon,
     outer_from_modulus,
     outer_power_modulus,
     smooth_vanishing_function,
 )
+from cyclab.experiments import run
 from cyclab.fourier import (
     FourierSeries,
     circle_grid,
@@ -519,6 +525,94 @@ class TestOuterPowerModulus:
         for bad in (grid_distance(E, 96), d.reshape(32, 32)):
             with pytest.raises(ValueError):
                 outer_power_modulus(bad, 1.0, 0.5, "p_eps")
+
+
+def with_cpus(monkeypatch, n):
+    """Make the process's affinity mask read n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+class TestEpsSweepThreads:
+    """`_over_eps`, which spreads the eps-sweeps over the affinity mask."""
+
+    SWEEPS = [
+        {"experiment": "decay",
+         "parameters": {"set": "middle_thirds", "depth": 8, "grid": 4096, "p": 1.5}},
+        {"experiment": "kel_ratio",
+         "parameters": {"set": "middle_thirds", "depth": 8, "grid": 4096}},
+        {"experiment": "outer",
+         "parameters": {"set": "middle_thirds", "depth": 8, "grid": 4096}},
+    ]
+
+    @pytest.mark.parametrize("config", SWEEPS, ids=lambda c: c["experiment"])
+    def test_reports_do_not_depend_on_the_thread_count(self, config, tmp_path, monkeypatch):
+        outputs = []
+        start = threading.active_count()
+        for cpus in (1, 4):
+            with_cpus(monkeypatch, cpus)
+            out_dir = tmp_path / str(cpus)
+            manifest = run(dict(config, output_dir=str(out_dir)))
+            assert manifest.status == "ok"
+            assert threading.active_count() == start  # no worker outlives the sweep
+            outputs.append([(out_dir / name).read_bytes() for name in manifest.outputs])
+        assert outputs[0] == outputs[1]
+
+    def test_results_come_back_in_schedule_order(self, monkeypatch):
+        with_cpus(monkeypatch, 4)
+        schedule = [10.0**-j for j in range(1, 10)]
+
+        def late_early(eps):
+            # the first items finish last
+            time.sleep(0.002 * math.log10(eps) + 0.02)
+            return eps, threading.get_ident()
+
+        out = _over_eps(late_early, schedule)
+        assert [eps for eps, _ in out] == schedule
+        assert len({ident for _, ident in out}) > 1
+
+    def test_one_cpu_runs_on_the_calling_thread(self, monkeypatch):
+        with_cpus(monkeypatch, 1)
+        start = threading.active_count()
+        out = _over_eps(lambda eps: threading.get_ident(), [1e-1, 1e-2, 1e-3])
+        assert out == [threading.get_ident()] * 3
+        assert threading.active_count() == start
+
+    def test_the_first_failing_eps_raises_as_in_the_serial_loop(self, monkeypatch):
+        # at 4 CPUs the calling thread computes items 0 and 4, so 10.0 fails
+        # on it after 5.0 failed on a worker; the serial loop meets 5.0 first
+        d = grid_distance(cantor_build(middle_thirds_spec(8)), 4096)
+        schedule = [1e-2, 1e-3, 5.0, 1e-4, 10.0]
+        messages = []
+        for cpus in (1, 4):
+            with_cpus(monkeypatch, cpus)
+            start = threading.active_count()
+            with pytest.raises(ValueError, match="M_eps = .* <= 0 at eps = 5.0;") as err:
+                lemma_kel_ratio(d, 1.0, 1.2, schedule)
+            messages.append(str(err.value))
+            assert threading.active_count() == start
+        assert messages[0] == messages[1]
+        # a failure on the calling thread's first item wins over later ones
+        with_cpus(monkeypatch, 4)
+        with pytest.raises(ValueError, match="at eps = 20.0;"):
+            lemma_kel_ratio(d, 1.0, 1.2, [20.0, 10.0, 1e-3])
+
+    def test_the_callers_errstate_reaches_the_workers(self, monkeypatch):
+        with_cpus(monkeypatch, 4)
+        schedule = [1e-1, 1e-2, 1e-3, 1e-4]
+        caller = threading.get_ident()
+
+        def divide(eps):
+            seen = np.geterr()["divide"], threading.get_ident()
+            if eps == 1e-3:  # item 2, which a worker computes
+                np.float64(1.0) / np.float64(0.0)
+            return seen
+
+        with np.errstate(divide="ignore"):
+            out = _over_eps(divide, schedule)
+        assert [setting for setting, _ in out] == ["ignore"] * 4
+        assert out[0][1] == caller and {ident for _, ident in out[1:]} - {caller}
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            _over_eps(divide, schedule)
 
 
 class TestDouglasWeights:

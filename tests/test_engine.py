@@ -1195,6 +1195,25 @@ class TestBudgetExhaustion:
             assert res.converged is False, "budget %d reported converged" % budget
             assert res.iterations == budget
 
+    def test_budget_spent_inside_the_last_solve_is_not_converged(self, monkeypatch):
+        # budgets that cut the last solve short of PCG_RTOL, read off the full
+        # run: that solve did not hold, so its step is no stall, however
+        # little it moved, and the search has not converged
+        f = certify_small_function()
+        _, spent = recording_solves(monkeypatch)
+        full = bicyclicity_infimum(f, P15, "all_integers", 4)
+        total = int(np.sum(spent))
+        assert full.converged is True and full.iterations == total
+        assert spent[-1] > 3  # every budget below cuts inside the last solve
+        for budget in (total - 1, total - 2, total - 3):
+            monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
+            res = bicyclicity_infimum(f, P15, "all_integers", 4)
+            assert res.converged is False, "budget %d reported converged" % budget
+            assert res.iterations == budget
+        monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", total)
+        res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert res.converged is True and res.iterations == total
+
     def test_p2_solve_reports_running_out_of_budget(self, monkeypatch):
         # beta > 0 at p = 2 sweeps with fixed weights until INNER_RTOL; a
         # budget that runs out before that is reported as not converged
