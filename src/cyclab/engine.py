@@ -330,12 +330,15 @@ class _ConvObjective:
     def preconditioner(self):
         """y -> (T + delta t_0 I)^-1 y, T = A^H A, by a _ToeplitzInverse built
         once, at the first delta of 0, n eps 2^j < 1 (j >= 0, n = len(T)) and 1
-        that holds.  A Gram T fails at 1 only if it is not finite: then None."""
+        that holds, which it keeps as `shift`.  A Gram T fails at 1 only if
+        it is not finite: then None."""
         col = self.normal_column
         n_eps = len(col) * np.finfo(float).eps
         for delta in [0.0, *n_eps * 2.0 ** np.arange(-np.log2(n_eps)), 1.0]:
             with contextlib.suppress(ValueError):
-                return _ToeplitzInverse(np.append(col[0] * (1 + delta), col[1:]) if delta else col)
+                inverse = _ToeplitzInverse(np.append(col[0] * (1 + delta), col[1:]) if delta else col)
+                inverse.shift = float(delta)
+                return inverse
         return None
 
     def smoothed_objective(self, r, mu):
@@ -433,6 +436,11 @@ class InfimumResult:
     that spends its budget inside a step has not converged, even in the
     last step.  It does not mean that `value` is near the infimum; only a
     certified lower bound could show that.
+
+    `precond_shift` is the delta of the preconditioner (T + delta t_0 I)^-1
+    the solves ran with: 0.0 when the Levinson-Durbin recursion held on T,
+    the least shift that held after a breakdown, and None when none held
+    and no solve ran.
     """
 
     value: float
@@ -440,6 +448,7 @@ class InfimumResult:
     converged: bool
     iterations: int = 0
     sweeps: int = 0
+    precond_shift: float | None = None
 
     def __iter__(self):
         yield self.value
@@ -560,8 +569,10 @@ def _minimize(f, space, support, degree, target, warm=None):
     poly = FourierSeries.from_dense(best_x, s_lo)
     # report the norm achieved by the polynomial actually returned
     value = prob.residual_norm(prob.residual(poly.dense(s_lo, s_hi)))
+    precond = prob.preconditioner
     return InfimumResult(value=value, polynomial=poly, converged=converged,
-                         iterations=iterations, sweeps=sweeps)
+                         iterations=iterations, sweeps=sweeps,
+                         precond_shift=None if precond is None else precond.shift)
 
 
 def bicyclicity_infimum(f, space, support="all_integers", degree=0, warm=None):

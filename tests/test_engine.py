@@ -785,6 +785,30 @@ class TestPreconditionedPath:
         deltas = [0.0, *(n_eps * 2.0**j for j in range(49)), 1.0]
         assert shifts == [shifts[0] * (1.0 + d) for d in deltas]
 
+    def test_the_result_reports_the_shift_its_solves_ran_with(self, monkeypatch):
+        # delta = 0 where the recursion holds on T, n eps = 9 eps after one
+        # forced breakdown at 9 columns, and None when every shift breaks down
+        f = certify_small_function()
+        assert bicyclicity_infimum(f, P15, "all_integers", 4).precond_shift == 0.0
+        assert forward_shift_infimum(f, P15, 4).precond_shift == 0.0
+        unshifted = _ConvObjective(f.lo, f.arr, -4, 4, 0, np.ones(1), 1.5, 0.0).normal_column
+        real = engine._levinson_durbin
+
+        def broken_unshifted(col):
+            if np.array_equal(col, unshifted):
+                raise ValueError("Levinson-Durbin recursion broke down")
+            return real(col)
+
+        def broken(col):
+            raise ValueError("Levinson-Durbin recursion broke down")
+
+        monkeypatch.setattr(engine, "_levinson_durbin", broken_unshifted)
+        res = bicyclicity_infimum(f, P15, "all_integers", 4)
+        assert type(res.precond_shift) is float
+        assert res.precond_shift == 9 * np.finfo(float).eps and res.converged is True
+        monkeypatch.setattr(engine, "_levinson_durbin", broken)
+        assert bicyclicity_infimum(f, P15, "all_integers", 4).precond_shift is None
+
     def test_untruncated_certify_small_function_breaks_down_and_converges(self):
         # no stub: the normal matrix of the untruncated function is singular
         # in float64, and the shifted preconditioner still takes the search
@@ -795,6 +819,8 @@ class TestPreconditionedPath:
             engine._levinson_durbin(prob.normal_column)
         res = bicyclicity_infimum(f, P15, "all_integers", 1024)
         assert res.converged is True and res.iterations <= 2000
+        # the first shift, n eps at n = 2049 columns, holds
+        assert res.precond_shift == 2049 * np.finfo(float).eps
         assert res.value < 0.9322994
         recomputed = residual_norm(f, res.polynomial, P15, target_one=True)
         assert abs(res.value - recomputed) < 1e-10 * recomputed

@@ -17,6 +17,7 @@ independent brute-force/Monte-Carlo oracles before geometry.py existed:
 
 import math
 import re
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -41,7 +42,7 @@ from cyclab.geometry import (
     non_carleson_n2_spec,
     tube_measure,
 )
-from cyclab.presets import SET_PRESETS
+from cyclab.presets import SET_PRESETS, build_set
 
 
 def sandwich_upper_bound(t, N):
@@ -825,3 +826,218 @@ def test_covering_profile_tubes_match_per_call(E, t_values):
 @settings(max_examples=100, deadline=None)
 def test_lambda_test_tubes_match_per_call(E, gamma, t_floor):
     assert_lambda_tubes_are_per_call(E, gamma, t_floor, 12)
+
+
+# ---------------------------------------------------------------------------
+# sorted input: the earlier sort-and-merge build as the oracle
+# ---------------------------------------------------------------------------
+
+def merge_arcs_oracle(s, e):
+    """The general merge, as `_merge_arcs` was before it checked for sorted
+    input: every arc list goes through the seam split, the lexsort and the
+    running-maximum merge."""
+    wraps = e > TWO_PI
+    seg_s = np.concatenate([s, np.zeros(int(wraps.sum()))])
+    seg_e = np.concatenate([np.minimum(e, TWO_PI), e[wraps] - TWO_PI])
+    order = np.lexsort((seg_e, seg_s))
+    seg_s, seg_e = seg_s[order], seg_e[order]
+    reach = np.maximum.accumulate(seg_e)
+    idx = np.flatnonzero(seg_s > np.append(-np.inf, reach[:-1]))
+    return seg_s[idx], np.maximum.reduceat(seg_e, idx)
+
+
+def arc_union_oracle(arcs):
+    """(starts, ends) of ArcUnion(arcs) for finite, non-reversed arcs, by
+    the constructor's arithmetic and `merge_arcs_oracle`."""
+    arr = np.asarray(arcs, dtype=float).reshape(-1, 2)
+    s, e = arr[:, 0], arr[:, 1]
+    length = e - s
+    if (length >= TWO_PI).any():
+        return np.array([0.0]), np.array([TWO_PI])
+    s = s % TWO_PI
+    return merge_arcs_oracle(s, s + length)
+
+
+def cantor_build_oracle(spec):
+    """(starts, ends) of the depth-level set by the recursion as it was: a
+    concatenation per level, a sort, and the general merge."""
+    starts = np.array([0.0])
+    length = TWO_PI
+    for gap in spec.gap_lengths:
+        starts = np.concatenate([starts, starts + (length + gap) / 2.0])
+        length = (length - gap) / 2.0
+    starts = np.sort(starts)
+    return arc_union_oracle(np.column_stack([starts, starts + length]))
+
+
+def carleson_test_oracle(E, quadrature_size, divergence_threshold=-10.0):
+    """`carleson_test` as it was before its buffers were reused (strict off)."""
+    G = int(quadrature_size)
+    _, gap_lengths = E.gaps()
+    n_gaps = len(gap_lengths)
+    contrib = gap_lengths * np.log(gap_lengths / TWO_PI)
+    interval_sum = float(np.sum(contrib))
+    interval_sum_radian = float(np.sum(gap_lengths * np.log(gap_lengths)))
+    min_gap = float(gap_lengths.min()) if n_gaps else 0.0
+    resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
+    theta = TWO_PI * np.arange(G) / G
+    d = distance_to_set(theta, E) if E.n_arcs else np.full(G, np.nan)
+    off = d > 0.0
+    log_integral = float(np.sum(np.log(d[off])) * TWO_PI / G)
+    verdict = "carleson"
+    proper = gap_lengths < TWO_PI
+    levels = np.floor(np.log2(TWO_PI / gap_lengths[proper])).astype(int)
+    weights = np.abs(contrib[proper])
+    bins = []
+    if len(levels):
+        sums = np.bincount(levels - levels.min(), weights=weights)
+        bins = [float(v) for v in sums if v > 0.0]
+    geometric_tail = False
+    if len(bins) >= 4:
+        start = (len(bins) + 1) // 2 - 1
+        span = len(bins) - 1 - start
+        if span >= 1 and bins[start] > 0:
+            fitted_ratio = (bins[-1] / bins[start]) ** (1.0 / span)
+            geometric_tail = fitted_ratio <= 0.9
+    if not geometric_tail and interval_sum < divergence_threshold:
+        verdict = "non_carleson_evidence"
+    measure = float(np.sum(E.ends - E.starts))
+    return {
+        "interval_sum": float(interval_sum),
+        "interval_sum_radian": float(interval_sum_radian),
+        "log_integral": log_integral,
+        "verdict": verdict,
+        "resolved": resolved,
+        "positive_measure": measure > 1e-14,
+        "n_gaps": n_gaps,
+        "min_gap": min_gap,
+        "total_measure": measure,
+        "divergence_threshold": float(divergence_threshold),
+    }
+
+
+def assert_same_bytes(E, want):
+    starts, ends = want
+    assert E.starts.dtype == starts.dtype and E.ends.dtype == ends.dtype
+    assert E.starts.tobytes() == starts.tobytes()
+    assert E.ends.tobytes() == ends.tobytes()
+
+
+def assert_same_report(got, want):
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert isinstance(got[key], float) and got[key].hex() == value.hex(), key
+        else:
+            assert type(got[key]) is type(value) and got[key] == value, key
+
+
+def traced_peak_mib(fn):
+    """fn's result and the peak of memory traced while it ran, in MiB;
+    numpy reports its buffers to tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return out, peak / 2**20
+
+
+class TestSortedBuild:
+    @pytest.mark.parametrize("name", SET_PRESETS)
+    def test_presets_match_the_sort_and_merge_build(self, name):
+        for depth in range(1, 21):
+            spec = cantor_spec_by_name(name, depth)
+            assert_same_bytes(cantor_build(spec), cantor_build_oracle(spec))
+
+    def test_depth_20_build_stays_under_48_mib(self):
+        spec = cantor_spec_by_name("non_carleson_n2", 20)
+        E, peak = traced_peak_mib(lambda: cantor_build(spec))
+        # 16 MiB of arcs, 8 each of starts and ends, 1-2 of masks; the
+        # sort-and-merge build peaked at 106 MiB
+        assert E.n_arcs == 2**20 and peak <= 48.0
+
+    def test_carleson_test_on_the_default_preset_stays_under_36_mib(self):
+        E = build_set("non_carleson_n2")
+        _, peak = traced_peak_mib(lambda: carleson_test(E, 2**12))
+        assert peak <= 36.0  # 49.1 MiB with a temporary per expression
+
+    @pytest.mark.parametrize("name", SET_PRESETS)
+    def test_carleson_report_keeps_its_bits(self, name):
+        E = build_set(name)
+        for G in (2**12, 2**14):
+            assert_same_report(carleson_test(E, G), carleson_test_oracle(E, G))
+
+    def test_carleson_report_keeps_its_bits_on_small_sets(self):
+        for E in (ArcUnion([]), ArcUnion.full_circle(), ArcUnion.from_points([0.0]),
+                  ArcUnion.from_points([0.0, 1.0]), ArcUnion([(0.0, 0.5)]),
+                  cantor_build(middle_thirds_spec(3))):
+            assert_same_report(carleson_test(E, 2**10), carleson_test_oracle(E, 2**10))
+
+    def test_total_measure_is_the_sum_of_the_lengths(self):
+        for E in (build_set("non_carleson_n2"), ArcUnion([(6.0, 7.0), (1.0, 1.5)]),
+                  ArcUnion([])):
+            want = float(np.sum(E.ends - E.starts))
+            assert E.total_measure.hex() == want.hex()
+            assert E.total_measure.hex() == want.hex()  # the kept value
+
+
+def ulps_above(x, k):
+    """The k-th float above x."""
+    for _ in range(k):
+        x = float(np.nextafter(x, math.inf))
+    return x
+
+
+@st.composite
+def sorted_arc_lists(draw):
+    """Arc lists as the sorted-input check sees them: sorted and disjoint,
+    with touching, nested and point arcs mixed in, sometimes shuffled; the
+    last arc may end 1-4 ulp past 2*pi, its seam piece inside or outside a
+    first arc."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    cuts = sorted(draw(st.lists(st.floats(min_value=0.0, max_value=TWO_PI,
+                                          exclude_max=True),
+                                min_size=2 * n, max_size=2 * n, unique=True)))
+    arcs = []
+    for i in range(n):
+        s, e = cuts[2 * i], cuts[2 * i + 1]
+        kind = draw(st.sampled_from(("disjoint", "disjoint", "point", "touching", "nested")))
+        if kind == "point":
+            e = s
+        elif kind == "touching" and arcs:
+            s = arcs[-1][1]
+        elif kind == "nested" and arcs and arcs[-1][1] > arcs[-1][0]:
+            s0, e0 = arcs[-1]
+            s = e = s0 + 0.5 * (e0 - s0)
+        arcs.append((s, max(s, e)))
+    seam = draw(st.sampled_from(("none", "inside", "outside")))
+    if seam != "none":
+        # a start of at least pi keeps last - start exact, so the constructor's
+        # start + (end - start) gives back the end exactly
+        s_last = max(arcs[-1][0], math.pi)
+        arcs[-1] = (s_last, ulps_above(TWO_PI, draw(st.integers(min_value=1, max_value=4))))
+        overshoot = arcs[-1][1] - TWO_PI
+        s0, e0 = arcs[0]
+        if seam == "inside":
+            arcs[0] = (0.0, min(max(e0, overshoot), s_last))
+        elif draw(st.booleans()):
+            arcs[0] = (0.0, overshoot / 2.0)
+    if draw(st.sampled_from((False, False, True))):
+        arcs = draw(st.permutations(arcs))
+    return arcs
+
+
+@given(sorted_arc_lists())
+@example(arcs=[(0.0, 1.0), (2.0, 3.0), (5.0, ulps_above(TWO_PI, 1))])
+@example(arcs=[(0.0, 0.0), (5.0, ulps_above(TWO_PI, 3))])
+@example(arcs=[(0.5, 1.0), (5.0, ulps_above(TWO_PI, 4))])
+@example(arcs=[(0.0, ulps_above(TWO_PI, 2) - TWO_PI), (5.0, ulps_above(TWO_PI, 2))])
+@example(arcs=[(0.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
+@example(arcs=[(2.0, 3.0), (0.0, 1.0)])
+@settings(max_examples=300, deadline=None)
+def test_sorted_input_matches_the_general_merge(arcs):
+    want = arc_union_oracle(arcs)
+    assert_same_bytes(ArcUnion(arcs), want)
+    assert_same_bytes(ArcUnion(np.array(arcs, dtype=float).reshape(-1, 2)), want)
