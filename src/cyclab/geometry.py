@@ -32,8 +32,6 @@ TWO_PI = 2.0 * math.pi
 # Gaps shorter than this are construction noise (touching arcs), not
 # complementary intervals.
 _GAP_EPS = 1e-14
-# the per-decade increment above which lambda_divergence_test says divergent
-LAMBDA_INCREMENT_TOL = 0.5
 
 
 def _cyclic_gaps(s, e):
@@ -188,23 +186,28 @@ class CantorSpec:
     """Iterated gap-removal schedule.
 
     ``gap_lengths[n-1]`` is the length (radians) of each of the 2^(n-1) open
-    gaps removed at level n; ``depth`` is the number of levels.
+    gaps removed at level n.  Each gap must lie strictly inside the interval
+    it is cut from (NaN fails), so a constructed spec always builds.
     """
 
     gap_lengths: tuple
-    depth: int
     name: str = "custom"
 
     def __post_init__(self):
         object.__setattr__(self, "gap_lengths", tuple(float(g) for g in self.gap_lengths))
-        if self.depth != len(self.gap_lengths):
-            raise ValueError(
-                "depth %d does not match %d scheduled levels"
-                % (self.depth, len(self.gap_lengths))
-            )
-        removed = sum(2.0 ** (n - 1) * g for n, g in enumerate(self.gap_lengths, start=1))
-        if removed > TWO_PI:
-            raise ValueError("schedule removes %.6f > 2*pi" % removed)
+        length = TWO_PI
+        for level, gap in enumerate(self.gap_lengths, start=1):
+            if not 0.0 < gap < length:
+                raise ValueError(
+                    "level %d gap %r must lie in (0, %.3e), the interval it is cut from"
+                    % (level, gap, length)
+                )
+            length = (length - gap) / 2.0
+
+    @property
+    def depth(self):
+        """The number of levels."""
+        return len(self.gap_lengths)
 
 
 def _check_depth(name, depth):
@@ -218,7 +221,6 @@ def middle_thirds_spec(depth):
     _check_depth("middle_thirds", depth)
     return CantorSpec(
         gap_lengths=tuple(TWO_PI / 3.0**n for n in range(1, depth + 1)),
-        depth=depth,
         name="middle_thirds",
     )
 
@@ -237,7 +239,6 @@ def non_carleson_n2_spec(depth):
     c = 2.0 * TWO_PI * (1.0 - 2.0 ** (-depth)) / weights
     return CantorSpec(
         gap_lengths=tuple(c * 2.0 ** (-n) / n**2 for n in range(1, depth + 1)),
-        depth=depth,
         name="non_carleson_n2",
     )
 
@@ -257,7 +258,7 @@ def cantor_build(spec):
 
     Level n removes the open middle gap of the scheduled length from each of
     the current 2^(n-1) intervals of the fundamental interval [0, 2*pi].
-    Every schedule level is checked before anything is built.
+    The spec has checked every level, so the build trusts it.
 
     The starts live in one array of 2^depth, at the index of each
     interval's leftmost leaf: an interval's two children sit side by side,
@@ -269,13 +270,7 @@ def cantor_build(spec):
     """
     length = TWO_PI
     steps = []  # the offset of each level's right children from their parent
-    for level, gap in enumerate(spec.gap_lengths, start=1):
-        if gap <= 0.0:
-            raise ValueError("level %d gap must be positive, got %r" % (level, gap))
-        if gap >= length:
-            raise ValueError(
-                "level %d gap %.3e exceeds available interval %.3e" % (level, gap, length)
-            )
+    for gap in spec.gap_lengths:
         steps.append((length + gap) / 2.0)
         length = (length - gap) / 2.0
     arcs = np.empty((2 ** len(steps), 2))
@@ -562,55 +557,58 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     }
 
 
-def lambda_divergence_test(E, gamma, t_floor, n_quad=400):
-    """Evidence for divergence of the tube-measure integral against dLambda.
+def _gap_integral(g, gamma):
+    """The integral of d^(-gamma) over one gap of length g, for gamma < 1.
 
-    Evaluates I(s) = integral over [s, 2] of |E_t| * gamma * t^(-gamma-1) dt
-    by log-spaced trapezoid quadrature, for a schedule of floors shrinking to
-    ``t_floor`` (factors of 10).  The verdict is divergent when the last
-    per-decade increment still exceeds LAMBDA_INCREMENT_TOL: a convergent
-    integral's tail increments vanish, a divergent one keeps accumulating.
-    Results describe the current depth approximation, so the floor should
-    stay above the finest construction scale.
+    d is the chord to the nearer endpoint, 2 sin(x/2) at angle x from it, so
+    the gap gives 2 * int_0^(g/2) (2 sin(x/2))^(-gamma) dx
+    = 2^(1-gamma) B(sin^2(g/4); (1-gamma)/2, 1/2), with B the incomplete
+    beta function.
+    """
+    from scipy.special import beta, betainc
 
-    The fixed LAMBDA_INCREMENT_TOL per decade is known to miscall: on middle
-    thirds at depth 12 it calls gamma = 0.2 and 0.3 divergent, yet the
-    ideal integral converges for gamma < 1 - dim ~ 0.369, and the measured
-    increments there fall geometrically.
+    a = (1.0 - gamma) / 2.0
+    return 2.0 ** (1.0 - gamma) * float(betainc(a, 0.5, math.sin(g / 4.0) ** 2) * beta(a, 0.5))
+
+
+def lambda_divergence_test(spec, gamma):
+    """Divergence of the integral of d(., E)^(-gamma) for a gap-removal schedule.
+
+    For f = exp(-d(., E)^(-gamma)) this is the integral of -log|f|.  By the
+    tube identity, with Lambda(t) = t^(-gamma),
+
+        int_(T \\ E) d^(-gamma) = int_0^2 (|E_t| - |E|) |dLambda(t)| + (2*pi - |E|) 2^(-gamma),
+
+    so it is the Lambda-integral of the tube measure.  It is summed in closed
+    form over the gaps, with no set built: level n of ``spec`` removes
+    2^(n-1) gaps of length g_n, and contributes
+    L_n = 2^(n-1) * 2^(1-gamma) B(sin^2(g_n/4); (1-gamma)/2, 1/2) for
+    gamma < 1 (B the incomplete beta function) and infinity otherwise.
+
+    Returns ``integral`` = sum of L_n, exact over the complement of the
+    depth-level set and the partial sum for the limit set; ``level_sums``,
+    the L_n; ``last_ratio`` = L_depth / L_(depth-1) (NaN when gamma >= 1,
+    where every level is infinite); and ``divergent`` = gamma >= 1 or
+    last_ratio >= 1: the limit set's sum diverges when the level sums stop
+    shrinking.  On middle thirds the ratio is 2 * 3^(-(1-gamma)), times a
+    chordal correction of order g^2, so the switch sits at
+    gamma = 1 - log 2 / log 3.  At that gamma the depth-12 ratio is
+    1 - 1.0e-12 and the verdict reads convergent, although the limit sum
+    diverges; ``last_ratio`` shows how close the call is.
     """
     gamma = float(gamma)
     if not 0.0 < gamma < math.inf:
         raise ValueError("gamma must be positive and finite")
-    t_floor = float(t_floor)
-    if not (0.0 < t_floor < 2.0):
-        raise ValueError("t_floor must lie in (0, 2)")
-
-    floors = []
-    s = t_floor
-    for _ in range(4):
-        floors.append(s)
-        s *= 10.0
-        if s >= 2.0:
-            break
-    floors = sorted(set(floors), reverse=True)  # large floors first
-    t = np.array([np.geomspace(s_lo, 2.0, n_quad) for s_lo in floors])
-    # log-spaced trapezoid per floor: dt = t dlog(t)
-    integrand = tube_measure(E, t) * gamma * t ** (-gamma - 1.0) * t
-    schedule = [
-        (s_lo, float(np.trapezoid(row, np.log(t_row))))
-        for s_lo, row, t_row in zip(floors, integrand, t)
+    if spec.depth < 2:
+        raise ValueError("the level ratio needs a schedule of depth >= 2")
+    level_sums = [
+        2.0 ** (n - 1) * (_gap_integral(g, gamma) if gamma < 1.0 else math.inf)
+        for n, g in enumerate(spec.gap_lengths, start=1)
     ]
-    estimate = schedule[-1][1]
-    if len(schedule) >= 2:
-        last_increment = schedule[-1][1] - schedule[-2][1]
-        decades = math.log10(schedule[-2][0] / schedule[-1][0])
-        per_decade = last_increment / max(decades, 1e-12)
-    else:
-        per_decade = 0.0
+    last_ratio = level_sums[-1] / level_sums[-2]
     return {
-        "integral_estimate": estimate,
-        "divergent": bool(per_decade > LAMBDA_INCREMENT_TOL),
-        "schedule": schedule,
-        "increment_per_decade": per_decade,
-        "increment_tol": LAMBDA_INCREMENT_TOL,
+        "integral": math.fsum(level_sums),
+        "level_sums": level_sums,
+        "last_ratio": last_ratio,
+        "divergent": gamma >= 1.0 or last_ratio >= 1.0,
     }

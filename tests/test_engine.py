@@ -283,10 +283,11 @@ def counting_transforms(monkeypatch):
 
 def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
     # scipy.signal alone pulls in scipy.stats, scipy.interpolate and
-    # scipy.optimize; the solver's scipy.fft loads at the first solve, and
-    # scipy.linalg and scipy.sparse never: the one direct solve is the
-    # engine's own recursion.  Module presence, not wall time, so it cannot
-    # flake
+    # scipy.optimize; scipy.special loads at the first Lambda-integral (before
+    # any solve, which loads it with scipy.fft), the solver's scipy.fft at
+    # the first solve, and scipy.linalg and scipy.sparse never: the one
+    # direct solve is the engine's own recursion.  Module presence, not wall
+    # time, so it cannot flake
     unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
     lazy = ("scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special")
     src = str(Path(engine.__file__).resolve().parents[1])
@@ -304,6 +305,8 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
         "assert experiments.run(dict(cfg, output_dir=%r)).status == 'ok'"
         % str(tmp_path / "cantor"),
         "loaded()",
+        "cyclab.lambda_divergence_test(cyclab.geometry.middle_thirds_spec(4), 0.5)",
+        "loaded()",
         "f = cyclab.FourierSeries({0: -1.0, 1: 1.0})",
         "cyclab.bicyclicity_infimum(f, cyclab.SpaceIndex(p=1.5, beta=0.0), degree=4)",
         "loaded()",
@@ -312,8 +315,10 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    at_import, after_cantor, after_solve = map(json.loads, out.stdout.splitlines())
+    at_import, after_cantor, after_lambda, after_solve = map(
+        json.loads, out.stdout.splitlines())
     assert at_import == [] and after_cantor == []
+    assert after_lambda == ["scipy.special"]
     assert "scipy.fft" in after_solve
     assert not set(after_solve) & {"scipy.linalg", "scipy.sparse", *unused}
 

@@ -24,11 +24,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
+from cyclab import geometry
 from cyclab.geometry import (
     TWO_PI,
     ArcUnion,
     CantorSpec,
+    _gap_integral,
     box_dimension_estimate,
     cantor_build,
     cantor_spec_by_name,
@@ -270,11 +273,18 @@ class TestCantor:
 
     def test_oversized_gap_rejected(self):
         with pytest.raises(ValueError):
-            cantor_build(CantorSpec(gap_lengths=(4.0, 2.0), depth=2))
+            cantor_build(CantorSpec(gap_lengths=(4.0, 2.0)))
 
     def test_schedule_total_validation(self):
         with pytest.raises(ValueError):
-            CantorSpec(gap_lengths=(TWO_PI, 1.0), depth=2)
+            CantorSpec(gap_lengths=(TWO_PI, 1.0))
+
+    @pytest.mark.parametrize("gap_lengths", [(math.nan,), (1.0, math.nan), (1.0, -0.5)])
+    def test_a_gap_outside_its_interval_is_refused_at_construction(self, gap_lengths):
+        # a NaN gap once passed the spec and failed inside ArcUnion, as a
+        # reversed arc
+        with pytest.raises(ValueError, match="the interval it is cut from"):
+            CantorSpec(gap_lengths=gap_lengths)
 
     def test_spec_by_name(self):
         assert cantor_spec_by_name("middle_thirds", 5).depth == 5
@@ -551,36 +561,78 @@ class TestCarleson:
 # ---------------------------------------------------------------------------
 
 class TestLambdaDivergence:
-    def test_point_weak_exponent_converges(self):
-        E = ArcUnion.from_points([0.0])
-        rec = lambda_divergence_test(E, gamma=0.5, t_floor=1e-6)
-        assert rec["divergent"] is False
-        # frozen quadrature oracle value (scipy.integrate.quad): 2.971416
-        assert rec["integral_estimate"] == pytest.approx(2.971416, abs=0.05)
+    """The closed-form gap sum of `lambda_divergence_test` against
+    quadrature and the built set."""
 
-    def test_gamma_one_always_diverges(self):
-        for E in (
-            ArcUnion.from_points([0.0]),
-            cantor_build(middle_thirds_spec(4)),
-            ArcUnion([(1.0, 1.5)]),
-        ):
-            rec = lambda_divergence_test(E, gamma=1.0, t_floor=1e-6)
-            assert rec["divergent"] is True
+    @pytest.mark.parametrize("g", [5.7e-12, 1e-8, 1e-4, 0.05, 1.0, 3.0, TWO_PI])
+    @pytest.mark.parametrize("gamma", [0.05, 0.369, 0.5, 0.95])
+    def test_gap_integral_matches_quadrature(self, g, gamma):
+        # 2 * int_0^(g/2) (2 sin(x/2))^(-gamma) dx, with the x^(-gamma)
+        # singularity taken by the algebraic weight; sinc is 2 sin(x/2) / x
+        smooth = lambda x: np.sinc(x / TWO_PI) ** -gamma  # noqa: E731
+        half, _ = quad(smooth, 0.0, g / 2.0, weight="alg", wvar=(-gamma, 0.0),
+                       epsabs=0.0, epsrel=1e-13)
+        assert _gap_integral(g, gamma) == pytest.approx(2.0 * half, rel=1e-12, abs=0.0)
 
-    def test_full_circle_diverges(self):
-        rec = lambda_divergence_test(ArcUnion.full_circle(), gamma=0.5, t_floor=1e-4)
+    @pytest.mark.parametrize("gamma", [0.2, 0.5, 0.9])
+    def test_integral_is_the_sum_over_the_built_gaps(self, gamma):
+        spec = middle_thirds_spec(12)
+        _, lengths = cantor_build(spec).gaps()
+        want = math.fsum(_gap_integral(g, gamma) for g in lengths)
+        assert lambda_divergence_test(spec, gamma)["integral"] == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    def test_tube_identity(self):
+        # int_(T \ E) d^-gamma = int_0^2 (|E_t| - |E|) gamma t^(-gamma-1) dt
+        #                         + (2 pi - |E|) 2^-gamma,
+        # by quadrature over tube_measure, split at the chords 2 sin(g/4)
+        # where a gap fills up
+        spec, gamma = middle_thirds_spec(4), 0.5
+        E = cantor_build(spec)
+        measure = E.total_measure
+        edges = [0.0, *sorted(2.0 * math.sin(g / 4.0) for g in spec.gap_lengths), 2.0]
+        tube_part = math.fsum(
+            quad(lambda t: (tube_measure(E, t) - measure) * gamma * t ** (-gamma - 1.0),
+                 a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+            for a, b in zip(edges[:-1], edges[1:])
+        )
+        want = tube_part + (TWO_PI - measure) * 2.0**-gamma
+        assert lambda_divergence_test(spec, gamma)["integral"] == pytest.approx(
+            want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("gamma, divergent", [(0.2, False), (0.3, False), (0.45, True)])
+    def test_middle_thirds_switch_at_one_minus_dim(self, gamma, divergent):
+        # the switch sits at gamma = 1 - log 2 / log 3 ~ 0.369; a fixed
+        # per-decade quadrature rule once called 0.2 and 0.3 divergent
+        rec = lambda_divergence_test(middle_thirds_spec(12), gamma)
+        assert rec["last_ratio"] == pytest.approx(2.0 * 3.0 ** -(1.0 - gamma), rel=0.0, abs=1e-9)
+        assert rec["level_sums"][-1] / rec["level_sums"][-2] == rec["last_ratio"]
+        assert len(rec["level_sums"]) == 12
+        assert rec["divergent"] is divergent
+
+    @pytest.mark.parametrize("gamma", [1.0, 1.5])
+    def test_gamma_at_least_one_diverges(self, gamma):
+        rec = lambda_divergence_test(middle_thirds_spec(12), gamma)
+        assert rec["integral"] == math.inf
         assert rec["divergent"] is True
 
-    def test_invalid_gamma(self):
-        with pytest.raises(ValueError):
-            lambda_divergence_test(ArcUnion.from_points([0.0]), gamma=-1.0, t_floor=1e-3)
+    def test_no_set_is_built(self, monkeypatch):
+        def refuse(spec):
+            raise AssertionError("cantor_build called")
 
-    @pytest.mark.parametrize("gamma", [math.nan, math.inf])
-    def test_non_finite_gamma_raises(self, gamma):
-        # a NaN gamma makes every increment NaN, which reads as convergent
-        E = cantor_build(middle_thirds_spec(4))
-        with pytest.raises(ValueError, match="positive and finite"):
-            lambda_divergence_test(E, gamma, 1e-2)
+        monkeypatch.setattr(geometry, "cantor_build", refuse)
+        rec = lambda_divergence_test(non_carleson_n2_spec(20), 0.5)
+        assert len(rec["level_sums"]) == 20
+        assert math.isfinite(rec["integral"])
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_gamma_raises(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            lambda_divergence_test(middle_thirds_spec(4), gamma)
+
+    def test_a_single_level_has_no_ratio(self):
+        with pytest.raises(ValueError, match="depth >= 2"):
+            lambda_divergence_test(middle_thirds_spec(1), 0.5)
 
 
 def assert_profile_tubes_are_per_call(E, t_values):
@@ -589,18 +641,6 @@ def assert_profile_tubes_are_per_call(E, t_values):
     _, _, tube = covering_profile(E, t_values).as_arrays()
     want = [tube_measure(E, t) for t in sorted(float(t) for t in t_values)]
     assert [float.hex(x) for x in tube] == [float.hex(x) for x in want]
-
-
-def assert_lambda_tubes_are_per_call(E, gamma, t_floor, n_quad):
-    """`lambda_divergence_test` integrates, at every floor of its schedule,
-    the same tube array as a `tube_measure` call per quadrature node gives."""
-    rec = lambda_divergence_test(E, gamma, t_floor, n_quad=n_quad)
-    for s_lo, got in rec["schedule"]:
-        t = np.geomspace(s_lo, 2.0, n_quad)
-        tube = np.array([tube_measure(E, x) for x in t])
-        integrand = tube * gamma * t ** (-gamma - 1.0)
-        want = float(np.trapezoid(integrand * t, np.log(t)))
-        assert float.hex(got) == float.hex(want)
 
 
 @pytest.fixture(scope="module", params=SET_PRESETS)
@@ -614,14 +654,6 @@ class TestOneGapPass:
     def test_covering_profile_at_default_depth(self, default_preset_set):
         # the `cantor` experiment's default scales
         assert_profile_tubes_are_per_call(default_preset_set, log_t_grid(1e-4, 0.25, 9))
-
-    def test_lambda_test_at_default_depth(self, default_preset_set):
-        assert_lambda_tubes_are_per_call(default_preset_set, 0.369, 1e-4, 25)
-
-    def test_empty_set(self):
-        E = ArcUnion([])
-        assert_lambda_tubes_are_per_call(E, 0.5, 1e-3, 8)
-        assert lambda_divergence_test(E, 0.5, 1e-3)["integral_estimate"] == 0.0
 
     @pytest.mark.parametrize("E", [
         ArcUnion([]),
@@ -817,15 +849,6 @@ def test_tube_matches_exact_fraction_oracle(E, t):
 def test_covering_profile_tubes_match_per_call(E, t_values):
     # t >= 1e-3 keeps the covering sweep short; the tube column is what is checked
     assert_profile_tubes_are_per_call(E, t_values)
-
-
-@given(tube_arc_unions(),
-       st.floats(min_value=0.1, max_value=2.0),
-       st.floats(min_value=1e-9, max_value=1.99))
-@example(E=ArcUnion.from_points([0.0, 1.0, 2.5]), gamma=0.5, t_floor=1e-6)
-@settings(max_examples=100, deadline=None)
-def test_lambda_test_tubes_match_per_call(E, gamma, t_floor):
-    assert_lambda_tubes_are_per_call(E, gamma, t_floor, 12)
 
 
 # ---------------------------------------------------------------------------
