@@ -9,7 +9,9 @@ be resolved by the grid (band-limited or close to it) for the
 negative-frequency leakage to stay small.
 
 Every kernel of the distance to a zero set E takes the sampled distance
-d = distance_to_set(circle_grid(G), E), G = len(d), never the set E itself:
+d = distance_to_set(circle_grid(G), E), G = len(d), never the set E itself;
+E is an arc union or, for the presets, the CantorSpec the set is built
+from, which gives the same d bit for bit with no set built:
 `smooth_vanishing_function`, `m_epsilon`, `outer_power_modulus` and the
 two eps-sweeps `p_epsilon_decay` and `lemma_kel_ratio`, all of them here.  A
 caller samples d once and hands it to each of them, and this module does

@@ -136,6 +136,14 @@ def _fft(x, size):
     return _c2c(buf, (0,), True, 0, buf if buf.dtype.kind == "c" else None, 1)
 
 
+def _fft_into(x, buf):
+    """`_fft(x, len(buf))` for complex128 x, zero-padded into the complex128
+    buffer buf, which the caller owns, and transformed there in place."""
+    buf[: len(x)] = x
+    buf[len(x) :] = 0.0
+    return _c2c(buf, (0,), True, 0, buf, 1)
+
+
 def _ifft(X):
     """Bit for bit `scipy.fft.ifft(X)` for complex128 X, computed in place:
     X is overwritten, so callers pass a temporary they own."""
@@ -143,34 +151,46 @@ def _ifft(X):
 
 
 class _Convolution:
-    """x -> conv(a, x) for a fixed a and inputs x of one length.
+    """x -> conv(a, x)[keep] for a fixed a and inputs x of one length.
 
-    The result is bit for bit that of `scipy.signal.fftconvolve(a, x)` for
-    complex a or x: the spectrum of a is taken once, at the length
+    The result is bit for bit that of `scipy.signal.fftconvolve(a, x)[keep]`
+    for complex a or x: the spectrum of a is taken once, at the length
     `fftconvolve` pads to, and each call is one forward and one inverse
     transform, each one direct call of the pocketfft kernel that scipy.fft
     dispatches to (`_fft`, `_ifft`).  Like `fftconvolve`, a length-1
-    operand is a plain product.
+    operand is a plain product.  A complex x is transformed in one work
+    buffer the object keeps, and the spectra are multiplied there by
+    `np.multiply(spectrum, buf, out=buf)`, the spectrum of a first as in
+    fftconvolve: numpy's complex product, fused multiply-adds and all, is
+    not commutative bit for bit.  A float64 x keeps the kernel's
+    half-spectrum path, into a fresh array.  The result is a fresh array,
+    or the caller's `out`, never the work buffer, so it outlives later
+    calls; the buffer makes an object serve one call at a time.
     """
 
-    def __init__(self, a, n_x):
+    def __init__(self, a, n_x, keep=slice(None)):
         self.n_out = len(a) + n_x - 1
         self.a = a
+        self.keep = keep
         self.size = None
         if len(a) > 1 and n_x > 1:
             _load_fft()
             self.size = scipy.fft.next_fast_len(self.n_out, False)
             self.spectrum = _fft(a, self.size)
+            self._work = np.empty(self.size, dtype=complex)
 
-    def __call__(self, x):
+    def __call__(self, x, out=None):
+        """conv(a, x)[keep] in a fresh array, or written into out."""
         if self.size is None:
-            return self.a * x
-        # fftconvolve's factor order: numpy's complex product, fused
-        # multiply-adds and all, is not commutative bit for bit.  The
-        # transform gets a name because numpy writes a product into an
-        # unnamed operand of 256 KiB or more, and then swaps the factors
-        x_spec = _fft(x, self.size)
-        return _ifft(self.spectrum * x_spec)[: self.n_out]
+            y = self.a * x
+        else:
+            buf = _fft_into(x, self._work) if x.dtype.kind == "c" else _fft(x, self.size)
+            np.multiply(self.spectrum, buf, out=buf)
+            y = _ifft(buf)[: self.n_out]
+        if out is None:
+            return y[self.keep].copy()
+        np.copyto(out, y[self.keep])
+        return out
 
 
 def fftconvolve(a, x):
@@ -238,8 +258,10 @@ class _ToeplitzInverse:
     column u, J reverses and Z shifts down by one.  The spectra of x and v
     are taken once, at a length of at least 2n that keeps the circular
     products exact; each apply is then six transforms, each one direct call
-    of the pocketfft kernel, as in :class:`_Convolution`.  Raises
-    ValueError when the recursion breaks down; a larger t_0 may then hold.
+    of the pocketfft kernel, as in :class:`_Convolution`, in two work
+    buffers of that length that the object keeps, and the result is a
+    fresh array.  Raises ValueError when the recursion breaks down; a
+    larger t_0 may then hold.
     """
 
     def __init__(self, col):
@@ -256,17 +278,23 @@ class _ToeplitzInverse:
         # the spectra of the adjoints, conjugated once: conjugation is exact
         self.x_spec_conj = np.conj(self.x_spec)
         self.v_spec_conj = np.conj(self.v_spec)
+        self._y = np.empty(self.size, dtype=complex)
+        self._a = np.empty(self.size, dtype=complex)
 
     def __call__(self, y):
-        n, size = self.n, self.size
-        y_spec = _fft(y, size)
-        # the adjoints L(u)^H y are correlations, cut to the first n entries
-        a = _ifft(self.x_spec_conj * y_spec)[:n]
-        b = _ifft(self.v_spec_conj * y_spec)[:n]
-        # named, as in _Convolution, so that the factor order holds
-        a_spec = _fft(a, size)
-        b_spec = _fft(b, size)
-        return _ifft(self.x_spec * a_spec - self.v_spec * b_spec)[:n]
+        n = self.n
+        # y's spectrum in one work buffer (a fresh one for float64 y, by the
+        # half-spectrum path); the adjoints L(u)^H y are correlations, cut to
+        # the first n entries, the one of v taken in y's buffer once the one
+        # of x is out.  Each product keeps the factor order of
+        # `spectrum * buf`, as in _Convolution
+        y_spec = _fft_into(y, self._y) if y.dtype.kind == "c" else _fft(y, self.size)
+        a = np.multiply(self.x_spec_conj, y_spec, out=self._a)
+        b = np.multiply(self.v_spec_conj, y_spec, out=y_spec)
+        for u, u_spec in ((a, self.x_spec), (b, self.v_spec)):
+            _fft_into(_ifft(u)[:n], u)
+            np.multiply(u_spec, u, out=u)
+        return _ifft(np.subtract(a, b, out=a))[:n].copy()
 
 
 class _ConvObjective:
@@ -280,8 +308,11 @@ class _ConvObjective:
         self.f_arr = f_arr
         self.n_cols = s_hi - s_lo + 1
         self._conv = _Convolution(f_arr, self.n_cols)
-        # the adjoint correlates with f the rows that apply writes
-        self._corr = _Convolution(np.conj(f_arr[::-1]), self._conv.n_out)
+        # the adjoint correlates with f the rows that apply writes, and keeps
+        # the lags of the columns
+        nf = len(f_arr)
+        self._corr = _Convolution(np.conj(f_arr[::-1]), self._conv.n_out,
+                                  slice(nf - 1, nf - 1 + self.n_cols))
         conv_lo = f_lo + s_lo
         conv_hi = f_lo + len(f_arr) - 1 + s_hi
         out_lo = min(target_lo, conv_lo)
@@ -298,14 +329,12 @@ class _ConvObjective:
     def apply(self, x):
         """conv(f, x) placed on the output range."""
         y = np.zeros(self.n_rows, dtype=complex)
-        y[self.conv_off : self.conv_off + self._conv.n_out] = self._conv(x)
+        self._conv(x, out=y[self.conv_off : self.conv_off + self._conv.n_out])
         return y
 
     def adjoint(self, y):
         """The adjoint of :meth:`apply`: correlate y with f over the columns."""
-        nf = len(self.f_arr)
-        seg = y[self.conv_off : self.conv_off + self._conv.n_out]
-        return self._corr(seg)[nf - 1 : nf - 1 + self.n_cols]
+        return self._corr(y[self.conv_off : self.conv_off + self._conv.n_out])
 
     def residual(self, x):
         return self.b - self.apply(x)
@@ -360,13 +389,28 @@ class _ConvObjective:
         c < 0, which is least where (A d)_n is a real multiple of r_n, and
         is then w_n s^(p/2-2) (mu^2 + (p-1)|r_n|^2) |(A d)_n|^2 > 0.
         """
+        # w A d + c r Re(conj(r) A d) in A d's fresh array and one work
+        # array made once per call, each product in the factor order written
+        # there.  numpy casts a real factor to complex with a zero imaginary
+        # part: w is cast here once, and Re(conj(r) A d) by zeroing that
+        # part in place.  Every result is a fresh array from the adjoint
+        w = w.astype(complex)
         if c is None:
-            return lambda d: self.adjoint(w * self.apply(d))
+            def apply(d):
+                ad = self.apply(d)
+                return self.adjoint(np.multiply(w, ad, out=ad))
+
+            return apply
         cr, r_conj = c * resid, np.conj(resid)
+        term = np.empty(self.n_rows, dtype=complex)
 
         def apply(d):
             ad = self.apply(d)
-            return self.adjoint(w * ad + cr * np.real(r_conj * ad))
+            np.multiply(r_conj, ad, out=term)
+            term.imag = 0.0
+            np.multiply(cr, term, out=term)
+            np.multiply(w, ad, out=ad)
+            return self.adjoint(np.add(ad, term, out=ad))
 
         return apply
 
@@ -389,6 +433,13 @@ class _ConvObjective:
         curvature d^H H d or residual product r^H M r that is not positive
         (zero only at an exact solution) is a breakdown: the solve stops
         there, returns its current iterate and reports that it did not hold.
+
+        The solve owns its iterate x, its residual r and its direction d, and
+        updates them in place, with the operations and operand orders of
+        x + alpha d, r - alpha q and z + beta d, so every bit is as in those
+        expressions.  x is copied once per solve: the caller's x and resid
+        are never written, and an iterate a solve returns is not touched by
+        a later one, as `_minimize`, which keeps earlier iterates, needs.
         """
         precond = self.preconditioner
         if precond is None:
@@ -400,6 +451,9 @@ class _ConvObjective:
         if not rz > 0.0:
             return x, 1, not np.any(r)
         stop = PCG_RTOL**2 * rz
+        # q and z come fresh from the operators; x is the caller's until here
+        x = x.astype(complex)
+        step = np.empty_like(x)
         d = z
         spent = 0
         while spent < maxiter and rz > stop:
@@ -409,13 +463,13 @@ class _ConvObjective:
             if not dq > 0.0:
                 return x, spent, False
             alpha = rz / dq
-            x = x + alpha * d
-            r = r - alpha * q
+            x += np.multiply(alpha, d, out=step)
+            r -= np.multiply(alpha, q, out=q)
             z = precond(r)
             rz_next = float(np.real(np.vdot(r, z)))
             if not rz_next >= 0.0:
                 return x, spent, False
-            d = z + (rz_next / rz) * d
+            d = np.add(z, np.multiply(rz_next / rz, d, out=d), out=d)
             rz = rz_next
         return x, max(spent, 1), rz <= stop
 

@@ -73,6 +73,7 @@ from .presets import (
     build_set,
     moebius_gap_series,
     series_from_config,
+    set_spec,
 )
 
 class ConfigError(ValueError):
@@ -426,12 +427,12 @@ def _run_outer(params):
     in a serial loop.
     """
     name = params["set"]
-    E = build_set(name, params["depth"])
+    spec = set_spec(name, params["depth"])
     gamma = float(params["gamma"])
     G = params["grid"]
     mode = params["mode"]
     eps_schedule = [float(e) for e in params["eps"]]
-    d = distance_to_set(circle_grid(G), E)
+    d = distance_to_set(circle_grid(G), spec)
 
     def row(eps):
         outer = outer_power_modulus(d, gamma, eps, mode)
@@ -524,13 +525,13 @@ def _run_certify(params):
 
 def _run_decay(params):
     """CSV columns: eps, M_eps, norm, ratio."""
-    E = build_set(params["set"], params["depth"])
+    spec = set_spec(params["set"], params["depth"])
     gamma = float(params["gamma"])
     G = params["grid"]
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     eps_schedule = [float(e) for e in params["eps"]]
     # f = exp(-d^-gamma) and p_eps are both built from one distance profile
-    d = distance_to_set(circle_grid(G), E)
+    d = distance_to_set(circle_grid(G), spec)
     f = smooth_vanishing_function(d, gamma).series
     report_obj = p_epsilon_decay(f, d, gamma, space, eps_schedule, params["truncate"])
     rows = [(eps, m, norm, ratio) for (eps, m, norm), ratio
@@ -542,12 +543,12 @@ def _run_decay(params):
 def _run_kel_ratio(params):
     """CSV columns: eps, m_eps, ratio."""
     name = params["set"]
-    E = build_set(name, params["depth"])
+    spec = set_spec(name, params["depth"])
     gamma = float(params["gamma"])
     delta_prime = float(params["delta_prime"])
     G = params["grid"]
     eps_schedule = [float(e) for e in params["eps"]]
-    d = distance_to_set(circle_grid(G), E)
+    d = distance_to_set(circle_grid(G), spec)
     ratios, m_values = lemma_kel_ratio(d, gamma, delta_prime, eps_schedule)
     rows = list(zip(eps_schedule, m_values, ratios))
     report = {

@@ -253,6 +253,18 @@ def cantor_spec_by_name(name, depth=None):
     raise ValueError("unknown cantor schedule %r" % (name,))
 
 
+def _steps(spec):
+    """The offset of each level's right children from their parent, and the
+    length of the depth-level intervals: the gap-removal recursion on the
+    fundamental interval [0, 2*pi], one float operation per quantity."""
+    length = TWO_PI
+    steps = []
+    for gap in spec.gap_lengths:
+        steps.append((length + gap) / 2.0)
+        length = (length - gap) / 2.0
+    return steps, length
+
+
 def cantor_build(spec):
     """Run the gap-removal recursion and return the depth-level arc union.
 
@@ -268,11 +280,7 @@ def cantor_build(spec):
     ArcUnion as that one (2^depth, 2) array, which it checks in O(n) and
     does not sort.
     """
-    length = TWO_PI
-    steps = []  # the offset of each level's right children from their parent
-    for gap in spec.gap_lengths:
-        steps.append((length + gap) / 2.0)
-        length = (length - gap) / 2.0
+    steps, length = _steps(spec)
     arcs = np.empty((2 ** len(steps), 2))
     starts = arcs[:, 0]
     starts[0] = 0.0
@@ -293,29 +301,94 @@ def _gap_lengths(E):
     return lengths[lengths > _GAP_EPS]
 
 
+def _chord_off(th, inside, left_end, right_start):
+    """The chord from th to the nearer of left_end and right_start, the
+    arc endpoints around it, measured cyclically; 0 where inside."""
+    gap_left = (th - left_end) % TWO_PI
+    gap_right = (right_start - th) % TWO_PI
+    delta = np.minimum(gap_left, gap_right)
+    chord = 2.0 * np.sin(np.minimum(delta, math.pi) / 2.0)
+    return np.where(inside, 0.0, chord)
+
+
+def _descent(spec):
+    """`_steps(spec)` where the descent of `_spec_distance` is exact, else None.
+
+    Every start and end `cantor_build` forms is a float sum of at most
+    depth + 1 terms below 8, so rounding moves it by less than
+    (depth + 1) * 2^-51, and the step/length recursion moves the exact
+    sums by less than depth * 2^-50.  Where every gap and the leaf length
+    exceed (depth + 2) * 2^-49, more than all of that, the built arcs stay
+    sorted and strictly disjoint, and the last end passes 2*pi by less
+    than the first arc's length; ArcUnion then keeps them as built, with
+    that end clamped to 2*pi.  Past the margin rounding can make arcs
+    touch, and ArcUnion merges them.
+    """
+    steps, length = _steps(spec)
+    if min(*spec.gap_lengths, length) > (spec.depth + 2) * 2.0**-49:
+        return steps, length
+    return None
+
+
+def _spec_distance(th, steps, length):
+    """`distance_to_set(th, cantor_build(spec))` for th in [0, 2*pi], bit for
+    bit, from the spec's `_descent`, with no set built.
+
+    Each angle descends the gap tree level by level: it goes to the right
+    child where it lies at or past that child's start, the sum
+    `cantor_build` forms there, so it lands on the leaf that the arc
+    path's binary search finds.  On the way it keeps the start of the next
+    leaf, the right child at its deepest left turn, or the first leaf's
+    0.0 across the seam.  A leaf's end is start + length, the last one
+    clamped to 2*pi as ArcUnion clamps it.  The descent runs in three float
+    buffers and one mask, whatever the depth.
+    """
+    start = np.zeros(len(th))
+    nxt = np.zeros(len(th))
+    cand = np.empty(len(th))
+    right = np.empty(len(th), dtype=bool)
+    for step in steps:
+        np.add(start, step, out=cand)
+        np.greater_equal(th, cand, out=right)
+        np.copyto(start, cand, where=right)
+        # cand becomes the next start: the right child's where th went left
+        np.copyto(cand, nxt, where=right)
+        nxt, cand = cand, nxt
+    end = np.add(start, length, out=cand)
+    np.minimum(end, TWO_PI, out=end)
+    return _chord_off(th, th <= end, end, nxt)
+
+
 def distance_to_set(theta, E):
-    """Chordal distance from angle(s) theta to the arc union E.
+    """Chordal distance from angle(s) theta to the arc union E, or to the
+    depth-level set of the CantorSpec E.
 
     Accepts a scalar or an array; exact from the nearest arc endpoint (or 0
-    inside an arc).  Raises on the empty set.
+    inside an arc).  Raises on the empty set.  A spec gives, bit for bit,
+    its distance to `cantor_build(E)`, by a descent of its gap tree that
+    forms none of the 2^depth arcs (`_spec_distance`).  Only a spec with a
+    gap or leaf of at most (depth + 2) * 2^-49, where rounding can make
+    built arcs touch and merge, is built (`_descent`); the presets are far
+    from that.
     """
-    if E.n_arcs == 0:
+    if isinstance(E, CantorSpec):
+        descent = _descent(E)
+        if descent is None:
+            return distance_to_set(theta, cantor_build(E))
+    elif E.n_arcs == 0:
         raise ValueError("distance to the empty set is undefined")
     theta_arr = np.asarray(theta, dtype=float) % TWO_PI
     scalar = theta_arr.ndim == 0
     th = np.atleast_1d(theta_arr)
-    s, e = E.starts, E.ends
-    n = len(s)
-    idx = np.searchsorted(s, th, side="right") - 1
-    left_arc = idx % n
-    inside = (idx >= 0) & (th <= e[np.maximum(idx, 0)])
-    # angular gap to the arc ending at or before theta (cyclically)...
-    gap_left = (th - e[left_arc]) % TWO_PI
-    right_arc = (idx + 1) % n
-    gap_right = (s[right_arc] - th) % TWO_PI
-    delta = np.minimum(gap_left, gap_right)
-    chord = 2.0 * np.sin(np.minimum(delta, math.pi) / 2.0)
-    out = np.where(inside, 0.0, chord)
+    if isinstance(E, CantorSpec):
+        out = _spec_distance(th, *descent)
+    else:
+        s, e = E.starts, E.ends
+        n = len(s)
+        idx = np.searchsorted(s, th, side="right") - 1
+        inside = (idx >= 0) & (th <= e[np.maximum(idx, 0)])
+        # the arc ending at or before theta and the one after it, cyclically
+        out = _chord_off(th, inside, e[idx % n], s[(idx + 1) % n])
     return float(out[0]) if scalar else out
 
 

@@ -27,6 +27,19 @@ MAX_SPAN = 2**20  # the largest frequency span of a config's f, stored densely
 EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
 
 
+def set_spec(name, depth=None):
+    """The CantorSpec of a named set preset (depth defaults per generator).
+
+    `distance_to_set` samples a preset's distance from this spec, bit for bit
+    as from the built set and without building it.
+    """
+    if name not in SET_PRESETS:
+        raise ValueError(
+            "unknown set preset %r; available: %s" % (name, ", ".join(SET_PRESETS))
+        )
+    return cantor_spec_by_name(name, depth)
+
+
 def build_set(name, depth=None):
     """ArcUnion for a named set preset (depth defaults per generator).
 
@@ -35,15 +48,11 @@ def build_set(name, depth=None):
     process while it stays among the four most recently used.  Sharing is
     safe because an ArcUnion and its arrays are read-only.
     """
-    if name not in SET_PRESETS:
-        raise ValueError(
-            "unknown set preset %r; available: %s" % (name, ", ".join(SET_PRESETS))
-        )
-    return _shared_set(cantor_spec_by_name(name, depth))
+    return _shared_set(set_spec(name, depth))
 
 
-# four: the distinct sets of the catalogue examples and the eps sweeps on both
-# presets (middle thirds at depths 6, 8 and 12, non_carleson_n2 at 20);
+# four, more than the sets any one run builds: its callers are the cantor and
+# carleson experiments and certify's zero-set measure of a smooth_vanishing f;
 # `cantor_build` is looked up per call, so a tracer wrapping it counts builds
 @functools.lru_cache(maxsize=4)
 def _shared_set(spec):
@@ -88,7 +97,12 @@ def z_minus_1():
 
 def build_function(name, params):
     """FourierSeries for a named function preset; `params` supplies knobs,
-    and FUNCTION_PRESETS fills the ones it leaves out."""
+    and FUNCTION_PRESETS fills the ones it leaves out.
+
+    smooth_vanishing samples its distance from the set's `set_spec`, bit
+    for bit as from the built set, so it builds no set and leaves the
+    shared sets of `build_set` alone.
+    """
     if name not in FUNCTION_PRESETS:
         raise ValueError("unknown function preset %r; available: %s"
                          % (name, ", ".join(FUNCTION_PRESETS)))
@@ -97,8 +111,8 @@ def build_function(name, params):
         return moebius_gap_series(knobs["k"], knobs["max_degree"], knobs["tail_tol"])
     if name == "z_minus_1":
         return z_minus_1()
-    E = build_set(knobs["set"], knobs["depth"])
-    d = distance_to_set(circle_grid(int(knobs["grid"])), E)
+    spec = set_spec(knobs["set"], knobs["depth"])
+    d = distance_to_set(circle_grid(int(knobs["grid"])), spec)
     series = smooth_vanishing_function(d, float(knobs["gamma"])).series
     if knobs["truncate"] is not None:
         series = series.truncate(int(knobs["truncate"]))

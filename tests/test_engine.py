@@ -554,6 +554,204 @@ class TestKernel:
             assert_same_bits(u, u_kept)
 
 
+# The solver operations as they stood before the CG loop, the Hessian and the
+# two FFT operators worked in place: the oracles the in-place code must
+# reproduce bit for bit.  Each operator call made fresh arrays throughout.
+def oracle_convolution(conv, x):
+    if conv.size is None:
+        return conv.a * x
+    x_spec = engine._fft(x, conv.size)
+    return engine._ifft(conv.spectrum * x_spec)[: conv.n_out]
+
+
+def oracle_toeplitz_inverse(inverse, y):
+    n, size = inverse.n, inverse.size
+    y_spec = engine._fft(y, size)
+    a = engine._ifft(inverse.x_spec_conj * y_spec)[:n]
+    b = engine._ifft(inverse.v_spec_conj * y_spec)[:n]
+    a_spec = engine._fft(a, size)
+    b_spec = engine._fft(b, size)
+    return engine._ifft(inverse.x_spec * a_spec - inverse.v_spec * b_spec)[:n]
+
+
+def oracle_preconditioner(inverse):
+    """The oracle apply of a _ToeplitzInverse, with the shift it holds."""
+    apply = functools.partial(oracle_toeplitz_inverse, inverse)
+    apply.shift = inverse.shift
+    return apply
+
+
+class OracleObjective(_ConvObjective):
+    """The objective with the oracle operators, Hessian and CG solve."""
+
+    def apply(self, x):
+        y = np.zeros(self.n_rows, dtype=complex)
+        y[self.conv_off : self.conv_off + self._conv.n_out] = oracle_convolution(self._conv, x)
+        return y
+
+    def adjoint(self, y):
+        nf = len(self.f_arr)
+        seg = y[self.conv_off : self.conv_off + self._conv.n_out]
+        return oracle_convolution(self._corr, seg)[nf - 1 : nf - 1 + self.n_cols]
+
+    @functools.cached_property
+    def preconditioner(self):
+        inverse = _ConvObjective.__dict__["preconditioner"].func(self)
+        return None if inverse is None else oracle_preconditioner(inverse)
+
+    def hessian(self, w, resid, c=None):
+        if c is None:
+            return lambda d: self.adjoint(w * self.apply(d))
+        cr, r_conj = c * resid, np.conj(resid)
+
+        def apply(d):
+            ad = self.apply(d)
+            return self.adjoint(w * ad + cr * np.real(r_conj * ad))
+
+        return apply
+
+    def solve_weighted(self, w, x, resid, maxiter, c=None):
+        precond = self.preconditioner
+        if precond is None:
+            return x, 1, False
+        hessian = self.hessian(w, resid, c)
+        r = self.adjoint(w * resid)
+        z = precond(r)
+        rz = float(np.real(np.vdot(r, z)))
+        if not rz > 0.0:
+            return x, 1, not np.any(r)
+        stop = engine.PCG_RTOL**2 * rz
+        d = z
+        spent = 0
+        while spent < maxiter and rz > stop:
+            q = hessian(d)
+            spent += 1
+            dq = float(np.real(np.vdot(d, q)))
+            if not dq > 0.0:
+                return x, spent, False
+            alpha = rz / dq
+            x = x + alpha * d
+            r = r - alpha * q
+            z = precond(r)
+            rz_next = float(np.real(np.vdot(r, z)))
+            if not rz_next >= 0.0:
+                return x, spent, False
+            d = z + (rz_next / rz) * d
+            rz = rz_next
+        return x, max(spent, 1), rz <= stop
+
+
+def newton_step_problem(f_arr, support, degree, p, beta, shift, seed):
+    """Both objectives of one problem, and a point with its Newton-step
+    weights w and curvature c, drawn as `_minimize` forms them."""
+    s_lo, s_hi = engine._support_range(support, degree)
+    target = (0, np.ones(1, dtype=complex)) if not shift else (-1, f_arr)
+    args = (-1, f_arr, s_lo, s_hi, *target, p, beta)
+    prob, oracle = _ConvObjective(*args), OracleObjective(*args)
+    rng = np.random.default_rng(seed)
+    x = 0.1 * (rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols))
+    r = prob.residual(x)
+    s = np.abs(r) ** 2 + (0.1 * float(np.max(np.abs(r)))) ** 2
+    w = prob.base_w * s ** ((p - 2.0) / 2.0)
+    c = (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
+    return prob, oracle, x, r, w, c
+
+
+def assert_same_solve(got, want):
+    assert_same_bits(got[0], want[0])
+    assert got[1:] == want[1:]
+
+
+class TestInPlaceSolve:
+    """The CG solve, the Hessian and the FFT operators work in buffers they
+    own and reuse; every result keeps the oracles' bits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(2, 40), st.integers(1, 40), st.sampled_from(SUPPORTS),
+        st.sampled_from([1.5, 2.0]), st.sampled_from([0.0, 0.25]),
+        st.booleans(), st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_solve_and_hessian_match_the_oracles_bit_for_bit(
+        self, nf, degree, support, p, beta, shift, curvature, seed
+    ):
+        rng = np.random.default_rng(seed)
+        f_arr = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
+        prob, oracle, x, r, w, c = newton_step_problem(
+            f_arr, support, degree, p, beta, shift, seed)
+        c = c if curvature else None
+        d = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
+        hessian, oracle_hessian = prob.hessian(w, r, c), oracle.hessian(w, r, c)
+        for _ in range(2):  # the work arrays are reused by the second call
+            assert_same_bits(hessian(d), oracle_hessian(d))
+        for maxiter in (1, 3, 1000):
+            assert_same_solve(prob.solve_weighted(w, x, r, maxiter, c),
+                              oracle.solve_weighted(w, x, r, maxiter, c))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 300), st.integers(2, 300), st.integers(0, 2**32 - 1))
+    def test_operators_match_the_oracles_bit_for_bit(self, na, nx, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        conv = engine._Convolution(a, nx)
+        col = hermitian_dominant_column(rng, nx, min(nx - 1, 5))
+        inverse = engine._ToeplitzInverse(col)
+        for _ in range(2):
+            x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
+            # a complex operand goes through the work buffers; a real one
+            # keeps the half-spectrum path
+            for u in (x, x.real):
+                assert_same_bits(conv(u), oracle_convolution(conv, u))
+                assert_same_bits(inverse(u), oracle_toeplitz_inverse(inverse, u))
+
+    def test_large_solve_matches_the_oracle_bit_for_bit(self):
+        # 18433 rows and 16385 columns: arrays of 256 KiB and more, which
+        # numpy writes into when they are unnamed temporaries
+        f_arr = infimum_large_function().arr
+        prob, oracle, x, r, w, c = newton_step_problem(
+            f_arr, "all_integers", 8192, 1.5, 0.25, False, 61)
+        assert prob.n_rows * 16 >= 256 * 1024
+        # one Levinson-Durbin solve of order 16385 serves both
+        oracle.preconditioner = oracle_preconditioner(prob.preconditioner)
+        for curvature in (None, c):
+            assert_same_solve(prob.solve_weighted(w, x, r, 4, curvature),
+                              oracle.solve_weighted(w, x, r, 4, curvature))
+
+    @pytest.mark.parametrize("search", [
+        lambda f: bicyclicity_infimum(f, P15, "all_integers", 12),
+        lambda f: bicyclicity_infimum(f, SpaceIndex(1.5, 0.25), "nonneg", 12),
+        lambda f: forward_shift_infimum(f, SpaceIndex(2.0, 0.25), 12),
+    ])
+    def test_whole_search_matches_the_oracle_objective(self, monkeypatch, search):
+        f = certify_small_function()
+        got = search(f)
+        monkeypatch.setattr(engine, "_ConvObjective", OracleObjective)
+        want = search(f)
+        assert got.value.hex() == want.value.hex()
+        assert_same_bits(got.polynomial.arr, want.polynomial.arr)
+        assert (got.iterations, got.sweeps, got.converged) == (
+            want.iterations, want.sweeps, want.converged)
+
+    @pytest.mark.parametrize("p, shift", [(1.5, False), (2.0, True)])
+    def test_a_solve_leaves_its_arguments_and_earlier_results_alone(self, p, shift):
+        # _minimize keeps earlier iterates among its candidates, so no solve
+        # may write into its x, its resid, or what an earlier solve returned
+        rng = np.random.default_rng(67)
+        f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        prob, _, x, r, w, c = newton_step_problem(f_arr, "all_integers", 8, p, 0.25, shift, 67)
+        x_kept, r_kept = x.copy(), r.copy()
+        y, spent, _ = prob.solve_weighted(w, x, r, 50, c)
+        assert spent > 1
+        assert_same_bits(x, x_kept)
+        assert_same_bits(r, r_kept)
+        y_kept = y.copy()
+        r_y = prob.residual(y)
+        z, _, _ = prob.solve_weighted(w, y, r_y, 50, c)
+        prob.solve_weighted(prob.base_w, x, r, 50)
+        assert_same_bits(y, y_kept)
+        assert z is not y
+
+
 class TestSolvePath:
     @pytest.mark.parametrize("f_lo, nf, s_lo, s_hi, shape", [
         # infimum_large: f of 2049 terms at two-sided degree 4096

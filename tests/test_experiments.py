@@ -11,6 +11,7 @@ import json
 import math
 import resource
 import sys
+import tracemalloc
 from dataclasses import fields
 from pathlib import Path
 
@@ -486,17 +487,76 @@ class TestSharedSets:
             assert _raised(lambda: build_set(name, depth)) == want
 
     def test_smooth_vanishing_same_before_and_after_a_hit(self):
+        # the function samples its distance from the spec: the shared sets
+        # are neither read nor filled
         params = {"set": "middle_thirds", "depth": 6, "gamma": 1.0, "grid": 2048}
         presets._shared_set.cache_clear()
+        build_set("middle_thirds", 6)
+        info = presets._shared_set.cache_info()
         before = build_function("smooth_vanishing", params)
-        misses = presets._shared_set.cache_info().misses
         after = build_function("smooth_vanishing", params)
-        assert presets._shared_set.cache_info().misses == misses == 1
+        assert presets._shared_set.cache_info() == info
         E = geometry.cantor_build(geometry.middle_thirds_spec(6))
         fresh = smooth_vanishing_function(
             geometry.distance_to_set(circle_grid(2048), E), 1.0
         ).series
         assert before == after == fresh
+
+
+def refuse_builds(monkeypatch):
+    """Make every cyclab binding of `cantor_build` raise, with the shared sets
+    emptied, so that any set build fails."""
+    def refuse(spec):
+        raise AssertionError("cantor_build called")
+
+    presets._shared_set.cache_clear()
+    original = geometry.cantor_build
+    for mod_name, mod in list(sys.modules.items()):
+        in_package = mod_name == "cyclab" or mod_name.startswith("cyclab.")
+        if in_package and getattr(mod, "cantor_build", None) is original:
+            monkeypatch.setattr(mod, "cantor_build", refuse)
+
+
+class TestNoSetBuilt:
+    """The sampled distance profiles come from the presets' specs: no set of
+    2^depth arcs is built for them."""
+
+    @pytest.mark.parametrize("name", presets.SET_PRESETS)
+    def test_smooth_vanishing_builds_no_set(self, monkeypatch, name):
+        params = {"set": name, "grid": 2**12}
+        E = geometry.cantor_build(geometry.cantor_spec_by_name(name))
+        want = smooth_vanishing_function(
+            geometry.distance_to_set(circle_grid(2**12), E), 1.0).series
+        refuse_builds(monkeypatch)
+        assert build_function("smooth_vanishing", params) == want
+
+    @pytest.mark.parametrize("experiment, extra", [
+        ("decay", {"p": 1.5, "eps": [0.1, 0.01]}),
+        ("kel_ratio", {"eps": [0.1, 0.01]}),
+        ("outer", {"eps": [0.1, 0.01]}),
+    ])
+    def test_sweeps_build_no_set(self, tmp_path, monkeypatch, experiment, extra):
+        refuse_builds(monkeypatch)
+        params = {"set": "non_carleson_n2", "grid": 2**12, **extra}
+        manifest = run({"experiment": experiment, "parameters": params,
+                        "output_dir": str(tmp_path)})
+        assert manifest.status == "ok"
+
+    def test_unknown_set_still_raises(self):
+        with pytest.raises(ValueError, match="unknown set preset"):
+            build_function("smooth_vanishing", {"set": "enigma"})
+
+    def test_smooth_vanishing_allocates_little(self):
+        # the depth-20 set is 2^20 arcs of two floats, 16 MiB, and building
+        # it peaks at 34 MiB; the profile needs a few arrays of the grid
+        presets._shared_set.cache_clear()
+        tracemalloc.start()
+        try:
+            build_function("smooth_vanishing", {"set": "non_carleson_n2", "grid": 2**14})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
 
 class TestRunOutputs:

@@ -27,6 +27,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from cyclab import geometry
+from cyclab.fourier import circle_grid
 from cyclab.geometry import (
     TWO_PI,
     ArcUnion,
@@ -350,6 +351,112 @@ class TestDistance:
         vec = distance_to_set(thetas, E)
         for theta, v in zip(thetas, vec):
             assert v == distance_to_set(theta, E)
+
+
+def spec_from_fractions(fractions):
+    """The CantorSpec whose level-n gap is fractions[n-1] of the interval it
+    is cut from."""
+    length, gaps = TWO_PI, []
+    for frac in fractions:
+        gaps.append(frac * length)
+        length = (length - gaps[-1]) / 2.0
+    return CantorSpec(tuple(gaps))
+
+
+def assert_spec_distance_is_the_built_sets(spec, theta):
+    E = cantor_build(spec)
+    got, want = distance_to_set(theta, spec), distance_to_set(theta, E)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+# every angle a set's arcs end or start at, and the floats beside them
+def endpoint_angles(E):
+    ends = np.concatenate([E.starts, E.ends])
+    return np.concatenate([ends, np.nextafter(ends, -1.0), np.nextafter(ends, 8.0)])
+
+
+class TestSpecDistance:
+    """`distance_to_set` on a CantorSpec is, bit for bit, the distance to the
+    set `cantor_build` makes of it."""
+
+    @pytest.mark.parametrize("name, depth", [
+        *(("middle_thirds", depth) for depth in range(1, 13)),
+        *(("non_carleson_n2", depth) for depth in range(1, 21)),
+    ])
+    def test_presets_match_the_built_set(self, name, depth):
+        spec = cantor_spec_by_name(name, depth)
+        E = cantor_build(spec)
+        angles = np.random.default_rng(depth).uniform(-10.0, 10.0, 5000)
+        for theta in [*(circle_grid(2**k) for k in range(4, 18)), angles]:
+            got, want = distance_to_set(theta, spec), distance_to_set(theta, E)
+            assert got.tobytes() == want.tobytes()
+        for theta in (0.0, 2.5, -1e-20, TWO_PI, angles[0]):
+            got = distance_to_set(theta, spec)
+            assert isinstance(got, float)
+            assert got.hex() == distance_to_set(theta, E).hex()
+
+    @given(st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=12),
+           st.integers(4, 12), st.integers(0, 2**32 - 1))
+    # gaps near 0.99 shrink the leaves below the rounding of their starts,
+    # so the built arcs touch and merge, and the last one wraps the seam
+    @example(fractions=[0.78125, 0.84375, 0.5, 0.98828125, 0.98828125, 0.98828125,
+                        0.6875, 0.5, 0.96875, 0.75, 0.984375], k=4, seed=0)
+    @settings(max_examples=150, deadline=None)
+    def test_random_specs_match_the_built_set(self, fractions, k, seed):
+        spec = spec_from_fractions(fractions)
+        angles = np.random.default_rng(seed).uniform(-10.0, 10.0, 500)
+        theta = np.concatenate([circle_grid(2**k), angles,
+                                endpoint_angles(cantor_build(spec))])
+        assert_spec_distance_is_the_built_sets(spec, theta)
+
+    @given(st.lists(st.tuples(st.booleans(), st.floats(1e-6, 0.99),
+                              st.floats(1.0, 64.0, exclude_min=True)),
+                    min_size=1, max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_specs_at_the_margin_descend_without_a_build(self, levels):
+        # gaps down to just past the margin of `_descent`
+        margin = (len(levels) + 2) * 2.0**-49
+        length, gaps = TWO_PI, []
+        for tiny, frac, times in levels:
+            gap = min(times * margin, length / 2.0) if tiny else frac * length
+            gaps.append(gap)
+            length = (length - gap) / 2.0
+        spec = CantorSpec(tuple(gaps))
+        if min(*gaps, length) <= margin:
+            return
+        E = cantor_build(spec)
+        assert E.n_arcs == 2 ** spec.depth
+        theta = np.concatenate([circle_grid(2**10), endpoint_angles(E)])
+        want = distance_to_set(theta, E)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(geometry, "cantor_build", refuse_build)
+            assert distance_to_set(theta, spec).tobytes() == want.tobytes()
+
+    def test_merging_spec_is_built(self, monkeypatch):
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return cantor_build(spec)
+
+        monkeypatch.setattr(geometry, "cantor_build", counted)
+        spec = spec_from_fractions([0.99] * 12)
+        assert geometry._descent(spec) is None
+        assert cantor_build(spec).n_arcs < 2**12
+        distance_to_set(1.0, spec)
+        assert built == [spec]
+
+    @pytest.mark.parametrize("name", SET_PRESETS)
+    def test_presets_descend_without_a_build(self, monkeypatch, name):
+        spec = cantor_spec_by_name(name)
+        want = distance_to_set(circle_grid(2**10), cantor_build(spec))
+        monkeypatch.setattr(geometry, "cantor_build", refuse_build)
+        assert distance_to_set(circle_grid(2**10), spec).tobytes() == want.tobytes()
+
+
+def refuse_build(spec):
+    raise AssertionError("cantor_build called")
 
 
 # ---------------------------------------------------------------------------
