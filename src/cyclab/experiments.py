@@ -59,18 +59,19 @@ from .engine import (
 )
 from .fourier import SpaceIndex, circle_grid, eval_on_grid, norm_ap_beta
 from .geometry import (
+    arc_count,
     carleson_test,
     cantor_spec_by_name,
     covering_profile,
     distance_to_set,
     log_t_grid,
+    total_measure,
 )
 from .presets import (
     EPS_DECADE,
     FUNCTION_PRESETS,
     MAX_SPAN,
     SET_PRESETS,
-    build_set,
     moebius_gap_series,
     series_from_config,
     set_spec,
@@ -385,16 +386,16 @@ def _run_norms(params):
 def _run_cantor(params):
     """CSV columns: t, covering_count, tube_measure."""
     name, depth = params["set"], params["depth"]
-    E = build_set(name, depth)
+    spec = set_spec(name, depth)
     profile = covering_profile(
-        E, log_t_grid(params["t_min"], params["t_max"], params["t_count"])
+        spec, log_t_grid(params["t_min"], params["t_max"], params["t_count"])
     )
     rows = [(t, int(N), tube) for t, N, tube in profile.samples]
     report = {
         "set": name,
         "depth": depth,
-        "n_arcs": E.n_arcs,
-        "total_measure": E.total_measure,
+        "n_arcs": arc_count(spec),
+        "total_measure": profile.total_measure,
         "profile": [list(r) for r in rows],
     }
     try:
@@ -407,7 +408,7 @@ def _run_cantor(params):
 def _run_carleson(params):
     """CSV columns: set, depth, interval_sum, interval_sum_radian, log_integral, verdict."""
     name, depth = params["set"], params["depth"]
-    result = carleson_test(build_set(name, depth), params["grid"],
+    result = carleson_test(set_spec(name, depth), params["grid"],
                            divergence_threshold=params["threshold"])
     report = {**result, "set": name, "depth": depth}
     header = ("set", "depth", "interval_sum", "interval_sum_radian", "log_integral", "verdict")
@@ -493,7 +494,8 @@ def _run_szego(params):
 def _run_certify(params):
     """CSV columns: degree, bicyclic_norm, shift_norm.
 
-    A smooth_vanishing f passes its set's measure to `certify_cyclic`'s verdict.
+    A smooth_vanishing f passes its set's measure to `certify_cyclic`'s
+    verdict, read from the set's spec (`total_measure`) with no set built.
     """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere
@@ -507,7 +509,7 @@ def _run_certify(params):
     # only smooth_vanishing reads `set`: it vanishes on that set
     measure = None
     if params["preset"] == "smooth_vanishing":
-        measure = build_set(params["set"], params["depth"]).total_measure
+        measure = total_measure(set_spec(params["set"], params["depth"]))
     problem = CertificateProblem(
         f=f,
         space=space,

@@ -84,7 +84,9 @@ class ArcUnion:
     0/2*pi seam, see module docstring).  Point arcs are allowed.  Arcs that
     arrive sorted and strictly disjoint, as `cantor_build` hands them over,
     cost O(n) and no sort (see `_merge_arcs`); the result is the same
-    either way.  The total measure is summed on its first read and kept.
+    either way.  The total measure is summed on its first read and kept;
+    it is `np.sum(ends - starts)`, summed block by block with numpy's
+    pairwise order (`total_measure`).
     """
 
     __slots__ = ("_starts", "_ends", "_measure")
@@ -131,7 +133,7 @@ class ArcUnion:
     def total_measure(self):
         """Sum of the arc lengths, np.sum(ends - starts), taken once per set."""
         if self._measure is None:
-            object.__setattr__(self, "_measure", float(np.sum(self._ends - self._starts)))
+            object.__setattr__(self, "_measure", _scan(_UnionArcs(self))[0])
         return self._measure
 
     def __repr__(self):
@@ -282,33 +284,44 @@ def cantor_build(spec):
     """
     steps, length = _steps(spec)
     arcs = np.empty((2 ** len(steps), 2))
-    starts = arcs[:, 0]
-    starts[0] = 0.0
+    arcs[0, 0] = 0.0
+    _grow(arcs[:, 0], steps)
+    np.add(arcs[:, 0], length, out=arcs[:, 1])
+    return ArcUnion(arcs)
+
+
+def _grow(starts, steps):
+    """Fill `starts` from starts[0] by the gap-removal recursion over `steps`,
+    each start at the index of its leftmost leaf."""
     for level, step in enumerate(steps):
         # the 2^level intervals sit every `stride` entries; each one's right
         # child goes half a stride after it
         stride = len(starts) >> level
         np.add(starts[::stride], step, out=starts[stride // 2 :: stride])
-    np.add(starts, length, out=arcs[:, 1])
-    return ArcUnion(arcs)
-
-
-def _gap_lengths(E):
-    """The lengths of `E.gaps()`, without the copy of the gap starts."""
-    if E.n_arcs == 0:
-        return np.array([TWO_PI])
-    lengths = _cyclic_gaps(E.starts, E.ends)
-    return lengths[lengths > _GAP_EPS]
+    return starts
 
 
 def _chord_off(th, inside, left_end, right_start):
     """The chord from th to the nearer of left_end and right_start, the
-    arc endpoints around it, measured cyclically; 0 where inside."""
-    gap_left = (th - left_end) % TWO_PI
-    gap_right = (right_start - th) % TWO_PI
-    delta = np.minimum(gap_left, gap_right)
-    chord = 2.0 * np.sin(np.minimum(delta, math.pi) / 2.0)
-    return np.where(inside, 0.0, chord)
+    arc endpoints around it, measured cyclically; 0 where inside.
+
+    With th in [0, 2*pi], th - left_end lies in [-2*pi, 2*pi] and
+    right_start - th in [-2*pi, 2*pi).  There `% TWO_PI` is fmod, which is
+    exact, then 2*pi added to a negative value, and +-2*pi mapped to +0.0;
+    the masked adds below give those floats in place, bit for bit.
+    """
+    gap_left = np.subtract(th, left_end)
+    np.subtract(gap_left, TWO_PI, out=gap_left, where=gap_left >= TWO_PI)
+    np.add(gap_left, TWO_PI, out=gap_left, where=gap_left < 0.0)
+    gap_right = np.subtract(right_start, th)
+    np.add(gap_right, TWO_PI, out=gap_right, where=gap_right < 0.0)
+    chord = np.minimum(gap_left, gap_right, out=gap_left)
+    np.minimum(chord, math.pi, out=chord)
+    np.divide(chord, 2.0, out=chord)
+    np.sin(chord, out=chord)
+    np.multiply(chord, 2.0, out=chord)
+    np.copyto(chord, 0.0, where=inside)
+    return chord
 
 
 def _descent(spec):
@@ -325,7 +338,7 @@ def _descent(spec):
     touch, and ArcUnion merges them.
     """
     steps, length = _steps(spec)
-    if min(*spec.gap_lengths, length) > (spec.depth + 2) * 2.0**-49:
+    if min((*spec.gap_lengths, length)) > (spec.depth + 2) * 2.0**-49:
         return steps, length
     return None
 
@@ -392,8 +405,184 @@ def distance_to_set(theta, E):
     return float(out[0]) if scalar else out
 
 
+# arcs per block when a statistic reads a set: a spec's arcs are made in
+# aligned blocks of this many leaves, and `_PairwiseSums` sums pieces of at
+# most this many elements with np.sum.  At 2^14 an array of a block is
+# 128 KiB, and numpy's per-call cost is small beside its work: over the
+# depth-20 preset's 2^20 arcs, blocks of 2^12 took 1.6 times as long
+_BLOCK_LEVELS = 14
+_BLOCK = 2**_BLOCK_LEVELS
+
+
+class _UnionArcs:
+    """The arcs of an ArcUnion, read in blocks as `_SpecArcs` reads a spec's."""
+
+    def __init__(self, E):
+        self.source = E
+        self.n_arcs = E.n_arcs
+
+    def blocks(self):
+        """Per block of at most _BLOCK arcs: views of its starts and ends,
+        and the start after its last arc, the first start + 2*pi for the
+        last block."""
+        s, e, n = self.source.starts, self.source.ends, self.n_arcs
+        for lo in range(0, n, _BLOCK):
+            hi = lo + _BLOCK
+            yield s[lo:hi], e[lo:hi], s[hi] if hi < n else s[0] + TWO_PI
+
+
+class _SpecArcs:
+    """The arcs of `cantor_build(spec)`, made block by block as they are
+    read, for a spec that `_descent` accepts.  ArcUnion keeps such a
+    build's 2^depth arcs as they are, with each end
+    start + ((start + length) - start), its constructor's arithmetic, and
+    the last end clamped to 2*pi; so does this."""
+
+    def __init__(self, spec, steps, length):
+        self.source = spec
+        self.n_arcs = 2 ** len(steps)
+        self._steps, self._length = steps, length
+
+    def blocks(self):
+        """As `_UnionArcs.blocks`, in aligned blocks of 2^_BLOCK_LEVELS leaves
+        (one block for a shallower spec), in two buffers that every block
+        reuses.  The block roots are the starts of the intervals
+        _BLOCK_LEVELS levels above the leaves, and each block grows from its
+        root by `cantor_build`'s recursion, so every start is the same sum."""
+        split = max(len(self._steps) - _BLOCK_LEVELS, 0)
+        roots = _grow(np.zeros(2**split), self._steps[:split])
+        starts = np.empty(self.n_arcs >> split)
+        ends = np.empty_like(starts)
+        for k, root in enumerate(roots):
+            starts[0] = root
+            _grow(starts, self._steps[split:])
+            np.add(starts, self._length, out=ends)
+            np.subtract(ends, starts, out=ends)
+            np.add(starts, ends, out=ends)
+            if k == len(roots) - 1:
+                ends[-1] = min(ends[-1], TWO_PI)
+                yield starts, ends, TWO_PI
+            else:
+                yield starts, ends, roots[k + 1]
+
+
+def _arcs(E):
+    """Where a statistic reads the arcs of E from: an ArcUnion's arrays, or
+    a spec's arcs made block by block (`_SpecArcs`).  A spec that
+    `_descent` refuses is built."""
+    if isinstance(E, CantorSpec):
+        descent = _descent(E)
+        return _UnionArcs(cantor_build(E)) if descent is None else _SpecArcs(E, *descent)
+    return _UnionArcs(E)
+
+
+def _half(n):
+    """Where numpy's pairwise sum splits n elements: n/2 rounded down to a
+    multiple of 8."""
+    half = n // 2
+    return half - half % 8
+
+
+class _PairwiseSums:
+    """`np.sum`'s float of each of k sequences of one length n, fed in
+    consecutive pieces of any size.
+
+    numpy sums a float64 array pairwise, splitting it at `_half` until at
+    most 128 elements are left.  This repeats the split down to pieces of
+    at most _BLOCK elements, sums each piece with np.sum, and adds the piece
+    sums back up the same tree, so no sequence is held whole.
+    """
+
+    def __init__(self, n, k=1):
+        self._n, self._k = n, k
+        self._bounds = [0]  # the pieces' ends, in order
+        self._split(n)
+        self._fed = 0
+        self._parts = []  # copies of the fed parts of an unfinished piece
+        self._sums = []  # the k sums of each finished piece
+
+    def _split(self, n):
+        if n <= _BLOCK:
+            self._bounds.append(self._bounds[-1] + n)
+        else:
+            self._split(_half(n))
+            self._split(n - _half(n))
+
+    def feed(self, *columns):
+        """The next elements of the k sequences, one array each; the arrays
+        are read now, so the caller may reuse them."""
+        at, m = 0, len(columns[0])
+        while at < m:
+            end = self._bounds[len(self._sums) + 1]
+            take = min(end - self._fed, m - at)
+            parts = [c[at : at + take] for c in columns]
+            at += take
+            self._fed += take
+            if self._fed < end:
+                self._parts.append([p.copy() for p in parts])
+                continue
+            if self._parts:
+                parts = [np.concatenate(c) for c in zip(*self._parts, parts)]
+                self._parts = []
+            self._sums.append([float(np.sum(p)) for p in parts])
+
+    def result(self):
+        """The k sums, once all n elements are fed."""
+        if self._n == 0 or self._k == 0:
+            return [0.0] * self._k
+        sums = iter(self._sums)
+
+        def add(n):
+            if n <= _BLOCK:
+                return next(sums)
+            return [a + b for a, b in zip(add(_half(n)), add(n - _half(n)))]
+
+        return add(self._n)
+
+
+def _with_gaps(arcs):
+    """Per block of `arcs.blocks()`: its starts, its ends and the cyclic gaps
+    after its arcs, s_(i+1) - e_i and last s_0 + 2*pi - e_(n-1), the floats
+    `_cyclic_gaps` makes, in one reused buffer.  The empty set gives one
+    gap, the circle, as in `ArcUnion.gaps`."""
+    if arcs.n_arcs == 0:
+        yield np.empty(0), np.empty(0), np.array([TWO_PI])
+        return
+    buf = np.empty(min(arcs.n_arcs, _BLOCK))
+    for starts, ends, next_start in arcs.blocks():
+        gaps = buf[: len(starts)]
+        np.subtract(starts[1:], ends[:-1], out=gaps[:-1])
+        gaps[-1] = next_start - ends[-1]
+        yield starts, ends, gaps
+
+
+def _bincount_on(bins, levels, weights):
+    """`np.bincount(levels, weights)` carried on from `bins`, the sums of the
+    levels before: each bin's running sum goes in as its first weight, so
+    every bin adds its weights in the order of one bincount over all."""
+    return np.bincount(np.concatenate([np.arange(len(bins)), levels]),
+                       weights=np.concatenate([bins, weights]))
+
+
+def total_measure(E):
+    """The measure of the arc union E, or of `cantor_build(E)` for a spec E:
+    np.sum(ends - starts), bit for bit.  A spec's arcs are made block by
+    block and never held at once, and a spec that `_descent` refuses is
+    built."""
+    if isinstance(E, ArcUnion):
+        return E.total_measure
+    return _scan(_arcs(E))[0]
+
+
+def arc_count(E):
+    """The number of arcs of E, or of `cantor_build(E)` for a spec E (2^depth
+    unless `_descent` refuses the spec, which is then built)."""
+    return _arcs(E).n_arcs
+
+
 def tube_measure(E, t):
-    """Lebesgue measure (radians) of the chordal t-neighborhood of E.
+    """Lebesgue measure (radians) of the chordal t-neighborhood of E, an arc
+    union or a spec (whose depth-level set is measured, bit for bit).
 
     Accepts a scale, giving a float, or an array of scales, giving an array
     of its shape; every scale must be > 0 (NaN raises).  The neighborhood
@@ -404,26 +593,63 @@ def tube_measure(E, t):
 
         |E_t| = sum_i (e_i - s_i) + sum_i min(g_i, 2*rho),
 
-    capped at 2*pi.  This costs O(arcs) per scale with no sort or merge; the
-    gaps and the total measure are taken once per call, so an array of
-    scales gives the same floats as a call per scale.  The gap across the
-    seam, from an arc ending at 2*pi to one starting at 0, is 0, so those
-    two arcs count as one.
+    capped at 2*pi.  One pass over the arcs in blocks (`_scan`) serves the
+    measure and every scale, with no sort or merge; a spec's arcs are made
+    block by block (`_SpecArcs`), never the whole set.  Each sum keeps
+    np.sum's bits (`_PairwiseSums`), so an array of scales gives the same
+    floats as a call per scale.  The gap across the seam, from an arc
+    ending at 2*pi to one starting at 0, is 0, so those two arcs count as
+    one.
     """
+    t_arr = _scales(t)
+    arcs = _arcs(E)
+    out = _tubes(t_arr, *_scan(arcs, _widths(t_arr))) if arcs.n_arcs else np.zeros(t_arr.shape)
+    return float(out) if out.ndim == 0 else out
+
+
+def _scales(t):
+    """The scales t as a float array, every one > 0."""
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
         raise ValueError("t must be positive")
+    return t_arr
+
+
+def _widths(t_arr):
+    """Twice the angular radius 2*asin(t/2) of each chord t < 2, in C order."""
+    return [2.0 * (2.0 * math.asin(x / 2.0)) for x in t_arr.flat if x < 2.0]
+
+
+def _tubes(t_arr, measure, sums):
+    """The tube measures of the scales from the measure and the gap sums of
+    `_widths(t_arr)`: 2*pi from t = 2 on."""
     out = np.zeros(t_arr.shape)
-    if E.n_arcs > 0:
-        gaps = _cyclic_gaps(E.starts, E.ends)
-        measure = E.total_measure
-        for i, x in np.ndenumerate(t_arr):
-            if x >= 2.0:
-                out[i] = TWO_PI
-            else:
-                rho = 2.0 * math.asin(x / 2.0)  # the angular radius of a chord x < 2
-                out[i] = min(measure + float(np.sum(np.minimum(gaps, 2.0 * rho))), TWO_PI)
-    return float(out) if out.ndim == 0 else out
+    sums = iter(sums)
+    for i, x in np.ndenumerate(t_arr):
+        out[i] = TWO_PI if x >= 2.0 else min(measure + next(sums), TWO_PI)
+    return out
+
+
+def _scan(arcs, widths=(), sweeps=()):
+    """One pass over the arcs in blocks: the measure, np.sum(ends - starts),
+    and per width w the sum of min(gap, w) over the cyclic gaps of a
+    nonempty set, each with np.sum's bits; each `_Sweep` is fed every
+    block."""
+    measure = _PairwiseSums(arcs.n_arcs)
+    covered = _PairwiseSums(arcs.n_arcs, len(widths))
+    buf = np.empty((len(widths), min(arcs.n_arcs, _BLOCK)))
+    lo = 0
+    for starts, ends, gaps in _with_gaps(arcs):
+        measure.feed(ends - starts)
+        if widths:
+            cols = buf[:, : len(gaps)]
+            for width, col in zip(widths, cols):
+                np.minimum(gaps, width, out=col)
+            covered.feed(*cols)
+        for sweep in sweeps:
+            sweep.feed(lo, starts, ends)
+        lo += len(starts)
+    return measure.result()[0], covered.result()
 
 
 _FIXED_ONE = 1 << 1074  # 2**-1074 is the least positive float
@@ -435,8 +661,61 @@ def _fixed(x):
     return num << (1075 - den.bit_length())
 
 
+class _Sweep:
+    """The greedy cover of `covering_number` at one scale, fed the arcs
+    block by block; `count` holds the number of covers once every block is
+    fed."""
+
+    def __init__(self, t):
+        t = float(t)
+        if not t > 0.0:
+            raise ValueError("t must be positive")
+        self._two_t = 2.0 * t
+        self.count = 1 if self._two_t >= TWO_PI else 0
+        self._done = self.count == 1
+        self._next = 0  # the index of the first arc not yet passed
+
+    def feed(self, lo, starts, ends):
+        """Sweep the arcs lo, lo + 1, ... given by `starts` and `ends`."""
+        if self._done:
+            return
+        if lo == 0:
+            base = float(starts[0])
+            self._limit = base + TWO_PI
+            self._turn_end, self._width = _fixed(self._limit), _fixed(self._two_t)
+            # greedy invariant: every set point below this is covered
+            self._covered = _fixed(base)
+        covered, width = self._covered, self._width
+        near = covered / _FIXED_ONE  # the float nearest `covered`
+        j = self._next - lo
+        while j < len(starts):
+            # an end below `near` lies within `covered`, one above it past
+            end = ends[j]
+            if j + lo > 0 and (end < near or end == near and _fixed(end) <= covered):
+                # skip every arc that ends within `covered` (the ends increase
+                # strictly); only an end equal to `near` is compared exactly
+                j = max(j, int(ends.searchsorted(near)))
+                if j < len(starts) and ends[j] == near and _fixed(near) <= covered:
+                    j += 1
+                continue
+            if not starts[j] < self._limit:
+                self._done = True
+                break
+            end_j = _fixed(end)
+            y = max(_fixed(starts[j]), covered)
+            if y <= end_j and y < self._turn_end:
+                k = max(1, -((y - end_j) // width))
+                self.count += k
+                covered = y + k * width
+                near = covered / _FIXED_ONE
+            j += 1
+        self._covered = covered
+        self._next = lo + j
+
+
 def covering_number(E, t):
-    """Minimal number of closed arcs of angular length 2t covering E.
+    """Minimal number of closed arcs of angular length 2t covering E, an arc
+    union or a spec (whose depth-level set is covered).
 
     Greedy left-to-right sweep starting at the first arc start, which is
     optimal for covering on the circle once the start is fixed on a point
@@ -444,50 +723,28 @@ def covering_number(E, t):
     Within an arc the sweep lays covers end to end from the first uncovered
     point y, so the arc takes max(1, ceil((end - y) / 2t)) of them, counted
     in closed form; arcs already covered are skipped by binary search on
-    the ends.  The cost is O(arcs reached * log n), whatever t is.  The
-    sweep is exact on the float inputs: it counts in integer multiples of
-    2**-1074, where every float is an integer, so a cover end that rounds
-    onto a set point cannot cover it.
+    the ends of the block of arcs at hand.  The arcs come in blocks
+    (`_scan`), a spec's made block by block with no set built, and the
+    cost is O(arcs reached * log n) beside the pass over the blocks,
+    whatever t is.  The sweep is exact on the float inputs: it counts in
+    integer multiples of 2**-1074, where every float is an integer, so a
+    cover end that rounds onto a set point cannot cover it.
     """
-    if E.n_arcs == 0:
+    arcs = _arcs(E)
+    if arcs.n_arcs == 0:
         raise ValueError("covering the empty set is undefined")
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    two_t = 2.0 * t
-    if two_t >= TWO_PI:
-        return 1
-    s, e = E.starts, E.ends
-    base = float(s[0])
-    limit = base + TWO_PI
-    turn_end, width = _fixed(limit), _fixed(two_t)
-    count = 0
-    covered = _fixed(base)  # greedy invariant: every set point below this is covered
-    i = 0
-    while i < len(s) and s[i] < limit:
-        end_i = _fixed(e[i])
-        y = max(_fixed(s[i]), covered)
-        if y <= end_i and y < turn_end:
-            k = max(1, -((y - end_i) // width))
-            count += k
-            covered = y + k * width
-        i += 1
-        if i < len(s) and _fixed(e[i]) <= covered:
-            # skip every arc that ends within `covered` (the ends increase
-            # strictly); the float nearest `covered` rounds, so only an end
-            # equal to it is compared exactly
-            near = covered / _FIXED_ONE
-            i = int(np.searchsorted(e, near, side="left"))
-            if i < len(s) and e[i] == near and _fixed(e[i]) <= covered:
-                i += 1
-    return count
+    sweep = _Sweep(t)
+    _scan(arcs, sweeps=[sweep])
+    return sweep.count
 
 
 @dataclass(frozen=True)
 class CoveringProfile:
-    """Sampled (t, N_E(t), |E_t|) triples over a decreasing-resolution grid."""
+    """Sampled (t, N_E(t), |E_t|) triples over a decreasing-resolution grid,
+    and the measure |E| of the set, which the same pass sums."""
 
     samples: tuple = field(default_factory=tuple)
+    total_measure: float = None
 
     def as_arrays(self):
         t = np.array([row[0] for row in self.samples])
@@ -502,10 +759,18 @@ class CoveringProfile:
 
 
 def covering_profile(E, t_values):
-    t_sorted = sorted(float(t) for t in t_values)
-    tubes = tube_measure(E, np.array(t_sorted)).tolist()
-    rows = [(t, covering_number(E, t), tube) for t, tube in zip(t_sorted, tubes)]
-    return CoveringProfile(samples=tuple(rows))
+    """`covering_number` and `tube_measure` at each scale, in increasing t,
+    and `total_measure`, from one pass over the arcs of E, an arc union or a
+    spec."""
+    t_sorted = _scales(sorted(float(t) for t in t_values))
+    arcs = _arcs(E)
+    if arcs.n_arcs == 0 and len(t_sorted):
+        raise ValueError("covering the empty set is undefined")
+    sweeps = [_Sweep(t) for t in t_sorted]
+    measure, sums = _scan(arcs, _widths(t_sorted), sweeps)
+    tubes = _tubes(t_sorted, measure, sums).tolist()
+    rows = [(t, sweep.count, tube) for t, sweep, tube in zip(t_sorted.tolist(), sweeps, tubes)]
+    return CoveringProfile(samples=tuple(rows), total_measure=measure)
 
 
 def log_t_grid(t_min, t_max, count):
@@ -522,7 +787,16 @@ def box_dimension_estimate(E, t_range):
     depth actually resolves; shorter or single-point ranges are rejected.
     """
     t = np.asarray(sorted(float(x) for x in t_range))
-    return _box_slope(t, (covering_number(E, x) for x in t))
+
+    def counts():  # one pass for every scale, run after the scale check
+        arcs = _arcs(E)
+        if arcs.n_arcs == 0:
+            raise ValueError("covering the empty set is undefined")
+        sweeps = [_Sweep(x) for x in t]
+        _scan(arcs, sweeps=sweeps)
+        yield from (sweep.count for sweep in sweeps)
+
+    return _box_slope(t, counts())
 
 
 def _box_slope(t, counts):
@@ -537,7 +811,8 @@ def _box_slope(t, counts):
 def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     """Interval-sum and log-distance-integral evidence for the Carleson dichotomy.
 
-    Returns a dict with
+    E is an arc union or a spec, whose depth-level set is tested, field for
+    field as if built.  Returns a dict with
 
     - ``interval_sum``: sum over complementary intervals of |I| log(|I|/2pi).
       The normalized length inside the log keeps the sum aligned with the
@@ -562,50 +837,62 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
       (every finite-depth generator does; the verdict refers to the ideal
       limit set).
 
-    The gap lengths are taken once, without the copy of the gap starts that
-    `E.gaps()` makes, and the two sums and the dyadic levels are built in
-    two reused buffers by the operations of the plain expressions, so every
-    field keeps its bits.  On the 2^20-arc `non_carleson_n2` set at
-    quadrature size 2^12 the call peaks at 33 MiB of numpy buffers.
+    The gaps (those over 1e-14) are read in two passes over the arcs in
+    blocks of 2^14: the first counts them, finds the least, and sums the
+    measure; the second sums g log(g/2pi) and g log g, with np.sum's bits
+    (`_PairwiseSums`), and bins |g log(g/2pi)| by dyadic level, in the
+    order of one bincount over all gaps (`_bincount_on`).  A spec's arcs
+    are made block by block (`_SpecArcs`): on the depth-20
+    `non_carleson_n2` spec at quadrature size 2^12 the call peaks at
+    1.6 MiB of numpy buffers and builds no set, where the built set took
+    33 MiB, and 34 MiB more to build.
     """
     G = int(quadrature_size)
     if G < 8:
         raise ValueError("quadrature_size too small")
-    measure = E.total_measure  # read before the buffers below exist
-    gap_lengths = _gap_lengths(E)
-    n_gaps = len(gap_lengths)
-    # g log(g / 2pi) and g log(g), each in one buffer
-    contrib = np.divide(gap_lengths, TWO_PI)
-    np.log(contrib, out=contrib)
-    np.multiply(gap_lengths, contrib, out=contrib)
-    interval_sum = float(np.sum(contrib))
-    scratch = np.log(gap_lengths)
-    np.multiply(gap_lengths, scratch, out=scratch)
-    interval_sum_radian = float(np.sum(scratch))
-    min_gap = float(gap_lengths.min()) if n_gaps else 0.0
+    arcs = _arcs(E)
+    measure = _PairwiseSums(arcs.n_arcs)
+    n_gaps, min_gap = 0, math.inf
+    for starts, ends, gaps in _with_gaps(arcs):
+        measure.feed(ends - starts)
+        kept = gaps[gaps > _GAP_EPS]
+        n_gaps += len(kept)
+        if len(kept):
+            min_gap = min(min_gap, float(kept.min()))
+    measure = measure.result()[0]
+    min_gap = min_gap if n_gaps else 0.0
     resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
     if strict and not resolved:
         raise ValueError(
             "quadrature_size %d too small relative to smallest gap %.3e" % (G, min_gap)
         )
     theta = TWO_PI * np.arange(G) / G
-    d = distance_to_set(theta, E) if E.n_arcs else np.full(G, np.nan)
+    d = distance_to_set(theta, arcs.source) if arcs.n_arcs else np.full(G, np.nan)
     off = d > 0.0
     log_integral = float(np.sum(np.log(d[off])) * TWO_PI / G)
 
-    proper = gap_lengths < TWO_PI
-    if not proper.all():  # a gap spans the circle: gather the others
-        gap_lengths, contrib = gap_lengths[proper], contrib[proper]
-    # floor(log2(2pi / g)) in the radian sum's buffer, |contrib| in its own
-    levels = np.divide(TWO_PI, gap_lengths, out=scratch[: len(gap_lengths)])
-    np.log2(levels, out=levels)
-    levels = np.floor(levels, out=levels).astype(int)
-    weights = np.abs(contrib, out=contrib)
-    bins = []
-    if len(levels):
-        levels -= levels.min()
-        sums = np.bincount(levels, weights=weights)
-        bins = [float(v) for v in sums if v > 0.0]
+    sums = _PairwiseSums(n_gaps, 2)
+    bins = np.zeros(0)  # per dyadic level, the |g log(g / 2pi)| binned so far
+    for _, _, gaps in _with_gaps(arcs):
+        gap_lengths = gaps[gaps > _GAP_EPS]
+        # g log(g / 2pi) and g log(g), each in one buffer
+        contrib = np.divide(gap_lengths, TWO_PI)
+        np.log(contrib, out=contrib)
+        np.multiply(gap_lengths, contrib, out=contrib)
+        scratch = np.log(gap_lengths)
+        np.multiply(gap_lengths, scratch, out=scratch)
+        sums.feed(contrib, scratch)
+        proper = gap_lengths < TWO_PI
+        if not proper.all():  # a gap spans the circle: gather the others
+            gap_lengths, contrib = gap_lengths[proper], contrib[proper]
+        # floor(log2(2pi / g)) in the radian sum's buffer; g < 2pi makes it
+        # >= 0, so the levels index the bins as they are
+        levels = np.divide(TWO_PI, gap_lengths, out=scratch[: len(gap_lengths)])
+        np.log2(levels, out=levels)
+        levels = np.floor(levels, out=levels).astype(int)
+        bins = _bincount_on(bins, levels, np.abs(contrib, out=contrib))
+    interval_sum, interval_sum_radian = sums.result()
+    bins = [float(v) for v in bins if v > 0.0]
     geometric_tail = False
     if len(bins) >= 4:
         start = (len(bins) + 1) // 2 - 1

@@ -30,8 +30,9 @@ EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
 def set_spec(name, depth=None):
     """The CantorSpec of a named set preset (depth defaults per generator).
 
-    `distance_to_set` samples a preset's distance from this spec, bit for bit
-    as from the built set and without building it.
+    `distance_to_set`, `total_measure`, `tube_measure`, `covering_number` and
+    `carleson_test` read a preset's set from this spec, bit for bit as from
+    the built set and without building it.
     """
     if name not in SET_PRESETS:
         raise ValueError(
@@ -51,9 +52,9 @@ def build_set(name, depth=None):
     return _shared_set(set_spec(name, depth))
 
 
-# four, more than the sets any one run builds: its callers are the cantor and
-# carleson experiments and certify's zero-set measure of a smooth_vanishing f;
-# `cantor_build` is looked up per call, so a tracer wrapping it counts builds
+# four sets; no experiment builds one, since every statistic of a preset reads
+# its spec, so only direct `build_set` calls fill it; `cantor_build` is looked
+# up per call, so a tracer wrapping it counts builds
 @functools.lru_cache(maxsize=4)
 def _shared_set(spec):
     return cantor_build(spec)

@@ -542,6 +542,33 @@ class TestNoSetBuilt:
                         "output_dir": str(tmp_path)})
         assert manifest.status == "ok"
 
+    def test_set_statistics_build_no_set(self, tmp_path, monkeypatch):
+        # cantor, carleson and certify read the depth-20 set from its spec;
+        # each report matches the statistics of the built set, float for float
+        E = geometry.cantor_build(geometry.non_carleson_n2_spec(20))
+        t = geometry.log_t_grid(1e-4, 0.25, 9)
+        profile = [list(row) for row in geometry.covering_profile(E, t).samples]
+        carleson = geometry.carleson_test(E, 2**12)
+        refuse_builds(monkeypatch)
+        configs = {
+            "cantor": {"set": "non_carleson_n2"},
+            "carleson": {"set": "non_carleson_n2"},
+            "certify": {"preset": "smooth_vanishing", "set": "non_carleson_n2",
+                        "grid": 2**12, "truncate": 64, "p": 2.0, "degree_budget": 16},
+        }
+        reports = {}
+        for experiment, params in configs.items():
+            out = tmp_path / experiment
+            manifest = run({"experiment": experiment, "parameters": params,
+                            "output_dir": str(out)})
+            assert manifest.status == "ok"
+            reports[experiment] = json.loads((out / "report.json").read_text())
+        assert reports["cantor"]["n_arcs"] == E.n_arcs == 2**20
+        assert reports["cantor"]["total_measure"].hex() == E.total_measure.hex()
+        assert reports["cantor"]["profile"] == profile
+        assert all(reports["carleson"][key] == value for key, value in carleson.items())
+        assert reports["certify"]["zero_set_measure"].hex() == E.total_measure.hex()
+
     def test_unknown_set_still_raises(self):
         with pytest.raises(ValueError, match="unknown set preset"):
             build_function("smooth_vanishing", {"set": "enigma"})
@@ -879,7 +906,9 @@ class TestSharedWork:
         assert len(kernel_calls) == len(d_calls) == 1
 
     def test_cantor_counts_each_scale_once(self, tmp_path, monkeypatch):
-        calls = count_calls(monkeypatch, geometry, "covering_number")
+        # one greedy sweep per scale, all of them in one pass over the arcs
+        calls = count_calls(monkeypatch, geometry, "_Sweep")
+        passes = count_calls(monkeypatch, geometry, "_scan")
         manifest = run({"experiment": "cantor",
                         "parameters": {"set": "middle_thirds", "depth": 8},
                         "output_dir": str(tmp_path)})
@@ -887,6 +916,7 @@ class TestSharedWork:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["box_dimension"] is not None
         assert len(calls) == len(report["profile"]) == 9
+        assert len(passes) == 1
 
 
 class TestManifest:

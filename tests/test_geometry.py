@@ -1171,3 +1171,176 @@ def test_sorted_input_matches_the_general_merge(arcs):
     want = arc_union_oracle(arcs)
     assert_same_bytes(ArcUnion(arcs), want)
     assert_same_bytes(ArcUnion(np.array(arcs, dtype=float).reshape(-1, 2)), want)
+
+
+# ---------------------------------------------------------------------------
+# set statistics read from the spec, block by block
+# ---------------------------------------------------------------------------
+
+def fed_in_pieces(columns, cuts):
+    """`_PairwiseSums` over the columns, fed at the given cut points; each
+    piece goes in from a reused buffer, as the statistics feed it."""
+    n = len(columns[0])
+    sums = geometry._PairwiseSums(n, len(columns))
+    bounds = [0, *sorted(c for c in cuts if 0 < c < n), n]
+    buf = np.empty((len(columns), n))
+    for lo, hi in zip(bounds, bounds[1:]):
+        piece = buf[:, : hi - lo]
+        for col, column in zip(piece, columns):
+            col[:] = column[lo:hi]
+        sums.feed(*piece)
+        piece[:] = np.nan  # the summer must have read the piece by now
+    return sums.result()
+
+
+class TestPairwiseSums:
+    """The block-wise sum gives `np.sum`'s float; a numpy change to its
+    summation order fails here, not as a moved report hash."""
+
+    def test_matches_np_sum(self):
+        lengths = [*range(301), *(2**k + d for k in range(9, 21) for d in range(-9, 10))]
+        for n in lengths:
+            rng = np.random.default_rng(n)
+            x = rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, n))
+            y = rng.uniform(0.0, 1.0, n)
+            cuts = [*rng.integers(0, n + 1, 3).tolist(), geometry._BLOCK, 3 * geometry._BLOCK + 5]
+            got = fed_in_pieces([x, y], cuts)
+            assert [v.hex() for v in got] == [float(np.sum(x)).hex(), float(np.sum(y)).hex()], n
+
+    @given(st.lists(st.floats(-1e300, 1e300), max_size=600),
+           st.lists(st.integers(0, 600), max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_random_magnitudes(self, values, cuts):
+        x = np.array(values, dtype=float)
+        big = np.concatenate([x, np.geomspace(1e-300, 1e300, geometry._BLOCK + 3), -x])
+        for column in (x, big):
+            got, = fed_in_pieces([column], cuts + [len(column) // 3])
+            assert got.hex() == float(np.sum(column)).hex()
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_carried_bincount_is_one_bincount(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(0, 3000))
+        levels = rng.integers(0, 12, n)
+        weights = rng.uniform(0.0, 1.0, n) * np.exp(rng.uniform(-20.0, 20.0, n))
+        bins = np.zeros(0)
+        bounds = [0, *sorted(rng.integers(0, n + 1, 4).tolist()), n]
+        for lo, hi in zip(bounds, bounds[1:]):
+            bins = geometry._bincount_on(bins, levels[lo:hi], weights[lo:hi])
+        assert bins.tobytes() == np.bincount(levels, weights=weights).tobytes()
+
+    def test_no_columns_and_no_elements(self):
+        assert geometry._PairwiseSums(5, 0).result() == []
+        assert geometry._PairwiseSums(0, 2).result() == [0.0, 0.0]
+
+
+PRESET_DEPTHS = [*(("middle_thirds", depth) for depth in range(1, 13)),
+                 *(("non_carleson_n2", depth) for depth in range(1, 21))]
+CANTOR_GRID = log_t_grid(1e-4, 0.25, 9)  # the `cantor` experiment's default scales
+
+
+def assert_spec_statistics_are_the_built_sets(spec, E):
+    assert geometry.total_measure(spec).hex() == E.total_measure.hex()
+    assert geometry.arc_count(spec) == E.n_arcs
+    assert tube_measure(spec, CANTOR_GRID).tobytes() == tube_measure(E, CANTOR_GRID).tobytes()
+    assert [covering_number(spec, t) for t in CANTOR_GRID] == [
+        covering_number(E, t) for t in CANTOR_GRID]
+    profile = covering_profile(spec, CANTOR_GRID)
+    assert profile == covering_profile(E, CANTOR_GRID)
+    assert profile.total_measure.hex() == E.total_measure.hex()
+    for G in (2**10, 2**12):
+        assert_same_report(carleson_test(spec, G), carleson_test_oracle(E, G))
+
+
+class TestSpecStatistics:
+    """`total_measure`, `tube_measure`, `covering_number` and `carleson_test`
+    give, bit for bit, the built set's statistics for a spec, with no set
+    built."""
+
+    @pytest.mark.parametrize("name, depth", PRESET_DEPTHS)
+    def test_presets_match_the_built_set(self, monkeypatch, name, depth):
+        spec = cantor_spec_by_name(name, depth)
+        E = cantor_build(spec)
+        assert E.total_measure.hex() == float(np.sum(E.ends - E.starts)).hex()
+        monkeypatch.setattr(geometry, "cantor_build", refuse_build)
+        assert_spec_statistics_are_the_built_sets(spec, E)
+
+    def test_built_input_matches_the_oracle_at_every_depth(self):
+        for name, depth in PRESET_DEPTHS[::3]:
+            E = cantor_build(cantor_spec_by_name(name, depth))
+            assert_same_report(carleson_test(E, 2**12), carleson_test_oracle(E, 2**12))
+
+    def test_blocks_are_the_built_arcs(self):
+        # the two-level block path: 2^6 roots grown by 2^14-leaf blocks
+        spec = non_carleson_n2_spec(20)
+        E = cantor_build(spec)
+        starts, ends, nexts = [], [], []
+        for s, e, after in geometry._arcs(spec).blocks():
+            starts.append(s.copy())
+            ends.append(e.copy())
+            nexts.append(float(after))
+        assert len(starts) == 2**20 // geometry._BLOCK
+        assert np.concatenate(starts).tobytes() == E.starts.tobytes()
+        assert np.concatenate(ends).tobytes() == E.ends.tobytes()
+        assert nexts == [float(s[0]) for s in starts[1:]] + [TWO_PI]
+
+    def test_a_spec_past_the_margin_is_built_and_matches(self, monkeypatch):
+        built = []
+
+        def counted(spec):
+            built.append(spec)
+            return cantor_build(spec)
+
+        spec = spec_from_fractions([0.99] * 12)
+        assert geometry._descent(spec) is None
+        E = cantor_build(spec)
+        assert E.n_arcs < 2**12  # rounding made arcs touch, and they merged
+        monkeypatch.setattr(geometry, "cantor_build", counted)
+        assert_spec_statistics_are_the_built_sets(spec, E)
+        # once per call, and once for all scales of a profile
+        assert built == [spec] * 15
+        built.clear()
+        covering_profile(spec, CANTOR_GRID)
+        assert built == [spec]
+
+    def test_a_depth_zero_spec_is_the_full_circle(self):
+        spec = CantorSpec(())
+        assert_spec_statistics_are_the_built_sets(spec, cantor_build(spec))
+        assert distance_to_set(1.0, spec) == 0.0
+
+    def test_carleson_on_the_default_preset_allocates_at_most_4_mib(self):
+        spec = cantor_spec_by_name("non_carleson_n2")
+        # 33 MiB on the built set, plus 34 MiB to build it
+        _, peak = traced_peak_mib(lambda: carleson_test(spec, 2**12))
+        assert peak <= 4.0
+
+    def test_the_depth_20_cantor_profile_allocates_at_most_4_mib(self):
+        spec = cantor_spec_by_name("non_carleson_n2", 20)
+        _, peak = traced_peak_mib(lambda: (covering_profile(spec, CANTOR_GRID),
+                                           geometry.total_measure(spec)))
+        assert peak <= 4.0
+
+
+def chord_off_oracle(th, inside, left_end, right_start):
+    """`_chord_off` as it was, with two float remainders."""
+    gap_left = (th - left_end) % TWO_PI
+    gap_right = (right_start - th) % TWO_PI
+    delta = np.minimum(gap_left, gap_right)
+    chord = 2.0 * np.sin(np.minimum(delta, math.pi) / 2.0)
+    return np.where(inside, 0.0, chord)
+
+
+@given(st.lists(st.tuples(
+    st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, TWO_PI, math.pi, 5e-324])),
+    st.one_of(st.floats(0.0, TWO_PI), st.sampled_from([0.0, TWO_PI])),
+    st.one_of(st.floats(0.0, TWO_PI, exclude_max=True), st.just(0.0)),
+    st.booleans()), min_size=1, max_size=40))
+@example([(TWO_PI, 0.0, 0.0, False), (0.0, TWO_PI, 0.0, False),
+          (5e-324, 1e-300, float(np.nextafter(TWO_PI, 0.0)), False),
+          (1e-17, 2e-17, 0.0, False), (math.pi, math.pi, math.pi, True)])
+@settings(max_examples=150, deadline=None)
+def test_chord_off_matches_the_remainder_form(rows):
+    # th and the ends lie in [0, 2*pi], a next start in [0, 2*pi)
+    th, left_end, right_start, inside = (np.array(c) for c in zip(*rows))
+    got = geometry._chord_off(th, inside, left_end, right_start)
+    assert got.tobytes() == chord_off_oracle(th, inside, left_end, right_start).tobytes()
