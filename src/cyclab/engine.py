@@ -753,7 +753,9 @@ def certify_cyclic(problem):
 
     Degrees double up to the budget, each level warm-started from the last;
     carried-over polynomials stay feasible, so the recorded best norms are
-    monotone along the schedule.  Verdicts: `certified` needs both norms
+    monotone along the schedule.  Each trace row holds, per side, the best
+    norm so far and the level's search's `converged` and `precond_shift`,
+    None for a side already under the target and not searched.  Verdicts: `certified` needs both norms
     strictly below the target, `bicyclic_only` the two-sided one alone,
     `failed` otherwise.  The Szego bound, the grid mean of log |f| with
     exact zeros dropped, is reported beside the shift norm; it is not a
@@ -779,14 +781,15 @@ def certify_cyclic(problem):
         row = {"degree": deg}
         for side, search in searches.items():
             # a side already under the target is not searched again: None
-            converged = None
+            converged = shift = None
             if best[side][0] >= eps:
                 res = search(deg, warm=best[side][1])
-                converged = res.converged
+                converged, shift = res.converged, res.precond_shift
                 if res.value < best[side][0]:
                     best[side] = (res.value, res.polynomial, deg)
             row[side + "_norm"] = best[side][0]
             row[side + "_converged"] = converged
+            row[side + "_precond_shift"] = shift
         trace.append(row)
         if all(norm < eps for norm, _, _ in best.values()):
             break

@@ -495,7 +495,8 @@ def _run_certify(params):
     """CSV columns: degree, bicyclic_norm, shift_norm.
 
     A smooth_vanishing f passes its set's measure to `certify_cyclic`'s
-    verdict, read from the set's spec (`total_measure`) with no set built.
+    verdict: the spec's exact measure rounded once (`total_measure`), with
+    no set built.
     """
     space = SpaceIndex(p=float(params["p"]), beta=float(params["beta"]))
     # only smooth_vanishing reads `truncate`; _function_source refuses it elsewhere

@@ -84,9 +84,8 @@ class ArcUnion:
     0/2*pi seam, see module docstring).  Point arcs are allowed.  Arcs that
     arrive sorted and strictly disjoint, as `cantor_build` hands them over,
     cost O(n) and no sort (see `_merge_arcs`); the result is the same
-    either way.  The total measure is summed on its first read and kept;
-    it is `np.sum(ends - starts)`, summed block by block with numpy's
-    pairwise order (`total_measure`).
+    either way.  The total measure, `np.sum(ends - starts)`, is summed on
+    its first read and kept.
     """
 
     __slots__ = ("_starts", "_ends", "_measure")
@@ -133,7 +132,7 @@ class ArcUnion:
     def total_measure(self):
         """Sum of the arc lengths, np.sum(ends - starts), taken once per set."""
         if self._measure is None:
-            object.__setattr__(self, "_measure", _scan(_UnionArcs(self))[0])
+            object.__setattr__(self, "_measure", float(np.sum(self._ends - self._starts)))
         return self._measure
 
     def __repr__(self):
@@ -405,205 +404,60 @@ def distance_to_set(theta, E):
     return float(out[0]) if scalar else out
 
 
-# arcs per block when a statistic reads a set: a spec's arcs are made in
-# aligned blocks of this many leaves, and `_PairwiseSums` sums pieces of at
-# most this many elements with np.sum.  At 2^14 an array of a block is
-# 128 KiB, and numpy's per-call cost is small beside its work: over the
-# depth-20 preset's 2^20 arcs, blocks of 2^12 took 1.6 times as long
-_BLOCK_LEVELS = 14
-_BLOCK = 2**_BLOCK_LEVELS
+def _levels(E):
+    """The gaps of E, an arc union or a spec, as lengths with
+    multiplicities, and floats whose exact sum is the measure of E.
 
-
-class _UnionArcs:
-    """The arcs of an ArcUnion, read in blocks as `_SpecArcs` reads a spec's."""
-
-    def __init__(self, E):
-        self.source = E
-        self.n_arcs = E.n_arcs
-
-    def blocks(self):
-        """Per block of at most _BLOCK arcs: views of its starts and ends,
-        and the start after its last arc, the first start + 2*pi for the
-        last block."""
-        s, e, n = self.source.starts, self.source.ends, self.n_arcs
-        for lo in range(0, n, _BLOCK):
-            hi = lo + _BLOCK
-            yield s[lo:hi], e[lo:hi], s[hi] if hi < n else s[0] + TWO_PI
-
-
-class _SpecArcs:
-    """The arcs of `cantor_build(spec)`, made block by block as they are
-    read, for a spec that `_descent` accepts.  ArcUnion keeps such a
-    build's 2^depth arcs as they are, with each end
-    start + ((start + length) - start), its constructor's arithmetic, and
-    the last end clamped to 2*pi; so does this."""
-
-    def __init__(self, spec, steps, length):
-        self.source = spec
-        self.n_arcs = 2 ** len(steps)
-        self._steps, self._length = steps, length
-
-    def blocks(self):
-        """As `_UnionArcs.blocks`, in aligned blocks of 2^_BLOCK_LEVELS leaves
-        (one block for a shallower spec), in two buffers that every block
-        reuses.  The block roots are the starts of the intervals
-        _BLOCK_LEVELS levels above the leaves, and each block grows from its
-        root by `cantor_build`'s recursion, so every start is the same sum."""
-        split = max(len(self._steps) - _BLOCK_LEVELS, 0)
-        roots = _grow(np.zeros(2**split), self._steps[:split])
-        starts = np.empty(self.n_arcs >> split)
-        ends = np.empty_like(starts)
-        for k, root in enumerate(roots):
-            starts[0] = root
-            _grow(starts, self._steps[split:])
-            np.add(starts, self._length, out=ends)
-            np.subtract(ends, starts, out=ends)
-            np.add(starts, ends, out=ends)
-            if k == len(roots) - 1:
-                ends[-1] = min(ends[-1], TWO_PI)
-                yield starts, ends, TWO_PI
-            else:
-                yield starts, ends, roots[k + 1]
-
-
-def _arcs(E):
-    """Where a statistic reads the arcs of E from: an ArcUnion's arrays, or
-    a spec's arcs made block by block (`_SpecArcs`).  A spec that
-    `_descent` refuses is built."""
-    if isinstance(E, CantorSpec):
-        descent = _descent(E)
-        return _UnionArcs(cantor_build(E)) if descent is None else _SpecArcs(E, *descent)
-    return _UnionArcs(E)
-
-
-def _half(n):
-    """Where numpy's pairwise sum splits n elements: n/2 rounded down to a
-    multiple of 8."""
-    half = n // 2
-    return half - half % 8
-
-
-class _PairwiseSums:
-    """`np.sum`'s float of each of k sequences of one length n, fed in
-    consecutive pieces of any size.
-
-    numpy sums a float64 array pairwise, splitting it at `_half` until at
-    most 128 elements are left.  This repeats the split down to pieces of
-    at most _BLOCK elements, sums each piece with np.sum, and adds the piece
-    sums back up the same tree, so no sequence is held whole.
+    Level n of a spec removes 2^(n-1) gaps of length g_n.  Its depth-level
+    set has 2^depth arcs of length l_depth, with l_n = (l_(n-1) - g_n) / 2
+    from l_0 = 2*pi, so it measures 2^depth * l_depth
+    = 2*pi - sum_n 2^(n-1) * g_n exactly.  Every term of that sum is a
+    float, so `math.fsum` of them is the exact measure rounded once.  Its
+    2^depth - 1 gaps are all proper: the one across the seam, from the
+    arc ending at 2*pi to the one starting at 0, is 0.  An arc union gives
+    its cyclic gaps once each (`_cyclic_gaps`), and its measure
+    `E.total_measure`; the empty set has the circle as its one gap.
     """
-
-    def __init__(self, n, k=1):
-        self._n, self._k = n, k
-        self._bounds = [0]  # the pieces' ends, in order
-        self._split(n)
-        self._fed = 0
-        self._parts = []  # copies of the fed parts of an unfinished piece
-        self._sums = []  # the k sums of each finished piece
-
-    def _split(self, n):
-        if n <= _BLOCK:
-            self._bounds.append(self._bounds[-1] + n)
-        else:
-            self._split(_half(n))
-            self._split(n - _half(n))
-
-    def feed(self, *columns):
-        """The next elements of the k sequences, one array each; the arrays
-        are read now, so the caller may reuse them."""
-        at, m = 0, len(columns[0])
-        while at < m:
-            end = self._bounds[len(self._sums) + 1]
-            take = min(end - self._fed, m - at)
-            parts = [c[at : at + take] for c in columns]
-            at += take
-            self._fed += take
-            if self._fed < end:
-                self._parts.append([p.copy() for p in parts])
-                continue
-            if self._parts:
-                parts = [np.concatenate(c) for c in zip(*self._parts, parts)]
-                self._parts = []
-            self._sums.append([float(np.sum(p)) for p in parts])
-
-    def result(self):
-        """The k sums, once all n elements are fed."""
-        if self._n == 0 or self._k == 0:
-            return [0.0] * self._k
-        sums = iter(self._sums)
-
-        def add(n):
-            if n <= _BLOCK:
-                return next(sums)
-            return [a + b for a, b in zip(add(_half(n)), add(n - _half(n)))]
-
-        return add(self._n)
-
-
-def _with_gaps(arcs):
-    """Per block of `arcs.blocks()`: its starts, its ends and the cyclic gaps
-    after its arcs, s_(i+1) - e_i and last s_0 + 2*pi - e_(n-1), the floats
-    `_cyclic_gaps` makes, in one reused buffer.  The empty set gives one
-    gap, the circle, as in `ArcUnion.gaps`."""
-    if arcs.n_arcs == 0:
-        yield np.empty(0), np.empty(0), np.array([TWO_PI])
-        return
-    buf = np.empty(min(arcs.n_arcs, _BLOCK))
-    for starts, ends, next_start in arcs.blocks():
-        gaps = buf[: len(starts)]
-        np.subtract(starts[1:], ends[:-1], out=gaps[:-1])
-        gaps[-1] = next_start - ends[-1]
-        yield starts, ends, gaps
-
-
-def _bincount_on(bins, levels, weights):
-    """`np.bincount(levels, weights)` carried on from `bins`, the sums of the
-    levels before: each bin's running sum goes in as its first weight, so
-    every bin adds its weights in the order of one bincount over all."""
-    return np.bincount(np.concatenate([np.arange(len(bins)), levels]),
-                       weights=np.concatenate([bins, weights]))
+    if isinstance(E, CantorSpec):
+        gaps = np.array(E.gap_lengths)
+        mult = 2.0 ** np.arange(E.depth)
+        return gaps, mult, [TWO_PI, *(-mult * gaps).tolist()]
+    if E.n_arcs == 0:
+        return np.array([TWO_PI]), np.ones(1), [0.0]
+    return _cyclic_gaps(E.starts, E.ends), np.ones(E.n_arcs), [E.total_measure]
 
 
 def total_measure(E):
-    """The measure of the arc union E, or of `cantor_build(E)` for a spec E:
-    np.sum(ends - starts), bit for bit.  A spec's arcs are made block by
-    block and never held at once, and a spec that `_descent` refuses is
-    built."""
-    if isinstance(E, ArcUnion):
-        return E.total_measure
-    return _scan(_arcs(E))[0]
+    """The measure of the arc union E, `E.total_measure`, or of the
+    depth-level set of the spec E: 2*pi - sum_n 2^(n-1) * g_n, exact and
+    rounded once (`_levels`), with no set built."""
+    return math.fsum(_levels(E)[2])
 
 
 def arc_count(E):
-    """The number of arcs of E, or of `cantor_build(E)` for a spec E (2^depth
-    unless `_descent` refuses the spec, which is then built)."""
-    return _arcs(E).n_arcs
+    """The number of arcs of E, 2^depth for a spec E."""
+    return 2**E.depth if isinstance(E, CantorSpec) else E.n_arcs
 
 
 def tube_measure(E, t):
     """Lebesgue measure (radians) of the chordal t-neighborhood of E, an arc
-    union or a spec (whose depth-level set is measured, bit for bit).
+    union or a spec (whose depth-level set is measured, with no set built).
 
     Accepts a scale, giving a float, or an array of scales, giving an array
     of its shape; every scale must be > 0 (NaN raises).  The neighborhood
-    dilates each arc by rho = 2*asin(t/2) on both sides.  Since the stored
-    arcs are sorted and disjoint, the dilation of arc i adds its length
-    e_i - s_i plus the part min(g_i, 2*rho) of the cyclic gap g_i after it
-    that the two dilations reaching into that gap cover:
+    dilates each arc by rho = 2*asin(t/2) on both sides.  Each gap g has an
+    arc on either side, whose dilations cover min(g, 2*rho) of it, so
 
-        |E_t| = sum_i (e_i - s_i) + sum_i min(g_i, 2*rho),
+        |E_t| = |E| + sum_gaps m * min(g, 2*rho),
 
-    capped at 2*pi.  One pass over the arcs in blocks (`_scan`) serves the
-    measure and every scale, with no sort or merge; a spec's arcs are made
-    block by block (`_SpecArcs`), never the whole set.  Each sum keeps
-    np.sum's bits (`_PairwiseSums`), so an array of scales gives the same
-    floats as a call per scale.  The gap across the seam, from an arc
-    ending at 2*pi to one starting at 0, is 0, so those two arcs count as
-    one.
+    capped at 2*pi, over the gaps of `_levels` with their multiplicities m.
+    Each term is a float, and the sum is taken exactly and rounded once,
+    so an array of scales gives the same floats as a call per scale.  The
+    gap across the seam, from an arc ending at 2*pi to one starting at 0,
+    is 0, so those two arcs count as one.
     """
     t_arr = _scales(t)
-    arcs = _arcs(E)
-    out = _tubes(t_arr, *_scan(arcs, _widths(t_arr))) if arcs.n_arcs else np.zeros(t_arr.shape)
+    out = _tubes(t_arr, _levels(E)) if arc_count(E) else np.zeros(t_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -615,41 +469,64 @@ def _scales(t):
     return t_arr
 
 
-def _widths(t_arr):
-    """Twice the angular radius 2*asin(t/2) of each chord t < 2, in C order."""
-    return [2.0 * (2.0 * math.asin(x / 2.0)) for x in t_arr.flat if x < 2.0]
-
-
-def _tubes(t_arr, measure, sums):
-    """The tube measures of the scales from the measure and the gap sums of
-    `_widths(t_arr)`: 2*pi from t = 2 on."""
-    out = np.zeros(t_arr.shape)
-    sums = iter(sums)
-    for i, x in np.ndenumerate(t_arr):
-        out[i] = TWO_PI if x >= 2.0 else min(measure + next(sums), TWO_PI)
+def _tubes(t_arr, levels):
+    """The tube measures of a nonempty set at the scales t_arr from its
+    `_levels`: 2*pi from t = 2 on."""
+    gaps, mult, measure = levels
+    # per scale, the parts m * min(g, 2 rho) of the gaps, then the measure's
+    terms = np.concatenate([gaps, measure])
+    covered = terms[: len(gaps)]
+    out = np.empty(t_arr.shape)
+    for i, t in np.ndenumerate(t_arr):
+        if t >= 2.0:
+            out[i] = TWO_PI
+            continue
+        np.minimum(gaps, 2.0 * (2.0 * math.asin(t / 2.0)), out=covered)
+        np.multiply(covered, mult, out=covered)  # exact: m is a power of 2
+        out[i] = min(_fsum(terms), TWO_PI)
     return out
 
 
-def _scan(arcs, widths=(), sweeps=()):
-    """One pass over the arcs in blocks: the measure, np.sum(ends - starts),
-    and per width w the sum of min(gap, w) over the cyclic gaps of a
-    nonempty set, each with np.sum's bits; each `_Sweep` is fed every
-    block."""
-    measure = _PairwiseSums(arcs.n_arcs)
-    covered = _PairwiseSums(arcs.n_arcs, len(widths))
-    buf = np.empty((len(widths), min(arcs.n_arcs, _BLOCK)))
-    lo = 0
-    for starts, ends, gaps in _with_gaps(arcs):
-        measure.feed(ends - starts)
-        if widths:
-            cols = buf[:, : len(gaps)]
-            for width, col in zip(widths, cols):
-                np.minimum(gaps, width, out=col)
-            covered.feed(*cols)
-        for sweep in sweeps:
-            sweep.feed(lo, starts, ends)
-        lo += len(starts)
-    return measure.result()[0], covered.result()
+def _fsum(x):
+    """`math.fsum` of a float array, the exact sum rounded once.  It reads
+    the array through a memoryview, which hands it Python floats: numpy
+    scalars took twice as long, and five times under tracemalloc."""
+    return math.fsum(memoryview(x))
+
+
+# leaves per block when the cover sweep reads a spec's arcs.  At 2^14 an
+# array of a block is 128 KiB, and numpy's per-call cost is small beside
+# its work: over the depth-20 preset's 2^20 arcs, blocks of 2^12 took 1.6
+# times as long
+_BLOCK_LEVELS = 14
+
+
+def _spec_blocks(steps, length):
+    """The arcs of `cantor_build(spec)`, made block by block as they are
+    read, from the `_descent(spec)` of a spec that it accepts: (starts,
+    ends) of aligned blocks of 2^_BLOCK_LEVELS leaves (one block for a
+    shallower spec), in two buffers that every block reuses.
+
+    ArcUnion keeps such a build's arcs as they are, with each end
+    start + ((start + length) - start), its constructor's arithmetic, and
+    the last end clamped to 2*pi; so does this.  The block roots are the
+    starts of the intervals _BLOCK_LEVELS levels above the leaves, and
+    each block grows from its root by `cantor_build`'s recursion, so every
+    start is the same sum.
+    """
+    split = max(len(steps) - _BLOCK_LEVELS, 0)
+    roots = _grow(np.zeros(2**split), steps[:split])
+    starts = np.empty(2 ** (len(steps) - split))
+    ends = np.empty_like(starts)
+    for k, root in enumerate(roots):
+        starts[0] = root
+        _grow(starts, steps[split:])
+        np.add(starts, length, out=ends)
+        np.subtract(ends, starts, out=ends)
+        np.add(starts, ends, out=ends)
+        if k == len(roots) - 1:
+            ends[-1] = min(ends[-1], TWO_PI)
+        yield starts, ends
 
 
 _FIXED_ONE = 1 << 1074  # 2**-1074 is the least positive float
@@ -713,6 +590,28 @@ class _Sweep:
         self._next = lo + j
 
 
+def _covers(E, t_values):
+    """The greedy cover count of E at each scale, from one pass over its
+    arcs: an arc union's arrays, or a spec's arcs made block by block
+    (`_spec_blocks`).  A spec that `_descent` refuses is built."""
+    if arc_count(E) == 0 and len(t_values):
+        raise ValueError("covering the empty set is undefined")
+    if isinstance(E, CantorSpec):
+        descent = _descent(E)
+        if descent is None:
+            return _covers(cantor_build(E), t_values)
+        blocks = _spec_blocks(*descent)
+    else:
+        blocks = [(E.starts, E.ends)]
+    sweeps = [_Sweep(t) for t in t_values]
+    lo = 0
+    for starts, ends in blocks:
+        for sweep in sweeps:
+            sweep.feed(lo, starts, ends)
+        lo += len(starts)
+    return [sweep.count for sweep in sweeps]
+
+
 def covering_number(E, t):
     """Minimal number of closed arcs of angular length 2t covering E, an arc
     union or a spec (whose depth-level set is covered).
@@ -723,25 +622,20 @@ def covering_number(E, t):
     Within an arc the sweep lays covers end to end from the first uncovered
     point y, so the arc takes max(1, ceil((end - y) / 2t)) of them, counted
     in closed form; arcs already covered are skipped by binary search on
-    the ends of the block of arcs at hand.  The arcs come in blocks
-    (`_scan`), a spec's made block by block with no set built, and the
-    cost is O(arcs reached * log n) beside the pass over the blocks,
-    whatever t is.  The sweep is exact on the float inputs: it counts in
-    integer multiples of 2**-1074, where every float is an integer, so a
-    cover end that rounds onto a set point cannot cover it.
+    the ends of the block of arcs at hand.  A spec's arcs come in blocks
+    (`_covers`), made block by block with no set built, and the cost is
+    O(arcs reached * log n) beside the pass over the blocks, whatever t is.
+    The sweep is exact on the float inputs: it counts in integer multiples
+    of 2**-1074, where every float is an integer, so a cover end that
+    rounds onto a set point cannot cover it.
     """
-    arcs = _arcs(E)
-    if arcs.n_arcs == 0:
-        raise ValueError("covering the empty set is undefined")
-    sweep = _Sweep(t)
-    _scan(arcs, sweeps=[sweep])
-    return sweep.count
+    return _covers(E, [t])[0]
 
 
 @dataclass(frozen=True)
 class CoveringProfile:
     """Sampled (t, N_E(t), |E_t|) triples over a decreasing-resolution grid,
-    and the measure |E| of the set, which the same pass sums."""
+    and the measure |E| of the set."""
 
     samples: tuple = field(default_factory=tuple)
     total_measure: float = None
@@ -760,17 +654,15 @@ class CoveringProfile:
 
 def covering_profile(E, t_values):
     """`covering_number` and `tube_measure` at each scale, in increasing t,
-    and `total_measure`, from one pass over the arcs of E, an arc union or a
-    spec."""
+    and `total_measure`, for E an arc union or a spec: the counts from one
+    pass over the arcs (`_covers`), the tubes and the measure from the
+    gaps (`_levels`)."""
     t_sorted = _scales(sorted(float(t) for t in t_values))
-    arcs = _arcs(E)
-    if arcs.n_arcs == 0 and len(t_sorted):
-        raise ValueError("covering the empty set is undefined")
-    sweeps = [_Sweep(t) for t in t_sorted]
-    measure, sums = _scan(arcs, _widths(t_sorted), sweeps)
-    tubes = _tubes(t_sorted, measure, sums).tolist()
-    rows = [(t, sweep.count, tube) for t, sweep, tube in zip(t_sorted.tolist(), sweeps, tubes)]
-    return CoveringProfile(samples=tuple(rows), total_measure=measure)
+    counts = _covers(E, t_sorted)
+    levels = _levels(E)
+    tubes = _tubes(t_sorted, levels).tolist()
+    rows = tuple(zip(t_sorted.tolist(), counts, tubes))
+    return CoveringProfile(samples=rows, total_measure=math.fsum(levels[2]))
 
 
 def log_t_grid(t_min, t_max, count):
@@ -789,12 +681,7 @@ def box_dimension_estimate(E, t_range):
     t = np.asarray(sorted(float(x) for x in t_range))
 
     def counts():  # one pass for every scale, run after the scale check
-        arcs = _arcs(E)
-        if arcs.n_arcs == 0:
-            raise ValueError("covering the empty set is undefined")
-        sweeps = [_Sweep(x) for x in t]
-        _scan(arcs, sweeps=sweeps)
-        yield from (sweep.count for sweep in sweeps)
+        yield from _covers(E, t)
 
     return _box_slope(t, counts())
 
@@ -811,8 +698,8 @@ def _box_slope(t, counts):
 def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     """Interval-sum and log-distance-integral evidence for the Carleson dichotomy.
 
-    E is an arc union or a spec, whose depth-level set is tested, field for
-    field as if built.  Returns a dict with
+    E is an arc union or a spec, whose depth-level set is tested with no
+    set built.  Returns a dict with
 
     - ``interval_sum``: sum over complementary intervals of |I| log(|I|/2pi).
       The normalized length inside the log keeps the sum aligned with the
@@ -837,61 +724,47 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
       (every finite-depth generator does; the verdict refers to the ideal
       limit set).
 
-    The gaps (those over 1e-14) are read in two passes over the arcs in
-    blocks of 2^14: the first counts them, finds the least, and sums the
-    measure; the second sums g log(g/2pi) and g log g, with np.sum's bits
-    (`_PairwiseSums`), and bins |g log(g/2pi)| by dyadic level, in the
-    order of one bincount over all gaps (`_bincount_on`).  A spec's arcs
-    are made block by block (`_SpecArcs`): on the depth-20
-    `non_carleson_n2` spec at quadrature size 2^12 the call peaks at
-    1.6 MiB of numpy buffers and builds no set, where the built set took
-    33 MiB, and 34 MiB more to build.
+    The interval fields read the gaps over 1e-14 of `_levels`, each with
+    its multiplicity m: ``n_gaps`` is the sum of the m, ``min_gap`` the
+    least gap, the two sums are `math.fsum` over the terms m * g log(g/2pi)
+    and m * g log(g), and the dyadic bins are one bincount of the first
+    terms' magnitudes.  A spec's come from its d levels, at O(d) cost, and
+    only ``log_integral`` samples its distance (`distance_to_set`).
     """
     G = int(quadrature_size)
     if G < 8:
         raise ValueError("quadrature_size too small")
-    arcs = _arcs(E)
-    measure = _PairwiseSums(arcs.n_arcs)
-    n_gaps, min_gap = 0, math.inf
-    for starts, ends, gaps in _with_gaps(arcs):
-        measure.feed(ends - starts)
-        kept = gaps[gaps > _GAP_EPS]
-        n_gaps += len(kept)
-        if len(kept):
-            min_gap = min(min_gap, float(kept.min()))
-    measure = measure.result()[0]
-    min_gap = min_gap if n_gaps else 0.0
+    gaps, mult, measure = _levels(E)
+    measure = math.fsum(measure)
+    keep = gaps > _GAP_EPS
+    gaps, mult = gaps[keep], mult[keep]
+    n_gaps = int(mult.sum())
+    min_gap = float(gaps.min()) if n_gaps else 0.0
     resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
     if strict and not resolved:
         raise ValueError(
             "quadrature_size %d too small relative to smallest gap %.3e" % (G, min_gap)
         )
     theta = TWO_PI * np.arange(G) / G
-    d = distance_to_set(theta, arcs.source) if arcs.n_arcs else np.full(G, np.nan)
+    d = distance_to_set(theta, E) if arc_count(E) else np.full(G, np.nan)
     off = d > 0.0
     log_integral = float(np.sum(np.log(d[off])) * TWO_PI / G)
 
-    sums = _PairwiseSums(n_gaps, 2)
-    bins = np.zeros(0)  # per dyadic level, the |g log(g / 2pi)| binned so far
-    for _, _, gaps in _with_gaps(arcs):
-        gap_lengths = gaps[gaps > _GAP_EPS]
-        # g log(g / 2pi) and g log(g), each in one buffer
-        contrib = np.divide(gap_lengths, TWO_PI)
-        np.log(contrib, out=contrib)
-        np.multiply(gap_lengths, contrib, out=contrib)
-        scratch = np.log(gap_lengths)
-        np.multiply(gap_lengths, scratch, out=scratch)
-        sums.feed(contrib, scratch)
-        proper = gap_lengths < TWO_PI
-        if not proper.all():  # a gap spans the circle: gather the others
-            gap_lengths, contrib = gap_lengths[proper], contrib[proper]
-        # floor(log2(2pi / g)) in the radian sum's buffer; g < 2pi makes it
-        # >= 0, so the levels index the bins as they are
-        levels = np.divide(TWO_PI, gap_lengths, out=scratch[: len(gap_lengths)])
-        np.log2(levels, out=levels)
-        levels = np.floor(levels, out=levels).astype(int)
-        bins = _bincount_on(bins, levels, np.abs(contrib, out=contrib))
-    interval_sum, interval_sum_radian = sums.result()
+    # the terms m g log(g / 2pi) in one buffer
+    contrib = np.divide(gaps, TWO_PI)
+    np.log(contrib, out=contrib)
+    np.multiply(gaps, contrib, out=contrib)
+    np.multiply(contrib, mult, out=contrib)
+    interval_sum = _fsum(contrib)
+    interval_sum_radian = _fsum(np.log(gaps) * gaps * mult)
+    # floor(log2(2pi / g)) in the gaps' buffer; g <= 2pi makes it >= 0 (a
+    # gap of 2pi, past a single point, may round above it, and adds its
+    # term, 0 or a rounding, to bin 0), so the levels index the bins
+    levels = np.divide(TWO_PI, gaps, out=gaps)
+    np.maximum(levels, 1.0, out=levels)
+    np.log2(levels, out=levels)
+    levels = np.floor(levels, out=levels).astype(int)
+    bins = np.bincount(levels, weights=np.abs(contrib, out=contrib))
     bins = [float(v) for v in bins if v > 0.0]
     geometric_tail = False
     if len(bins) >= 4:
@@ -904,8 +777,8 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     if not geometric_tail and interval_sum < divergence_threshold:
         verdict = "non_carleson_evidence"
     return {
-        "interval_sum": float(interval_sum),
-        "interval_sum_radian": float(interval_sum_radian),
+        "interval_sum": interval_sum,
+        "interval_sum_radian": interval_sum_radian,
         "log_integral": log_integral,
         "verdict": verdict,
         "resolved": resolved,
@@ -961,9 +834,10 @@ def lambda_divergence_test(spec, gamma):
         raise ValueError("gamma must be positive and finite")
     if spec.depth < 2:
         raise ValueError("the level ratio needs a schedule of depth >= 2")
+    gaps, mult, _ = _levels(spec)
     level_sums = [
-        2.0 ** (n - 1) * (_gap_integral(g, gamma) if gamma < 1.0 else math.inf)
-        for n, g in enumerate(spec.gap_lengths, start=1)
+        m * (_gap_integral(g, gamma) if gamma < 1.0 else math.inf)
+        for g, m in zip(gaps.tolist(), mult.tolist())
     ]
     last_ratio = level_sums[-1] / level_sums[-2]
     return {

@@ -30,9 +30,11 @@ EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
 def set_spec(name, depth=None):
     """The CantorSpec of a named set preset (depth defaults per generator).
 
-    `distance_to_set`, `total_measure`, `tube_measure`, `covering_number` and
-    `carleson_test` read a preset's set from this spec, bit for bit as from
-    the built set and without building it.
+    `distance_to_set` and `covering_number` read a preset's set from this
+    spec, bit for bit as from the built set and without building it.
+    `total_measure`, `tube_measure` and `carleson_test` give the spec's own
+    values, read off its levels: exact, where the built set's carry its
+    rounding.
     """
     if name not in SET_PRESETS:
         raise ValueError(
@@ -48,13 +50,18 @@ def build_set(name, depth=None):
     `build_set(name, default_depth)` return the same object, built once per
     process while it stays among the four most recently used.  Sharing is
     safe because an ArcUnion and its arrays are read-only.
+
+    No experiment calls it, since every statistic of a preset reads its
+    spec.  It stays as API for a caller that wants the arcs: the acceptance
+    tests and the shared-set tests build presets through it, and
+    perfbench's tracer times it as the presets layer.
     """
     return _shared_set(set_spec(name, depth))
 
 
-# four sets; no experiment builds one, since every statistic of a preset reads
-# its spec, so only direct `build_set` calls fill it; `cantor_build` is looked
-# up per call, so a tracer wrapping it counts builds
+# four sets, filled by direct `build_set` calls only (no experiment builds a
+# set); kept with `build_set` as its cache.  `cantor_build` is looked up per
+# call, so a tracer wrapping it counts builds
 @functools.lru_cache(maxsize=4)
 def _shared_set(spec):
     return cantor_build(spec)

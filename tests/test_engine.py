@@ -1586,7 +1586,27 @@ class TestCertify:
         )
         assert [row["degree"] for row in rep.solver_trace] == [64, 128]
         assert rep.solver_trace[1]["bicyclic_converged"] is None
+        assert rep.solver_trace[1]["bicyclic_precond_shift"] is None
         assert isinstance(rep.solver_trace[1]["shift_converged"], bool)
+        assert type(rep.solver_trace[1]["shift_precond_shift"]) is float
+
+    def test_trace_carries_the_preconditioner_shift(self, monkeypatch):
+        # delta = 0 where the recursion holds on T, and n eps = 9 eps on the
+        # two-sided side at degree 4 (9 columns) after a forced breakdown
+        f = certify_small_function()
+        unshifted = _ConvObjective(f.lo, f.arr, -4, 4, 0, np.ones(1), 1.5, 0.0).normal_column
+        real = engine._levinson_durbin
+
+        def broken_unshifted(col):
+            if np.array_equal(col, unshifted):
+                raise ValueError("Levinson-Durbin recursion broke down")
+            return real(col)
+
+        monkeypatch.setattr(engine, "_levinson_durbin", broken_unshifted)
+        rep = certify_cyclic(CertificateProblem(f=f, space=P15, degree_budget=4))
+        row = rep.to_json_obj()["solver_trace"][0]
+        assert row["bicyclic_precond_shift"] == 9 * np.finfo(float).eps
+        assert row["shift_precond_shift"] == 0.0
 
     def test_trace_rows_name_both_sides(self, monkeypatch):
         # degree 64 searches both sides of f = 1, degree 128 the shift alone;
@@ -1611,7 +1631,7 @@ class TestCertify:
         )
         assert calls == ["bicyclic", "shift", "shift"]
         keys = {"degree", "bicyclic_norm", "shift_norm", "bicyclic_converged",
-                "shift_converged"}
+                "shift_converged", "bicyclic_precond_shift", "shift_precond_shift"}
         assert [set(row) for row in rep.solver_trace] == [keys, keys]
         last = rep.solver_trace[-1]
         assert last["bicyclic_norm"] == rep.achieved_bicyclic_norm

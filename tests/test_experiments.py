@@ -543,12 +543,18 @@ class TestNoSetBuilt:
         assert manifest.status == "ok"
 
     def test_set_statistics_build_no_set(self, tmp_path, monkeypatch):
-        # cantor, carleson and certify read the depth-20 set from its spec;
-        # each report matches the statistics of the built set, float for float
-        E = geometry.cantor_build(geometry.non_carleson_n2_spec(20))
+        # cantor, carleson and certify read the depth-20 set from its spec:
+        # each report holds the spec's statistics, which the built set's
+        # match within its rounding, 2 ulp(2pi) per arc, with the same
+        # covering counts, gap count and verdict
+        spec = geometry.non_carleson_n2_spec(20)
+        E = geometry.cantor_build(spec)
         t = geometry.log_t_grid(1e-4, 0.25, 9)
-        profile = [list(row) for row in geometry.covering_profile(E, t).samples]
-        carleson = geometry.carleson_test(E, 2**12)
+        built_profile = geometry.covering_profile(E, t)
+        built_carleson = geometry.carleson_test(E, 2**12)
+        measure = geometry.total_measure(spec)
+        profile = [list(row) for row in geometry.covering_profile(spec, t).samples]
+        carleson = geometry.carleson_test(spec, 2**12)
         refuse_builds(monkeypatch)
         configs = {
             "cantor": {"set": "non_carleson_n2"},
@@ -563,11 +569,16 @@ class TestNoSetBuilt:
                             "output_dir": str(out)})
             assert manifest.status == "ok"
             reports[experiment] = json.loads((out / "report.json").read_text())
+        rounding = 2**20 * 2 * math.ulp(geometry.TWO_PI)
         assert reports["cantor"]["n_arcs"] == E.n_arcs == 2**20
-        assert reports["cantor"]["total_measure"].hex() == E.total_measure.hex()
+        assert reports["cantor"]["total_measure"].hex() == measure.hex()
+        assert abs(measure - E.total_measure) <= rounding
         assert reports["cantor"]["profile"] == profile
+        assert [row[1] for row in profile] == [row[1] for row in built_profile.samples]
         assert all(reports["carleson"][key] == value for key, value in carleson.items())
-        assert reports["certify"]["zero_set_measure"].hex() == E.total_measure.hex()
+        for key in ("verdict", "n_gaps", "resolved", "log_integral"):
+            assert carleson[key] == built_carleson[key], key
+        assert reports["certify"]["zero_set_measure"].hex() == measure.hex()
 
     def test_unknown_set_still_raises(self):
         with pytest.raises(ValueError, match="unknown set preset"):
@@ -908,7 +919,7 @@ class TestSharedWork:
     def test_cantor_counts_each_scale_once(self, tmp_path, monkeypatch):
         # one greedy sweep per scale, all of them in one pass over the arcs
         calls = count_calls(monkeypatch, geometry, "_Sweep")
-        passes = count_calls(monkeypatch, geometry, "_scan")
+        passes = count_calls(monkeypatch, geometry, "_covers")
         manifest = run({"experiment": "cantor",
                         "parameters": {"set": "middle_thirds", "depth": 8},
                         "output_dir": str(tmp_path)})

@@ -18,6 +18,7 @@ independent brute-force/Monte-Carlo oracles before geometry.py existed:
 import math
 import re
 import tracemalloc
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -107,19 +108,14 @@ def loop_merge_oracle(arcs):
             np.array([p[1] for p in merged], dtype=float))
 
 
-def fraction_tube_oracle(E, t):
-    """|E_t| as the exact union of E's float arcs, each dilated by the float
-    rho(t), merged in rational arithmetic on the circle [0, TWO_PI); the
-    result is rounded to a float once, at the end."""
-    if t >= 2.0:
-        return TWO_PI
+def exact_union_measure(arcs):
+    """The measure of the union of the arcs [a, b], given in exact
+    rationals, merged on the circle [0, TWO_PI)."""
     circle = Fraction(TWO_PI)
-    rho = Fraction(2.0 * math.asin(t / 2.0))
     pieces = []
-    for s, e in zip(E.starts, E.ends):
-        a, b = Fraction(float(s)) - rho, Fraction(float(e)) + rho
+    for a, b in arcs:
         if b - a >= circle:
-            return TWO_PI
+            return circle
         start = a % circle
         end = start + (b - a)
         if end > circle:
@@ -135,8 +131,18 @@ def fraction_tube_oracle(E, t):
             lo, hi = s, e
         else:
             hi = max(hi, e)
-    total += hi - lo
-    return float(min(total, circle))
+    return min(total + hi - lo, circle)
+
+
+def fraction_tube_oracle(E, t):
+    """|E_t| as the exact union of E's float arcs, each dilated by the float
+    rho(t), merged in rational arithmetic on the circle [0, TWO_PI); the
+    result is rounded to a float once, at the end."""
+    if t >= 2.0:
+        return TWO_PI
+    rho = Fraction(2.0 * math.asin(t / 2.0))
+    return float(exact_union_measure(
+        [(Fraction(float(s)) - rho, Fraction(float(e)) + rho) for s, e in zip(E.starts, E.ends)]))
 
 
 def greedy_cover_oracle(E, t):
@@ -1001,13 +1007,15 @@ def cantor_build_oracle(spec):
 
 
 def carleson_test_oracle(E, quadrature_size, divergence_threshold=-10.0):
-    """`carleson_test` as it was before its buffers were reused (strict off)."""
+    """`carleson_test` of an arc union as it was before its buffers were
+    reused (strict off), with each interval sum the exact sum of its
+    per-gap float terms, rounded once."""
     G = int(quadrature_size)
     _, gap_lengths = E.gaps()
     n_gaps = len(gap_lengths)
     contrib = gap_lengths * np.log(gap_lengths / TWO_PI)
-    interval_sum = float(np.sum(contrib))
-    interval_sum_radian = float(np.sum(gap_lengths * np.log(gap_lengths)))
+    interval_sum = math.fsum(contrib)
+    interval_sum_radian = math.fsum(gap_lengths * np.log(gap_lengths))
     min_gap = float(gap_lengths.min()) if n_gaps else 0.0
     resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
     theta = TWO_PI * np.arange(G) / G
@@ -1174,88 +1182,160 @@ def test_sorted_input_matches_the_general_merge(arcs):
 
 
 # ---------------------------------------------------------------------------
-# set statistics read from the spec, block by block
+# set statistics of a spec: exact oracles, and the built set against them
 # ---------------------------------------------------------------------------
-
-def fed_in_pieces(columns, cuts):
-    """`_PairwiseSums` over the columns, fed at the given cut points; each
-    piece goes in from a reused buffer, as the statistics feed it."""
-    n = len(columns[0])
-    sums = geometry._PairwiseSums(n, len(columns))
-    bounds = [0, *sorted(c for c in cuts if 0 < c < n), n]
-    buf = np.empty((len(columns), n))
-    for lo, hi in zip(bounds, bounds[1:]):
-        piece = buf[:, : hi - lo]
-        for col, column in zip(piece, columns):
-            col[:] = column[lo:hi]
-        sums.feed(*piece)
-        piece[:] = np.nan  # the summer must have read the piece by now
-    return sums.result()
-
-
-class TestPairwiseSums:
-    """The block-wise sum gives `np.sum`'s float; a numpy change to its
-    summation order fails here, not as a moved report hash."""
-
-    def test_matches_np_sum(self):
-        lengths = [*range(301), *(2**k + d for k in range(9, 21) for d in range(-9, 10))]
-        for n in lengths:
-            rng = np.random.default_rng(n)
-            x = rng.standard_normal(n) * np.exp(rng.uniform(-40.0, 40.0, n))
-            y = rng.uniform(0.0, 1.0, n)
-            cuts = [*rng.integers(0, n + 1, 3).tolist(), geometry._BLOCK, 3 * geometry._BLOCK + 5]
-            got = fed_in_pieces([x, y], cuts)
-            assert [v.hex() for v in got] == [float(np.sum(x)).hex(), float(np.sum(y)).hex()], n
-
-    @given(st.lists(st.floats(-1e300, 1e300), max_size=600),
-           st.lists(st.integers(0, 600), max_size=6))
-    @settings(max_examples=200, deadline=None)
-    def test_random_magnitudes(self, values, cuts):
-        x = np.array(values, dtype=float)
-        big = np.concatenate([x, np.geomspace(1e-300, 1e300, geometry._BLOCK + 3), -x])
-        for column in (x, big):
-            got, = fed_in_pieces([column], cuts + [len(column) // 3])
-            assert got.hex() == float(np.sum(column)).hex()
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_carried_bincount_is_one_bincount(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(0, 3000))
-        levels = rng.integers(0, 12, n)
-        weights = rng.uniform(0.0, 1.0, n) * np.exp(rng.uniform(-20.0, 20.0, n))
-        bins = np.zeros(0)
-        bounds = [0, *sorted(rng.integers(0, n + 1, 4).tolist()), n]
-        for lo, hi in zip(bounds, bounds[1:]):
-            bins = geometry._bincount_on(bins, levels[lo:hi], weights[lo:hi])
-        assert bins.tobytes() == np.bincount(levels, weights=weights).tobytes()
-
-    def test_no_columns_and_no_elements(self):
-        assert geometry._PairwiseSums(5, 0).result() == []
-        assert geometry._PairwiseSums(0, 2).result() == [0.0, 0.0]
-
 
 PRESET_DEPTHS = [*(("middle_thirds", depth) for depth in range(1, 13)),
                  *(("non_carleson_n2", depth) for depth in range(1, 21))]
 CANTOR_GRID = log_t_grid(1e-4, 0.25, 9)  # the `cantor` experiment's default scales
+TUBE_SCALES = np.array([*CANTOR_GRID, 1e-9, 1e-7, 1e-5, 1e-3, 0.01, 0.1, 0.5, 1.0,
+                        1.5, 1.9, 2.0, 3.0])
+UNIT_ROUNDOFF = 2.0**-53
 
 
-def assert_spec_statistics_are_the_built_sets(spec, E):
-    assert geometry.total_measure(spec).hex() == E.total_measure.hex()
-    assert geometry.arc_count(spec) == E.n_arcs
-    assert tube_measure(spec, CANTOR_GRID).tobytes() == tube_measure(E, CANTOR_GRID).tobytes()
-    assert [covering_number(spec, t) for t in CANTOR_GRID] == [
-        covering_number(E, t) for t in CANTOR_GRID]
+def spec_measure_oracle(spec):
+    """The measure of the spec's depth-level set as an exact rational:
+    2^d l_d, with l_n = (l_(n-1) - g_n) / 2 from l_0 = TWO_PI."""
+    length = Fraction(TWO_PI)
+    for gap in spec.gap_lengths:
+        length = (length - Fraction(gap)) / 2
+    return length * 2**spec.depth
+
+
+def spec_tube_oracle(spec, t):
+    """|E_t| of the spec's depth-level set as an exact rational: its measure
+    plus, for each of the 2^(n-1) gaps g_n of level n, the part
+    min(g_n, 2 rho) of it that the dilations by the float
+    rho = 2 asin(t/2) cover; at most TWO_PI."""
+    if t >= 2.0:
+        return Fraction(TWO_PI)
+    width = 2 * Fraction(2.0 * math.asin(t / 2.0))
+    covered = sum(2**n * min(Fraction(g), width) for n, g in enumerate(spec.gap_lengths))
+    return min(spec_measure_oracle(spec) + covered, Fraction(TWO_PI))
+
+
+def exact_spec_arcs(spec):
+    """The 2^depth arcs of the spec's depth-level set in exact rationals, by
+    the gap-removal recursion on the spec's floats."""
+    arcs = [(Fraction(0), Fraction(TWO_PI))]
+    for gap in map(Fraction, spec.gap_lengths):
+        arcs = [piece for s, e in arcs
+                for piece in ((s, (s + e - gap) / 2), ((s + e + gap) / 2, e))]
+    return arcs
+
+
+def interval_sum_oracle(spec, radian=False):
+    """sum_n 2^(n-1) g_n log(g_n / TWO_PI), or with log g_n when `radian`,
+    over the levels with g_n > 1e-14, at 50 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        total = Decimal(0)
+        for n, g in enumerate(spec.gap_lengths):
+            if g > 1e-14:
+                x = Decimal(g) if radian else Decimal(g) / Decimal(TWO_PI)
+                total += 2**n * Decimal(g) * x.ln()
+        return total
+
+
+def interval_sum_bound(spec, radian=False):
+    """How far `carleson_test`'s interval sum may lie from the oracle.
+
+    Each term m g log(x), x = g / 2pi or g, is rounded three times: in x
+    (exact for radians), in its log, which numpy gives within 1 ulp, and in
+    the product; m is a power of 2.  So it lies within
+    m g (4u |log x| + 2u) of its exact value, u = 2^-53.  `math.fsum`
+    rounds the exact sum of the terms once, within 2u of the sum.
+    """
+    u, total, slack = UNIT_ROUNDOFF, 0.0, 0.0
+    for n, g in enumerate(spec.gap_lengths):
+        if g > 1e-14:
+            log_x = math.log(g if radian else g / TWO_PI)
+            total += 2.0**n * g * abs(log_x)
+            slack += 2.0**n * g * (4.0 * u * abs(log_x) + 2.0 * u)
+    return slack + 2.0 * u * total
+
+
+def assert_statistics_are_the_oracles(spec):
+    """Measure and tubes are the exact values rounded once, the interval sums
+    within `interval_sum_bound`, and the gap count and least gap are the
+    levels'."""
+    assert geometry.total_measure(spec) == float(spec_measure_oracle(spec))
+    tubes = tube_measure(spec, TUBE_SCALES)
+    assert tubes.tolist() == [float(spec_tube_oracle(spec, t)) for t in TUBE_SCALES]
+    rec = carleson_test(spec, 2**10)
+    for key, radian in (("interval_sum", False), ("interval_sum_radian", True)):
+        error = abs(Decimal(rec[key]) - interval_sum_oracle(spec, radian))
+        assert error <= Decimal(interval_sum_bound(spec, radian)), key
+    proper = [(n, g) for n, g in enumerate(spec.gap_lengths) if g > 1e-14]
+    assert rec["n_gaps"] == sum(2**n for n, _ in proper)
+    assert rec["min_gap"] == min((g for _, g in proper), default=0.0)
+    assert rec["total_measure"] == geometry.total_measure(spec)
+    assert geometry.arc_count(spec) == 2**spec.depth
+
+
+class TestSpecOracles:
+    """A spec's measure, tubes and interval sums against exact arithmetic on
+    its floats, with no set built."""
+
+    @pytest.mark.parametrize("name, depth", PRESET_DEPTHS)
+    def test_presets(self, monkeypatch, name, depth):
+        monkeypatch.setattr(geometry, "cantor_build", refuse_build)
+        assert_statistics_are_the_oracles(cantor_spec_by_name(name, depth))
+
+    @given(st.lists(st.floats(1e-6, 0.99), min_size=1, max_size=14))
+    @example(fractions=[0.99] * 12)  # past the `_descent` margin
+    @settings(max_examples=100, deadline=None)
+    def test_random_specs(self, fractions):
+        assert_statistics_are_the_oracles(spec_from_fractions(fractions))
+
+    @given(st.lists(st.floats(1e-3, 0.9), min_size=1, max_size=7),
+           st.floats(min_value=1e-6, max_value=1.99))
+    @settings(max_examples=60, deadline=None)
+    def test_tube_oracle_is_the_union_of_the_dilated_arcs(self, fractions, t):
+        # the level form of the tube against the exact union of the exact
+        # arcs, each dilated by the float rho
+        spec = spec_from_fractions(fractions)
+        rho = Fraction(2.0 * math.asin(t / 2.0))
+        dilated = [(s - rho, e + rho) for s, e in exact_spec_arcs(spec)]
+        assert spec_tube_oracle(spec, t) == exact_union_measure(dilated)
+
+
+def assert_built_set_is_the_spec(spec, E):
+    """The built set's statistics are the spec's within the built set's
+    rounding, and its counts and verdicts are the spec's.
+
+    Each built end is start + length rounded, so the 2^d arc lengths are
+    each within 2 ulp(2pi) (perfbench's `cantor_measure`).  Each built
+    endpoint is within (d + 1) 2^-51 of its exact sum (`_descent`), so
+    each gap is within (d + 1) 2^-50, and so are min(g, 2 rho) and, times
+    |log(g / 2pi)| + 1 to first order, the gap's interval term.
+    """
+    d = spec.depth
+    gap_shift = (d + 1) * 2.0**-50
+    assert abs(E.total_measure - geometry.total_measure(spec)) <= 2**d * 2 * math.ulp(TWO_PI)
+    tube_bound = 2**d * 2 * math.ulp(TWO_PI) + (2**d - 1) * gap_shift
+    tubes = tube_measure(spec, CANTOR_GRID)
+    assert np.all(np.abs(tube_measure(E, CANTOR_GRID) - tubes) <= tube_bound)
+    counts = [covering_number(E, t) for t in CANTOR_GRID]
+    assert [covering_number(spec, t) for t in CANTOR_GRID] == counts
     profile = covering_profile(spec, CANTOR_GRID)
-    assert profile == covering_profile(E, CANTOR_GRID)
-    assert profile.total_measure.hex() == E.total_measure.hex()
+    assert profile.samples == tuple(zip(CANTOR_GRID.tolist(), counts, tubes.tolist()))
+    assert profile.total_measure == geometry.total_measure(spec)
+    assert [row[1] for row in covering_profile(E, CANTOR_GRID).samples] == counts
     for G in (2**10, 2**12):
-        assert_same_report(carleson_test(spec, G), carleson_test_oracle(E, G))
+        got, want = carleson_test(spec, G), carleson_test(E, G)
+        for key in ("verdict", "n_gaps", "resolved", "positive_measure", "log_integral"):
+            assert got[key] == want[key], key
+        for key, radian in (("interval_sum", False), ("interval_sum_radian", True)):
+            slack = math.fsum(2.0**n * gap_shift * (abs(math.log(g if radian else g / TWO_PI)) + 1)
+                              for n, g in enumerate(spec.gap_lengths))
+            assert abs(got[key] - want[key]) <= slack + interval_sum_bound(spec, radian), key
 
 
 class TestSpecStatistics:
     """`total_measure`, `tube_measure`, `covering_number` and `carleson_test`
-    give, bit for bit, the built set's statistics for a spec, with no set
-    built."""
+    read a spec with no set built; the built set agrees within its rounding,
+    and every count and verdict is the same."""
 
     @pytest.mark.parametrize("name, depth", PRESET_DEPTHS)
     def test_presets_match_the_built_set(self, monkeypatch, name, depth):
@@ -1263,7 +1343,7 @@ class TestSpecStatistics:
         E = cantor_build(spec)
         assert E.total_measure.hex() == float(np.sum(E.ends - E.starts)).hex()
         monkeypatch.setattr(geometry, "cantor_build", refuse_build)
-        assert_spec_statistics_are_the_built_sets(spec, E)
+        assert_built_set_is_the_spec(spec, E)
 
     def test_built_input_matches_the_oracle_at_every_depth(self):
         for name, depth in PRESET_DEPTHS[::3]:
@@ -1274,17 +1354,16 @@ class TestSpecStatistics:
         # the two-level block path: 2^6 roots grown by 2^14-leaf blocks
         spec = non_carleson_n2_spec(20)
         E = cantor_build(spec)
-        starts, ends, nexts = [], [], []
-        for s, e, after in geometry._arcs(spec).blocks():
+        starts, ends = [], []
+        for s, e in geometry._spec_blocks(*geometry._descent(spec)):
             starts.append(s.copy())
             ends.append(e.copy())
-            nexts.append(float(after))
-        assert len(starts) == 2**20 // geometry._BLOCK
+        assert len(starts) == 2 ** (20 - geometry._BLOCK_LEVELS)
         assert np.concatenate(starts).tobytes() == E.starts.tobytes()
         assert np.concatenate(ends).tobytes() == E.ends.tobytes()
-        assert nexts == [float(s[0]) for s in starts[1:]] + [TWO_PI]
 
-    def test_a_spec_past_the_margin_is_built_and_matches(self, monkeypatch):
+    def test_a_spec_past_the_margin_reads_its_levels_and_covers_the_built_set(
+            self, monkeypatch):
         built = []
 
         def counted(spec):
@@ -1296,16 +1375,30 @@ class TestSpecStatistics:
         E = cantor_build(spec)
         assert E.n_arcs < 2**12  # rounding made arcs touch, and they merged
         monkeypatch.setattr(geometry, "cantor_build", counted)
-        assert_spec_statistics_are_the_built_sets(spec, E)
-        # once per call, and once for all scales of a profile
-        assert built == [spec] * 15
+        # the statistics are the levels'; only carleson_test's log_integral
+        # samples the distance, of the built set
+        assert_statistics_are_the_oracles(spec)
+        assert built == [spec]
         built.clear()
-        covering_profile(spec, CANTOR_GRID)
+        # the covering counts and the distance cover the built set, built
+        # once per call, and once for all scales of a profile
+        assert [covering_number(spec, t) for t in CANTOR_GRID] == [
+            covering_number(E, t) for t in CANTOR_GRID]
+        assert built == [spec] * 9
+        built.clear()
+        profile = covering_profile(spec, CANTOR_GRID)
+        assert [row[1] for row in profile.samples] == [
+            row[1] for row in covering_profile(E, CANTOR_GRID).samples]
+        assert built == [spec]
+        built.clear()
+        assert carleson_test(spec, 2**10)["log_integral"] == carleson_test(
+            E, 2**10)["log_integral"]
         assert built == [spec]
 
     def test_a_depth_zero_spec_is_the_full_circle(self):
         spec = CantorSpec(())
-        assert_spec_statistics_are_the_built_sets(spec, cantor_build(spec))
+        assert_built_set_is_the_spec(spec, cantor_build(spec))
+        assert geometry.total_measure(spec) == TWO_PI
         assert distance_to_set(1.0, spec) == 0.0
 
     def test_carleson_on_the_default_preset_allocates_at_most_4_mib(self):
