@@ -12,7 +12,10 @@ every f a config names but smooth_vanishing: it spans at most 2**20
 frequencies (`presets.MAX_SPAN`), with |n| <= 2**20 for `certify` and
 `szego` and 2|n| + 1 <= grid for `douglas`, read off the `coeffs` rows or
 the h_k series built to degree at most 2**20 + 1; `certify`'s
-`degree_budget` and `szego`'s `degrees` lie in [0, 2**20].  Validation runs
+`degree_budget` and `szego`'s `degrees` lie in [0, 2**20].  A set's `depth`
+is one at which its named schedule has a set (at most 53 for
+`non_carleson_n2`, 646 for `middle_thirds`), and at most 30 for `cantor`,
+whose sweep reads all 2^depth arcs.  Validation runs
 before anything touches the disk, so a bad config writes nothing, not even
 the output directory.  Otherwise it returns the resolved record, every
 accepted field with the config's value or its default, plus the h_k series
@@ -338,6 +341,20 @@ def _t_range(params, _given):
         raise ConfigError("need t_min < t_max")
 
 
+def _set_depth(params, _given):
+    """Rule: the named schedule has a set at `depth` (`set_spec`)."""
+    name, depth = params["set"], params["depth"]
+    try:
+        set_spec(name, depth)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError("%s has no set at depth %d: %s" % (name, depth, exc)) from exc
+
+
+def _sweep_depth(params, _given):
+    if params["depth"] > 30:
+        raise ConfigError("depth must be at most 30: the sweep reads all 2^depth arcs")
+
+
 # -- serialization helpers ---------------------------------------------------
 
 
@@ -605,46 +622,46 @@ EXPERIMENTS = {
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "k_values": (_list_of(lambda k: _is_int(k) and k >= 1,
                                "k_values must be a list of positive integers"), None)},
-        (_function_source(), _k_values_need_h_k), _run_norms),
+        (_function_source(), _k_values_need_h_k, _set_depth), _run_norms),
     "cantor": Experiment(
         {**_SET_FIELDS, "t_min": (_POSITIVE, 1e-4), "t_max": (_POSITIVE, 0.25),
          "t_count": (_int_at_least(2), 9)},
-        (_t_range,), _run_cantor),
+        (_t_range, _set_depth, _sweep_depth), _run_cantor),
     "carleson": Experiment(
         {**_SET_FIELDS, "grid": (_GRID, 2**12),
          "threshold": (_check(_is_number, "threshold must be a finite number"), -10.0)},
-        (), _run_carleson),
+        (_set_depth,), _run_carleson),
     "outer": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE),
          "mode": (_one_of(("p_eps", "F_eps"), "mode must be 'p_eps' or 'F_eps'"), "p_eps")},
-        (), _run_outer),
+        (_set_depth,), _run_outer),
     "douglas": Experiment(
         {**_FUNCTION_FIELDS, "grid": (_GRID, 2**11),
          "alpha": (_list_of(lambda a: _is_number(a) and 0.0 < a < 1.0,
                             "alpha must be a list of numbers in (0, 1)"), (0.2, 0.4)),
          "exclusion": (_POSITIVE, lambda params: 10.0 / params["grid"])},
-        (_ON_THE_GRID,), _run_douglas),
+        (_ON_THE_GRID, _set_depth), _run_douglas),
     "szego": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "degrees": (_list_of(lambda d: _is_int(d) and 0 <= d <= MAX_SPAN,
                               "degrees must be a list of integers in [0, 2**20]"),
                      (25, 50, 100, 200))},
-        (_SOLVABLE,), _run_szego),
+        (_SOLVABLE, _set_depth), _run_szego),
     "certify": Experiment(
         {**_FUNCTION_FIELDS, **_SPACE_FIELDS,
          "support": (_one_of(SUPPORTS, "unknown support {value!r}"), "all_integers"),
          "degree_budget": (_SOLVER_DEGREE, 1024),
          "epsilon_target": (_POSITIVE, 0.25)},
-        (_SOLVABLE, _has_cyclic_vectors), _run_certify),
+        (_SOLVABLE, _has_cyclic_vectors, _set_depth), _run_certify),
     "decay": Experiment(
         {**_VANISHING_FIELDS, "eps": (_EPS, EPS_DECADE), **_SPACE_FIELDS,
          "truncate": (_int_at_least(1), None)},
-        (_decay_sweep_fits,), _run_decay),
+        (_decay_sweep_fits, _set_depth), _run_decay),
     "kel_ratio": Experiment(
         {**_VANISHING_FIELDS,
          "delta_prime": (_check(_is_number, "delta_prime must be a finite number"), 1.2),
          "eps": (_EPS, (1e-1, 1e-2, 1e-3, 1e-4))},
-        (_kel_exponent,), _run_kel_ratio),
+        (_kel_exponent, _set_depth), _run_kel_ratio),
     "classify": Experiment(
         {"dim": (_check(lambda v: _is_number(v) and 0.0 <= v <= 1.0,
                         "dim must lie in [0, 1]"), _REQUIRED),

@@ -323,37 +323,27 @@ def _chord_off(th, inside, left_end, right_start):
     return chord
 
 
-def _descent(spec):
-    """`_steps(spec)` where the descent of `_spec_distance` is exact, else None.
-
-    Every start and end `cantor_build` forms is a float sum of at most
-    depth + 1 terms below 8, so rounding moves it by less than
-    (depth + 1) * 2^-51, and the step/length recursion moves the exact
-    sums by less than depth * 2^-50.  Where every gap and the leaf length
-    exceed (depth + 2) * 2^-49, more than all of that, the built arcs stay
-    sorted and strictly disjoint, and the last end passes 2*pi by less
-    than the first arc's length; ArcUnion then keeps them as built, with
-    that end clamped to 2*pi.  Past the margin rounding can make arcs
-    touch, and ArcUnion merges them.
-    """
-    steps, length = _steps(spec)
-    if min((*spec.gap_lengths, length)) > (spec.depth + 2) * 2.0**-49:
-        return steps, length
-    return None
-
-
 def _spec_distance(th, steps, length):
-    """`distance_to_set(th, cantor_build(spec))` for th in [0, 2*pi], bit for
-    bit, from the spec's `_descent`, with no set built.
+    """The distance from each th in [0, 2*pi] to the depth-level set of the
+    spec with these `_steps`, with no set built.
 
     Each angle descends the gap tree level by level: it goes to the right
     child where it lies at or past that child's start, the sum
-    `cantor_build` forms there, so it lands on the leaf that the arc
-    path's binary search finds.  On the way it keeps the start of the next
+    `cantor_build` forms there.  On the way it keeps the start of the next
     leaf, the right child at its deepest left turn, or the first leaf's
-    0.0 across the seam.  A leaf's end is start + length, the last one
-    clamped to 2*pi as ArcUnion clamps it.  The descent runs in three float
-    buffers and one mask, whatever the depth.
+    0.0 across the seam.  A leaf's end is start + length; an end past
+    2*pi needs no clamp, as th <= 2*pi lies inside it.  The descent runs in
+    three float buffers and one mask, whatever the depth.
+
+    This is the distance to `cantor_build(spec)`, bit for bit, wherever the
+    leaf starts never decrease and the last leaf starts below 2*pi and ends
+    at most one leaf past it.  ArcUnion then keeps the leaves, or merges
+    those that touch or overlap, which changes no union: its starts are the
+    same sums; every start is 0 or at least the length, so by Sterbenz its
+    end s + ((s + length) - s) is s + length; and the ends never decrease,
+    so the leaf with the greatest start at or below th has the greatest
+    end.  Past that, with leaves of about depth * ulp(2*pi) or less, the
+    descent keeps the spec's own recursion.
     """
     start = np.zeros(len(th))
     nxt = np.zeros(len(th))
@@ -367,7 +357,6 @@ def _spec_distance(th, steps, length):
         np.copyto(cand, nxt, where=right)
         nxt, cand = cand, nxt
     end = np.add(start, length, out=cand)
-    np.minimum(end, TWO_PI, out=end)
     return _chord_off(th, th <= end, end, nxt)
 
 
@@ -376,24 +365,18 @@ def distance_to_set(theta, E):
     depth-level set of the CantorSpec E.
 
     Accepts a scalar or an array; exact from the nearest arc endpoint (or 0
-    inside an arc).  Raises on the empty set.  A spec gives, bit for bit,
-    its distance to `cantor_build(E)`, by a descent of its gap tree that
-    forms none of the 2^depth arcs (`_spec_distance`).  Only a spec with a
-    gap or leaf of at most (depth + 2) * 2^-49, where rounding can make
-    built arcs touch and merge, is built (`_descent`); the presets are far
-    from that.
+    inside an arc).  Raises on the empty set.  A spec is read by a descent
+    of its gap tree that forms none of the 2^depth arcs (`_spec_distance`),
+    which gives its distance to `cantor_build(E)` bit for bit wherever
+    rounding leaves the built arcs as the recursion makes them.
     """
-    if isinstance(E, CantorSpec):
-        descent = _descent(E)
-        if descent is None:
-            return distance_to_set(theta, cantor_build(E))
-    elif E.n_arcs == 0:
+    if not isinstance(E, CantorSpec) and E.n_arcs == 0:
         raise ValueError("distance to the empty set is undefined")
     theta_arr = np.asarray(theta, dtype=float) % TWO_PI
     scalar = theta_arr.ndim == 0
     th = np.atleast_1d(theta_arr)
     if isinstance(E, CantorSpec):
-        out = _spec_distance(th, *descent)
+        out = _spec_distance(th, *_steps(E))
     else:
         s, e = E.starts, E.ends
         n = len(s)
@@ -502,17 +485,16 @@ _BLOCK_LEVELS = 14
 
 
 def _spec_blocks(steps, length):
-    """The arcs of `cantor_build(spec)`, made block by block as they are
-    read, from the `_descent(spec)` of a spec that it accepts: (starts,
-    ends) of aligned blocks of 2^_BLOCK_LEVELS leaves (one block for a
-    shallower spec), in two buffers that every block reuses.
+    """The leaves of the spec with these `_steps`, made block by block as
+    they are read: (starts, ends) of aligned blocks of 2^_BLOCK_LEVELS
+    leaves (one block for a shallower spec), in two buffers that every
+    block reuses.
 
-    ArcUnion keeps such a build's arcs as they are, with each end
-    start + ((start + length) - start), its constructor's arithmetic, and
-    the last end clamped to 2*pi; so does this.  The block roots are the
-    starts of the intervals _BLOCK_LEVELS levels above the leaves, and
-    each block grows from its root by `cantor_build`'s recursion, so every
-    start is the same sum.
+    The block roots are the starts of the intervals _BLOCK_LEVELS levels
+    above the leaves, and each block grows from its root by
+    `cantor_build`'s recursion, so every start is the same sum.  Each end
+    is start + length, the last clamped to 2*pi; where `_spec_distance`
+    matches the built set, so does the union of these arcs.
     """
     split = max(len(steps) - _BLOCK_LEVELS, 0)
     roots = _grow(np.zeros(2**split), steps[:split])
@@ -522,8 +504,6 @@ def _spec_blocks(steps, length):
         starts[0] = root
         _grow(starts, steps[split:])
         np.add(starts, length, out=ends)
-        np.subtract(ends, starts, out=ends)
-        np.add(starts, ends, out=ends)
         if k == len(roots) - 1:
             ends[-1] = min(ends[-1], TWO_PI)
         yield starts, ends
@@ -592,15 +572,12 @@ class _Sweep:
 
 def _covers(E, t_values):
     """The greedy cover count of E at each scale, from one pass over its
-    arcs: an arc union's arrays, or a spec's arcs made block by block
-    (`_spec_blocks`).  A spec that `_descent` refuses is built."""
+    arcs: an arc union's arrays, or a spec's leaves made block by block
+    (`_spec_blocks`)."""
     if arc_count(E) == 0 and len(t_values):
         raise ValueError("covering the empty set is undefined")
     if isinstance(E, CantorSpec):
-        descent = _descent(E)
-        if descent is None:
-            return _covers(cantor_build(E), t_values)
-        blocks = _spec_blocks(*descent)
+        blocks = _spec_blocks(*_steps(E))
     else:
         blocks = [(E.starts, E.ends)]
     sweeps = [_Sweep(t) for t in t_values]
@@ -622,9 +599,11 @@ def covering_number(E, t):
     Within an arc the sweep lays covers end to end from the first uncovered
     point y, so the arc takes max(1, ceil((end - y) / 2t)) of them, counted
     in closed form; arcs already covered are skipped by binary search on
-    the ends of the block of arcs at hand.  A spec's arcs come in blocks
+    the ends of the block of arcs at hand.  A spec's leaves come in blocks
     (`_covers`), made block by block with no set built, and the cost is
-    O(arcs reached * log n) beside the pass over the blocks, whatever t is.
+    O(arcs reached * log n) beside the pass over the blocks, whatever t is;
+    the count is `cantor_build(spec)`'s wherever the built set is the union
+    of the leaves (`_spec_distance`).
     The sweep is exact on the float inputs: it counts in integer multiples
     of 2**-1074, where every float is an integer, so a cover end that
     rounds onto a set point cannot cover it.
@@ -695,7 +674,7 @@ def _box_slope(t, counts):
     return float(np.polyfit(np.log(1.0 / t), np.log(N), 1)[0])
 
 
-def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
+def carleson_test(E, quadrature_size, divergence_threshold=-10.0):
     """Interval-sum and log-distance-integral evidence for the Carleson dichotomy.
 
     E is an arc union or a spec, whose depth-level set is tested with no
@@ -717,9 +696,8 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
       Shallow constructions may not yet reveal a divergent tail; deepen the
       generator to discriminate.
     - ``resolved``: whether the quadrature step is below a quarter of the
-      smallest gap.  With ``strict=True`` an unresolved grid raises instead;
-      the interval fields never depend on the grid, only ``log_integral``
-      degrades.
+      smallest gap.  The interval fields never depend on the grid; only
+      ``log_integral`` degrades on a grid that does not resolve the gaps.
     - ``positive_measure``: the current approximation has positive measure
       (every finite-depth generator does; the verdict refers to the ideal
       limit set).
@@ -741,10 +719,6 @@ def carleson_test(E, quadrature_size, divergence_threshold=-10.0, strict=False):
     n_gaps = int(mult.sum())
     min_gap = float(gaps.min()) if n_gaps else 0.0
     resolved = n_gaps > 0 and (TWO_PI / G) <= min_gap / 4.0
-    if strict and not resolved:
-        raise ValueError(
-            "quadrature_size %d too small relative to smallest gap %.3e" % (G, min_gap)
-        )
     theta = TWO_PI * np.arange(G) / G
     d = distance_to_set(theta, E) if arc_count(E) else np.full(G, np.nan)
     off = d > 0.0

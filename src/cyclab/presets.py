@@ -30,11 +30,13 @@ EPS_DECADE = tuple(10.0**-j for j in range(1, 7))
 def set_spec(name, depth=None):
     """The CantorSpec of a named set preset (depth defaults per generator).
 
-    `distance_to_set` and `covering_number` read a preset's set from this
-    spec, bit for bit as from the built set and without building it.
-    `total_measure`, `tube_measure` and `carleson_test` give the spec's own
-    values, read off its levels: exact, where the built set's carry its
-    rounding.
+    Every statistic of a preset reads this spec, and none builds the set.
+    `distance_to_set` and `covering_number` read its leaves, bit for bit
+    as from the built set wherever rounding leaves the built arcs as the
+    recursion makes them (every depth up to 30 but non_carleson_n2's 28
+    and 29).  `total_measure`, `tube_measure` and `carleson_test` give the
+    spec's own values, read off its levels: exact, where the built set's
+    carry its rounding.
     """
     if name not in SET_PRESETS:
         raise ValueError(

@@ -161,6 +161,13 @@ class TestConfigValidation:
             ("norms", {"preset": "h_k", "k": "5"}, "k must"),
             ("norms", {"coeffs": [[0, "a", 0]]}, "amplitudes"),
             ("cantor", {"t_min": 0.5, "t_max": 0.1}, "t_min < t_max"),
+            # the schedule has no set there: its deepest gap leaves its interval
+            ("carleson", {"set": "non_carleson_n2", "depth": 60},
+             "non_carleson_n2 has no set at depth 60: level 60 gap"),
+            ("norms", {"preset": "smooth_vanishing", "set": "middle_thirds", "depth": 700},
+             "middle_thirds has no set at depth 700"),
+            ("decay", {"set": "non_carleson_n2", "depth": 54}, "no set at depth 54"),
+            ("cantor", {"set": "middle_thirds", "depth": 31}, "depth must be at most 30"),
             ("classify", {"dim": True}, "dim must"),
             ("norms", {"preset": "z_minus_1", "k_values": [1, 2]}, "k_values"),
             ("classify", {"dim": 0.5, "log_nonintegrable": "false"}, "true or false"),
@@ -240,6 +247,18 @@ class TestConfigValidation:
             {"experiment": experiment, "parameters": params}
         ))
 
+    @pytest.mark.parametrize("experiment, params", [
+        ("carleson", {"set": "non_carleson_n2", "depth": 53}),
+        ("carleson", {"set": "middle_thirds", "depth": 646}),
+        ("cantor", {"set": "non_carleson_n2", "depth": 30}),
+        ("outer", {"set": "non_carleson_n2", "depth": 53}),
+        ("certify", {"preset": "smooth_vanishing", "set": "middle_thirds", "depth": 646}),
+    ])
+    def test_set_depths_at_the_bounds_are_accepted(self, experiment, params):
+        record = validate(ExperimentConfig.from_json_obj(
+            {"experiment": experiment, "parameters": params}))
+        assert record["depth"] == params["depth"]
+
     def test_decay_truncate_must_fit_the_grid(self):
         # series_from_samples needs 2*truncate + 1 <= grid
         def decay(truncate):
@@ -284,6 +303,10 @@ class TestConfigValidation:
             *UNREACHABLE_COEFFS,
             *OVERSIZED_H_K,
             *UNBOUNDED_SOLVER_DEGREES,
+            # validated, these ran: carleson raised inside the run, after
+            # the manifest, and cantor's sweep would read 2^40 arcs
+            ("carleson", {"set": "non_carleson_n2", "depth": 60}),
+            ("cantor", {"set": "non_carleson_n2", "depth": 40}),
         ]):
             out = tmp_path / ("never%d" % i)
             with pytest.raises(ConfigError), address_space_capped():
