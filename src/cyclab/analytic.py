@@ -18,16 +18,26 @@ caller samples d once and hands it to each of them, and this module does
 not import the geometry.  Each of the five checks d and its exponent gamma
 on entry through one check, `_sampled_distance`: d is a finite, nonnegative
 1-D grid of a power of two >= 16 points, and gamma is positive and finite.
-The private helper `_power_modulus` takes d as checked, so `p_epsilon_decay`
-checks d once, not once per eps.
+The three eps-sweeps, `p_epsilon_decay`, `lemma_kel_ratio` and the
+experiments' `outer` loop (`_outer_power_sweep`), check d once and take
+d**gamma once; each M_eps they need is read, with m_epsilon's half-grid
+self-check, off the integrand that the eps's modulus is made from.
 
 The eps values of a sweep are independent.  `_over_eps` maps a sweep's
 per-eps body over its schedule on one thread per CPU of the process's
-affinity mask, at most one per eps, the calling thread among them; the
-experiments' `outer` loop uses it too.  numpy releases the GIL in the
-transforms, exp and log that dominate each eps.  Every eps goes through
-the same operations as in a serial loop, so the outputs are bit for bit
-the same whatever the thread count.
+affinity mask, at most one per eps, the calling thread among them.  numpy
+and the transform kernel release the GIL in the transforms, exp and log
+that dominate each eps.  Every eps goes through the same operations as in
+a serial loop, so the outputs are bit for bit the same whatever the
+thread count.  Each thread writes its eps values into one `_Workspace` of
+grid-sized buffers that it keeps across them, and the workspaces die with
+the sweep.  Every transform goes through the package's one kernel
+(`fourier._c2c`, `_r2c`, `_c2r`), which gives numpy's bits and writes into
+a buffer the sweep owns or in place, and the products and exps of an eps
+are written into those buffers with `out=`, in numpy's operand order.  So
+no eps maps its grid-sized arrays afresh.  No public result shares memory
+with a workspace: `conjugate_function` returns a fresh array, and an
+OuterFunction's boundary is its own.
 
 Two measure conventions coexist deliberately.  Fourier-side quantities
 (means, coefficients, leakage) use the normalized measure |dzeta|/2pi, while
@@ -39,11 +49,20 @@ import contextvars
 import json
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .fourier import FourierSeries, eval_on_grid, norm_ap_beta, series_from_samples
+from .fourier import (
+    FourierSeries,
+    _c2c,
+    _c2r,
+    _r2c,
+    eval_on_grid,
+    norm_ap_beta,
+    series_from_samples,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -113,17 +132,36 @@ def conjugate_function(g):
     the half spectrum n = 0..G/2 of a half-length real transform (`rfft`),
     which `irfft` maps back to real samples.  The mean (n = 0) and the
     Nyquist bin are zeroed, so the output has zero mean and double
-    conjugation returns -(g - mean g).
+    conjugation returns -(g - mean g).  The result is a fresh array; the
+    sweeps take the same transforms in buffers they own (`_conjugate_into`).
     """
     g = np.asarray(g, dtype=float)
     if g.ndim != 1:
         raise ValueError("expected a 1-D real grid")
-    G = g.shape[0]
-    _check_pow2(G, smallest=4)
-    spec = np.fft.rfft(g)
+    _check_pow2(g.shape[0], smallest=4)
+    return _conjugate_into(g, None, None)
+
+
+def _conjugate_into(g, half, out):
+    """`conjugate_function(g)` with its half spectrum taken in `half` and the
+    result written to `out` (new arrays where None).  The multiplier goes on
+    in place, -1j the left factor as in `-1j * spec`: numpy's complex
+    product is not commutative bit for bit."""
+    spec = _r2c(g, half)
     spec[0] = 0.0
     spec[-1] = 0.0
-    return np.fft.irfft(-1j * spec, G)
+    np.multiply(-1j, spec, out=spec)
+    return _c2r(spec, g.shape[0], out)
+
+
+def _floored(vals, floor, out=None):
+    """max(vals, floor), into out or a new array, after the checks of a
+    BoundaryModulus: every value finite and none negative."""
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("modulus values must be finite")
+    if np.any(vals < 0.0):
+        raise ValueError("a boundary modulus cannot be negative")
+    return np.maximum(vals, floor, out=out)
 
 
 @dataclass(frozen=True)
@@ -138,15 +176,11 @@ class BoundaryModulus:
         if vals.ndim != 1:
             raise ValueError("modulus values must form a 1-D grid")
         _check_pow2(vals.shape[0])
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("modulus values must be finite")
-        if np.any(vals < 0.0):
-            raise ValueError("a boundary modulus cannot be negative")
+        floored = _floored(vals, self.floor)
         if not (self.floor > 0.0):
             raise ValueError("floor must be positive")
-        vals = np.maximum(vals, self.floor)
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
+        floored.setflags(write=False)
+        object.__setattr__(self, "values", floored)
 
     @property
     def grid_size(self):
@@ -195,11 +229,34 @@ class OuterFunction:
         )
 
 
-def _outer_boundary(phi):
-    """u = log phi and the boundary samples exp(u + i*Hu) of the outer
-    function with modulus `phi`, a BoundaryModulus (so already floored)."""
-    u = np.log(phi.values)
-    return u, np.exp(u + 1j * conjugate_function(u))
+def _outer_boundary(u, ws):
+    """exp(u + i*Hu) in ws.boundary: the boundary samples of the outer
+    function with log-modulus u, a real grid.  Hu is taken in ws.half and
+    ws.hu, and every operation keeps the operand order of
+    np.exp(u + 1j * conjugate_function(u)), so the bits are its bits."""
+    hu = _conjugate_into(u, ws.half, ws.hu)
+    boundary = np.multiply(1j, hu, out=ws.boundary)
+    np.add(u, boundary, out=boundary)
+    return np.exp(boundary, out=boundary)
+
+
+def _outer_function(u, boundary, leakage_tol, modulus_spec):
+    """The OuterFunction with log-modulus u and these boundary samples,
+    which it keeps: the caller hands over an array no one else writes."""
+    coeffs = series_from_samples(boundary, len(u) // 2 - 1)
+    leakage = _leakage(coeffs)
+    if leakage_tol is not None and leakage > leakage_tol:
+        raise ValueError(
+            f"negative-frequency leakage {leakage:.3e} exceeds {leakage_tol:.3e}; "
+            "the modulus is under-resolved on this grid"
+        )
+    return OuterFunction(
+        boundary=boundary,
+        analytic_coeffs=coeffs,
+        value_at_zero=float(np.exp(np.mean(u))),
+        leakage=leakage,
+        modulus_spec=modulus_spec,
+    )
 
 
 def outer_from_modulus(phi, leakage_tol=None, modulus_spec=None):
@@ -213,24 +270,11 @@ def outer_from_modulus(phi, leakage_tol=None, modulus_spec=None):
     """
     if not isinstance(phi, BoundaryModulus):
         phi = BoundaryModulus(np.asarray(phi, dtype=float))
-    u, boundary = _outer_boundary(phi)
-    G = phi.grid_size
-    coeffs = series_from_samples(boundary, G // 2 - 1)
-    leakage = _leakage(coeffs)
-    if leakage_tol is not None and leakage > leakage_tol:
-        raise ValueError(
-            f"negative-frequency leakage {leakage:.3e} exceeds {leakage_tol:.3e}; "
-            "the modulus is under-resolved on this grid"
-        )
     if modulus_spec is None:
         modulus_spec = {"kind": "sampled", "floor": float(phi.floor)}
-    return OuterFunction(
-        boundary=boundary,
-        analytic_coeffs=coeffs,
-        value_at_zero=float(np.exp(np.mean(u))),
-        leakage=leakage,
-        modulus_spec=modulus_spec,
-    )
+    u = np.log(phi.values)
+    boundary = _outer_boundary(u, _Workspace(phi.grid_size))
+    return _outer_function(u, boundary, leakage_tol, modulus_spec)
 
 
 @dataclass(frozen=True)
@@ -278,30 +322,50 @@ def m_epsilon(d, gamma, eps):
     d = _sampled_distance(d, gamma)
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    integrand = half_log_integrand(d, gamma, eps)
+    return _checked_m(half_log_integrand(d, gamma, eps))
+
+
+def _checked_m(integrand):
+    """M_eps from its integrand on the grid, after m_epsilon's self-check."""
     M = float(np.mean(integrand) * TWO_PI)
     M_half = float(np.mean(integrand[::2]) * TWO_PI)
     if abs(M - M_half) > M_EPSILON_SELF_CHECK_TOL * max(1.0, abs(M)):
+        G = len(integrand)
         raise ValueError(
-            f"quadrature under-resolved: size {len(d)} and {len(d) // 2} disagree by "
+            f"quadrature under-resolved: size {G} and {G // 2} disagree by "
             f"{abs(M - M_half):.3e} (value {M:.6f})"
         )
     return M
 
 
-def _power_modulus(d, gamma, eps, mode):
-    """The BoundaryModulus of `outer_power_modulus`, and the grid mean m of
-    (1/2) log 1/(d^gamma + eps) that normalizes p_eps (None for F_eps).
-    `d` has passed `_sampled_distance`."""
+def _check_mode(mode):
     if mode not in ("p_eps", "F_eps"):
         raise ValueError(f"mode must be 'p_eps' or 'F_eps', got {mode!r}")
+
+
+def _half_log_into(dg, eps, ws):
+    """The integrand of `half_log_integrand` in ws.hu, by its operations,
+    from dg = d**gamma; d^gamma + eps is left in ws.u for `_log_modulus`."""
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    base = d**gamma + eps
-    if mode == "F_eps":
-        return BoundaryModulus(np.sqrt(base)), None
-    m = float(np.mean(0.5 * np.log(1.0 / base)))
-    return BoundaryModulus(np.exp(-m) / np.sqrt(base)), m
+    base = np.add(dg, eps, out=ws.u)
+    integrand = np.divide(1.0, base, out=ws.hu)
+    np.log(integrand, out=integrand)
+    return np.multiply(0.5, integrand, out=integrand)
+
+
+def _log_modulus(integrand, mode, ws):
+    """u = log of the modulus of `outer_power_modulus`, in ws.u, from
+    d^gamma + eps and the integrand that `_half_log_into` left; and the grid
+    mean m of the integrand that normalizes p_eps (None for F_eps).  The
+    modulus is floored and checked as a BoundaryModulus is."""
+    base = np.sqrt(ws.u, out=ws.u)
+    m = None
+    if mode == "p_eps":
+        m = float(np.mean(integrand))
+        np.divide(np.exp(-m), base, out=base)
+    _floored(base, LOG_FLOOR, out=base)
+    return np.log(base, out=base), m
 
 
 def outer_power_modulus(d, gamma, eps, mode):
@@ -314,23 +378,72 @@ def outer_power_modulus(d, gamma, eps, mode):
     the center value is 1 and the pointwise product of the two moduli is the
     constant exp(-m).
     """
-    phi, _ = _power_modulus(_sampled_distance(d, gamma), gamma, eps, mode)
+    d = _sampled_distance(d, gamma)
+    _check_mode(mode)
+    ws = _Workspace(len(d))  # this call's own: the result keeps ws.boundary
+    u, _ = _log_modulus(_half_log_into(d**gamma, eps, ws), mode, ws)
     spec = {"kind": mode, "gamma": float(gamma), "eps": float(eps)}
-    return outer_from_modulus(phi, modulus_spec=spec)
+    return _outer_function(u, _outer_boundary(u, ws), None, spec)
 
 
-def _over_eps(fn, eps_schedule):
-    """[fn(eps) for eps in eps_schedule], in schedule order, on one thread
-    per CPU of the process's affinity mask, at most one per eps.
+def _outer_power_sweep(d, gamma, mode, eps_schedule):
+    """(m_epsilon(d, gamma, eps), and the value at 0 and the leakage of
+    outer_power_modulus(d, gamma, eps, mode)) for each eps of the schedule,
+    each bit for bit as those calls give it, with d checked once.  M_eps is
+    read off the integrand that the modulus is made from.  The eps values
+    run on the process's CPUs (`_over_eps`)."""
+    d = _sampled_distance(d, gamma)
+    _check_mode(mode)
+    dg = d**gamma
+
+    def row(eps, ws):
+        integrand = _half_log_into(dg, eps, ws)
+        u, _ = _log_modulus(integrand, mode, ws)
+        M = _checked_m(integrand)
+        value_at_zero = float(np.exp(np.mean(u)))
+        boundary = _outer_boundary(u, ws)
+        coeffs = series_from_samples(boundary, len(u) // 2 - 1, work=boundary)
+        return M, value_at_zero, _leakage(coeffs)
+
+    return _over_eps(row, eps_schedule, len(d))
+
+
+class _Workspace:
+    """The grid-sized buffers that one thread of an eps-sweep writes each of
+    its eps values into (`_over_eps`), or that one call of
+    `outer_power_modulus` or `outer_from_modulus` owns."""
+
+    def __init__(self, G):
+        self.u = np.empty(G)  # d^gamma + eps, the modulus, then its log u
+        self.hu = np.empty(G)  # the log integrand, then Hu
+        self.half = np.empty(G // 2 + 1, dtype=complex)  # a half spectrum
+        self.boundary = np.empty(G, dtype=complex)  # exp(u + i*Hu)
+        self._spare = None
+
+    def spare(self):
+        """A second complex buffer of the grid's size, made at first use:
+        lemma_kel_ratio's g * F."""
+        if self._spare is None:
+            self._spare = np.empty_like(self.boundary)
+        return self._spare
+
+
+def _over_eps(fn, eps_schedule, G):
+    """[fn(eps, ws) for eps in eps_schedule], in schedule order, on one
+    thread per CPU of the process's affinity mask, at most one per eps.
 
     The calling thread computes every k-th eps from the first, and k - 1
-    worker threads the rest; numpy releases the GIL in its transforms, exp
-    and log, so the threads overlap.  Each eps goes through the operations
-    of the serial loop, so every result is bit for bit the serial one.
-    Workers run in a copy of the caller's context, so a caller's
-    np.errstate holds in them too.  The first eps in schedule order that
-    raises raises here, as in the serial loop; eps values not yet started
-    are cancelled, and no worker outlives the call.
+    worker threads the rest; the transform kernel and numpy's exp and log
+    release the GIL, so the threads overlap.  ws is the `_Workspace` of
+    grid size G of the thread that computes eps: each thread makes one at
+    its first eps and writes every later one into it, so no eps maps its
+    grid-sized arrays afresh, and all of them are dropped when the call
+    returns.  Each eps goes through the operations of the serial loop, so
+    every result is bit for bit the serial one; fn returns nothing that
+    shares memory with ws.  Workers run in a copy of the caller's context,
+    so a caller's np.errstate holds in them too.  The first eps in schedule
+    order that raises raises here, as in the serial loop; eps values not
+    yet started are cancelled, and no worker outlives the call.
     """
     eps_schedule = list(eps_schedule)
     try:
@@ -338,18 +451,27 @@ def _over_eps(fn, eps_schedule):
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
     k = min(len(eps_schedule), cpus)
+    ws = _Workspace(G)
     if k < 2:
-        return [fn(eps) for eps in eps_schedule]
+        return [fn(eps, ws) for eps in eps_schedule]
     from concurrent.futures import Future, ThreadPoolExecutor
+
+    spaces = {}  # each worker thread's workspace, by thread id
+
+    def on_worker(eps):
+        ident = threading.get_ident()
+        if ident not in spaces:
+            spaces[ident] = _Workspace(G)
+        return fn(eps, spaces[ident])
 
     pool = ThreadPoolExecutor(k - 1)
     try:
-        futures = {i: pool.submit(contextvars.copy_context().run, fn, eps)
+        futures = {i: pool.submit(contextvars.copy_context().run, on_worker, eps)
                    for i, eps in enumerate(eps_schedule) if i % k}
         for i in range(0, len(eps_schedule), k):
             futures[i] = Future()
             try:
-                futures[i].set_result(fn(eps_schedule[i]))
+                futures[i].set_result(fn(eps_schedule[i], ws))
             except Exception as exc:  # raised below, in schedule order
                 futures[i].set_exception(exc)
                 break
@@ -415,13 +537,15 @@ def p_epsilon_decay(f, d, gamma, space, eps_schedule, truncation=None):
     if on.any() and float(np.max(np.abs(f_grid[on]))) > gate:
         raise ValueError("f does not vanish on E at the grid resolution")
 
-    def row(eps):
-        phi, m = _power_modulus(d, gamma, eps, "p_eps")
-        _, p_eps = _outer_boundary(phi)
-        series = series_from_samples(p_eps * f_grid, truncation)
+    dg = d**gamma
+
+    def row(eps, ws):
+        u, m = _log_modulus(_half_log_into(dg, eps, ws), "p_eps", ws)
+        product = np.multiply(_outer_boundary(u, ws), f_grid, out=ws.boundary)
+        series = series_from_samples(product, truncation, work=product)
         return eps, m, norm_ap_beta(series, space)
 
-    rows = _over_eps(row, eps_schedule)
+    rows = _over_eps(row, eps_schedule, G)
     ratios = [norm**2 / ((1.0 + m) * math.exp(-2.0 * m)) for _, m, norm in rows]
     norms = [r[2] for r in rows]
     decreasing = all(a > b for a, b in zip(norms, norms[1:]))
@@ -466,23 +590,30 @@ def lemma_kel_ratio(d, gamma, delta_prime, eps_schedule):
 
     kernel = lag_kernel(G, KEL_EXCLUSION_CELLS / G, -2.0)
     cell = (TWO_PI / G) ** 2
-    spec_g = np.conj(np.fft.rfft(g))  # g is real: a half-length transform
+    spec_g = np.conj(_r2c(g))  # g is real: a half-length transform
+    dg = d**gamma
 
-    def ratio_and_m(eps):
-        M = m_epsilon(d, gamma, eps)
+    def ratio_and_m(eps, ws):
+        integrand = _half_log_into(dg, eps, ws)
+        M = _checked_m(integrand)
         if M <= 0.0:
             raise ValueError(f"M_eps = {M:.4f} <= 0 at eps = {eps}; eps too large")
-        _, F = _outer_boundary(_power_modulus(d, gamma, eps, "F_eps")[0])
-        absF2 = np.abs(F) ** 2
-        t1 = float(np.sum(g * absF2))
-        t2 = np.fft.irfft(spec_g * np.fft.rfft(absF2), G)
-        a = g * F
-        t3 = np.real(np.fft.ifft(np.conj(np.fft.fft(a)) * np.fft.fft(F)))
-        lag_sums = t1 + t2 - 2.0 * t3
-        lhs = cell * float(np.sum(kernel * lag_sums))
+        F = _outer_boundary(_log_modulus(integrand, "F_eps", ws)[0], ws)
+        # each array below goes into a buffer whose contents are spent
+        absF2 = np.abs(F, out=ws.u)
+        absF2 **= 2
+        t1 = float(np.sum(np.multiply(g, absF2, out=ws.hu)))
+        spec = np.multiply(spec_g, _r2c(absF2, ws.half), out=ws.half)
+        t2 = _c2r(spec, G, ws.u)
+        a = np.multiply(g, F, out=ws.spare())
+        fa = np.conj(_c2c(a, True, a), out=a)
+        t3 = _c2c(np.multiply(fa, _c2c(F, True, F), out=fa), False, fa).real
+        lag_sums = np.add(t1, t2, out=t2)
+        np.subtract(lag_sums, np.multiply(2.0, t3, out=ws.hu), out=lag_sums)
+        lhs = cell * float(np.sum(np.multiply(kernel, lag_sums, out=lag_sums)))
         return lhs / M, M
 
-    pairs = _over_eps(ratio_and_m, eps_schedule)
+    pairs = _over_eps(ratio_and_m, eps_schedule, G)
     return [ratio for ratio, _ in pairs], [M for _, M in pairs]
 
 
@@ -580,8 +711,10 @@ def douglas_seminorm(f_samples, alpha, exclusion):
     value = float(np.sum(amps2 * w[n_abs])) if support.size else 0.0
 
     # lag reduction: sum_l K(l) * sum_j |f_j - f_{j+l}|^2 over kept lags
-    spec = np.fft.fft(f)
-    corr = np.fft.ifft(np.abs(spec) ** 2)  # corr[l] = sum_j f_{j+l} conj(f_j)
+    # numpy's transforms take a real input as complex, and so do these
+    spec = _c2c(f)
+    power = (np.abs(spec) ** 2).astype(complex)
+    corr = _c2c(power, False, power)  # corr[l] = sum_j f_{j+l} conj(f_j)
     energy = float(np.sum(np.abs(f) ** 2))
     lag_sums = 2.0 * energy - 2.0 * np.real(corr)
     kernel = lag_kernel(G, exclusion, -1.0 - 2.0 * alpha)
@@ -589,7 +722,7 @@ def douglas_seminorm(f_samples, alpha, exclusion):
     quadrature_value = cell * float(np.sum(kernel * lag_sums))
 
     # discrete weights for the same kept lags, all n at once via one FFT
-    kernel_hat = np.fft.fft(kernel)
+    kernel_hat = _c2c(kernel.astype(complex))
     w_disc = cell * G * (2.0 * np.sum(kernel) - 2.0 * np.real(kernel_hat))
     band_matched = (
         float(np.sum(amps2 * w_disc[support % G])) if support.size else 0.0

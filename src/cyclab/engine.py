@@ -42,7 +42,8 @@ spectrum of f is computed once per problem, at the transform lengths
 `scipy.signal.fftconvolve` would pick, so each convolution is one forward
 and one inverse transform and rounds exactly as scipy's does.  Each
 transform is one direct call of `scipy.fft._pocketfft.pypocketfft.c2c`, the
-kernel that scipy.fft's default backend runs: on small problems scipy.fft's
+kernel that scipy.fft's default backend runs, bound from the package's one
+transform kernel (`fourier._kernel`): on small problems scipy.fft's
 per-call dispatch cost more than the transforms.  The autocorrelation of f,
 the first column of T, is one more such convolution, through the engine's
 own `fftconvolve`; the engine imports neither scipy.signal nor
@@ -64,7 +65,7 @@ import scipy
 
 # re-exported: perfbench/tracing.py looks both sweeps up on this module
 from .analytic import lemma_kel_ratio, p_epsilon_decay
-from .fourier import FourierSeries, SpaceIndex, _space_params, eval_on_grid
+from .fourier import FourierSeries, SpaceIndex, _kernel, _space_params, eval_on_grid
 
 SUPPORTS = ("all_integers", "nonneg", "positive")
 
@@ -110,20 +111,19 @@ def _support_range(support, degree):
     raise ValueError(f"unknown support {support!r}; expected one of {SUPPORTS}")
 
 
-_c2c = None  # pocketfft's complex transform, bound once by _load_fft
+_c2c = None  # the kernel's complex transform, bound once by _load_fft
 
 
 def _load_fft():
-    """Load scipy.fft, at the first transform rather than at import, and
-    bind `_c2c` to `scipy.fft._pocketfft.pypocketfft.c2c`, the kernel that
-    scipy.fft's default backend runs under its per-call dispatch."""
+    """Bind `_c2c` to `scipy.fft._pocketfft.pypocketfft.c2c` from the
+    package's transform kernel (`fourier._kernel`), which loads scipy.fft at
+    the first transform rather than at import.  The solver calls the
+    binding itself: on its many small transforms, going through the
+    kernel's Python wrappers took 5% longer (certify_small on a 2-vCPU
+    Xeon)."""
     global _c2c
-    import scipy.fft
-
     if _c2c is None:
-        from scipy.fft._pocketfft import pypocketfft
-
-        _c2c = pypocketfft.c2c
+        _c2c = _kernel().c2c
 
 
 def _fft(x, size):

@@ -44,11 +44,9 @@ from .analytic import (
     KEL_EXCLUSION_CELLS,
     M_EPSILON_SELF_CHECK_TOL,
     VANISH_GATE_REL,
-    _over_eps,
+    _outer_power_sweep,
     douglas_seminorm,
     lemma_kel_ratio,
-    m_epsilon,
-    outer_power_modulus,
     p_epsilon_decay,
     smooth_vanishing_function,
 )
@@ -346,7 +344,7 @@ def _set_depth(params, _given):
     name, depth = params["set"], params["depth"]
     try:
         set_spec(name, depth)
-    except (ValueError, OverflowError) as exc:
+    except ValueError as exc:
         raise ConfigError("%s has no set at depth %d: %s" % (name, depth, exc)) from exc
 
 
@@ -440,9 +438,10 @@ def _run_outer(params):
     significant digits.  Digits past those carry no information: at large
     eps the leakage sits at the float64 rounding floor of its energy sums
     (1.78e-15 at eps = 0.1 on a 2^17 grid), and any reordering of the
-    transform's arithmetic moves its trailing digits.  The eps values run
-    on the process's CPUs (`analytic._over_eps`), each row bit for bit as
-    in a serial loop.
+    transform's arithmetic moves its trailing digits.  Each row is
+    `m_epsilon` and `outer_power_modulus` at its eps, bit for bit, from one
+    sweep that checks d once (`analytic._outer_power_sweep`); the eps values
+    run on the process's CPUs.
     """
     name = params["set"]
     spec = set_spec(name, params["depth"])
@@ -451,13 +450,9 @@ def _run_outer(params):
     mode = params["mode"]
     eps_schedule = [float(e) for e in params["eps"]]
     d = distance_to_set(circle_grid(G), spec)
-
-    def row(eps):
-        outer = outer_power_modulus(d, gamma, eps, mode)
-        m_value = m_epsilon(d, gamma, eps)
-        return eps, m_value, outer.value_at_zero, float("%.6g" % outer.leakage)
-
-    rows = _over_eps(row, eps_schedule)
+    rows = [(eps, m_value, value_at_zero, float("%.6g" % leakage))
+            for eps, (m_value, value_at_zero, leakage)
+            in zip(eps_schedule, _outer_power_sweep(d, gamma, mode, eps_schedule))]
     report = {
         "set": name,
         "gamma": gamma,

@@ -16,6 +16,16 @@ A :class:`FourierSeries` is one dense slab: ``arr[i]`` is the amplitude at
 frequency ``lo + i``, and other modules read coefficients only through
 ``lo``, ``arr`` and ``dense``.  Amplitudes at or below ``DROP_REL_TOL`` times
 the peak modulus are stored as 0 and leave the support.
+
+Every grid transform of the package goes through one kernel, bound here
+by `_kernel`: `scipy.fft._pocketfft.pypocketfft`, which scipy.fft's default
+backend runs under its per-call dispatch.  The engine calls the binding
+itself; `_c2c`, `_r2c` and `_c2r` call it with the normalizations numpy
+uses (none forward, 1/n inverse), which gives numpy's `fft`, `ifft`,
+`rfft` and `irfft` bit for bit on the package's power-of-two grids, and
+write into a buffer the caller owns or transform in place.  scipy.fft
+loads at the first transform, so importing the package loads no scipy
+subpackage.
 """
 
 from __future__ import annotations
@@ -269,18 +279,54 @@ def _space_params(space, beta=None):
     return p, b
 
 
+_pocketfft = None  # scipy.fft's pocketfft binding, bound by _kernel
+
+
+def _kernel():
+    """`scipy.fft._pocketfft.pypocketfft`, imported at the first transform
+    rather than at import."""
+    global _pocketfft
+    if _pocketfft is None:
+        from scipy.fft._pocketfft import pypocketfft
+
+        _pocketfft = pypocketfft
+    return _pocketfft
+
+
+def _c2c(x, forward=True, out=None):
+    """`np.fft.fft(x)` (or `ifft` when not forward) of complex128 x, bit for
+    bit, written into out, which may be x itself, or into a new array.  x
+    must be complex: a float64 x would take the kernel's half-spectrum
+    path, which is not numpy's."""
+    return _kernel().c2c(x, (0,), forward, 0 if forward else 2, out, 1)
+
+
+def _r2c(x, out=None):
+    """`np.fft.rfft(x)` of float64 x, bit for bit, into out or a new array."""
+    return _kernel().r2c(x, (0,), True, 0, out, 1)
+
+
+def _c2r(spec, n, out=None):
+    """`np.fft.irfft(spec, n)` of a complex128 half spectrum, bit for bit,
+    into the float64 out or a new array."""
+    return _kernel().c2r(spec, (0,), n, False, 2, out, 1)
+
+
 def circle_grid(G):
     """Angles 2*pi*j/G of the G-th roots of unity, j = 0..G-1."""
     return 2.0 * np.pi * np.arange(int(G)) / int(G)
 
 
-def series_from_samples(samples, max_degree):
+def series_from_samples(samples, max_degree, work=None):
     """Coefficients of a band-limited function from uniform circle samples.
 
     Computes the mean of samples * zeta^(-n) over the grid (the normalized
     measure convention) for |n| <= max_degree.  The grid size must be a power
     of two and large enough that the window does not wrap: 2*max_degree + 1
-    must not exceed the grid size.
+    must not exceed the grid size.  The spectrum is taken in `work`, a
+    complex128 buffer of the grid's size that the caller owns, when one is
+    given; it may be `samples` itself, which is then overwritten.  The
+    result never shares memory with `work`.
     """
     samples = np.asarray(samples, dtype=complex)
     if samples.ndim != 1:
@@ -296,9 +342,10 @@ def series_from_samples(samples, max_degree):
             "max_degree %d needs a grid of at least %d points, got %d"
             % (max_degree, 2 * max_degree + 1, G)
         )
-    spectrum = np.fft.fft(samples) / G
-    window = np.arange(-max_degree, max_degree + 1) % G
-    return FourierSeries.from_dense(spectrum[window], -max_degree)
+    spectrum = _c2c(samples, True, work)
+    window = np.concatenate((spectrum[G - max_degree :], spectrum[: max_degree + 1]))
+    window /= G
+    return FourierSeries.from_dense(window, -max_degree)
 
 
 def eval_on_grid(f, G):
@@ -315,7 +362,9 @@ def eval_on_grid(f, G):
         )
     spectrum = np.zeros(G, dtype=complex)
     spectrum[(f.lo + np.arange(f.arr.size)) % G] = f.arr
-    return np.fft.ifft(spectrum) * G
+    spectrum = _c2c(spectrum, False, spectrum)
+    spectrum *= G
+    return spectrum
 
 
 def norm_ap_beta(f, space, beta=None):

@@ -217,9 +217,18 @@ def _check_depth(name, depth):
         raise ValueError("%s depth must be an integer >= 1, got %r" % (name, depth))
 
 
+# the deepest middle-thirds level whose 3.0**n is a float; past it 3.0**n
+# overflows
+_MIDDLE_THIRDS_MAX_DEPTH = 646
+
+
 def middle_thirds_spec(depth):
-    """Classical one-third gap removal: level-n gaps of length 2*pi/3^n."""
+    """Classical one-third gap removal: level-n gaps of length 2*pi/3^n, at
+    most _MIDDLE_THIRDS_MAX_DEPTH levels."""
     _check_depth("middle_thirds", depth)
+    if depth > _MIDDLE_THIRDS_MAX_DEPTH:
+        raise ValueError("middle_thirds depth must be at most %d, where 3^depth "
+                         "is still a float; got %d" % (_MIDDLE_THIRDS_MAX_DEPTH, depth))
     return CantorSpec(
         gap_lengths=tuple(TWO_PI / 3.0**n for n in range(1, depth + 1)),
         name="middle_thirds",
@@ -323,6 +332,14 @@ def _chord_off(th, inside, left_end, right_start):
     return chord
 
 
+# leaves per block when the cover sweep reads a spec's arcs, and angles per
+# block of the distance descent.  At 2^14 an array of a block is 128 KiB,
+# so the descent's four stay in L2, and numpy's per-call cost is small
+# beside its work: over the depth-20 preset's 2^20 arcs, blocks of 2^12
+# took 1.6 times as long
+_BLOCK_LEVELS = 14
+
+
 def _spec_distance(th, steps, length):
     """The distance from each th in [0, 2*pi] to the depth-level set of the
     spec with these `_steps`, with no set built.
@@ -332,8 +349,11 @@ def _spec_distance(th, steps, length):
     `cantor_build` forms there.  On the way it keeps the start of the next
     leaf, the right child at its deepest left turn, or the first leaf's
     0.0 across the seam.  A leaf's end is start + length; an end past
-    2*pi needs no clamp, as th <= 2*pi lies inside it.  The descent runs in
-    three float buffers and one mask, whatever the depth.
+    2*pi needs no clamp, as th <= 2*pi lies inside it.  The angles descend
+    in blocks of 2^_BLOCK_LEVELS, each through every level in three float
+    buffers and one mask of a block's size, which stay in cache whatever
+    the depth.  Each angle's descent is its own, so the blocks change no
+    bit.
 
     This is the distance to `cantor_build(spec)`, bit for bit, wherever the
     leaf starts never decrease and the last leaf starts below 2*pi and ends
@@ -345,19 +365,26 @@ def _spec_distance(th, steps, length):
     end.  Past that, with leaves of about depth * ulp(2*pi) or less, the
     descent keeps the spec's own recursion.
     """
-    start = np.zeros(len(th))
-    nxt = np.zeros(len(th))
-    cand = np.empty(len(th))
-    right = np.empty(len(th), dtype=bool)
-    for step in steps:
-        np.add(start, step, out=cand)
-        np.greater_equal(th, cand, out=right)
-        np.copyto(start, cand, where=right)
-        # cand becomes the next start: the right child's where th went left
-        np.copyto(cand, nxt, where=right)
-        nxt, cand = cand, nxt
-    end = np.add(start, length, out=cand)
-    return _chord_off(th, th <= end, end, nxt)
+    block = 2**_BLOCK_LEVELS
+    out = np.empty(len(th))
+    buffers = np.empty((3, min(len(th), block)))
+    mask = np.empty(buffers.shape[1], dtype=bool)
+    for lo in range(0, len(th), block):
+        t = th[lo : lo + block]
+        start, nxt, cand = buffers[:, : len(t)]
+        right = mask[: len(t)]
+        start.fill(0.0)
+        nxt.fill(0.0)
+        for step in steps:
+            np.add(start, step, out=cand)
+            np.greater_equal(t, cand, out=right)
+            np.copyto(start, cand, where=right)
+            # cand becomes the next start: the right child's where t went left
+            np.copyto(cand, nxt, where=right)
+            nxt, cand = cand, nxt
+        end = np.add(start, length, out=cand)
+        out[lo : lo + len(t)] = _chord_off(t, t <= end, end, nxt)
+    return out
 
 
 def distance_to_set(theta, E):
@@ -398,8 +425,12 @@ def _levels(E):
     float, so `math.fsum` of them is the exact measure rounded once.  Its
     2^depth - 1 gaps are all proper: the one across the seam, from the
     arc ending at 2*pi to the one starting at 0, is 0.  An arc union gives
-    its cyclic gaps once each (`_cyclic_gaps`), and its measure
-    `E.total_measure`; the empty set has the circle as its one gap.
+    its cyclic gaps (`_cyclic_gaps`) grouped by equal floats, each count
+    split into its binary digits, and its measure `E.total_measure`; the
+    empty set has the circle as its one gap.  Each m is a power of two, so
+    m * x is exact for a float x short of underflow, and an exact sum of
+    the terms m * f(g) is the exact sum of f over the gaps one by one: a
+    built preset gives a few thousand terms for its 2^depth gaps.
     """
     if isinstance(E, CantorSpec):
         gaps = np.array(E.gap_lengths)
@@ -407,7 +438,12 @@ def _levels(E):
         return gaps, mult, [TWO_PI, *(-mult * gaps).tolist()]
     if E.n_arcs == 0:
         return np.array([TWO_PI]), np.ones(1), [0.0]
-    return _cyclic_gaps(E.starts, E.ends), np.ones(E.n_arcs), [E.total_measure]
+    gaps, counts = np.unique(_cyclic_gaps(E.starts, E.ends), return_counts=True)
+    digits = [counts >> k & 1 == 1 for k in range(int(counts.max()).bit_length())]
+    return (np.concatenate([gaps[digit] for digit in digits]),
+            np.concatenate([np.full(np.count_nonzero(digit), 2.0**k)
+                            for k, digit in enumerate(digits)]),
+            [E.total_measure])
 
 
 def total_measure(E):
@@ -475,13 +511,6 @@ def _fsum(x):
     the array through a memoryview, which hands it Python floats: numpy
     scalars took twice as long, and five times under tracemalloc."""
     return math.fsum(memoryview(x))
-
-
-# leaves per block when the cover sweep reads a spec's arcs.  At 2^14 an
-# array of a block is 128 KiB, and numpy's per-call cost is small beside
-# its work: over the depth-20 preset's 2^20 arcs, blocks of 2^12 took 1.6
-# times as long
-_BLOCK_LEVELS = 14
 
 
 def _spec_blocks(steps, length):

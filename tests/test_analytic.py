@@ -21,6 +21,7 @@ import operator
 import os
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,9 +37,8 @@ from cyclab.analytic import (
     OuterFunction,
     _energy,
     _leakage,
-    _outer_boundary,
+    _outer_power_sweep,
     _over_eps,
-    _power_modulus,
     conjugate_function,
     douglas_seminorm,
     douglas_weights,
@@ -47,11 +47,13 @@ from cyclab.analytic import (
     m_epsilon,
     outer_from_modulus,
     outer_power_modulus,
+    p_epsilon_decay,
     smooth_vanishing_function,
 )
 from cyclab.experiments import run
 from cyclab.fourier import (
     FourierSeries,
+    SpaceIndex,
     circle_grid,
     eval_on_grid,
     norm_ap_beta,
@@ -499,12 +501,23 @@ class TestOuterPowerModulus:
         assert np.max(np.abs(np.abs(f.boundary) - want) / want) < 1e-13
 
     @pytest.mark.parametrize("mode", ["p_eps", "F_eps"])
-    def test_boundary_only_path_is_bit_for_bit_the_outer_boundary(self, mode):
+    def test_workspace_path_is_bit_for_bit_the_array_expressions(self, mode):
+        # the in-place path against the same operations on fresh arrays
         d = grid_distance(cantor_build(middle_thirds_spec(4)), 2**12)
         for gamma, eps in ((1.0, 0.5), (0.7, 1e-3), (2.0, 1e-6), (1.0, 1e-30)):
-            phi, _ = _power_modulus(d, gamma, eps, mode)
-            _, got = _outer_boundary(phi)
-            assert np.array_equal(got, outer_power_modulus(d, gamma, eps, mode).boundary)
+            base = d**gamma + eps
+            if mode == "F_eps":
+                phi = BoundaryModulus(np.sqrt(base))
+            else:
+                m = float(np.mean(0.5 * np.log(1.0 / base)))
+                phi = BoundaryModulus(np.exp(-m) / np.sqrt(base))
+            u = np.log(phi.values)
+            want = np.exp(u + 1j * conjugate_function(u))
+            got = outer_power_modulus(d, gamma, eps, mode)
+            assert np.array_equal(got.boundary, want)
+            assert got.value_at_zero == float(np.exp(np.mean(u)))
+            assert got.analytic_coeffs == FourierSeries.from_dense(
+                (np.fft.fft(want) / len(d))[np.arange(-2047, 2048) % len(d)], -2047)
         if mode == "F_eps":
             # the last case is floored: sqrt(0 + 1e-30) = 1e-15 on the set
             assert phi.values.min() == LOG_FLOOR
@@ -525,6 +538,65 @@ class TestOuterPowerModulus:
         for bad in (grid_distance(E, 96), d.reshape(32, 32)):
             with pytest.raises(ValueError):
                 outer_power_modulus(bad, 1.0, 0.5, "p_eps")
+
+
+class TestSweepWorkspaces:
+    """The sweeps write each eps into grid-sized buffers that each thread
+    keeps across its eps values; no result may share memory with them."""
+
+    def test_results_do_not_share_memory_with_later_calls(self):
+        d = grid_distance(cantor_build(middle_thirds_spec(6)), 2**12)
+        first = outer_power_modulus(d, 1.0, 0.1, "p_eps")
+        kept = first.boundary.copy()
+        second = outer_power_modulus(d, 1.0, 0.1, "F_eps")
+        assert not np.shares_memory(first.boundary, second.boundary)
+        assert first.boundary.tobytes() == kept.tobytes()
+        th = circle_grid(64)
+        h = conjugate_function(np.cos(th))
+        kept = h.copy()
+        assert not np.shares_memory(h, conjugate_function(np.sin(3 * th)))
+        assert h.tobytes() == kept.tobytes()
+        f = smooth_vanishing_function(d, 1.0).series
+        space = SpaceIndex(p=1.5)
+        report = p_epsilon_decay(f, d, 1.0, space, [1e-1, 1e-2, 1e-3])
+        rows = [tuple(row) for row in report.schedule]
+        p_epsilon_decay(f, d, 1.0, space, [1e-2, 1e-4, 1e-6])
+        assert [tuple(row) for row in report.schedule] == rows
+
+    @pytest.mark.parametrize("mode", ["p_eps", "F_eps"])
+    def test_outer_sweep_rows_are_the_public_calls(self, mode, monkeypatch):
+        # M_eps read off the modulus's integrand is m_epsilon's float, and
+        # the value at 0 and the leakage are outer_power_modulus's, at full
+        # precision, whatever the thread count
+        d = grid_distance(cantor_build(middle_thirds_spec(6)), 2**12)
+        schedule = [0.3, 1e-1, 1e-2, 1e-3, 1e-5]
+        want = []
+        for eps in schedule:
+            outer = outer_power_modulus(d, 0.8, eps, mode)
+            want.append((m_epsilon(d, 0.8, eps), outer.value_at_zero, outer.leakage))
+        for cpus in (1, 4):
+            with_cpus(monkeypatch, cpus)
+            got = _outer_power_sweep(d, 0.8, mode, schedule)
+            assert [[x.hex() for x in row] for row in got] == \
+                [[x.hex() for x in row] for row in want]
+
+    def test_a_decay_sweep_at_2_17_peaks_under_13_mib(self, monkeypatch):
+        # f's grid values, d**gamma and one workspace (two float buffers,
+        # a half spectrum and a complex buffer: 5 MiB) are 8 MiB of it; the
+        # rest is one eps's coefficients and norm.  It measures 12.6 MiB;
+        # fresh grid-sized arrays per eps took 13.7 MiB
+        with_cpus(monkeypatch, 1)
+        G = 2**17
+        d = distance_to_set(circle_grid(G), middle_thirds_spec(12))
+        f = smooth_vanishing_function(d, 1.0).series
+        schedule = [10.0**-k for k in range(1, 7)]
+        tracemalloc.start()
+        try:
+            p_epsilon_decay(f, d, 1.0, SpaceIndex(p=1.5), schedule)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 13 * 2**20
 
 
 def with_cpus(monkeypatch, n):
@@ -566,14 +638,14 @@ class TestEpsSweepThreads:
             time.sleep(0.002 * math.log10(eps) + 0.02)
             return eps, threading.get_ident()
 
-        out = _over_eps(late_early, schedule)
+        out = _over_eps(lambda eps, ws: late_early(eps), schedule, 16)
         assert [eps for eps, _ in out] == schedule
         assert len({ident for _, ident in out}) > 1
 
     def test_one_cpu_runs_on_the_calling_thread(self, monkeypatch):
         with_cpus(monkeypatch, 1)
         start = threading.active_count()
-        out = _over_eps(lambda eps: threading.get_ident(), [1e-1, 1e-2, 1e-3])
+        out = _over_eps(lambda eps, ws: threading.get_ident(), [1e-1, 1e-2, 1e-3], 16)
         assert out == [threading.get_ident()] * 3
         assert threading.active_count() == start
 
@@ -601,18 +673,18 @@ class TestEpsSweepThreads:
         schedule = [1e-1, 1e-2, 1e-3, 1e-4]
         caller = threading.get_ident()
 
-        def divide(eps):
+        def divide(eps, ws):
             seen = np.geterr()["divide"], threading.get_ident()
             if eps == 1e-3:  # item 2, which a worker computes
                 np.float64(1.0) / np.float64(0.0)
             return seen
 
         with np.errstate(divide="ignore"):
-            out = _over_eps(divide, schedule)
+            out = _over_eps(divide, schedule, 16)
         assert [setting for setting, _ in out] == ["ignore"] * 4
         assert out[0][1] == caller and {ident for _, ident in out[1:]} - {caller}
         with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
-            _over_eps(divide, schedule)
+            _over_eps(divide, schedule, 16)
 
 
 class TestDouglasWeights:

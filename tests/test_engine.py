@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from scipy.fft._pocketfft import pypocketfft
 from scipy.signal import fftconvolve
 
-from cyclab import analytic, engine
+from cyclab import analytic, engine, fourier
 from cyclab.analytic import (
     h_k,
     half_log_integrand,
@@ -283,11 +283,11 @@ def counting_transforms(monkeypatch):
 
 def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
     # scipy.signal alone pulls in scipy.stats, scipy.interpolate and
-    # scipy.optimize; scipy.special loads at the first Lambda-integral (before
-    # any solve, which loads it with scipy.fft), the solver's scipy.fft at
-    # the first solve, and scipy.linalg and scipy.sparse never: the one
-    # direct solve is the engine's own recursion.  Module presence, not wall
-    # time, so it cannot flake
+    # scipy.optimize; scipy.fft, whose import loads scipy.special, at the
+    # first transform (a `decay` sweep's or a solve's) and scipy.special
+    # alone at the first Lambda-integral, and scipy.linalg and scipy.sparse
+    # never: the one direct solve is the engine's own recursion.  Module
+    # presence, not wall time, so it cannot flake
     unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
     lazy = ("scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special")
     src = str(Path(engine.__file__).resolve().parents[1])
@@ -307,6 +307,11 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
         "loaded()",
         "cyclab.lambda_divergence_test(cyclab.geometry.middle_thirds_spec(4), 0.5)",
         "loaded()",
+        "decay = {'experiment': 'decay', 'parameters': {'set': 'middle_thirds',",
+        "         'depth': 8, 'grid': 4096, 'p': 1.5}}",
+        "assert experiments.run(dict(decay, output_dir=%r)).status == 'ok'"
+        % str(tmp_path / "decay"),
+        "loaded()",
         "f = cyclab.FourierSeries({0: -1.0, 1: 1.0})",
         "cyclab.bicyclicity_infimum(f, cyclab.SpaceIndex(p=1.5, beta=0.0), degree=4)",
         "loaded()",
@@ -315,10 +320,11 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    at_import, after_cantor, after_lambda, after_solve = map(
+    at_import, after_cantor, after_lambda, after_decay, after_solve = map(
         json.loads, out.stdout.splitlines())
     assert at_import == [] and after_cantor == []
     assert after_lambda == ["scipy.special"]
+    assert set(after_decay) == {"scipy.fft", "scipy.special"}
     assert "scipy.fft" in after_solve
     assert not set(after_solve) & {"scipy.linalg", "scipy.sparse", *unused}
 
@@ -528,7 +534,7 @@ class TestKernel:
 
     def test_kernel_is_bound_at_the_first_operator(self):
         engine._Convolution(np.ones(3, dtype=complex), 4)
-        assert engine._c2c is pypocketfft.c2c
+        assert engine._c2c is pypocketfft.c2c and fourier._pocketfft is pypocketfft
 
     def test_results_survive_later_calls(self):
         # no result shares memory with a buffer a later call writes: the

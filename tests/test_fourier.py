@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from cyclab import fourier
 from cyclab.fourier import (
     DROP_REL_TOL,
     FourierSeries,
@@ -218,6 +219,52 @@ class TestSampling:
 # ---------------------------------------------------------------------------
 # norms
 # ---------------------------------------------------------------------------
+
+class TestTransformKernel:
+    """The package's one transform kernel gives numpy's transforms bit for
+    bit, into buffers the caller owns or in place."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", range(3, 18))
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=3, deadline=None)
+    def test_gives_numpys_bits_at_every_grid_size(self, k, seed):
+        G = 2**k
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal(G) + 1j * rng.standard_normal(G)
+        r = rng.standard_normal(G)
+        half = np.fft.rfft(r)
+        kept = x.copy(), r.copy(), half.copy()
+        self.assert_same_bits(fourier._c2c(x), np.fft.fft(x))
+        self.assert_same_bits(fourier._c2c(x, False), np.fft.ifft(x))
+        self.assert_same_bits(fourier._r2c(r), half)
+        self.assert_same_bits(fourier._c2r(half, G), np.fft.irfft(half, G))
+        for got, want in zip((x, r, half), kept):
+            self.assert_same_bits(got, want)
+        # in place, and into the caller's buffers
+        for forward, numpy_transform in ((True, np.fft.fft), (False, np.fft.ifft)):
+            buf = x.copy()
+            assert fourier._c2c(buf, forward, buf) is buf
+            self.assert_same_bits(buf, numpy_transform(x))
+        out = np.empty(G // 2 + 1, dtype=complex)
+        assert fourier._r2c(r, out) is out
+        self.assert_same_bits(out, half)
+        out = np.empty(G)
+        assert fourier._c2r(half, G, out) is out
+        self.assert_same_bits(out, np.fft.irfft(half, G))
+
+    def test_series_from_samples_transforms_in_its_work_buffer(self):
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        want = series_from_samples(x, 100)
+        work = x.copy()
+        got = series_from_samples(work, 100, work=work)
+        assert got == want and not np.shares_memory(got.arr, work)
+        self.assert_same_bits(work, np.fft.fft(x))
+
 
 class TestNorm:
     def test_constant_one(self):

@@ -265,6 +265,16 @@ class TestCantor:
                            % re.escape(repr(depth))):
             spec(depth)
 
+    def test_middle_thirds_is_refused_past_depth_646_naming_it(self):
+        # 3.0**647 overflows; the refusal is a ValueError like every other
+        spec = middle_thirds_spec(646)
+        assert spec.gap_lengths == tuple(TWO_PI / 3.0**n for n in range(1, 647))
+        for depth in (647, 700, 10**6):
+            with pytest.raises(ValueError, match=r"at most 646.*got %d$" % depth):
+                middle_thirds_spec(depth)
+            with pytest.raises(ValueError, match=r"got %d$" % depth):
+                cantor_spec_by_name("middle_thirds", depth)
+
     def test_non_carleson_preset_depth20(self):
         spec = non_carleson_n2_spec(20)
         # frozen normalization constant: gap_n = c * 2^-n / n^2
@@ -521,6 +531,23 @@ class TestSpecDistance:
         want = distance_to_set(circle_grid(2**10), cantor_build(spec))
         monkeypatch.setattr(geometry, "cantor_build", refuse_build)
         assert distance_to_set(circle_grid(2**10), spec).tobytes() == want.tobytes()
+
+
+    @pytest.mark.parametrize("size", [0, 1, 100, 2**14 - 1, 2**14, 2**14 + 1, 3 * 2**14 + 77])
+    def test_blocks_match_the_single_pass_descent(self, monkeypatch, size):
+        # the descent runs in blocks of 2^_BLOCK_LEVELS angles; at 2^30 one
+        # block holds every angle, the single pass, and at 2^3 a ragged
+        # last block follows many whole ones
+        spec = non_carleson_n2_spec(20)
+        rng = np.random.default_rng(size)
+        theta = np.concatenate([rng.uniform(0.0, TWO_PI, size),
+                                endpoint_angles(cantor_build(non_carleson_n2_spec(5)))])
+        got = distance_to_set(theta, spec)
+        monkeypatch.setattr(geometry, "_BLOCK_LEVELS", 30)
+        want = distance_to_set(theta, spec)
+        assert got.tobytes() == want.tobytes()
+        monkeypatch.setattr(geometry, "_BLOCK_LEVELS", 3)
+        assert distance_to_set(theta, spec).tobytes() == want.tobytes()
 
 
 def refuse_build(spec):
@@ -861,6 +888,61 @@ class TestOneGapPass:
         # the old guard let NaN through to math.ceil
         with pytest.raises(ValueError, match="t must be positive"):
             covering_number(ArcUnion.from_points([0.0, 1.0]), math.nan)
+
+
+def assert_per_gap_sums(E, t_values):
+    """The tubes and the Carleson sums of the arc union E, read off its
+    gaps grouped by equal floats, are the exact sums of its per-gap float
+    terms, rounded once."""
+    gaps = geometry._cyclic_gaps(E.starts, E.ends)
+    for t in t_values:
+        covered = np.minimum(gaps, 2.0 * (2.0 * math.asin(t / 2.0)))
+        want = min(math.fsum([E.total_measure, *covered.tolist()]), TWO_PI)
+        assert tube_measure(E, t).hex() == want.hex()
+    report = carleson_test(E, 64)
+    kept = gaps[gaps > 1e-14]
+    assert report["n_gaps"] == len(kept)
+    assert report["min_gap"] == (kept.min() if len(kept) else 0.0)
+    terms = kept * np.log(kept / TWO_PI)
+    assert report["interval_sum"].hex() == math.fsum(terms.tolist()).hex()
+    terms = np.log(kept) * kept
+    assert report["interval_sum_radian"].hex() == math.fsum(terms.tolist()).hex()
+
+
+@st.composite
+def unions_with_equal_gaps(draw):
+    """Up to 400 arcs laid end to end from a few arc and gap lengths, so
+    that many gaps share a float, with counts of several binary digits."""
+    arc_lengths = draw(st.lists(st.floats(0.0, 0.01), min_size=1, max_size=3))
+    gap_lengths = draw(st.lists(st.floats(1e-9, 0.01), min_size=1, max_size=3))
+    n = draw(st.integers(min_value=1, max_value=400))
+    picks = draw(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                          min_size=n, max_size=n))
+    start, arcs = draw(st.floats(0.0, 1.0)), []
+    for a, g in picks:
+        end = start + arc_lengths[a % len(arc_lengths)]
+        arcs.append((start, end))
+        start = end + gap_lengths[g % len(gap_lengths)]
+    return ArcUnion(arcs)
+
+
+class TestGroupedGaps:
+    """An arc union's gaps are grouped by equal floats, each count split
+    into powers of two (`_levels`), which keeps every exact sum bit for
+    bit the per-gap sum."""
+
+    @given(unions_with_equal_gaps(), st.lists(st.floats(1e-9, 1.99), min_size=1, max_size=4))
+    @example(E=ArcUnion.from_points([0.0, 1.0, 2.0, 3.0]), t_values=[0.5])
+    @example(E=ArcUnion([(0.0, TWO_PI)]), t_values=[0.1])
+    @settings(max_examples=100, deadline=None)
+    def test_random_unions_match_the_per_gap_sums(self, E, t_values):
+        assert_per_gap_sums(E, t_values)
+
+    def test_the_built_depth_20_set_matches_the_per_gap_sums(self):
+        E = cantor_build(non_carleson_n2_spec(20))
+        gaps, mult, _ = geometry._levels(E)
+        assert len(gaps) < 5000 and mult.sum() == 2**20
+        assert_per_gap_sums(E, log_t_grid(1e-4, 0.25, 9))
 
 
 # ---------------------------------------------------------------------------
