@@ -40,19 +40,17 @@ one total iteration budget, the only cap on its work; spending it, a CG
 breakdown or a T that is not finite ends the search unconverged.  The
 spectrum of f is computed once per problem, at the transform lengths
 `scipy.signal.fftconvolve` would pick, so each convolution is one forward
-and one inverse transform and rounds exactly as scipy's does.  Each
-transform is one direct call of `scipy.fft._pocketfft.pypocketfft.c2c`, the
-kernel that scipy.fft's default backend runs, bound from the package's one
-transform kernel (`fourier._kernel`): on small problems scipy.fft's
-per-call dispatch cost more than the transforms.  The autocorrelation of f,
-the first column of T, is one more such convolution, through the engine's
-own `fftconvolve`; the engine imports neither scipy.signal nor
-scipy.linalg.  Importing the engine loads no scipy subpackage: scipy.fft
-loads, and its kernel is bound, at the first transform, so a run that never
-solves never loads it.  `lsmr`, which no solve calls, is bound on its first
-lookup.  Solver output is always an upper bound witnessed by the returned
-polynomial; reported values are recomputed from that polynomial, never read
-off the iteration.
+and one inverse transform and rounds exactly as scipy's does.  Every
+operand is complex, and every transform goes through `fourier`'s kernel
+helpers (`_padded_c2c`, `_c2c`, `_fast_len`), each one direct call of the
+pocketfft kernel that scipy.fft's default backend runs: on small problems
+scipy.fft's per-call dispatch cost more than the transforms.  The
+autocorrelation of f, the first column of T, is one more such
+convolution, through the engine's own `fftconvolve`; the engine imports
+neither scipy.signal nor scipy.linalg, and importing it loads no scipy.
+`lsmr`, which no solve calls, is bound on its first lookup.  Solver output
+is always an upper bound witnessed by the returned polynomial; reported
+values are recomputed from that polynomial, never read off the iteration.
 """
 
 import contextlib
@@ -61,11 +59,11 @@ import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-import scipy
 
 # re-exported: perfbench/tracing.py looks both sweeps up on this module
 from .analytic import lemma_kel_ratio, p_epsilon_decay
-from .fourier import FourierSeries, SpaceIndex, _kernel, _space_params, eval_on_grid
+from .fourier import (FourierSeries, SpaceIndex, _c2c, _fast_len, _padded_c2c,
+                      _space_params, eval_on_grid)
 
 SUPPORTS = ("all_integers", "nonneg", "positive")
 
@@ -111,61 +109,21 @@ def _support_range(support, degree):
     raise ValueError(f"unknown support {support!r}; expected one of {SUPPORTS}")
 
 
-_c2c = None  # the kernel's complex transform, bound once by _load_fft
-
-
-def _load_fft():
-    """Bind `_c2c` to `scipy.fft._pocketfft.pypocketfft.c2c` from the
-    package's transform kernel (`fourier._kernel`), which loads scipy.fft at
-    the first transform rather than at import.  The solver calls the
-    binding itself: on its many small transforms, going through the
-    kernel's Python wrappers took 5% longer (certify_small on a 2-vCPU
-    Xeon)."""
-    global _c2c
-    if _c2c is None:
-        _c2c = _kernel().c2c
-
-
-def _fft(x, size):
-    """Bit for bit `scipy.fft.fft(x, size)` for float64 or complex128 x with
-    len(x) <= size: x is zero-padded into a fresh buffer of its own dtype,
-    as scipy pads it, and the kernel transforms a complex buffer in place
-    (a real one by its half-spectrum path, into a new array, as in scipy)."""
-    buf = np.zeros(size, x.dtype)
-    buf[: len(x)] = x
-    return _c2c(buf, (0,), True, 0, buf if buf.dtype.kind == "c" else None, 1)
-
-
-def _fft_into(x, buf):
-    """`_fft(x, len(buf))` for complex128 x, zero-padded into the complex128
-    buffer buf, which the caller owns, and transformed there in place."""
-    buf[: len(x)] = x
-    buf[len(x) :] = 0.0
-    return _c2c(buf, (0,), True, 0, buf, 1)
-
-
-def _ifft(X):
-    """Bit for bit `scipy.fft.ifft(X)` for complex128 X, computed in place:
-    X is overwritten, so callers pass a temporary they own."""
-    return _c2c(X, (0,), False, 2, X, 1)
-
-
 class _Convolution:
     """x -> conv(a, x)[keep] for a fixed a and inputs x of one length.
 
     The result is bit for bit that of `scipy.signal.fftconvolve(a, x)[keep]`
-    for complex a or x: the spectrum of a is taken once, at the length
-    `fftconvolve` pads to, and each call is one forward and one inverse
-    transform, each one direct call of the pocketfft kernel that scipy.fft
-    dispatches to (`_fft`, `_ifft`).  Like `fftconvolve`, a length-1
-    operand is a plain product.  A complex x is transformed in one work
-    buffer the object keeps, and the spectra are multiplied there by
-    `np.multiply(spectrum, buf, out=buf)`, the spectrum of a first as in
-    fftconvolve: numpy's complex product, fused multiply-adds and all, is
-    not commutative bit for bit.  A float64 x keeps the kernel's
-    half-spectrum path, into a fresh array.  The result is a fresh array,
-    or the caller's `out`, never the work buffer, so it outlives later
-    calls; the buffer makes an object serve one call at a time.
+    for complex a and x, the only operands the package has: the spectrum
+    of a is taken once, at the length `fftconvolve` pads to, and each call
+    is one forward and one inverse transform (`fourier._padded_c2c`,
+    `fourier._c2c`).  Like `fftconvolve`, a length-1 operand is a plain
+    product.  x is transformed in one work buffer the object keeps, and
+    the spectra are multiplied there by `np.multiply(spectrum, buf,
+    out=buf)`, the spectrum of a first as in fftconvolve: numpy's complex
+    product, fused multiply-adds and all, is not commutative bit for bit.
+    The result is a fresh array, or the caller's `out`, never the work
+    buffer, so it outlives later calls; the buffer makes an object serve
+    one call at a time.
     """
 
     def __init__(self, a, n_x, keep=slice(None)):
@@ -174,9 +132,8 @@ class _Convolution:
         self.keep = keep
         self.size = None
         if len(a) > 1 and n_x > 1:
-            _load_fft()
-            self.size = scipy.fft.next_fast_len(self.n_out, False)
-            self.spectrum = _fft(a, self.size)
+            self.size = _fast_len(self.n_out)
+            self.spectrum = _padded_c2c(a, np.empty(self.size, dtype=complex))
             self._work = np.empty(self.size, dtype=complex)
 
     def __call__(self, x, out=None):
@@ -184,9 +141,9 @@ class _Convolution:
         if self.size is None:
             y = self.a * x
         else:
-            buf = _fft_into(x, self._work) if x.dtype.kind == "c" else _fft(x, self.size)
+            buf = _padded_c2c(x, self._work)
             np.multiply(self.spectrum, buf, out=buf)
-            y = _ifft(buf)[: self.n_out]
+            y = _c2c(buf, False, buf)[: self.n_out]
         if out is None:
             return y[self.keep].copy()
         np.copyto(out, y[self.keep])
@@ -196,11 +153,9 @@ class _Convolution:
 def fftconvolve(a, x):
     """The full convolution of a and x by one :class:`_Convolution`.
 
-    When a or x is complex it is bit for bit `scipy.signal.fftconvolve(a, x)`;
-    every FourierSeries slab is complex.  Two real operands are not covered:
-    scipy then takes half-spectrum transforms.  Callers go through this
-    module global, so a tracer that wraps `engine.fftconvolve` sees every
-    call.
+    For complex a and x it is bit for bit `scipy.signal.fftconvolve(a, x)`.
+    Callers go through this module global, so a tracer that wraps
+    `engine.fftconvolve` sees every call.
     """
     return _Convolution(a, len(x))(x)
 
@@ -257,24 +212,22 @@ class _ToeplitzInverse:
     holds, where L(u) is the lower triangular Toeplitz matrix with first
     column u, J reverses and Z shifts down by one.  The spectra of x and v
     are taken once, at a length of at least 2n that keeps the circular
-    products exact; each apply is then six transforms, each one direct call
-    of the pocketfft kernel, as in :class:`_Convolution`, in two work
-    buffers of that length that the object keeps, and the result is a
-    fresh array.  Raises ValueError when the recursion breaks down; a
-    larger t_0 may then hold.
+    products exact; each apply is then six transforms, as in
+    :class:`_Convolution`, in two work buffers of that length that the
+    object keeps, and the result is a fresh array.  Raises ValueError when
+    the recursion breaks down; a larger t_0 may then hold.
     """
 
     def __init__(self, col):
-        _load_fft()
         x = _levinson_durbin(col)
         n = len(col)
         x = x / math.sqrt(x[0].real)  # folds the 1/x_0 into both factors
         v = np.zeros(n, dtype=complex)
         v[1:] = np.conj(x[:0:-1])
         self.n = n
-        self.size = scipy.fft.next_fast_len(2 * n, False)
-        self.x_spec = _fft(x, self.size)
-        self.v_spec = _fft(v, self.size)
+        self.size = _fast_len(2 * n)
+        self.x_spec = _padded_c2c(x, np.empty(self.size, dtype=complex))
+        self.v_spec = _padded_c2c(v, np.empty(self.size, dtype=complex))
         # the spectra of the adjoints, conjugated once: conjugation is exact
         self.x_spec_conj = np.conj(self.x_spec)
         self.v_spec_conj = np.conj(self.v_spec)
@@ -283,18 +236,17 @@ class _ToeplitzInverse:
 
     def __call__(self, y):
         n = self.n
-        # y's spectrum in one work buffer (a fresh one for float64 y, by the
-        # half-spectrum path); the adjoints L(u)^H y are correlations, cut to
-        # the first n entries, the one of v taken in y's buffer once the one
-        # of x is out.  Each product keeps the factor order of
-        # `spectrum * buf`, as in _Convolution
-        y_spec = _fft_into(y, self._y) if y.dtype.kind == "c" else _fft(y, self.size)
+        # y's spectrum in one work buffer; the adjoints L(u)^H y are
+        # correlations, cut to the first n entries, the one of v taken in
+        # y's buffer once the one of x is out.  Each product keeps the factor
+        # order of `spectrum * buf`, as in _Convolution
+        y_spec = _padded_c2c(y, self._y)
         a = np.multiply(self.x_spec_conj, y_spec, out=self._a)
         b = np.multiply(self.v_spec_conj, y_spec, out=y_spec)
         for u, u_spec in ((a, self.x_spec), (b, self.v_spec)):
-            _fft_into(_ifft(u)[:n], u)
+            _padded_c2c(_c2c(u, False, u)[:n], u)
             np.multiply(u_spec, u, out=u)
-        return _ifft(np.subtract(a, b, out=a))[:n].copy()
+        return _c2c(np.subtract(a, b, out=a), False, a)[:n].copy()
 
 
 class _ConvObjective:

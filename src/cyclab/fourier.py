@@ -17,21 +17,24 @@ frequency ``lo + i``, and other modules read coefficients only through
 ``lo``, ``arr`` and ``dense``.  Amplitudes at or below ``DROP_REL_TOL`` times
 the peak modulus are stored as 0 and leave the support.
 
-Every grid transform of the package goes through one kernel, bound here
-by `_kernel`: `scipy.fft._pocketfft.pypocketfft`, which scipy.fft's default
-backend runs under its per-call dispatch.  The engine calls the binding
-itself; `_c2c`, `_r2c` and `_c2r` call it with the normalizations numpy
-uses (none forward, 1/n inverse), which gives numpy's `fft`, `ifft`,
-`rfft` and `irfft` bit for bit on the package's power-of-two grids, and
-write into a buffer the caller owns or transform in place.  scipy.fft
-loads at the first transform, so importing the package loads no scipy
-subpackage.
+Every grid transform of the package goes through one kernel,
+`scipy.fft._pocketfft.pypocketfft`, which scipy.fft's default backend runs
+under its per-call dispatch, and only the helpers here call it, each with
+one direct call.  `_c2c`, `_r2c` and `_c2r` use the normalizations numpy
+uses (none forward, 1/n inverse), which gives scipy.fft's transforms bit
+for bit, and numpy's `fft`, `ifft`, `rfft` and `irfft` on the package's
+power-of-two grids; `_padded_c2c` zero-pads into a buffer and transforms
+there, at the lengths `_fast_len` picks, as `scipy.signal.fftconvolve`
+does.  Each writes into a buffer the caller owns or transforms in place.
+The kernel is bound at the first transform, which loads scipy.fft and,
+with it, scipy.special; importing the package loads no scipy at all.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -89,14 +92,18 @@ class FourierSeries:
     so that both ends are nonzero (the zero series is empty, at ``lo = 0``);
     memory grows with the frequency span.  On construction, amplitudes whose
     modulus does not exceed ``drop_tol`` times the largest become 0 and leave
-    the support, so grid-transform noise stays out.
+    the support, so grid-transform noise stays out.  A frequency that is not
+    an integer (`operator.index`), even 2.0, raises ValueError.
     """
 
     __slots__ = ("_lo", "_arr")
 
     def __init__(self, coeffs=None, drop_tol=DROP_REL_TOL):
         items = dict(coeffs) if coeffs else {0: 0.0}
-        ns = np.array([int(n) for n in items], dtype=np.int64)
+        try:
+            ns = np.array([operator.index(n) for n in items], dtype=np.int64)
+        except TypeError as err:  # a float key would be truncated by int()
+            raise ValueError("every frequency must be an integer: %s" % err) from None
         arr = np.zeros(ns.max() - ns.min() + 1, dtype=complex)
         arr[ns - ns.min()] = [complex(c) for c in items.values()]
         self._store(int(ns.min()), arr, drop_tol)
@@ -145,7 +152,7 @@ class FourierSeries:
         return max(-self._lo, self._lo + self._arr.size - 1)
 
     def coeff(self, n):
-        i = int(n) - self._lo
+        i = operator.index(n) - self._lo  # a float n is refused, not truncated
         return complex(self._arr[i]) if 0 <= i < self._arr.size else 0j
 
     def support(self):
@@ -279,37 +286,54 @@ def _space_params(space, beta=None):
     return p, b
 
 
-_pocketfft = None  # scipy.fft's pocketfft binding, bound by _kernel
+class _KernelOnFirstUse:
+    """Stands in for `scipy.fft._pocketfft.pypocketfft` until the first
+    transform looks a function up on it, which imports scipy.fft and binds
+    `_pocketfft` to the kernel: later transforms call it directly."""
 
-
-def _kernel():
-    """`scipy.fft._pocketfft.pypocketfft`, imported at the first transform
-    rather than at import."""
-    global _pocketfft
-    if _pocketfft is None:
+    def __getattr__(self, name):
+        global _pocketfft
         from scipy.fft._pocketfft import pypocketfft
 
         _pocketfft = pypocketfft
-    return _pocketfft
+        return getattr(pypocketfft, name)
+
+
+_pocketfft = _KernelOnFirstUse()
+
+
+def _fast_len(n):
+    """`scipy.fft.next_fast_len(n, False)`, the length >= n that
+    `scipy.signal.fftconvolve` pads a complex convolution to."""
+    return _pocketfft.good_size(n, False)
 
 
 def _c2c(x, forward=True, out=None):
-    """`np.fft.fft(x)` (or `ifft` when not forward) of complex128 x, bit for
-    bit, written into out, which may be x itself, or into a new array.  x
-    must be complex: a float64 x would take the kernel's half-spectrum
-    path, which is not numpy's."""
-    return _kernel().c2c(x, (0,), forward, 0 if forward else 2, out, 1)
+    """`scipy.fft.fft(x)` (or `ifft` when not forward) of complex128 x, bit
+    for bit, into out, which may be x itself, or a new array; numpy's on
+    the package's power-of-two grids.  A float64 x would take the kernel's
+    half-spectrum path, which is not numpy's."""
+    return _pocketfft.c2c(x, (0,), forward, 0 if forward else 2, out, 1)
+
+
+def _padded_c2c(x, buf):
+    """`scipy.fft.fft(x, len(buf))` of complex128 x, bit for bit: x, which
+    may be a view of buf's head, is zero-padded into the complex128 buffer
+    buf, which the caller owns, and transformed there in place."""
+    buf[: len(x)] = x
+    buf[len(x) :] = 0.0
+    return _pocketfft.c2c(buf, (0,), True, 0, buf, 1)
 
 
 def _r2c(x, out=None):
     """`np.fft.rfft(x)` of float64 x, bit for bit, into out or a new array."""
-    return _kernel().r2c(x, (0,), True, 0, out, 1)
+    return _pocketfft.r2c(x, (0,), True, 0, out, 1)
 
 
 def _c2r(spec, n, out=None):
     """`np.fft.irfft(spec, n)` of a complex128 half spectrum, bit for bit,
     into the float64 out or a new array."""
-    return _kernel().c2r(spec, (0,), n, False, 2, out, 1)
+    return _pocketfft.c2r(spec, (0,), n, False, 2, out, 1)
 
 
 def circle_grid(G):

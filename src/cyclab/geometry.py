@@ -599,14 +599,30 @@ class _Sweep:
         self._next = lo + j
 
 
+def _in_order(blocks):
+    """`blocks`, each checked before it is read for leaf starts that never
+    decrease, within it and from the block before: the reader condition the
+    sweeps' binary search on the ends needs.  Every block's comparisons go
+    into one buffer; a fresh one per block made the check twice as costly."""
+    last, ordered = 0.0, None
+    for starts, ends in blocks:
+        ordered = np.greater_equal(starts[1:], starts[:-1], out=ordered)
+        if not (starts[0] >= last and ordered.all()):
+            raise ValueError("the reader condition fails: this spec's leaf starts "
+                             "decrease, so its covers cannot be counted off its "
+                             "recursion; count those of cantor_build(spec)")
+        last = float(starts[-1])
+        yield starts, ends
+
+
 def _covers(E, t_values):
     """The greedy cover count of E at each scale, from one pass over its
     arcs: an arc union's arrays, or a spec's leaves made block by block
-    (`_spec_blocks`)."""
+    (`_spec_blocks`) and checked for order (`_in_order`)."""
     if arc_count(E) == 0 and len(t_values):
         raise ValueError("covering the empty set is undefined")
     if isinstance(E, CantorSpec):
-        blocks = _spec_blocks(*_steps(E))
+        blocks = _in_order(_spec_blocks(*_steps(E)))
     else:
         blocks = [(E.starts, E.ends)]
     sweeps = [_Sweep(t) for t in t_values]
@@ -632,7 +648,8 @@ def covering_number(E, t):
     (`_covers`), made block by block with no set built, and the cost is
     O(arcs reached * log n) beside the pass over the blocks, whatever t is;
     the count is `cantor_build(spec)`'s wherever the built set is the union
-    of the leaves (`_spec_distance`).
+    of the leaves (`_spec_distance`).  A spec whose leaf starts decrease
+    raises ValueError, as the sweep could not read its leaves in order.
     The sweep is exact on the float inputs: it counts in integer multiples
     of 2**-1074, where every float is an integer, so a cover end that
     rounds onto a set point cannot cover it.

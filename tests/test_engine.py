@@ -31,7 +31,6 @@ import scipy.fft
 import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.fft._pocketfft import pypocketfft
 from scipy.signal import fftconvolve
 
 from cyclab import analytic, engine, fourier
@@ -270,26 +269,33 @@ class FftconvolveObjective(_ConvObjective):
 
 def counting_transforms(monkeypatch):
     """Count the forward and inverse transforms the engine makes: the calls
-    of its pocketfft kernel, by the kernel's `forward` flag."""
+    of the two kernel helpers it looks up, `_padded_c2c` (forward) and
+    `_c2c` (by its `forward` flag)."""
     counts = {"fft": 0, "ifft": 0}
 
-    def wrapper(a, axes, forward, inorm, out, nthreads):
+    def c2c(x, forward=True, out=None):
         counts["fft" if forward else "ifft"] += 1
-        return pypocketfft.c2c(a, axes, forward, inorm, out, nthreads)
+        return fourier._c2c(x, forward, out)
 
-    monkeypatch.setattr(engine, "_c2c", wrapper)
+    def padded_c2c(x, buf):
+        counts["fft"] += 1
+        return fourier._padded_c2c(x, buf)
+
+    monkeypatch.setattr(engine, "_c2c", c2c)
+    monkeypatch.setattr(engine, "_padded_c2c", padded_c2c)
     return counts
 
 
 def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
-    # scipy.signal alone pulls in scipy.stats, scipy.interpolate and
+    # importing the package loads no scipy at all, and a `cantor` run none
+    # either; scipy.signal alone pulls in scipy.stats, scipy.interpolate and
     # scipy.optimize; scipy.fft, whose import loads scipy.special, at the
     # first transform (a `decay` sweep's or a solve's) and scipy.special
     # alone at the first Lambda-integral, and scipy.linalg and scipy.sparse
     # never: the one direct solve is the engine's own recursion.  Module
     # presence, not wall time, so it cannot flake
     unused = ("scipy.signal", "scipy.stats", "scipy.interpolate", "scipy.optimize")
-    lazy = ("scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special")
+    lazy = ("scipy", "scipy.fft", "scipy.linalg", "scipy.sparse", "scipy.special")
     src = str(Path(engine.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -323,8 +329,8 @@ def test_import_loads_no_scipy_subpackage_the_package_does_not_use(tmp_path):
     at_import, after_cantor, after_lambda, after_decay, after_solve = map(
         json.loads, out.stdout.splitlines())
     assert at_import == [] and after_cantor == []
-    assert after_lambda == ["scipy.special"]
-    assert set(after_decay) == {"scipy.fft", "scipy.special"}
+    assert after_lambda == ["scipy", "scipy.special"]
+    assert set(after_decay) == {"scipy", "scipy.fft", "scipy.special"}
     assert "scipy.fft" in after_solve
     assert not set(after_solve) & {"scipy.linalg", "scipy.sparse", *unused}
 
@@ -339,7 +345,10 @@ def test_lsmr_is_bound_on_first_lookup():
 
 
 class TestCachedSpectrum:
-    # f_lo, nf, degree, real f; a complex f also runs with a real x and y
+    # f_lo, nf, degree, real f; a complex f also runs with a real x and y.
+    # Every FourierSeries slab and every solver iterate is complex; a
+    # float64 operand is read as its complex128 cast, so the reference is
+    # given the cast
     CASES = [
         (-3, 7, 5, False),   # f_lo < 0
         (2, 1, 6, False),    # a 1-term f
@@ -361,17 +370,15 @@ class TestCachedSpectrum:
             f_arr = f_arr + 1j * rng.standard_normal(nf)
         args = (f_lo, f_arr, s_lo, s_hi, -2, np.ones(3), 1.5, 0.3)
         prob = _ConvObjective(*args)
-        ref = FftconvolveObjective(*args)
+        ref = FftconvolveObjective(f_lo, f_arr.astype(complex), *args[2:])
         x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
         y = rng.standard_normal(prob.n_rows) + 1j * rng.standard_normal(prob.n_rows)
-        # a real f with a real x is left out: fftconvolve then takes a
-        # half-spectrum transform, and the solver's iterates are complex
         xs = [x] if real_f else [x, x.real]
         ys = [y] if real_f else [y, y.real]
         for x in xs:
-            assert np.array_equal(prob.apply(x), ref.apply(x))
+            assert np.array_equal(prob.apply(x), ref.apply(x.astype(complex)))
         for y in ys:
-            assert np.array_equal(prob.adjoint(y), ref.adjoint(y))
+            assert np.array_equal(prob.adjoint(y), ref.adjoint(y.astype(complex)))
 
     def test_whole_solve_matches_the_fftconvolve_operator(self, monkeypatch):
         f = certify_small_function()
@@ -395,7 +402,8 @@ class TestCachedSpectrum:
     @pytest.mark.parametrize("na, nx", [
         (1, 1), (1, 6), (7, 1), (6, 8), (7, 9), (8, 7), (2, 2), (9000, 8000),
     ])
-    # a complex a, a complex x, or both; two real operands are not covered
+    # a complex a, a complex x, or both; a float64 operand, which the
+    # package never passes, is read as its complex128 cast
     @pytest.mark.parametrize("complex_a, complex_x", [
         (True, True), (True, False), (False, True),
     ])
@@ -406,7 +414,8 @@ class TestCachedSpectrum:
             a = a + 1j * rng.standard_normal(na)
         if complex_x:
             x = x + 1j * rng.standard_normal(nx)
-        assert_same_bits(engine.fftconvolve(a, x), fftconvolve(a, x))
+        want = fftconvolve(a.astype(complex), x.astype(complex))
+        assert_same_bits(engine.fftconvolve(a, x), want)
 
     def test_fftconvolve_autocorrelation_of_infimum_large_function(self):
         f_arr = infimum_large_function().arr
@@ -487,97 +496,24 @@ class TestCachedSpectrum:
             assert np.array_equal(x, f.arr)
 
 
-def _primes_to(n):
-    sieve = np.ones(n + 1, dtype=bool)
-    sieve[:2] = False
-    for k in range(2, math.isqrt(n) + 1):
-        if sieve[k]:
-            sieve[k * k :: k] = False
-    return np.flatnonzero(sieve).tolist()
-
-
-# transform lengths: any size up to 20 000, the lengths the engine pads to,
-# and primes, which pocketfft takes by Bluestein's algorithm
-TRANSFORM_SIZES = (
-    st.integers(min_value=1, max_value=20000)
-    | st.integers(min_value=1, max_value=20000).map(
-        lambda n: scipy.fft.next_fast_len(n, False))
-    | st.sampled_from(_primes_to(20000))
-)
-
-
-class TestKernel:
-    """`_fft` and `_ifft` call the pocketfft kernel directly; they must be
-    scipy.fft.fft and scipy.fft.ifft bit for bit, and leave their callers'
-    arrays alone."""
-
-    @given(TRANSFORM_SIZES, st.floats(min_value=0.0, max_value=1.0),
-           st.integers(min_value=0, max_value=2**32 - 1))
-    @example(size=264, fill=1.0, seed=0)
-    @example(size=16464, fill=0.5, seed=1)
-    @example(size=19997, fill=0.3, seed=2)
-    @settings(max_examples=150, deadline=None)
-    def test_transforms_match_scipy_fft_by_bit_pattern(self, size, fill, seed):
-        engine._load_fft()
-        rng = np.random.default_rng(seed)
-        # pre-padded (len(x) == size) and unpadded (len(x) < size) inputs
-        n = max(1, round(fill * size))
-        for m in {n, size}:
-            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-            kept = x.copy()
-            assert_same_bits(engine._fft(x, size), scipy.fft.fft(x, size))
-            # a real x goes by the kernel's half-spectrum path, as in scipy
-            assert_same_bits(engine._fft(x.real, size), scipy.fft.fft(x.real, size))
-            assert_same_bits(x, kept)
-        X = rng.standard_normal(size) + 1j * rng.standard_normal(size)
-        assert_same_bits(engine._ifft(X.copy()), scipy.fft.ifft(X))
-
-    def test_kernel_is_bound_at_the_first_operator(self):
-        engine._Convolution(np.ones(3, dtype=complex), 4)
-        assert engine._c2c is pypocketfft.c2c and fourier._pocketfft is pypocketfft
-
-    def test_results_survive_later_calls(self):
-        # no result shares memory with a buffer a later call writes: the
-        # CG loop keeps d = z across the next preconditioner apply
-        rng = np.random.default_rng(53)
-        f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-        prob = _ConvObjective(-4, f_arr, -6, 6, 0, np.ones(1), 1.5, 0.0)
-        conv = engine._Convolution(f_arr, prob.n_cols)
-        inverse = engine._ToeplitzInverse(prob.normal_column)
-        assert isinstance(prob.preconditioner, engine._ToeplitzInverse)
-        operators = [
-            (conv, prob.n_cols), (inverse, prob.n_cols),
-            (prob.apply, prob.n_cols), (prob.adjoint, prob.n_rows),
-            (prob.preconditioner, prob.n_cols),
-        ]
-        for op, n_in in operators:
-            u = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
-            u_kept = u.copy()
-            first = op(u)
-            first_kept = first.copy()
-            op(rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in))
-            assert_same_bits(first, first_kept)
-            assert_same_bits(u, u_kept)
-
-
 # The solver operations as they stood before the CG loop, the Hessian and the
 # two FFT operators worked in place: the oracles the in-place code must
 # reproduce bit for bit.  Each operator call made fresh arrays throughout.
 def oracle_convolution(conv, x):
     if conv.size is None:
         return conv.a * x
-    x_spec = engine._fft(x, conv.size)
-    return engine._ifft(conv.spectrum * x_spec)[: conv.n_out]
+    x_spec = scipy.fft.fft(x, conv.size)
+    return scipy.fft.ifft(conv.spectrum * x_spec)[: conv.n_out]
 
 
 def oracle_toeplitz_inverse(inverse, y):
     n, size = inverse.n, inverse.size
-    y_spec = engine._fft(y, size)
-    a = engine._ifft(inverse.x_spec_conj * y_spec)[:n]
-    b = engine._ifft(inverse.v_spec_conj * y_spec)[:n]
-    a_spec = engine._fft(a, size)
-    b_spec = engine._fft(b, size)
-    return engine._ifft(inverse.x_spec * a_spec - inverse.v_spec * b_spec)[:n]
+    y_spec = scipy.fft.fft(y, size)
+    a = scipy.fft.ifft(inverse.x_spec_conj * y_spec)[:n]
+    b = scipy.fft.ifft(inverse.v_spec_conj * y_spec)[:n]
+    a_spec = scipy.fft.fft(a, size)
+    b_spec = scipy.fft.fft(b, size)
+    return scipy.fft.ifft(inverse.x_spec * a_spec - inverse.v_spec * b_spec)[:n]
 
 
 def oracle_preconditioner(inverse):
@@ -702,13 +638,13 @@ class TestInPlaceSolve:
         conv = engine._Convolution(a, nx)
         col = hermitian_dominant_column(rng, nx, min(nx - 1, 5))
         inverse = engine._ToeplitzInverse(col)
-        for _ in range(2):
+        for _ in range(2):  # the work buffers are reused by the second call
             x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
-            # a complex operand goes through the work buffers; a real one
-            # keeps the half-spectrum path
+            # a real operand is read as its complex128 cast
             for u in (x, x.real):
-                assert_same_bits(conv(u), oracle_convolution(conv, u))
-                assert_same_bits(inverse(u), oracle_toeplitz_inverse(inverse, u))
+                z = u.astype(complex)
+                assert_same_bits(conv(u), oracle_convolution(conv, z))
+                assert_same_bits(inverse(u), oracle_toeplitz_inverse(inverse, z))
 
     def test_large_solve_matches_the_oracle_bit_for_bit(self):
         # 18433 rows and 16385 columns: arrays of 256 KiB and more, which
@@ -737,6 +673,29 @@ class TestInPlaceSolve:
         assert_same_bits(got.polynomial.arr, want.polynomial.arr)
         assert (got.iterations, got.sweeps, got.converged) == (
             want.iterations, want.sweeps, want.converged)
+
+    def test_results_survive_later_calls(self):
+        # no result shares memory with a buffer a later call writes: the
+        # CG loop keeps d = z across the next preconditioner apply
+        rng = np.random.default_rng(53)
+        f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        prob = _ConvObjective(-4, f_arr, -6, 6, 0, np.ones(1), 1.5, 0.0)
+        conv = engine._Convolution(f_arr, prob.n_cols)
+        inverse = engine._ToeplitzInverse(prob.normal_column)
+        assert isinstance(prob.preconditioner, engine._ToeplitzInverse)
+        operators = [
+            (conv, prob.n_cols), (inverse, prob.n_cols),
+            (prob.apply, prob.n_cols), (prob.adjoint, prob.n_rows),
+            (prob.preconditioner, prob.n_cols),
+        ]
+        for op, n_in in operators:
+            u = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+            u_kept = u.copy()
+            first = op(u)
+            first_kept = first.copy()
+            op(rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in))
+            assert_same_bits(first, first_kept)
+            assert_same_bits(u, u_kept)
 
     @pytest.mark.parametrize("p, shift", [(1.5, False), (2.0, True)])
     def test_a_solve_leaves_its_arguments_and_earlier_results_alone(self, p, shift):

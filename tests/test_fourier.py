@@ -12,8 +12,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.fft._pocketfft import pypocketfft
 
 from cyclab import fourier
 from cyclab.fourier import (
@@ -113,6 +115,20 @@ class TestFourierSeries:
             FourierSeries({0: 0.0, 1: bad, 2: 1.0})
         with pytest.raises(ValueError, match="finite"):
             FourierSeries.from_dense([1.0, bad], -1)
+
+    @pytest.mark.parametrize("key", [0.5, 2.0, np.float64(1.0), "1", None])
+    def test_non_integer_frequency_raises(self, key):
+        # int(0.5) truncated to 0, and the later key 0 then overwrote it:
+        # {0.5: 1.0, 0: 2.0} silently became {0: 2}
+        with pytest.raises(ValueError, match="must be an integer"):
+            FourierSeries({key: 1.0, 0: 2.0})
+
+    def test_integer_frequency_types_are_kept(self):
+        f = FourierSeries({np.int64(-2): 1.0, np.int32(3): 2.0, 5: 3.0})
+        assert f.coeffs == {-2: 1.0, 3: 2.0, 5: 3.0}
+        assert f.coeff(np.int64(3)) == 2.0
+        with pytest.raises(TypeError):
+            f.coeff(2.5)  # int(2.5) read the amplitude at 2
 
     def test_degree(self):
         f = FourierSeries({-7: 1.0, 2: 1.0})
@@ -220,9 +236,29 @@ class TestSampling:
 # norms
 # ---------------------------------------------------------------------------
 
+def _primes_to(n):
+    sieve = np.ones(n + 1, dtype=bool)
+    sieve[:2] = False
+    for k in range(2, math.isqrt(n) + 1):
+        if sieve[k]:
+            sieve[k * k :: k] = False
+    return np.flatnonzero(sieve).tolist()
+
+
+# transform lengths: any size up to 20 000, the lengths the engine pads to,
+# and primes, which pocketfft takes by Bluestein's algorithm
+TRANSFORM_SIZES = (
+    st.integers(min_value=1, max_value=20000)
+    | st.integers(min_value=1, max_value=20000).map(
+        lambda n: scipy.fft.next_fast_len(n, False))
+    | st.sampled_from(_primes_to(20000))
+)
+
+
 class TestTransformKernel:
-    """The package's one transform kernel gives numpy's transforms bit for
-    bit, into buffers the caller owns or in place."""
+    """The package's one transform kernel gives numpy's transforms on the
+    grids and scipy.fft's at the engine's lengths, bit for bit, into
+    buffers the caller owns or in place."""
 
     @staticmethod
     def assert_same_bits(got, want):
@@ -255,6 +291,50 @@ class TestTransformKernel:
         out = np.empty(G)
         assert fourier._c2r(half, G, out) is out
         self.assert_same_bits(out, np.fft.irfft(half, G))
+
+    @given(TRANSFORM_SIZES, st.floats(min_value=0.0, max_value=1.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @example(size=264, fill=1.0, seed=0)
+    @example(size=16464, fill=0.5, seed=1)
+    @example(size=19997, fill=0.3, seed=2)
+    @settings(max_examples=150, deadline=None)
+    def test_padded_transforms_match_scipy_fft_by_bit_pattern(self, size, fill, seed):
+        # the engine's convolutions: x zero-padded into a buffer of a
+        # length scipy.signal.fftconvolve picks, forward in place, and the
+        # inverse in place
+        rng = np.random.default_rng(seed)
+        # pre-padded (len(x) == size) and unpadded (len(x) < size) inputs
+        n = max(1, round(fill * size))
+        for m in {n, size}:
+            x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            kept = x.copy()
+            buf = np.full(size, np.nan, dtype=complex)
+            assert fourier._padded_c2c(x, buf) is buf
+            self.assert_same_bits(buf, scipy.fft.fft(x, size))
+            self.assert_same_bits(x, kept)
+        X = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+        buf = X.copy()
+        assert fourier._c2c(buf, False, buf) is buf
+        self.assert_same_bits(buf, scipy.fft.ifft(X))
+
+    def test_padded_transform_takes_a_view_of_its_buffer(self):
+        # the engine pads an inverse transform's head back into its buffer
+        rng = np.random.default_rng(11)
+        buf = rng.standard_normal(40) + 1j * rng.standard_normal(40)
+        head = buf[:13].copy()
+        fourier._padded_c2c(buf[:13], buf)
+        self.assert_same_bits(buf, scipy.fft.fft(head, 40))
+
+    @given(st.integers(min_value=1, max_value=2**21))
+    @example(n=1)
+    @example(n=2**21)
+    @settings(max_examples=300, deadline=None)
+    def test_fast_len_is_scipys_next_fast_len(self, n):
+        assert fourier._fast_len(n) == scipy.fft.next_fast_len(n, False)
+
+    def test_kernel_is_bound_at_the_first_transform(self):
+        fourier._c2c(np.ones(4, dtype=complex))
+        assert fourier._pocketfft is pypocketfft
 
     def test_series_from_samples_transforms_in_its_work_buffer(self):
         rng = np.random.default_rng(7)

@@ -380,13 +380,24 @@ def spec_from_fractions(fractions):
     return CantorSpec(tuple(gaps))
 
 
+def leaf_starts(spec):
+    """The starts of the spec's 2^depth leaves, as the spec readers form them."""
+    steps, _ = geometry._steps(spec)
+    return geometry._grow(np.zeros(2**spec.depth), steps)
+
+
+def starts_decrease(spec):
+    """Whether rounding puts some of the spec's leaf starts out of order."""
+    starts = leaf_starts(spec)
+    return bool(np.any(starts[1:] < starts[:-1]))
+
+
 def keeps_the_leaves(spec):
     """Whether `cantor_build(spec)` is the union of the leaves that the spec
     readers form: leaf starts that never decrease, the last below 2*pi,
     and a last end at most one leaf past 2*pi, where ArcUnion clamps it."""
-    steps, length = geometry._steps(spec)
-    starts = geometry._grow(np.zeros(2**spec.depth), steps)
-    return bool(np.all(starts[1:] >= starts[:-1]) and starts[-1] < TWO_PI
+    starts, length = leaf_starts(spec), geometry._steps(spec)[1]
+    return bool(not starts_decrease(spec) and starts[-1] < TWO_PI
                 and starts[-1] + length - TWO_PI <= length)
 
 
@@ -432,12 +443,17 @@ def assert_spec_reads_its_recursion(spec, theta):
     """The distance and the covering counts of a spec build no set.  Where
     the built set is the union of the leaves (`keeps_the_leaves`), they are
     the built set's, byte for byte; elsewhere the distance lies within
-    `exact_distance_bound` of the exact set's."""
+    `exact_distance_bound` of the exact set's, and where the leaf starts
+    decrease, the covering counts are refused."""
     E = cantor_build(spec)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(geometry, "cantor_build", refuse_build)
         got = distance_to_set(theta, spec)
-        counts = cover_counts(spec)
+        if starts_decrease(spec):
+            with pytest.raises(ValueError, match="reader condition"):
+                cover_counts(spec)
+        else:
+            counts = cover_counts(spec)
     if keeps_the_leaves(spec):
         want = distance_to_set(theta, E)
         assert got.dtype == want.dtype and got.shape == want.shape
@@ -659,6 +675,36 @@ class TestCovering:
         t = 1e-4
         assert 500 * 2 * Fraction(t) < Fraction(0.1)
         assert covering_number(E, t) == greedy_cover_oracle(E, t) == 501
+
+    def test_a_spec_whose_leaf_starts_decrease_is_refused(self):
+        # the out-of-order example of TestSpecDistance: the sweeps' binary
+        # search on unsorted ends gave counts that were not the union's
+        spec = spec_from_fractions([0.99, 0.99, 0.5861494379870686, 0.8003511646421022,
+                                    1e-06, 0.99, 0.9878777359857658, 0.99, 1e-06, 0.99,
+                                    0.9643211986788983])
+        assert starts_decrease(spec)
+        for count in (lambda: covering_number(spec, 1e-3),
+                      lambda: covering_profile(spec, COVER_SCALES),
+                      lambda: box_dimension_estimate(spec, log_t_grid(1e-4, 0.25, 9))):
+            with pytest.raises(ValueError, match="reader condition"):
+                count()
+        E = cantor_build(spec)
+        assert covering_number(E, 1e-3) == greedy_cover_oracle(E, 1e-3)
+
+    @pytest.mark.parametrize("blocks, ordered", [
+        ([[0.0, 1.0, 2.0], [2.0, 3.0, 4.0]], True),
+        ([[0.0, 1.0, 2.0], [1.5, 3.0, 4.0]], False),  # across two blocks
+        ([[0.0, 2.0, 1.0], [3.0, 4.0, 5.0]], False),  # within a block
+        ([[0.0, 1.0, 2.0], [3.0, 5.0, 4.0]], False),  # within the last block
+    ])
+    def test_the_order_check_reads_within_and_across_blocks(self, blocks, ordered):
+        blocks = [(np.array(b), np.array(b) + 0.5) for b in blocks]
+        read = geometry._in_order(iter(blocks))
+        if ordered:
+            assert [starts.tolist() for starts, _ in read] == [b.tolist() for b, _ in blocks]
+        else:
+            with pytest.raises(ValueError, match="reader condition"):
+                list(read)
 
 
     @pytest.mark.parametrize("name", SET_PRESETS)
