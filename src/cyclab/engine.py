@@ -38,9 +38,11 @@ it runs on T + delta t_0 I for the least delta of a doubling sequence that
 holds, so CG never runs unpreconditioned.  All solves of one infimum share
 one total iteration budget, the only cap on its work; spending it, a CG
 breakdown or a T that is not finite ends the search unconverged.  The
-spectrum of f is computed once per problem, at the transform lengths
-`scipy.signal.fftconvolve` would pick, so each convolution is one forward
-and one inverse transform and rounds exactly as scipy's does.  Every
+spectrum of f is computed once per problem, at the transform length
+`scipy.signal.fftconvolve` would pick for the convolution, so each
+convolution is one forward and one inverse transform and rounds exactly as
+scipy's does; the adjoint correlates through the conjugate of that
+spectrum at the same length, where nothing wraps.  Every
 operand is complex, and every transform goes through `fourier`'s kernel
 helpers (`_padded_c2c`, `_c2c`, `_fast_len`), each one direct call of the
 pocketfft kernel that scipy.fft's default backend runs: on small problems
@@ -110,34 +112,39 @@ def _support_range(support, degree):
 
 
 class _Convolution:
-    """x -> conv(a, x)[keep] for a fixed a and inputs x of one length.
+    """x -> conv(a, x) for a fixed a and x of length n_x, and its adjoint,
+    y -> the correlation of y with a at lags 0 .. n_x - 1.
 
-    The result is bit for bit that of `scipy.signal.fftconvolve(a, x)[keep]`
-    for complex a and x, the only operands the package has: the spectrum
-    of a is taken once, at the length `fftconvolve` pads to, and each call
-    is one forward and one inverse transform (`fourier._padded_c2c`,
-    `fourier._c2c`).  Like `fftconvolve`, a length-1 operand is a plain
-    product.  x is transformed in one work buffer the object keeps, and
-    the spectra are multiplied there by `np.multiply(spectrum, buf,
-    out=buf)`, the spectrum of a first as in fftconvolve: numpy's complex
-    product, fused multiply-adds and all, is not commutative bit for bit.
-    The result is a fresh array, or the caller's `out`, never the work
-    buffer, so it outlives later calls; the buffer makes an object serve
-    one call at a time.
+    The convolution is bit for bit `scipy.signal.fftconvolve(a, x)` for
+    complex a and x, the only operands the package has: the spectrum F of
+    a is taken once, at the length L `fftconvolve` pads n_out = len(a) +
+    n_x - 1 to, and each call is one forward and one inverse transform
+    (`fourier._padded_c2c`, `fourier._c2c`).  The adjoint is
+    ifft(conj(F) fft(y))[:n_x] at the same L: a lag j < n_x and an entry
+    i < len(a) reach i + j <= n_out - 1 < L, so the circular correlation
+    is the linear one.  As in `fftconvolve`, a length-1 a or x makes both
+    a plain product.  Both transform in one work buffer the object keeps,
+    with the spectrum the left factor of each product, as in fftconvolve:
+    numpy's complex product, fused multiply-adds and all, is not
+    commutative bit for bit.  Each result is a fresh array, or the
+    caller's `out`, so it outlives later calls; the buffer makes an object
+    serve one call at a time.
     """
 
-    def __init__(self, a, n_x, keep=slice(None)):
+    def __init__(self, a, n_x):
         self.n_out = len(a) + n_x - 1
+        self.n_x = n_x
         self.a = a
-        self.keep = keep
         self.size = None
         if len(a) > 1 and n_x > 1:
             self.size = _fast_len(self.n_out)
             self.spectrum = _padded_c2c(a, np.empty(self.size, dtype=complex))
+            # the adjoint's spectrum, conjugated once: conjugation is exact
+            self.spectrum_conj = np.conj(self.spectrum)
             self._work = np.empty(self.size, dtype=complex)
 
     def __call__(self, x, out=None):
-        """conv(a, x)[keep] in a fresh array, or written into out."""
+        """conv(a, x) in a fresh array, or written into out."""
         if self.size is None:
             y = self.a * x
         else:
@@ -145,9 +152,20 @@ class _Convolution:
             np.multiply(self.spectrum, buf, out=buf)
             y = _c2c(buf, False, buf)[: self.n_out]
         if out is None:
-            return y[self.keep].copy()
-        np.copyto(out, y[self.keep])
+            return y.copy()
+        np.copyto(out, y)
         return out
+
+    def adjoint(self, y):
+        """sum_i conj(a_i) y_(i+j) for j = 0 .. n_x - 1, y of length n_out,
+        in a fresh array."""
+        if self.size is None:
+            if len(self.a) == 1:
+                return np.conj(self.a) * y
+            return np.array([np.vdot(self.a, y)])
+        buf = _padded_c2c(y, self._work)
+        np.multiply(self.spectrum_conj, buf, out=buf)
+        return _c2c(buf, False, buf)[: self.n_x].copy()
 
 
 def fftconvolve(a, x):
@@ -252,19 +270,15 @@ class _ToeplitzInverse:
 class _ConvObjective:
     """Residual b - conv(f, x) over a fixed output index range.
 
-    The convolution with f and its adjoint, the correlation with f, each
-    hold the spectrum of f, computed once per problem.
+    The convolution with f and its adjoint are one :class:`_Convolution`,
+    which holds the spectrum of f, computed once per problem, at the
+    forward's transform length.
     """
 
     def __init__(self, f_lo, f_arr, s_lo, s_hi, target_lo, target_arr, p, beta):
         self.f_arr = f_arr
         self.n_cols = s_hi - s_lo + 1
         self._conv = _Convolution(f_arr, self.n_cols)
-        # the adjoint correlates with f the rows that apply writes, and keeps
-        # the lags of the columns
-        nf = len(f_arr)
-        self._corr = _Convolution(np.conj(f_arr[::-1]), self._conv.n_out,
-                                  slice(nf - 1, nf - 1 + self.n_cols))
         conv_lo = f_lo + s_lo
         conv_hi = f_lo + len(f_arr) - 1 + s_hi
         out_lo = min(target_lo, conv_lo)
@@ -285,8 +299,9 @@ class _ConvObjective:
         return y
 
     def adjoint(self, y):
-        """The adjoint of :meth:`apply`: correlate y with f over the columns."""
-        return self._corr(y[self.conv_off : self.conv_off + self._conv.n_out])
+        """The adjoint of :meth:`apply`: correlate the rows it writes with f
+        over the columns."""
+        return self._conv.adjoint(y[self.conv_off : self.conv_off + self._conv.n_out])
 
     def residual(self, x):
         return self.b - self.apply(x)

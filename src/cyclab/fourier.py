@@ -228,9 +228,10 @@ class FourierSeries:
     def dense(self, n_min, n_max):
         """Materialize the slab [n_min, n_max] as a writable complex vector.
 
-        Index i of the result holds the amplitude at frequency n_min + i.
+        Index i of the result holds the amplitude at frequency n_min + i.  A
+        bound that is not an integer (`operator.index`) raises TypeError.
         """
-        n_min, n_max = int(n_min), int(n_max)
+        n_min, n_max = operator.index(n_min), operator.index(n_max)
         if n_max < n_min:
             raise ValueError("empty slab [%d, %d]" % (n_min, n_max))
         out = np.zeros(n_max - n_min + 1, dtype=complex)
@@ -242,9 +243,11 @@ class FourierSeries:
 
     @classmethod
     def from_dense(cls, values, n_min, drop_tol=DROP_REL_TOL):
-        """Inverse of :meth:`dense`: index i maps to frequency n_min + i."""
+        """Inverse of :meth:`dense`: index i maps to frequency n_min + i.
+        An n_min that is not an integer (`operator.index`) raises TypeError."""
+        n_min = operator.index(n_min)  # a float is refused, not truncated
         out = cls.__new__(cls)
-        out._store(int(n_min), np.asarray(values, dtype=complex), drop_tol)
+        out._store(n_min, np.asarray(values, dtype=complex), drop_tol)
         return out
 
     # -- serialization ------------------------------------------------------

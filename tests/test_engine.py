@@ -250,9 +250,27 @@ class TestAdjointPair:
             )
 
 
+def oracle_correlation(f_arr, y, n_cols):
+    """sum_i conj(f_i) y_(i+j) for j < n_cols, y of length n_out = len(f_arr)
+    + n_cols - 1, without the engine: the circular correlation at the
+    convolution's length `next_fast_len(n_out)`, the conjugated spectrum of
+    f the left factor, or the plain product where f has one entry or the
+    problem one column."""
+    nf = len(f_arr)
+    if nf == 1:
+        return np.conj(f_arr) * y
+    if n_cols == 1:
+        return np.array([np.vdot(f_arr, y)])
+    size = scipy.fft.next_fast_len(nf + n_cols - 1, False)
+    f_spec_conj = np.conj(scipy.fft.fft(f_arr, size))
+    y_spec = scipy.fft.fft(y, size)
+    return scipy.fft.ifft(f_spec_conj * y_spec)[:n_cols]
+
+
 class FftconvolveObjective(_ConvObjective):
-    """The operator with `fftconvolve` on every call: the reference the
-    spectrum-caching operator must reproduce bit for bit."""
+    """The operator with `fftconvolve` on every call, and the adjoint with
+    `oracle_correlation`: the reference the spectrum-caching operator must
+    reproduce bit for bit."""
 
     def apply(self, x):
         y = np.zeros(self.n_rows, dtype=complex)
@@ -261,10 +279,8 @@ class FftconvolveObjective(_ConvObjective):
         return y
 
     def adjoint(self, y):
-        nf = len(self.f_arr)
-        seg = y[self.conv_off : self.conv_off + nf + self.n_cols - 1]
-        full = fftconvolve(np.conj(self.f_arr[::-1]), seg)
-        return full[nf - 1 : nf - 1 + self.n_cols]
+        seg = y[self.conv_off : self.conv_off + len(self.f_arr) + self.n_cols - 1]
+        return oracle_correlation(self.f_arr, seg, self.n_cols)
 
 
 def counting_transforms(monkeypatch):
@@ -428,7 +444,7 @@ class TestCachedSpectrum:
         rng = np.random.default_rng(41)
         f_arr = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         prob = _ConvObjective(-4, f_arr, -6, 6, 0, np.ones(1), 1.5, 0.0)
-        assert counts == {"fft": 2, "ifft": 0}  # f and its reversed conjugate
+        assert counts == {"fft": 1, "ifft": 0}  # f's, which the adjoint shares
         x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
         for _ in range(3):
             counts.update(fft=0, ifft=0)
@@ -439,11 +455,12 @@ class TestCachedSpectrum:
             assert counts == {"fft": 1, "ifft": 1}
 
     def test_a_whole_solve_takes_the_spectrum_once(self, monkeypatch):
-        # f's two spectra and the preconditioner's two spectra are each taken
-        # once per problem, and so is the autocorrelation of f, which is two
-        # forward transforms and one inverse; after that every convolution is
-        # one forward and one inverse transform, and every preconditioner
-        # apply three of each
+        # f's spectrum, which the convolution and its adjoint share, and the
+        # preconditioner's two spectra are each taken once per problem, and
+        # so is the autocorrelation of f, which is two forward transforms and
+        # one inverse; after that every convolution or correlation is one
+        # forward and one inverse transform, and every preconditioner apply
+        # three of each
         counts = counting_transforms(monkeypatch)
         calls = []
         for name in ("apply", "adjoint"):
@@ -472,9 +489,50 @@ class TestCachedSpectrum:
         assert res.sweeps > 1
         assert len(built) == 1 and len(applied) > res.sweeps
         assert counts == {
-            "fft": 2 + 2 + 2 + len(calls) + 3 * len(applied),
+            "fft": 1 + 2 + 2 + len(calls) + 3 * len(applied),
             "ifft": 1 + len(calls) + 3 * len(applied),
         }
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 700), st.integers(1, 80), st.integers(0, 2**32 - 1))
+    @example(nf=513, n_cols=3, seed=0)  # nf >> n_cols
+    @example(nf=1, n_cols=40, seed=1)
+    @example(nf=40, n_cols=1, seed=2)
+    @example(nf=1, n_cols=1, seed=3)
+    @example(nf=600, n_cols=49, seed=4)  # n_out 648, a fast length
+    @example(nf=600, n_cols=50, seed=5)  # n_out 649, which pads to 660
+    def test_adjoint_is_the_dense_adjoint_at_the_forward_length(self, nf, n_cols, seed):
+        # the adjoint correlates through the forward's spectrum, at the
+        # forward's length: every transform inside apply and adjoint has
+        # length next_fast_len(n_out), and a length-1 f or one column makes
+        # none, the plain product
+        rng = np.random.default_rng(seed)
+        f_arr = rng.standard_normal(nf) + 1j * rng.standard_normal(nf)
+        args = (-3, f_arr, -2, n_cols - 3, 0, np.ones(1), 2.0, 0.0)
+        prob, A = _ConvObjective(*args), DenseObjective(*args).matrix
+        x = rng.standard_normal(prob.n_cols) + 1j * rng.standard_normal(prob.n_cols)
+        y = rng.standard_normal(prob.n_rows) + 1j * rng.standard_normal(prob.n_rows)
+        lengths = []
+
+        def recording(real, length):
+            def kernel(*args):
+                lengths.append(length(*args))
+                return real(*args)
+
+            return kernel
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "_c2c", recording(fourier._c2c, lambda x, *_: len(x)))
+            mp.setattr(engine, "_padded_c2c",
+                       recording(fourier._padded_c2c, lambda x, buf: len(buf)))
+            ax, ahy = prob.apply(x), prob.adjoint(y)
+        n_out = nf + n_cols - 1
+        transforms = 4 if nf > 1 and n_cols > 1 else 0
+        assert lengths == [scipy.fft.next_fast_len(n_out, False)] * transforms
+        want = A.conj().T @ y
+        assert np.linalg.norm(ahy - want) <= 1e-13 * np.linalg.norm(want)
+        lhs, rhs = np.vdot(y, ax), np.vdot(ahy, x)
+        assert abs(lhs - rhs) <= 1e-13 * np.linalg.norm(ax) * np.linalg.norm(y)
 
     def test_autocorrelation_is_one_fftconvolve_call_per_problem(self, monkeypatch):
         # the count a tracer wrapping engine.fftconvolve reports
@@ -532,9 +590,8 @@ class OracleObjective(_ConvObjective):
         return y
 
     def adjoint(self, y):
-        nf = len(self.f_arr)
         seg = y[self.conv_off : self.conv_off + self._conv.n_out]
-        return oracle_convolution(self._corr, seg)[nf - 1 : nf - 1 + self.n_cols]
+        return oracle_correlation(self.f_arr, seg, self.n_cols)
 
     @functools.cached_property
     def preconditioner(self):
@@ -641,9 +698,11 @@ class TestInPlaceSolve:
         for _ in range(2):  # the work buffers are reused by the second call
             x = rng.standard_normal(nx) + 1j * rng.standard_normal(nx)
             # a real operand is read as its complex128 cast
-            for u in (x, x.real):
+            y = rng.standard_normal(conv.n_out) + 1j * rng.standard_normal(conv.n_out)
+            for u, v in ((x, y), (x.real, y.real)):
                 z = u.astype(complex)
                 assert_same_bits(conv(u), oracle_convolution(conv, z))
+                assert_same_bits(conv.adjoint(v), oracle_correlation(a, v.astype(complex), nx))
                 assert_same_bits(inverse(u), oracle_toeplitz_inverse(inverse, z))
 
     def test_large_solve_matches_the_oracle_bit_for_bit(self):
@@ -684,7 +743,7 @@ class TestInPlaceSolve:
         inverse = engine._ToeplitzInverse(prob.normal_column)
         assert isinstance(prob.preconditioner, engine._ToeplitzInverse)
         operators = [
-            (conv, prob.n_cols), (inverse, prob.n_cols),
+            (conv, prob.n_cols), (conv.adjoint, conv.n_out), (inverse, prob.n_cols),
             (prob.apply, prob.n_cols), (prob.adjoint, prob.n_rows),
             (prob.preconditioner, prob.n_cols),
         ]
@@ -1269,13 +1328,17 @@ class TestNewtonStep:
         assert res.converged is True and res.sweeps == 1 + engine.MU_STEPS
 
     @pytest.mark.parametrize("search, value", [
-        # moved from 0x1.6a708a6c22e0ap-12 (+4.2e-14 relative) when the
-        # preconditioner's direct solve became the Levinson-Durbin recursion,
-        # which rounds differently; both lie about 2e-13 above the dense
-        # least-squares minimum 0x1.6a708a6c229aep-12
-        (lambda f: forward_shift_infimum(f, P2, 256), "0x1.6a708a6c22f17p-12"),
+        # moved from 0x1.6a708a6c22e0ap-12 to 0x1.6a708a6c22f17p-12 (+4.2e-14
+        # relative) when the preconditioner's direct solve became the
+        # Levinson-Durbin recursion, which rounds differently, and to
+        # 0x1.6a708a6c22e67p-12 (-2.8e-14) when the adjoint came to correlate
+        # through the forward's spectrum at the forward's length; all lie
+        # about 2e-13 above the dense least-squares minimum
+        # 0x1.6a708a6c229aep-12.  The two-sided value moved 1 ulp with the
+        # adjoint, from 0x1.aa8bbcf0aeeefp-1
+        (lambda f: forward_shift_infimum(f, P2, 256), "0x1.6a708a6c22e67p-12"),
         (lambda f: bicyclicity_infimum(f, SpaceIndex(p=2.0, beta=0.25), "all_integers",
-                                       256), "0x1.aa8bbcf0aeeefp-1"),
+                                       256), "0x1.aa8bbcf0aeef0p-1"),
     ])
     def test_p2_results_are_the_weighted_sweeps_bit_for_bit(self, search, value):
         # p = 2 runs the Newton loop of 1 < p < 2 with a curvature term that

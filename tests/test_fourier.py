@@ -130,6 +130,25 @@ class TestFourierSeries:
         with pytest.raises(TypeError):
             f.coeff(2.5)  # int(2.5) read the amplitude at 2
 
+    @pytest.mark.parametrize("bound", [0.5, 1.9, 2.0, np.float64(1.0), "1", None])
+    def test_a_non_integer_slab_bound_raises(self, bound):
+        # int() truncated the bounds: dense(0.5, 1.9) returned the slab
+        # [0, 1], and from_dense(values, 0.7) put the values at 0 and 1
+        f = FourierSeries({0: 2.0, 1: 3.0})
+        for lo, hi in ((bound, 1), (0, bound)):
+            with pytest.raises(TypeError):
+                f.dense(lo, hi)
+        with pytest.raises(TypeError):
+            FourierSeries.from_dense(np.ones(2), bound)
+
+    def test_integer_slab_bound_types_are_kept(self):
+        f = FourierSeries({-1: 1.0, 0: 2.0, 1: 3.0})
+        for lo, hi in ((0, 1), (np.int64(0), np.int32(1)), (np.int32(0), 1)):
+            assert np.array_equal(f.dense(lo, hi), [2.0, 3.0])
+        for lo in (-1, np.int64(-1), np.int32(-1)):
+            g = FourierSeries.from_dense(np.array([1.0, 2.0, 3.0]), lo)
+            assert g == f and type(g.lo) is int
+
     def test_degree(self):
         f = FourierSeries({-7: 1.0, 2: 1.0})
         assert f.degree == 7
