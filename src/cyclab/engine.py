@@ -25,7 +25,11 @@ the l2 minimizer; the best of its result, zero and any warm start seeds
 the continuation.  The search returns the best of these seeds and of the
 points where a continuation step stalled, each a minimizer of its
 smoothed objective to within INNER_RTOL, so the value does not depend on
-how closely CG solved the Newton steps between them.  Every solve runs
+how closely CG solved the Newton steps between them.  So CG's forcing
+ratio is split (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J.
+Numer. Anal. 19, 1982): the seed solve and the Newton steps of the last
+mu step stop at PCG_RTOL, those of the earlier mu steps, whose points only
+seed the next step, at the looser PCG_RTOL_EARLY.  Every solve runs
 conjugate gradients on x as a real vector, preconditioned by the inverse of
 the unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation
 of f, and the weights are bounded, so T is spectrally equivalent to the
@@ -53,6 +57,9 @@ neither scipy.signal nor scipy.linalg, and importing it loads no scipy.
 `lsmr`, which no solve calls, is bound on its first lookup.  Solver output
 is always an upper bound witnessed by the returned polynomial; reported
 values are recomputed from that polynomial, never read off the iteration.
+`infimum_lower_bound` brackets a search's value from below by a dual
+vector projected onto the kernel of A^H with the same solves; no search
+calls it.
 """
 
 import contextlib
@@ -84,9 +91,15 @@ ARMIJO_C1 = 1e-4
 # Generous for well-conditioned problems, a hard wall for ill-conditioned
 # ones, where the value is an upper bound anyway
 LSMR_TOTAL_BUDGET = 40000
-# a CG solve stops once its preconditioned residual norm has fallen by this
-# factor from where the solve started
+# a CG solve stops once its preconditioned residual norm has fallen by its
+# forcing ratio from where the solve started.  The seed solve and every
+# Newton step of the last mu step run at PCG_RTOL; the Newton steps of the
+# earlier mu steps, whose points only seed the next step, at the looser
+# PCG_RTOL_EARLY.  A solve holds once it reaches its own ratio
 PCG_RTOL = 1e-3
+PCG_RTOL_EARLY = 1e-1
+# the dual bound's projection takes at most this many rounds
+DUAL_ROUNDS = 8
 
 
 def __getattr__(name):
@@ -381,10 +394,10 @@ class _ConvObjective:
 
         return apply
 
-    def solve_weighted(self, w, x, resid, maxiter, c=None):
+    def solve_weighted(self, w, x, resid, maxiter, c=None, rtol=PCG_RTOL):
         """One step from x, given its residual resid = b - conv(f, x): the
         new iterate, the iterations spent, and whether the solve held, that
-        is, reached PCG_RTOL.
+        is, reached its forcing ratio rtol.
 
         Runs preconditioned CG on H (y - x) = A^H W resid, W = diag(w), with
         H = `hessian(w, resid, c)`.  With c it is the Newton step on the
@@ -395,8 +408,8 @@ class _ConvObjective:
         the Newton step at p = 2.  CG takes the real inner product Re<u, v>,
         runs for at most maxiter iterations, is charged at least one, and
         stops once the preconditioned residual norm sqrt(r^H M r) has fallen
-        by PCG_RTOL from its start.  A solve that stops at maxiter short of
-        that did not hold.  Both H and M are positive definite, so a
+        by rtol from its start.  A solve that stops at maxiter short of that
+        did not hold.  Both H and M are positive definite, so a
         curvature d^H H d or residual product r^H M r that is not positive
         (zero only at an exact solution) is a breakdown: the solve stops
         there, returns its current iterate and reports that it did not hold.
@@ -417,7 +430,7 @@ class _ConvObjective:
         rz = float(np.real(np.vdot(r, z)))
         if not rz > 0.0:
             return x, 1, not np.any(r)
-        stop = PCG_RTOL**2 * rz
+        stop = rtol**2 * rz
         # q and z come fresh from the operators; x is the caller's until here
         x = x.astype(complex)
         step = np.empty_like(x)
@@ -450,13 +463,14 @@ class InfimumResult:
     p = 2 the weighted least-squares sweeps.  `iterations` counts the CG
     iterations they were charged.
 
-    `converged` means that every solve held, reaching PCG_RTOL with no CG
+    `converged` means that every solve held, reaching its forcing ratio
+    (PCG_RTOL, or PCG_RTOL_EARLY in the mu steps before the last) with no CG
     breakdown, and that every continuation step stalled, on a step within
     INNER_RTOL or one the line search turned down: the schedule ended.  A
     solve cut off when LSMR_TOTAL_BUDGET ran out did not hold, so a search
     that spends its budget inside a step has not converged, even in the
     last step.  It does not mean that `value` is near the infimum; only a
-    certified lower bound could show that.
+    lower bound, such as :func:`infimum_lower_bound`'s, could show that.
 
     `precond_shift` is the delta of the preconditioner (T + delta t_0 I)^-1
     the solves ran with: 0.0 when the Levinson-Durbin recursion held on T,
@@ -507,7 +521,8 @@ def _armijo(prob, mu, w, f0, x, r, y, r_y, obj):
     return y, r_y, obj
 
 
-def _minimize(f, space, support, degree, target, warm=None):
+def _problem(f, space, support, degree, target):
+    """The objective of one infimum search, with its support's bounds."""
     p, bval = _solver_space(space)
     if degree < 0:
         raise ValueError("degree must be nonnegative")
@@ -515,7 +530,12 @@ def _minimize(f, space, support, degree, target, warm=None):
         raise ValueError("f must be nonzero")
     s_lo, s_hi = _support_range(support, degree)
     t_lo, t_arr = target
-    prob = _ConvObjective(f.lo, f.arr, s_lo, s_hi, t_lo, t_arr, p, bval)
+    return _ConvObjective(f.lo, f.arr, s_lo, s_hi, t_lo, t_arr, p, bval), s_lo, s_hi
+
+
+def _minimize(f, space, support, degree, target, warm=None):
+    prob, s_lo, s_hi = _problem(f, space, support, degree, target)
+    p = prob.p
     zeros = np.zeros(prob.n_cols, dtype=complex)
 
     # every solve below is preconditioned CG, and all of them share
@@ -558,7 +578,11 @@ def _minimize(f, space, support, degree, target, warm=None):
         # the Newton step's curvature term, identically zero at p = 2, where
         # the step is the weighted least-squares sweep
         c = (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
-        y, spent, held = prob.solve_weighted(w, x, r, iters_left, c)
+        # the search returns the least of the points where mu steps stall,
+        # in practice the last step's; an earlier step's point seeds the
+        # next step, so its Newton solves stop at the looser forcing ratio
+        rtol = PCG_RTOL if stalled == mu_steps - 1 else PCG_RTOL_EARLY
+        y, spent, held = prob.solve_weighted(w, x, r, iters_left, c, rtol)
         iters_left -= spent
         iterations += spent
         sweeps += 1
@@ -575,8 +599,8 @@ def _minimize(f, space, support, degree, target, warm=None):
         if not stall or obj <= f0:
             x, r = y, r_y
         # a step whose solve did not hold (a breakdown, or a budget spent
-        # short of PCG_RTOL) ends the search and counts as no stall, however
-        # little it moved
+        # short of its forcing ratio) ends the search and counts as no
+        # stall, however little it moved
         stalled += held and stall
         # a point is a candidate where its mu step stalls and where the
         # search stops unconverged; the Newton iterates in between sit
@@ -617,6 +641,92 @@ def forward_shift_infimum(f, space, degree=0, warm=None):
     res = _minimize(f, space, "positive", degree + 1, (f.lo, f.arr), warm)
     shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
     return replace(res, polynomial=shifted)
+
+
+@dataclass(frozen=True)
+class DualBound:
+    """A lower bound on an infimum, from a dual vector y.
+
+    `lower_bound` is (|<y, b>| - ||A^H y||_2 ||x||_2) / ||w^(-1/p) y||_q at
+    the returned polynomial x, less the rounding of its two sums and floored
+    at 0, or None when the projection of y ran out of budget, or its solves
+    did not hold, before it settled.
+    `kernel_residual` is ||A^H y||_2.  `iterations` counts the CG
+    iterations the projection spent.
+    """
+
+    lower_bound: float | None
+    kernel_residual: float
+    iterations: int
+
+
+def infimum_lower_bound(f, space, side, degree, result, support="all_integers"):
+    """A dual lower bound on the infimum whose search returned `result`.
+
+    `side` is "bicyclic", the search of :func:`bicyclicity_infimum` over
+    `support`, or "shift", that of :func:`forward_shift_infimum`; `degree`
+    is the search's.  For any y and x, <y, b> = <y, b - A x> + <A^H y, x>,
+    and Hoelder's inequality, q = p/(p - 1), gives
+
+        |<y, b>| - ||A^H y||_2 ||x||_2 <= ||w^(-1/p) y||_q ||b - A x||_(p,w),
+
+    the Lagrange dual of norm approximation (Boyd & Vandenberghe, Convex
+    Optimization, 2004, ch. 5) with y's leftover in A's range charged.  So
+    the bound floors the norm over every x no longer in l^2 than the
+    returned polynomial, the infimum wherever a minimizer is that short,
+    and never exceeds `result.value` but by rounding.  y starts at
+    w |r|^(p-2) r, r the residual of the returned polynomial, which A^H
+    annihilates at the minimizer, and is projected by rounds of
+    y <- y - A z, z = T^-1 A^H y by `solve_weighted` with unit weights,
+    until a round whose solve held leaves ||A^H y||_2 no lower, or after
+    DUAL_ROUNDS rounds.  The rounds share LSMR_TOTAL_BUDGET iterations.
+    No search calls this: a bound costs its own solves.
+    """
+    if side == "bicyclic":
+        prob, s_lo, s_hi = _problem(f, space, support, degree, (0, np.ones(1, dtype=complex)))
+        x = result.polynomial.dense(s_lo, s_hi)
+    elif side == "shift":
+        prob, s_lo, s_hi = _problem(f, space, "positive", degree + 1, (f.lo, f.arr))
+        # the search's variable is R = z*Q, one above the returned Q
+        x = result.polynomial.dense(s_lo - 1, s_hi - 1)
+    else:
+        raise ValueError(f"unknown side {side!r}; expected 'bicyclic' or 'shift'")
+    p = prob.p
+    r = prob.residual(x)
+    mag = np.abs(r)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y = np.where(mag > 0.0, prob.base_w * mag ** (p - 2.0) * r, 0.0)
+    ones, zeros = np.ones(prob.n_rows), np.zeros(prob.n_cols, dtype=complex)
+    kernel = float(np.linalg.norm(prob.adjoint(y)))
+    iters_left = LSMR_TOTAL_BUDGET
+    held = False
+    for _ in range(DUAL_ROUNDS):
+        if iters_left <= 0:
+            held = False
+            break
+        z, spent, held = prob.solve_weighted(ones, zeros, y, iters_left)
+        iters_left -= spent
+        y_next = y - prob.apply(z)
+        kernel_next = float(np.linalg.norm(prob.adjoint(y_next)))
+        if not kernel_next < kernel:
+            break
+        y, kernel = y_next, kernel_next
+    iterations = LSMR_TOTAL_BUDGET - iters_left
+    if not held:
+        return DualBound(None, kernel, iterations)
+    # each sum of n terms is off by at most about n eps times the sum of its
+    # terms' magnitudes (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 2002, section 4.2): the pairing is charged that, and the
+    # q-norm's sum, of positive terms, is raised by it
+    slack = (prob.n_rows + 2) * np.finfo(float).eps
+    q = p / (p - 1.0)
+    dual_sum = float(np.sum(prob.base_w ** (-q / p) * np.abs(y) ** q))
+    pairing = (abs(complex(np.vdot(y, prob.b)))
+               - slack * float(np.sum(np.abs(y) * np.abs(prob.b)))
+               - kernel * float(np.linalg.norm(x)))
+    if not pairing > 0.0:
+        return DualBound(0.0, kernel, iterations)
+    return DualBound(pairing / (dual_sum * (1.0 + slack)) ** (1.0 / q), kernel, iterations)
 
 
 def szego_lower_bound(f):

@@ -17,6 +17,7 @@ engine.py existed:
 """
 
 import functools
+import inspect
 import json
 import math
 import os
@@ -133,21 +134,26 @@ def rotated(f, rng):
 
 
 def recording_solves(monkeypatch):
-    """Route _ConvObjective.solve_weighted through a wrapper; returns two
+    """Route _ConvObjective.solve_weighted through a wrapper; returns three
     lists over its calls: the preconditioner each solve ran with, "toeplitz"
-    or "plain", and the iterations each was charged."""
-    kinds, spent = [], []
+    or "plain", the iterations each was charged, and the forcing ratio each
+    ran at."""
+    kinds, spent, rtols = [], [], []
     real = _ConvObjective.solve_weighted
+    signature = inspect.signature(real)
 
     def wrapper(self, *args, **kwargs):
         toeplitz = isinstance(self.preconditioner, engine._ToeplitzInverse)
         kinds.append("toeplitz" if toeplitz else "plain")
+        bound = signature.bind(self, *args, **kwargs)
+        bound.apply_defaults()
+        rtols.append(bound.arguments["rtol"])
         out = real(self, *args, **kwargs)
         spent.append(out[1])
         return out
 
     monkeypatch.setattr(_ConvObjective, "solve_weighted", wrapper)
-    return kinds, spent
+    return kinds, spent, rtols
 
 
 def residual_norm(f, poly, space, target_one):
@@ -173,7 +179,8 @@ class DenseObjective(_ConvObjective):
         A[rows, cols] = self.f_arr[:, None]
         return A
 
-    def solve_weighted(self, w, x, resid, maxiter, c=None):
+    def solve_weighted(self, w, x, resid, maxiter, c=None, rtol=engine.PCG_RTOL):
+        # the solve is exact, so every forcing ratio rtol holds
         if c is None:
             # the weighted least-squares minimizer
             sqrt_w = np.sqrt(w)
@@ -609,7 +616,7 @@ class OracleObjective(_ConvObjective):
 
         return apply
 
-    def solve_weighted(self, w, x, resid, maxiter, c=None):
+    def solve_weighted(self, w, x, resid, maxiter, c=None, rtol=engine.PCG_RTOL):
         precond = self.preconditioner
         if precond is None:
             return x, 1, False
@@ -619,7 +626,7 @@ class OracleObjective(_ConvObjective):
         rz = float(np.real(np.vdot(r, z)))
         if not rz > 0.0:
             return x, 1, not np.any(r)
-        stop = engine.PCG_RTOL**2 * rz
+        stop = rtol**2 * rz
         d = z
         spent = 0
         while spent < maxiter and rz > stop:
@@ -684,8 +691,9 @@ class TestInPlaceSolve:
         for _ in range(2):  # the work arrays are reused by the second call
             assert_same_bits(hessian(d), oracle_hessian(d))
         for maxiter in (1, 3, 1000):
-            assert_same_solve(prob.solve_weighted(w, x, r, maxiter, c),
-                              oracle.solve_weighted(w, x, r, maxiter, c))
+            for rtol in (engine.PCG_RTOL, engine.PCG_RTOL_EARLY):
+                assert_same_solve(prob.solve_weighted(w, x, r, maxiter, c, rtol),
+                                  oracle.solve_weighted(w, x, r, maxiter, c, rtol))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(2, 300), st.integers(2, 300), st.integers(0, 2**32 - 1))
@@ -790,7 +798,7 @@ class TestSolvePath:
 
     def test_certify_small_function_converges_rotation_invariantly(self, monkeypatch):
         # the LSMR path spread 0.6% over these rotations and never converged
-        calls, _ = recording_solves(monkeypatch)
+        calls, _, _ = recording_solves(monkeypatch)
         f = certify_small_function()
         rng = np.random.default_rng(37)
         values = []
@@ -926,7 +934,7 @@ class TestPreconditionedPath:
             f = certify_small_function()
         else:
             f = random_series(np.random.default_rng(29), 0, n_terms - 1)
-        calls, _ = recording_solves(monkeypatch)
+        calls, _, _ = recording_solves(monkeypatch)
         iterative = (
             bicyclicity_infimum(f, space, support, degree),
             forward_shift_infimum(f, space, degree),
@@ -982,7 +990,7 @@ class TestPreconditionedPath:
             return real(col)
 
         monkeypatch.setattr(engine, "_levinson_durbin", broken_unshifted)
-        calls, _ = recording_solves(monkeypatch)
+        calls, _, _ = recording_solves(monkeypatch)
         res = bicyclicity_infimum(f, P15, "all_integers", 4)
         # one retry, at delta = n eps with n = 9 columns, and no plain CG
         assert seen == [unshifted[0], unshifted[0] * (1.0 + 9 * np.finfo(float).eps)]
@@ -1139,10 +1147,10 @@ def recording_newton_steps(monkeypatch):
     steps = []
     solve, objective = _ConvObjective.solve_weighted, _ConvObjective.smoothed_objective
 
-    def recording_solve(self, w, x, resid, maxiter, c=None):
+    def recording_solve(self, w, x, resid, maxiter, c=None, rtol=engine.PCG_RTOL):
         if c is not None:
             steps.append([self, w, x.copy(), resid.copy(), c, None])
-        return solve(self, w, x, resid, maxiter, c)
+        return solve(self, w, x, resid, maxiter, c, rtol)
 
     def recording_objective(self, r, mu):
         if steps and steps[-1][5] is None:
@@ -1436,7 +1444,7 @@ class TestBudgetExhaustion:
         # tens of IRLS sweeps; the budgets are read off the full run, because
         # iteration counts can differ between platforms
         f = certify_small_function()
-        _, spent = recording_solves(monkeypatch)
+        _, spent, _ = recording_solves(monkeypatch)
         full = bicyclicity_infimum(f, P15, "all_integers", 4)
         cumulative = np.cumsum(spent).tolist()
         assert full.converged is True
@@ -1457,7 +1465,7 @@ class TestBudgetExhaustion:
         # run: that solve did not hold, so its step is no stall, however
         # little it moved, and the search has not converged
         f = certify_small_function()
-        _, spent = recording_solves(monkeypatch)
+        _, spent, _ = recording_solves(monkeypatch)
         full = bicyclicity_infimum(f, P15, "all_integers", 4)
         total = int(np.sum(spent))
         assert full.converged is True and full.iterations == total
@@ -1476,7 +1484,7 @@ class TestBudgetExhaustion:
         # budget that runs out before that is reported as not converged
         f = certify_small_function()
         space = SpaceIndex(p=2.0, beta=0.25)
-        _, spent = recording_solves(monkeypatch)
+        _, spent, _ = recording_solves(monkeypatch)
         full = bicyclicity_infimum(f, space, "all_integers", 256)
         assert full.converged is True and full.sweeps > 1
         assert full.iterations == sum(spent)
@@ -1497,6 +1505,164 @@ class TestBudgetExhaustion:
         assert res.iterations == 3000
         recomputed = residual_norm(Z_MINUS_1, res.polynomial, P15, target_one=True)
         assert abs(res.value - recomputed) < 1e-10 * max(1.0, recomputed)
+
+
+class TestForcingSplit:
+    """The seed solve and the last mu step solve to PCG_RTOL; the Newton
+    steps of the mu steps before the last stop at PCG_RTOL_EARLY."""
+
+    @pytest.mark.parametrize("search", [
+        lambda f: bicyclicity_infimum(f, SpaceIndex(1.5, 0.25), "all_integers", 64),
+        lambda f: forward_shift_infimum(f, P15, 64),
+        lambda f: bicyclicity_infimum(f, SpaceIndex(1.25, 0.1), "nonneg", 32),
+    ])
+    def test_the_seed_and_the_last_mu_step_run_tight_and_the_rest_loose(
+        self, monkeypatch, search
+    ):
+        _, _, rtols = recording_solves(monkeypatch)
+        steps = recording_newton_steps(monkeypatch)
+        res = search(certify_small_function())
+        assert res.converged is True and res.sweeps == len(rtols) == 1 + len(steps)
+        assert rtols[0] == engine.PCG_RTOL  # the seed solve
+        # mu halves from one mu step to the next, so the last is the least
+        mus = [step[5] for step in steps]
+        assert len(set(mus)) == engine.MU_STEPS
+        for mu, rtol in zip(mus, rtols[1:]):
+            assert rtol == (engine.PCG_RTOL if mu == min(mus) else engine.PCG_RTOL_EARLY)
+        assert engine.PCG_RTOL_EARLY > engine.PCG_RTOL
+
+    @pytest.mark.parametrize("search", [
+        lambda f: bicyclicity_infimum(f, SpaceIndex(2.0, 0.25), "all_integers", 256),
+        lambda f: forward_shift_infimum(f, P2, 64),
+    ])
+    def test_a_p2_search_never_runs_loose(self, monkeypatch, search):
+        # the only mu step at p = 2 is the last one
+        _, _, rtols = recording_solves(monkeypatch)
+        res = search(certify_small_function())
+        assert res.converged is True and len(rtols) == res.sweeps >= 2
+        assert set(rtols) == {engine.PCG_RTOL}
+
+
+# table B' of the roadmap, the relative gaps (value - lb) / value of the
+# cold p = 1.5 searches on certify_small's function, measured with the
+# bound's projection before the early mu steps' solves were loosened:
+# (side, beta, degree) -> gap
+CERTIFY_SMALL_GAPS = {
+    ("shift", 0.0, 64): 7.5e-7,
+    ("shift", 0.0, 256): 3.1e-6,
+    ("bicyclic", 0.0, 64): 1.3e-4,
+    ("bicyclic", 0.0, 256): 3.8e-4,
+    ("shift", 0.25, 64): 1.6e-6,
+    ("shift", 0.25, 256): 2.3e-5,
+    ("bicyclic", 0.25, 64): 6.8e-4,
+    ("bicyclic", 0.25, 256): 1.65e-3,
+}
+
+
+def search_and_bound(f, space, side, degree, support="all_integers"):
+    """One cold search and its dual bound."""
+    if side == "bicyclic":
+        res = bicyclicity_infimum(f, space, support, degree)
+    else:
+        res = forward_shift_infimum(f, space, degree)
+    return res, engine.infimum_lower_bound(f, space, side, degree, res, support)
+
+
+class TestDualBound:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 8), st.integers(1, 24), st.sampled_from(SUPPORTS),
+        st.sampled_from([1.25, 1.5, 2.0]), st.sampled_from([0.0, 0.1, 0.25]),
+        st.booleans(), st.integers(0, 2**32 - 1),
+    )
+    def test_never_exceeds_the_value(self, nf, degree, support, p, beta, shift, seed):
+        rng = np.random.default_rng(seed)
+        f = random_series(rng, -(nf // 2), nf - 1 - nf // 2)
+        space = SpaceIndex(p, beta)
+        side = "shift" if shift else "bicyclic"
+        res, bound = search_and_bound(f, space, side, degree, support)
+        assert bound.lower_bound is not None
+        assert 0.0 <= bound.lower_bound <= res.value
+
+    def test_never_exceeds_the_value_under_a_forced_breakdown(self, monkeypatch):
+        # the stub of TestPreconditionedPath: the recursion breaks down on the
+        # unshifted normal matrix, and search and bound run on T + n eps t_0 I
+        f = certify_small_function()
+        unshifted = _ConvObjective(f.lo, f.arr, -4, 4, 0, np.ones(1), 1.5, 0.0).normal_column
+        real = engine._levinson_durbin
+
+        def broken_unshifted(col):
+            if np.array_equal(col, unshifted):
+                raise ValueError("Levinson-Durbin recursion broke down")
+            return real(col)
+
+        monkeypatch.setattr(engine, "_levinson_durbin", broken_unshifted)
+        res, bound = search_and_bound(f, P15, "bicyclic", 4)
+        assert res.precond_shift == 9 * np.finfo(float).eps
+        assert bound.lower_bound is not None
+        assert 0.0 < bound.lower_bound <= res.value
+        assert res.value - bound.lower_bound <= 1e-3 * res.value
+
+    def test_untruncated_certify_small_function_breaks_down_and_is_bracketed(self):
+        # the roadmap's table A'': on a shifted preconditioner three applies
+        # of M leave ||A^H y|| at 1e-9; the rounds of solves settle near 1e-16
+        f = certify_small_function_untruncated()
+        res, bound = search_and_bound(f, P15, "bicyclic", 1024)
+        assert res.precond_shift > 0.0
+        assert bound.lower_bound is not None and bound.kernel_residual < 1e-15
+        assert 0.9308 < bound.lower_bound <= res.value
+        assert res.value - bound.lower_bound <= 1.1 * 1.28e-3 * res.value
+
+    def test_no_bound_when_every_shift_breaks_down(self, monkeypatch):
+        def broken(col):
+            raise ValueError("Levinson-Durbin recursion broke down")
+
+        monkeypatch.setattr(engine, "_levinson_durbin", broken)
+        _, bound = search_and_bound(certify_small_function(), P15, "bicyclic", 4)
+        assert bound.lower_bound is None
+
+    @pytest.mark.parametrize("side", ["bicyclic", "shift"])
+    def test_no_bound_when_the_projection_has_no_budget_left(self, monkeypatch, side):
+        # every budget short of what the projection spends cuts it before
+        # the round that settles it
+        f = certify_small_function()
+        res, full = search_and_bound(f, P15, side, 64)
+        assert full.lower_bound is not None and full.iterations >= 2
+        for budget in range(full.iterations):
+            monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
+            bound = engine.infimum_lower_bound(f, P15, side, 64, res)
+            assert bound.lower_bound is None, "budget %d gave a bound" % budget
+        monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", full.iterations)
+        assert engine.infimum_lower_bound(f, P15, side, 64, res) == full
+
+    @pytest.mark.parametrize("side", ["bicyclic", "shift"])
+    @pytest.mark.parametrize("degree", [16, 64, 256])
+    def test_z_minus_1_at_beta_0_meets_its_exact_infimum(self, side, degree):
+        # the closed forms of TestNewtonStep: the bound lies below the
+        # infimum, within the rounding it charges itself
+        getcontext().prec = 40
+        n = Decimal(degree)
+        if side == "bicyclic":
+            infimum = float(1 / (2 * n + 2) ** (Decimal(1) / 3))
+        else:
+            infimum = float((1 + 1 / (n + 2).sqrt()) ** (Decimal(2) / 3))
+        res, bound = search_and_bound(Z_MINUS_1, P15, side, degree)
+        assert infimum * (1 - 1e-12) <= bound.lower_bound <= min(infimum, res.value)
+
+    @pytest.mark.parametrize("key", sorted(CERTIFY_SMALL_GAPS),
+                             ids=lambda key: "%s-beta%g-deg%d" % key)
+    def test_certify_small_gaps_are_no_wider_than_measured(self, key):
+        side, beta, degree = key
+        res, bound = search_and_bound(
+            certify_small_function(), SpaceIndex(1.5, beta), side, degree)
+        assert bound.kernel_residual < 1e-15
+        gap = (res.value - bound.lower_bound) / res.value
+        assert 0.0 <= gap <= 1.1 * CERTIFY_SMALL_GAPS[key], gap
+
+    def test_refuses_an_unknown_side(self):
+        res = bicyclicity_infimum(Z_MINUS_1, P15, "all_integers", 4)
+        with pytest.raises(ValueError, match="unknown side"):
+            engine.infimum_lower_bound(Z_MINUS_1, P15, "two_sided", 4, res)
 
 
 class TestSzegoBound:
@@ -1667,7 +1833,7 @@ class TestCertify:
 
     def test_exhausted_budget_shows_in_the_trace(self, monkeypatch):
         monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 1)
-        calls, _ = recording_solves(monkeypatch)
+        calls, _, _ = recording_solves(monkeypatch)
         rep = certify_cyclic(
             CertificateProblem(f=Z_MINUS_1, space=P15, degree_budget=64)
         )
