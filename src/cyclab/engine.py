@@ -8,28 +8,32 @@ objective
 
     sum_n w_n (|r_n|^2 + mu^2)^(p/2),    w_n = (1 + |n|)^(p*beta)
 
-is driven to mu -> 0 by a geometric continuation schedule, each step taking
-truncated Newton steps on its smoothed objective until one of them moves
-that objective by at most INNER_RTOL (Nocedal & Wright, Numerical
-Optimization, 2006, ch. 7; the smoothing is that of Daubechies, DeVore,
-Fornasier & Gunturk, CPAM 63, 2010).  A Newton step solves H d = A^H W r,
+is driven to mu -> 0 by a geometric continuation schedule that follows
+the path of smoothed minimizers: each mu step before the last takes one
+truncated Newton step on its smoothed objective and halves mu, as IRLS
+updates its smoothing after every reweighting (Daubechies, DeVore,
+Fornasier & Gunturk, CPAM 63, 2010; short-step path following, Renegar,
+Math. Programming 40, 1988), and the last takes Newton steps until one of
+them moves its objective by at most INNER_RTOL (Nocedal & Wright,
+Numerical Optimization, 2006, ch. 7).  A Newton step solves H d = A^H W r,
 W = diag(w_n s^((p-2)/2)), s = |r|^2 + mu^2, by CG, where H is the
 objective's Hessian over p.  A step that stalls is taken unless it
 climbs; any other goes through an Armijo line search, which tries the CG
-iterate first and halves from there, and a step it refuses stalls too.
-One loop serves every p: at p = 2 the curvature term of H is zero and the
-weights are fixed, so the Newton step is the weighted least-squares sweep
-and the schedule is one step long.  Every search, whatever p and
-beta, starts with one solve from zero with the base weights w_n, towards
-the l2 minimizer; the best of its result, zero and any warm start seeds
+iterate first and halves from there, and a step it refuses stalls too,
+ending the last mu step.  One loop serves every p: at p = 2 the curvature
+term of H is zero and the weights are fixed, so the Newton step is the
+weighted least-squares sweep and the schedule is one step long, the last.
+Every search, whatever p and beta, starts with one solve from zero with
+the base weights w_n, towards the l2 minimizer; the best of its result, zero and any warm start seeds
 the continuation.  The search returns the best of these seeds and of the
-points where a continuation step stalled, each a minimizer of its
-smoothed objective to within INNER_RTOL, so the value does not depend on
-how closely CG solved the Newton steps between them.  So CG's forcing
-ratio is split (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J.
-Numer. Anal. 19, 1982): the seed solve and the Newton steps of the last
-mu step stop at PCG_RTOL, those of the earlier mu steps, whose points only
-seed the next step, at the looser PCG_RTOL_EARLY.  Every solve runs
+points where a mu step ended, in practice the last step's stall, a
+minimizer of its smoothed objective to within INNER_RTOL, so the value
+does not depend on how closely CG solved the Newton steps before it.  An
+earlier step's point only seeds the next step, so CG's forcing ratio is
+split (inexact Newton; Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal.
+19, 1982): the seed solve and the Newton steps of the last mu step stop at
+PCG_RTOL, the one Newton step of each earlier mu step at the looser
+PCG_RTOL_EARLY.  Every solve runs
 conjugate gradients on x as a real vector, preconditioned by the inverse of
 the unweighted normal matrix T = A^H A.  T is Toeplitz, the autocorrelation
 of f, and the weights are bounded, so T is spectrally equivalent to the
@@ -77,8 +81,9 @@ from .fourier import (FourierSeries, SpaceIndex, _c2c, _fast_len, _padded_c2c,
 SUPPORTS = ("all_integers", "nonneg", "positive")
 
 # continuation schedule: mu_j = MU_SCALE*||r0||_inf * 2^-j over MU_STEPS steps;
-# step j takes Newton steps on its smoothed objective until one step moves
-# that objective by at most INNER_RTOL relative
+# each step j < MU_STEPS - 1 takes one Newton step on its smoothed objective,
+# and the last takes Newton steps until one moves that objective by at most
+# INNER_RTOL relative
 MU_STEPS = 8
 MU_SCALE = 0.1
 INNER_RTOL = 1e-10
@@ -93,8 +98,8 @@ ARMIJO_C1 = 1e-4
 LSMR_TOTAL_BUDGET = 40000
 # a CG solve stops once its preconditioned residual norm has fallen by its
 # forcing ratio from where the solve started.  The seed solve and every
-# Newton step of the last mu step run at PCG_RTOL; the Newton steps of the
-# earlier mu steps, whose points only seed the next step, at the looser
+# Newton step of the last mu step run at PCG_RTOL; the one Newton step of
+# each earlier mu step, whose point only seeds the next step, at the looser
 # PCG_RTOL_EARLY.  A solve holds once it reaches its own ratio
 PCG_RTOL = 1e-3
 PCG_RTOL_EARLY = 1e-1
@@ -459,17 +464,19 @@ class InfimumResult:
     """Solver outcome: the achieved norm and the polynomial witnessing it.
 
     The degree and support searched are the caller's, not repeated here.
-    `sweeps` counts the solves: the seed solve, then the Newton steps, at
+    `sweeps` counts the solves: the seed solve, then the Newton steps, one
+    for each mu step before the last and as many as the last takes, at
     p = 2 the weighted least-squares sweeps.  `iterations` counts the CG
     iterations they were charged.
 
     `converged` means that every solve held, reaching its forcing ratio
     (PCG_RTOL, or PCG_RTOL_EARLY in the mu steps before the last) with no CG
-    breakdown, and that every continuation step stalled, on a step within
-    INNER_RTOL or one the line search turned down: the schedule ended.  A
-    solve cut off when LSMR_TOTAL_BUDGET ran out did not hold, so a search
-    that spends its budget inside a step has not converged, even in the
-    last step.  It does not mean that `value` is near the infimum; only a
+    breakdown, and that every mu step ended: each one before the last after
+    its one Newton step, and the last on a step within INNER_RTOL or one the
+    line search turned down.  So the schedule ended.  A solve cut off when
+    LSMR_TOTAL_BUDGET ran out did not hold, so a search that spends its
+    budget inside a step has not converged, whichever mu step it is in.
+    It does not mean that `value` is near the infimum; only a
     lower bound, such as :func:`infimum_lower_bound`'s, could show that.
 
     `precond_shift` is the delta of the preconditioner (T + delta t_0 I)^-1
@@ -505,7 +512,8 @@ def _armijo(prob, mu, w, f0, x, r, y, r_y, obj):
     objective is at most f0 + ARMIJO_C1 * t * slope, with its residual and
     objective; slope is the objective's derivative along y - x.  Once
     x + t (y - x) rounds to x the step is not taken: x itself comes back,
-    and the caller ends the mu step there.
+    and the caller ends the mu step there, as any step ends a mu step
+    before the last.
     """
     # the objective's derivative along y - x, whose image A(y - x) is r - r_y
     slope = -prob.p * float(np.sum(w * np.real(np.conj(r) * (r - r_y))))
@@ -566,22 +574,23 @@ def _minimize(f, space, support, degree, target, warm=None):
     mu0 = MU_SCALE * float(np.max(np.abs(r)))
     if mu0 == 0.0:
         mu0 = 1e-12
-    # step j, the one after j stalled steps, takes Newton steps at
-    # mu0 * 2^-j, and the search has converged once every step has stalled;
+    # mu step j, the one after j ended mu steps, takes its Newton steps at
+    # mu0 * 2^-j, and the search has converged once every mu step has ended;
     # the smoothing does nothing at p = 2, whose schedule is one step
     mu_steps = 1 if p == 2.0 else MU_STEPS
-    stalled = 0
-    while held and stalled < mu_steps and iters_left > 0:
-        mu = mu0 * 2.0**-stalled
+    ended = 0
+    while held and ended < mu_steps and iters_left > 0:
+        last = ended == mu_steps - 1
+        mu = mu0 * 2.0**-ended
         s = np.abs(r) ** 2 + mu**2
         w = prob.base_w * s ** ((p - 2.0) / 2.0)
         # the Newton step's curvature term, identically zero at p = 2, where
         # the step is the weighted least-squares sweep
         c = (p - 2.0) * prob.base_w * s ** (p / 2.0 - 2.0)
-        # the search returns the least of the points where mu steps stall,
-        # in practice the last step's; an earlier step's point seeds the
-        # next step, so its Newton solves stop at the looser forcing ratio
-        rtol = PCG_RTOL if stalled == mu_steps - 1 else PCG_RTOL_EARLY
+        # the search returns the least of the points where mu steps end, in
+        # practice the last step's; an earlier step's point seeds the next
+        # step, so its Newton solve stops at the looser forcing ratio
+        rtol = PCG_RTOL if last else PCG_RTOL_EARLY
         y, spent, held = prob.solve_weighted(w, x, r, iters_left, c, rtol)
         iters_left -= spent
         iterations += spent
@@ -598,18 +607,21 @@ def _minimize(f, space, support, degree, target, warm=None):
             stall = y is x
         if not stall or obj <= f0:
             x, r = y, r_y
-        # a step whose solve did not hold (a breakdown, or a budget spent
-        # short of its forcing ratio) ends the search and counts as no
-        # stall, however little it moved
-        stalled += held and stall
-        # a point is a candidate where its mu step stalls and where the
-        # search stops unconverged; the Newton iterates in between sit
-        # wherever CG's inexact solves left them
-        if stall or not held or iters_left <= 0:
+        # path following: a mu step before the last ends after its one
+        # Newton step, taken or refused, and the last ends where a step
+        # stalls.  A step whose solve did not hold (a breakdown, or a budget
+        # spent short of its forcing ratio) ends the search instead, and its
+        # mu step does not end, however little the step moved
+        mu_step_ends = stall or not last
+        ended += held and mu_step_ends
+        # a point is a candidate where its mu step ends and where the search
+        # stops unconverged; the last step's Newton iterates before its
+        # stall sit wherever CG's inexact solves left them
+        if mu_step_ends or not held or iters_left <= 0:
             v = prob.residual_norm(r)
             if v < best_v:
                 best_x, best_v = x, v
-    converged = stalled == mu_steps
+    converged = ended == mu_steps
 
     poly = FourierSeries.from_dense(best_x, s_lo)
     # report the norm achieved by the polynomial actually returned

@@ -1225,18 +1225,18 @@ class TestNewtonStep:
         ("certify_small", lambda f: bicyclicity_infimum(
             f, SpaceIndex(p=1.5, beta=0.25), "all_integers", 64)),
         ("certify_small", lambda f: forward_shift_infimum(f, P15, 64)),
-        # three steps backtrack here
         ("z_minus_1", lambda f: bicyclicity_infimum(
             f, SpaceIndex(p=1.5, beta=0.1), "all_integers", 256)),
     ])
     def test_no_accepted_step_raises_its_smoothed_objective(self, monkeypatch, name, search):
         # each step starts where the one before it ended: that point's
         # smoothed objective, at the earlier step's mu, is at most the one
-        # the earlier step started from
+        # the earlier step started from.  Every mu step takes at least one
+        # Newton step, so a converged search takes at least MU_STEPS
         objective = _ConvObjective.smoothed_objective
         steps = recording_newton_steps(monkeypatch)
         res = search(certify_small_function() if name == "certify_small" else Z_MINUS_1)
-        assert res.converged is True and len(steps) > 10
+        assert res.converged is True and len(steps) >= engine.MU_STEPS
         for (prob, _, _, start, _, mu), (_, _, _, end, _, _) in zip(steps, steps[1:]):
             assert objective(prob, end, mu) <= objective(prob, start, mu)
 
@@ -1323,6 +1323,56 @@ class TestNewtonStep:
         least_squares = prob.residual_norm(prob.residual(x))
         assert res.converged is True and res.sweeps == 2
         assert abs(res.value - least_squares) <= 1e-12 * least_squares
+
+    @pytest.mark.parametrize("search", [
+        lambda f, space: bicyclicity_infimum(f, space, "all_integers", 16),
+        lambda f, space: forward_shift_infimum(f, space, 16),
+    ], ids=["two_sided", "shift"])
+    def test_the_line_search_halves_an_overshooting_step(self, monkeypatch, search):
+        # the first Newton step of a p = 1.5, beta = 0.25 search on
+        # certify_small's function, stretched 8-fold: on the objective's
+        # quadratic model x + 8 d and x + 4 d climb and x + 2 d is level, so
+        # the line search must halve t from 1 until the Armijo condition
+        # holds, trying each t once, and return the first point that meets it
+        steps = recording_newton_steps(monkeypatch)
+        search(certify_small_function(), SpaceIndex(p=1.5, beta=0.25))
+        monkeypatch.undo()
+        prob, w, x, r, c, mu = steps[0]
+        y, _, held = prob.solve_weighted(w, x, r, engine.LSMR_TOTAL_BUDGET, c)
+        assert held
+        y = x + 8.0 * (y - x)
+        step = y - x  # the step as the line search forms it
+        r_y = prob.residual(y)
+        f0 = prob.smoothed_objective(r, mu)
+        obj = prob.smoothed_objective(r_y, mu)
+        # the derivative of the smoothed objective along the step, whose
+        # gradient is -p A^H (w r)
+        slope = -prob.p * float(np.sum(w * np.real(np.conj(r) * prob.apply(step))))
+        assert slope < 0.0 and obj > f0  # a descent direction, overshot
+
+        def meets_armijo(point, t):
+            return prob.smoothed_objective(prob.residual(point), mu) <= (
+                f0 + engine.ARMIJO_C1 * t * slope)
+
+        tried = []
+        real_residual = prob.residual
+        prob.residual = lambda point: tried.append(point.copy()) or real_residual(point)
+        got, r_got, obj_got = engine._armijo(prob, mu, w, f0, x, r, y, r_y, obj)
+        del prob.residual
+        # t = 1/2, 1/4, ... in turn, each point x + t step, up to the one taken
+        assert len(tried) >= 2
+        for k, point in enumerate(tried, start=1):
+            assert np.array_equal(point, x + 2.0**-k * step)
+        t = 2.0 ** -len(tried)
+        assert np.array_equal(got, tried[-1])
+        assert np.array_equal(r_got, prob.residual(got))
+        assert obj_got == prob.smoothed_objective(r_got, mu)
+        assert obj_got <= f0 + engine.ARMIJO_C1 * t * slope
+        assert obj_got < f0
+        # and no longer step met the condition
+        assert not meets_armijo(y, 1.0)
+        for k, point in enumerate(tried[:-1], start=1):
+            assert not meets_armijo(point, 2.0**-k)
 
     def test_a_refused_step_ends_its_mu_step(self, monkeypatch):
         # with a line search that refuses every step, each mu step takes one
@@ -1441,8 +1491,9 @@ class TestSolverContract:
 class TestBudgetExhaustion:
     def test_budget_spent_before_the_last_mu_step_is_not_converged(self, monkeypatch):
         # a smooth vanishing function whose degree-4 two-sided search takes
-        # tens of IRLS sweeps; the budgets are read off the full run, because
-        # iteration counts can differ between platforms
+        # one Newton step in each mu step before the last and several in the
+        # last; the budgets are read off the full run, because iteration
+        # counts can differ between platforms
         f = certify_small_function()
         _, spent, _ = recording_solves(monkeypatch)
         full = bicyclicity_infimum(f, P15, "all_integers", 4)
@@ -1451,10 +1502,16 @@ class TestBudgetExhaustion:
         assert min(spent) >= 1  # every iterative solve is charged
         assert (full.sweeps, full.iterations) == (len(spent), cumulative[-1])
         assert cumulative[-1] < engine.LSMR_TOTAL_BUDGET
-        # each budget runs out right after one of the solves of the full run
-        budgets = [c for c in cumulative if c < cumulative[-1]][:20]
-        assert len(budgets) == 20
-        for budget in budgets:
+        # the seed solve and the MU_STEPS - 1 early Newton steps come before
+        # the last mu step: every budget up to what they spend runs out
+        # before it starts, whether inside one of their solves or right
+        # after one; so does each budget that runs out right after a solve
+        # of the last mu step other than its last
+        assert len(spent) > engine.MU_STEPS
+        early = cumulative[engine.MU_STEPS - 1]
+        budgets = set(range(1, early + 1)) | {c for c in cumulative if c < cumulative[-1]}
+        assert len(budgets) > early >= engine.MU_STEPS
+        for budget in sorted(budgets):
             monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", budget)
             res = bicyclicity_infimum(f, P15, "all_integers", 4)
             assert res.converged is False, "budget %d reported converged" % budget
@@ -1496,8 +1553,12 @@ class TestBudgetExhaustion:
     def test_a_step_that_never_stalls_sweeps_until_the_budget_is_spent(
         self, monkeypatch
     ):
-        # with a negative tolerance no continuation step ever stalls, so the
-        # iteration budget is the only thing that ends the search
+        # with a negative tolerance the last mu step never stalls, so the
+        # iteration budget is the only thing that ends the search.  With one
+        # mu step, that last step runs at the first mu, mu0, where the line
+        # search accepts every step; at the least mu of the full schedule it
+        # refuses one once the iterate sits on the minimizer to rounding
+        monkeypatch.setattr(engine, "MU_STEPS", 1)
         monkeypatch.setattr(engine, "INNER_RTOL", -1.0)
         monkeypatch.setattr(engine, "LSMR_TOTAL_BUDGET", 3000)
         res = bicyclicity_infimum(Z_MINUS_1, P15, "nonneg", 8)
@@ -1541,6 +1602,55 @@ class TestForcingSplit:
         res = search(certify_small_function())
         assert res.converged is True and len(rtols) == res.sweeps >= 2
         assert set(rtols) == {engine.PCG_RTOL}
+
+
+def assert_path_following(steps):
+    """The recorded Newton steps' mu halves from one step to the next over
+    the first MU_STEPS - 1 steps, one step per early mu step, and only the
+    last mu repeats."""
+    mus = [step[5] for step in steps]
+    n = engine.MU_STEPS
+    assert len(mus) >= n
+    assert mus[:n] == [mus[0] * 2.0**-j for j in range(n)]
+    assert set(mus[n - 1 :]) == {mus[n - 1]}
+
+
+class TestPathFollowing:
+    """Each mu step before the last takes one Newton step; the last takes
+    Newton steps until one stalls."""
+
+    @pytest.mark.parametrize("search", [
+        lambda f: bicyclicity_infimum(f, P15, "all_integers", 64),
+        lambda f: bicyclicity_infimum(f, SpaceIndex(1.5, 0.25), "all_integers", 64),
+        lambda f: forward_shift_infimum(f, P15, 64),
+        lambda f: forward_shift_infimum(f, SpaceIndex(1.5, 0.25), 64),
+    ], ids=["two_sided-beta0", "two_sided-beta0.25", "shift-beta0", "shift-beta0.25"])
+    def test_mu_halves_at_each_newton_step_before_the_last_mu_step(
+        self, monkeypatch, search
+    ):
+        steps = recording_newton_steps(monkeypatch)
+        res = search(certify_small_function())
+        assert res.converged is True and res.sweeps == 1 + len(steps)
+        assert_path_following(steps)
+
+    # the relative gaps (value - lb) / value of two cold p = 1.5 two-sided
+    # searches at degree 1024, measured when every mu step took Newton steps
+    # until one stalled: criterion 10's function (the roadmap's table A'),
+    # and certify_small's untruncated one, on a shifted preconditioner
+    @pytest.mark.parametrize("function, gap", [
+        (infimum_large_function, 3.06e-4),
+        (certify_small_function_untruncated, 1.28e-3),
+    ], ids=["criterion_10", "certify_small_untruncated"])
+    def test_the_gap_is_no_wider_than_with_a_stall_at_every_mu_step(
+        self, monkeypatch, function, gap
+    ):
+        steps = recording_newton_steps(monkeypatch)
+        res, bound = search_and_bound(function(), P15, "bicyclic", 1024)
+        assert res.converged is True
+        assert_path_following(steps)
+        assert bound.lower_bound is not None and bound.kernel_residual < 1e-15
+        relative = (res.value - bound.lower_bound) / res.value
+        assert 0.0 <= relative <= 1.1 * gap, relative
 
 
 # table B' of the roadmap, the relative gaps (value - lb) / value of the
