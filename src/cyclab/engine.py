@@ -24,9 +24,10 @@ ending the last mu step.  One loop serves every p: at p = 2 the curvature
 term of H is zero and the weights are fixed, so the Newton step is the
 weighted least-squares sweep and the schedule is one step long, the last.
 Every search, whatever p and beta, starts with one solve from zero with
-the base weights w_n, towards the l2 minimizer; the best of its result, zero and any warm start seeds
-the continuation.  The search returns the best of these seeds and of the
-points where a mu step ended, in practice the last step's stall, a
+the base weights w_n, towards the l2 minimizer; the better of its result
+and zero seeds the continuation, so every search starts cold and depends
+on its own degree only.  The search returns the best of that seed and of
+the points where a mu step ended, in practice the last step's stall, a
 minimizer of its smoothed objective to within INNER_RTOL, so the value
 does not depend on how closely CG solved the Newton steps before it.  An
 earlier step's point only seeds the next step, so CG's forcing ratio is
@@ -541,7 +542,7 @@ def _problem(f, space, support, degree, target):
     return _ConvObjective(f.lo, f.arr, s_lo, s_hi, t_lo, t_arr, p, bval), s_lo, s_hi
 
 
-def _minimize(f, space, support, degree, target, warm=None):
+def _minimize(f, space, support, degree, target):
     prob, s_lo, s_hi = _problem(f, space, support, degree, target)
     p = prob.p
     zeros = np.zeros(prob.n_cols, dtype=complex)
@@ -558,19 +559,12 @@ def _minimize(f, space, support, degree, target, warm=None):
     x_ls, iterations, held = prob.solve_weighted(prob.base_w, zeros, prob.b, iters_left)
     iters_left -= iterations
     sweeps = 1
-    # seed the continuation with the best available iterate and never
-    # return worse;
-    # the residual of zero is b itself, so it costs no convolution
-    candidates = [zeros]
-    residuals = [prob.b.copy()]
-    if warm is not None:
-        candidates.append(warm.dense(s_lo, s_hi))
-    candidates.append(x_ls)
-    residuals += [prob.residual(c) for c in candidates[1:]]
-    norms = [prob.residual_norm(r) for r in residuals]
-    k = norms.index(min(norms))  # ties go to the earliest candidate
-    x, r = candidates[k], residuals[k]
-    best_x, best_v = x, norms[k]
+    # seed the continuation with the better of zero, whose residual is b,
+    # and the seed solve's iterate, ties going to zero; never return worse
+    r_ls = prob.residual(x_ls)
+    v0, v_ls = prob.residual_norm(prob.b), prob.residual_norm(r_ls)
+    x, r, best_v = (x_ls, r_ls, v_ls) if v_ls < v0 else (zeros, prob.b.copy(), v0)
+    best_x = x
     mu0 = MU_SCALE * float(np.max(np.abs(r)))
     if mu0 == 0.0:
         mu0 = 1e-12
@@ -632,25 +626,23 @@ def _minimize(f, space, support, degree, target, warm=None):
                          precond_shift=None if precond is None else precond.shift)
 
 
-def bicyclicity_infimum(f, space, support="all_integers", degree=0, warm=None):
+def bicyclicity_infimum(f, space, support="all_integers", degree=0):
     """Minimize the weighted norm of 1 - P*f over P supported on the choice set.
 
-    Returns the achieved norm (an upper bound on the true infimum at this
-    degree, nonincreasing in `degree`) and the optimizing polynomial.
+    Returns the achieved norm, an upper bound on the true infimum at this
+    degree, and the optimizing polynomial.  The infimum is nonincreasing in
+    `degree`; the achieved norm of one cold search need not be.
     """
-    return _minimize(f, space, support, degree, (0, np.ones(1, dtype=complex)), warm)
+    return _minimize(f, space, support, degree, (0, np.ones(1, dtype=complex)))
 
 
-def forward_shift_infimum(f, space, degree=0, warm=None):
+def forward_shift_infimum(f, space, degree=0):
     """Minimize the weighted norm of f - z*Q*f over Q supported on {0..degree}.
 
     Internally the variable is R = z*Q on {1..degree+1}; the returned
     polynomial is Q itself.
     """
-    if warm is not None:
-        # the internal variable is R = z*Q, so a warm Q moves up by one
-        warm = FourierSeries.from_dense(warm.arr, warm.lo + 1)
-    res = _minimize(f, space, "positive", degree + 1, (f.lo, f.arr), warm)
+    res = _minimize(f, space, "positive", degree + 1, (f.lo, f.arr))
     shifted = FourierSeries.from_dense(res.polynomial.arr, res.polynomial.lo - 1)
     return replace(res, polynomial=shifted)
 
@@ -787,6 +779,8 @@ class CertificateProblem:
             raise ValueError("degree_budget must be an integer")
         if budget < 0:
             raise ValueError("degree_budget must be nonnegative")
+        if self.support == "positive" and budget < 1:
+            raise ValueError("positive support needs degree_budget >= 1")
         if not (0.0 < self.epsilon_target < math.inf):
             raise ValueError("epsilon_target must be a positive finite number")
         if not (0.0 <= self.truncation_tail < math.inf):
@@ -840,10 +834,12 @@ def _degree_schedule(budget):
 def certify_cyclic(problem):
     """Search for polynomials P, Q with both certificate norms under the target.
 
-    Degrees double up to the budget, each level warm-started from the last;
-    carried-over polynomials stay feasible, so the recorded best norms are
-    monotone along the schedule.  Each trace row holds, per side, the best
-    norm so far and the level's search's `converged` and `precond_shift`,
+    Degrees double up to the budget, each level one cold search per side,
+    which reruns alone as that side's infimum at the level's degree.  The
+    recorded best norms, the least so far with their polynomials, are
+    monotone along the schedule; a level's own value need not be.  Each
+    trace row holds, per side, the best norm so far and the level's search's
+    `converged` and `precond_shift`,
     None for a side already under the target and not searched.  Verdicts: `certified` needs both norms
     strictly below the target, `bicyclic_only` the two-sided one alone,
     `failed` otherwise.  The Szego bound, the grid mean of log |f| with
@@ -872,7 +868,7 @@ def certify_cyclic(problem):
             # a side already under the target is not searched again: None
             converged = shift = None
             if best[side][0] >= eps:
-                res = search(deg, warm=best[side][1])
+                res = search(deg)
                 converged, shift = res.converged, res.precond_shift
                 if res.value < best[side][0]:
                     best[side] = (res.value, res.polynomial, deg)

@@ -6,7 +6,8 @@ import pytest
 
 from cyclab import experiments
 from cyclab.cli import main, parse_eps_spec
-from test_experiments import UNBOUNDED_SOLVER_DEGREES, UNREACHABLE_COEFFS
+from test_experiments import (POSITIVE_SUPPORT_AT_BUDGET_0, UNBOUNDED_SOLVER_DEGREES,
+                              UNREACHABLE_COEFFS)
 
 
 class TestEpsSpec:
@@ -149,6 +150,16 @@ class TestExitCodes:
                                    "output_dir": str(tmp_path / "never")}))
         assert main(["run", str(cfg)]) == 2
         assert "in [0, 2**20]" in capsys.readouterr().err
+        assert not (tmp_path / "never").exists()
+
+    def test_positive_support_at_budget_0_is_exit_2(self, tmp_path, capsys):
+        # used to write a numerical_failure manifest and exit 3
+        experiment, parameters = POSITIVE_SUPPORT_AT_BUDGET_0
+        cfg = tmp_path / "positive.json"
+        cfg.write_text(json.dumps({"experiment": experiment, "parameters": parameters,
+                                   "output_dir": str(tmp_path / "never")}))
+        assert main(["run", str(cfg)]) == 2
+        assert "positive support needs degree_budget >= 1" in capsys.readouterr().err
         assert not (tmp_path / "never").exists()
 
     def test_numerical_failure_is_exit_3(self, tmp_path, capsys):

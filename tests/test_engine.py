@@ -1441,22 +1441,6 @@ class TestSolverContract:
         for a, b in zip(values, values[1:]):
             assert b <= a + 1e-12
 
-    def test_monotone_under_warm_start(self):
-        rng = np.random.default_rng(13)
-        f = random_series(rng, -2, 2)
-        prev = bicyclicity_infimum(f, P15, "all_integers", 3)
-        for d in (5, 8, 12):
-            res = bicyclicity_infimum(f, P15, "all_integers", d, warm=prev.polynomial)
-            assert res.value <= prev.value + 1e-12
-            prev = res
-
-    def test_shift_warm_start_carries_over(self):
-        rng = np.random.default_rng(17)
-        f = random_series(rng, 0, 3)
-        prev = forward_shift_infimum(f, P15, 2)
-        res = forward_shift_infimum(f, P15, 6, warm=prev.polynomial)
-        assert res.value <= prev.value + 1e-12
-
     def test_result_unpacks_as_pair(self):
         res = bicyclicity_infimum(Z_MINUS_1, P2, "nonneg", 3)
         value, poly = res
@@ -1954,6 +1938,36 @@ class TestCertify:
         assert row["shift_converged"] is False
         assert rep.to_json_obj()["solver_trace"][0] == row
 
+    def test_each_level_reproduces_as_a_standalone_cold_search(self):
+        # certify_small's f at beta 0.25 and degrees 64 .. 1024; a target no
+        # norm reaches searches both sides at every level.  A level whose
+        # norm falls is its degree's own cold search, bit for bit, and one
+        # whose norm holds found nothing better there.  Warm-started from the
+        # level before, degree 128 read 0.980824218 and degree 1024
+        # 0.975789730, where their own searches read 0.980866696 and
+        # 0.976142064
+        f, space = certify_small_function(), SpaceIndex(p=1.5, beta=0.25)
+        rep = certify_cyclic(CertificateProblem(f=f, space=space, degree_budget=1024,
+                                                epsilon_target=1e-9))
+        assert [row["degree"] for row in rep.solver_trace] == [64, 128, 256, 512, 1024]
+        searches = {
+            "bicyclic": functools.partial(bicyclicity_infimum, f, space, "all_integers"),
+            "shift": functools.partial(forward_shift_infimum, f, space),
+        }
+        best = {side: (math.inf, None) for side in searches}
+        for row in rep.solver_trace:
+            for side, search in searches.items():
+                assert row[side + "_converged"] is not None
+                alone = search(row["degree"])
+                if row[side + "_norm"] < best[side][0]:
+                    assert row[side + "_norm"] == alone.value
+                    best[side] = (alone.value, alone.polynomial)
+                else:
+                    assert row[side + "_norm"] == best[side][0] <= alone.value
+        for side, poly in (("bicyclic", rep.best_p), ("shift", rep.best_q)):
+            assert poly.lo == best[side][1].lo
+            assert_same_bits(poly.arr, best[side][1].arr)
+
     def test_trace_is_monotone(self):
         rep = certify_cyclic(
             CertificateProblem(
@@ -2002,10 +2016,20 @@ class TestCertify:
         {"zero_set_measure": math.nan},
         {"zero_set_measure": True},
         {"zero_set_measure": "0.5"},
+        # a positive support at budget 0 used to fail in the first search
+        {"support": "positive", "degree_budget": 0},
     ], ids=lambda kwargs: "-".join("%s=%r" % item for item in kwargs.items()))
     def test_problem_refuses_an_out_of_range_input(self, kwargs):
         with pytest.raises(ValueError, match=list(kwargs)[-1]):
             CertificateProblem(f=Z_MINUS_1, space=P15, **kwargs)
+
+    def test_positive_support_runs_from_budget_1(self):
+        rep = certify_cyclic(CertificateProblem(f=Z_MINUS_1, space=P15, support="positive",
+                                                degree_budget=1))
+        assert [row["degree"] for row in rep.solver_trace] == [1]
+        # 1 - c z (z - 1) has l^1.5 norm^1.5 1 + 2 |c|^1.5, least at P = 0
+        assert rep.achieved_bicyclic_norm == 1.0
+        assert rep.best_p.support() == []
 
     @pytest.mark.parametrize("measure", [None, 0, 0.0, 2 * math.pi, np.float64(0.5)])
     def test_zero_set_measure_accepts_none_and_the_closed_interval(self, measure):

@@ -68,6 +68,11 @@ OVERSIZED_H_K = [
     ("certify", {"preset": "h_k", "k": 50000, "max_degree": 2**21}),
 ]
 
+# a positive support at degree budget 0 validated, then failed in the first
+# search as a numerical failure
+POSITIVE_SUPPORT_AT_BUDGET_0 = ("certify", {"preset": "z_minus_1", "p": 1.5,
+                                            "support": "positive", "degree_budget": 0})
+
 # solver degrees that validated, then ran without end (a degree_budget of
 # 2**40) or asked numpy for 16 TiB (szego at degree 2**40)
 UNBOUNDED_SOLVER_DEGREES = [
@@ -208,6 +213,7 @@ class TestConfigValidation:
              r"degree_budget must be an integer in \[0, 2\*\*20\]"),
             ("szego", {"preset": "z_minus_1", "degrees": [16, 2**20 + 1]},
              r"degrees must be a list of integers in \[0, 2\*\*20\]"),
+            (*POSITIVE_SUPPORT_AT_BUDGET_0, r"positive support needs degree_budget >= 1"),
             *((experiment, params, r"in \[0, 2\*\*20\]")
               for experiment, params in UNBOUNDED_SOLVER_DEGREES),
             *((experiment, params, r"h_k at k = \d+ cannot be built")
@@ -239,6 +245,8 @@ class TestConfigValidation:
             ("norms", {"preset": "h_k", "k": 40000}),
             ("norms", {"preset": "h_k", "k_values": []}),
             ("certify", {"preset": "z_minus_1", "degree_budget": 2**20}),
+            ("certify", {"preset": "z_minus_1", "support": "positive", "degree_budget": 1}),
+            ("certify", {"preset": "z_minus_1", "support": "nonneg", "degree_budget": 0}),
             ("szego", {"preset": "z_minus_1", "degrees": [0, 2**20]}),
         ],
     )
@@ -303,6 +311,7 @@ class TestConfigValidation:
             *UNREACHABLE_COEFFS,
             *OVERSIZED_H_K,
             *UNBOUNDED_SOLVER_DEGREES,
+            POSITIVE_SUPPORT_AT_BUDGET_0,
             # validated, these ran: carleson raised inside the run, after
             # the manifest, and cantor's sweep would read 2^40 arcs
             ("carleson", {"set": "non_carleson_n2", "depth": 60}),
@@ -834,6 +843,23 @@ class TestRunOutputs:
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
         assert abs(norms[-1] - 0.25) < 1e-3
         assert abs(bound - 0.25) < 1e-6
+
+    def test_each_szego_row_is_a_standalone_cold_search(self):
+        # certify_small's f at p = 1.5, beta = 0.25: every row is its degree's
+        # own forward_shift_infimum, bit for bit.  Warm-started from the row
+        # before, degree 128 read 0.0020913695, where its own search reads
+        # 0.0020913625; degrees 16, 32 and 64 read the same bits either way
+        record = validate(ExperimentConfig.from_json_obj({"experiment": "szego", "parameters": {
+            "preset": "smooth_vanishing", "set": "middle_thirds", "depth": 6, "gamma": 1.0,
+            "grid": 2048, "truncate": 256, "p": 1.5, "beta": 0.25,
+            "degrees": [16, 32, 64, 128]}}))
+        report, _, rows, _ = EXPERIMENTS["szego"].handler(record)
+        f = build_function("smooth_vanishing", record)
+        space = SpaceIndex(p=1.5, beta=0.25)
+        assert [row[0] for row in rows] == [16, 32, 64, 128]
+        for degree, norm, _ in rows:
+            assert norm == engine.forward_shift_infimum(f, space, degree).value
+        assert report["rows"] == [list(row) for row in rows]
 
     def test_classify_row(self, tmp_path):
         run(
